@@ -16,16 +16,15 @@ the paper quantifies as 39-55 % extra energy.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.placement import Evaluation, commit, probe
 from repro.ctg.analysis import effective_deadlines
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
-from repro.obs.decisions import Candidate, TaskDecision
+from repro.obs.decisions import TaskDecision
 from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
@@ -56,52 +55,28 @@ def edf_schedule(ctg: CTG, acg: ACG) -> Schedule:
             # EDF selection: earliest effective deadline; ties by name.
             chosen = min(ready, key=lambda name: (eff_deadline[name], name))
 
-            best_pe = -1
-            best_key = (math.inf, math.inf, math.inf)
-            task = ctg.task(chosen)
-            candidates: List[Candidate] = []
+            evaluations: List[Evaluation] = []
             for pe in acg.pes:
-                cost = task.cost_on(pe.type_name)
-                if not cost.feasible:
-                    continue
-                overlay = tables.overlay()
-                drt, _comms = schedule_incoming_transactions(
-                    ctg, acg, chosen, pe.index, placements, overlay
-                )
-                start = overlay.find_earliest(pe.index, drt, cost.time)
-                overlay.drop()
-                eval_counter.inc()
-                finish = start + cost.time
-                if record_decisions:
-                    candidates.append(
-                        Candidate(
-                            pe=pe.index,
-                            finish=finish,
-                            energy=cost.energy,
-                            start=start,
-                            drt=drt,
-                            compute_energy=cost.energy,
-                        )
-                    )
-                # Performance-greedy: earliest finish; energy is NOT considered.
-                key = (finish, start, pe.index)
-                if key < best_key:
-                    best_key = key
-                    best_pe = pe.index
-            if best_pe < 0:
+                evaluation = probe(ctg, acg, chosen, pe.index, tables, placements)
+                if evaluation is not None:
+                    eval_counter.inc()
+                    evaluations.append(evaluation)
+            if not evaluations:
                 raise SchedulingError(f"task {chosen!r} has no feasible PE")
+            # Performance-greedy: earliest finish; energy is NOT considered.
+            best = min(evaluations, key=lambda ev: (ev.finish, ev.start, ev.pe))
 
-            placement = _commit(ctg, acg, chosen, best_pe, placements, tables, schedule)
+            placement = commit(best, tables, placements, schedule)
             if record_decisions:
                 decision = TaskDecision(
                     task=chosen,
-                    pe=best_pe,
+                    pe=best.pe,
                     algorithm="edf",
                     start=placement.start,
                     finish=placement.finish,
                     energy=placement.energy,
-                    chosen=next((c for c in candidates if c.pe == best_pe), None),
-                    candidates=[c for c in candidates if c.pe != best_pe],
+                    chosen=best.candidate(),
+                    candidates=[ev.candidate() for ev in evaluations if ev is not best],
                 )
                 ins.decisions.record(decision)
                 decided.append(decision)
@@ -116,29 +91,3 @@ def edf_schedule(ctg: CTG, acg: ACG) -> Schedule:
     schedule.runtime_seconds = timing.seconds
     return schedule
 
-
-def _commit(
-    ctg: CTG,
-    acg: ACG,
-    task_name: str,
-    pe_index: int,
-    placements: Dict[str, TaskPlacement],
-    tables: ResourceTables,
-    schedule: Schedule,
-) -> TaskPlacement:
-    cost = ctg.task(task_name).cost_on(acg.pe(pe_index).type_name)
-    overlay = tables.overlay()
-    drt, comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay
-    )
-    start = overlay.find_earliest(pe_index, drt, cost.time)
-    overlay.commit()
-    tables.reserve(pe_index, start, start + cost.time)
-    placement = TaskPlacement(
-        task=task_name, pe=pe_index, start=start, finish=start + cost.time, energy=cost.energy
-    )
-    placements[task_name] = placement
-    schedule.place_task(placement)
-    for comm in comms:
-        schedule.place_comm(comm)
-    return placement

@@ -16,7 +16,8 @@ from typing import Dict, List
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import incoming_comm_energy, schedule_incoming_transactions
+from repro.core.comm import incoming_comm_energy
+from repro.core.placement import commit, probe
 from repro.core.rebuild import rebuild_schedule
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
@@ -69,22 +70,10 @@ def greedy_energy_schedule(ctg: CTG, acg: ACG) -> Schedule:
             if best_pe < 0:
                 raise SchedulingError(f"task {chosen!r} has no feasible PE")
 
-            cost = task.cost_on(acg.pe(best_pe).type_name)
-            overlay = tables.overlay()
-            drt, comms = schedule_incoming_transactions(
-                ctg, acg, chosen, best_pe, placements, overlay
+            placement = commit(
+                probe(ctg, acg, chosen, best_pe, tables, placements), tables, placements, schedule
             )
-            start = overlay.find_earliest(best_pe, drt, cost.time)
-            overlay.commit()
-            tables.reserve(best_pe, start, start + cost.time)
-            placement = TaskPlacement(
-                task=chosen, pe=best_pe, start=start, finish=start + cost.time, energy=cost.energy
-            )
-            placements[chosen] = placement
             mapping[chosen] = best_pe
-            schedule.place_task(placement)
-            for comm in comms:
-                schedule.place_comm(comm)
             if record_decisions:
                 decision = TaskDecision(
                     task=chosen,

@@ -21,15 +21,20 @@ cached and literal probes return bit-identical answers (DESIGN.md,
 ``comm.path_cache_misses``, ``comm.horizon_fast_path`` and
 ``comm.merge_intervals``.
 
-All reservations go through a :class:`TentativeOverlay`, so the caller
-decides whether this was a what-if evaluation (drop) or the real
-placement (commit) — the paper's "schedule tables ... will be restored
-every time a F(i,k) is calculated".
+All reservations go through a :class:`TentativeOverlay` and never touch
+the committed tables.  The only caller,
+:func:`repro.core.placement.probe`, drops the overlay and keeps the
+transaction placements in its evaluation; the scheduler then either
+forgets the evaluation (a what-if) or commits it, reserving the same
+links at the same times (the real placement) — the paper's "schedule
+tables ... will be restored every time a F(i,k) is calculated".
+``comm.link_probes`` and ``comm.local_transfers`` go to counters the
+overlay's :class:`~repro.schedule.overlay.ResourceTables` fetched once,
+not looked up per call.
 
 The overlay additionally records every link table this pass probed
-(``overlay.probed_resources()``) and the reservations it made
-(``overlay.reservations()``).  Together they are the evaluation's
-*resource footprint*: the F(i,k) result is a pure function of the busy
+(``overlay.probed_resources()``), the evaluation's *resource
+footprint*: the F(i,k) result is a pure function of the busy
 states of the probed resources, which is what lets the level-based
 scheduler cache evaluations across RTL iterations and invalidate only
 the ones a commit actually dirtied.  Local and zero-volume transfers
@@ -41,7 +46,6 @@ from __future__ import annotations
 
 from typing import List, Mapping, Tuple
 
-from repro import obs
 from repro.arch.acg import ACG
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
@@ -99,9 +103,8 @@ def schedule_incoming_transactions(
     # Fig. 3: "sort LCT by the finish time of its sender".
     lct = sorted(lct, key=lambda e: (placements[e.src].finish, e.src))
 
-    metrics = obs.get().metrics
-    link_probes = metrics.counter("comm.link_probes")
-    local_transfers = metrics.counter("comm.local_transfers")
+    link_probes = overlay.base.link_probes
+    local_transfers = overlay.base.local_transfers
 
     drt = 0.0
     comm_placements: List[CommPlacement] = []

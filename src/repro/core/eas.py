@@ -39,23 +39,28 @@ runs produce byte-identical schedules (see DESIGN.md for the argument
 and ``tests/test_eval_cache.py`` for the randomized equivalence
 harness).  ``EASConfig.use_cache`` keeps the naive path available as
 the reference implementation.
+
+Every evaluation is a :func:`repro.core.placement.probe`, and the
+selected one is made permanent with :func:`repro.core.placement.commit`
+in both modes: the evaluation the selection just used is always clean,
+so committing it equals recomputing it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
-from repro.obs.decisions import Candidate, TaskDecision
+from repro.core.placement import Evaluation, commit, probe
+from repro.obs.decisions import TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
-from repro.errors import SchedulingError, UnroutableError
-from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.errors import SchedulingError
+from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -109,34 +114,6 @@ class EASConfig:
     use_path_cache: bool = True
 
 
-@dataclass
-class _Evaluation:
-    """One F(i,k) evaluation result, with enough context to replay it.
-
-    ``footprint`` is the set of resources (the candidate PE plus every
-    link table the Fig. 3 pass consulted) the result depends on;
-    ``comms`` / ``reservations`` are the tentative transaction
-    placements and their link reservations, so a commit of a *clean*
-    cached evaluation can skip the recompute entirely.  ``windows`` maps
-    each resource to the busy windows this evaluation was *granted*
-    there (the link reservations plus the task's own slot on the
-    candidate PE): because ``find_gap`` results are monotone under added
-    busy intervals, the evaluation stays exact until some commit
-    reserves a window overlapping one of these.
-    """
-
-    task: str
-    pe: int
-    start: float
-    finish: float
-    drt: float
-    energy: float
-    comms: List["CommPlacement"] = field(default_factory=list)
-    reservations: Dict[Hashable, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
-    footprint: FrozenSet[Hashable] = frozenset()
-    windows: Dict[Hashable, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
-
-
 def _windows_conflict(
     a: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
     b: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
@@ -160,28 +137,6 @@ def _windows_conflict(
                 if other_start < end and start < other_end:
                     return True
     return False
-
-
-def _candidate_from_eval(evaluation: _Evaluation, bd: float) -> Candidate:
-    """The schema-v2 component breakdown of one F(i,k) evaluation.
-
-    ``evaluation.energy`` already folds in the communication energy of
-    the task's inputs, so the compute share is recovered by subtracting
-    the transaction energies; ``slack`` is the margin the placement
-    would leave against the Step-1 budgeted deadline.
-    """
-    comm_energy = sum(c.energy for c in evaluation.comms)
-    return Candidate(
-        pe=evaluation.pe,
-        finish=evaluation.finish,
-        energy=evaluation.energy,
-        start=evaluation.start,
-        drt=evaluation.drt,
-        compute_energy=evaluation.energy - comm_energy,
-        comm_energy=comm_energy,
-        hops=sum(len(c.links) for c in evaluation.comms),
-        slack=bd - evaluation.finish,
-    )
 
 
 @dataclass
@@ -235,7 +190,7 @@ class LevelBasedScheduler:
             dict(preplaced) if preplaced else {}
         )
         #: clean F(i,k) evaluations carried across RTL iterations.
-        self._cache: Dict[Tuple[str, int], _Evaluation] = {}
+        self._cache: Dict[Tuple[str, int], Evaluation] = {}
         #: per-task feasible PE indices (static: depends on types only).
         self._feasible_pes: Dict[str, List[int]] = {}
         ins = obs.get()
@@ -260,112 +215,32 @@ class LevelBasedScheduler:
             self._feasible_pes[task_name] = pes
         return pes
 
-    def _evaluate(self, task_name: str, pe_index: int) -> Optional[_Evaluation]:
+    def _evaluate(self, task_name: str, pe_index: int) -> Optional[Evaluation]:
         """Compute ``F(i,k)``; ``None`` when the PE is unusable.
 
         A PE can be unusable because its type cannot run the task, or —
         on a fault-degraded platform — because a partition leaves no
-        route from some already-placed sender (``UnroutableError``); both
-        simply remove the candidate.
+        route from some already-placed sender; both simply remove the
+        candidate.
         """
-        task = self.ctg.task(task_name)
-        pe = self.acg.pe(pe_index)
-        cost = task.cost_on(pe.type_name)
-        if not cost.feasible:
-            return None
-        overlay = self._tables.overlay()
-        try:
-            drt, comms = schedule_incoming_transactions(
-                self.ctg,
-                self.acg,
-                task_name,
-                pe_index,
-                self._placements,
-                overlay,
-                contention_aware=self.contention_aware,
-                floor=self.floor,
-            )
-        except UnroutableError:
-            overlay.drop()
-            return None
-        start = overlay.find_earliest(pe_index, max(drt, self.floor), cost.time)
-        footprint = overlay.probed_resources()
-        reservations = overlay.reservations()
-        overlay.drop()  # the paper's table restore
-        self._eval_counter.inc()
-        self._restore_counter.inc()
-        comm_energy = sum(c.energy for c in comms)
-        windows = dict(reservations)
-        windows[pe_index] = ((start, start + cost.time),)
-        return _Evaluation(
-            task=task_name,
-            pe=pe_index,
-            start=start,
-            finish=start + cost.time,
-            drt=drt,
-            energy=cost.energy + comm_energy,
-            comms=comms,
-            reservations=reservations,
-            footprint=footprint,
-            windows=windows,
+        evaluation = probe(
+            self.ctg,
+            self.acg,
+            task_name,
+            pe_index,
+            self._tables,
+            self._placements,
+            floor=self.floor,
+            contention_aware=self.contention_aware,
         )
-
-    def _commit(
-        self,
-        task_name: str,
-        pe_index: int,
-        schedule: Schedule,
-        cached: Optional[_Evaluation] = None,
-    ) -> TaskPlacement:
-        """Make the chosen ``(task, PE)`` pair permanent.
-
-        With a *clean* cached evaluation (one whose footprint no commit
-        has dirtied since it was computed — which every evaluation the
-        selection just used is, by construction) the stored transaction
-        placements and link reservations are replayed verbatim;
-        otherwise the evaluation is recomputed, the naive reference
-        behaviour.
-        """
-        task = self.ctg.task(task_name)
-        pe = self.acg.pe(pe_index)
-        cost = task.cost_on(pe.type_name)
-        if cached is not None:
-            start = cached.start
-            comms = cached.comms
-            for resource, intervals in cached.reservations.items():
-                for interval_start, interval_end in intervals:
-                    self._tables.reserve(resource, interval_start, interval_end)
-        else:
-            overlay = self._tables.overlay()
-            drt, comms = schedule_incoming_transactions(
-                self.ctg,
-                self.acg,
-                task_name,
-                pe_index,
-                self._placements,
-                overlay,
-                contention_aware=self.contention_aware,
-                floor=self.floor,
-            )
-            start = overlay.find_earliest(pe_index, max(drt, self.floor), cost.time)
-            overlay.commit()
-        self._tables.reserve(pe_index, start, start + cost.time)
-        placement = TaskPlacement(
-            task=task_name,
-            pe=pe_index,
-            start=start,
-            finish=start + cost.time,
-            energy=cost.energy,
-        )
-        self._placements[task_name] = placement
-        schedule.place_task(placement)
-        for comm in comms:
-            schedule.place_comm(comm)
-        return placement
+        if evaluation is not None:
+            self._eval_counter.inc()
+            self._restore_counter.inc()
+        return evaluation
 
     # -- cache maintenance --------------------------------------------------
 
-    def _invalidate(self, committed: _Evaluation) -> int:
+    def _invalidate(self, committed: Evaluation) -> int:
         """Evict cache entries whose footprint the commit dirtied.
 
         A commit mutates exactly (a) the committed PE's table and (b)
@@ -408,10 +283,10 @@ class LevelBasedScheduler:
     # -- selection ------------------------------------------------------------
 
     def _select(
-        self, evaluations: Dict[str, Dict[int, _Evaluation]]
+        self, evaluations: Dict[str, Dict[int, Evaluation]]
     ) -> Tuple[str, int, _SelectionOutcome]:
         """Apply the paper's Step-2 selection rules to the current RTL."""
-        min_f: Dict[str, _Evaluation] = {}
+        min_f: Dict[str, Evaluation] = {}
         for task_name, per_pe in evaluations.items():
             if not per_pe:
                 raise SchedulingError(f"task {task_name!r} has no feasible PE")
@@ -485,11 +360,11 @@ class LevelBasedScheduler:
             eval_cache=use_cache,
         ) as level_span:
             while ready:
-                evaluations: Dict[str, Dict[int, _Evaluation]] = {}
+                evaluations: Dict[str, Dict[int, Evaluation]] = {}
                 with ins.tracer.span("evaluate_rtl", ready=len(ready)) as rtl_span:
                     hits = fresh = 0
                     for task_name in ready:
-                        per_pe: Dict[int, _Evaluation] = {}
+                        per_pe: Dict[int, Evaluation] = {}
                         for pe_index in self._pes_for(task_name):
                             key = (task_name, pe_index)
                             evaluation = cache.get(key) if use_cache else None
@@ -512,12 +387,7 @@ class LevelBasedScheduler:
 
                 chosen_task, chosen_pe, outcome = self._select(evaluations)
                 chosen_eval = evaluations[chosen_task][chosen_pe]
-                placement = self._commit(
-                    chosen_task,
-                    chosen_pe,
-                    schedule,
-                    cached=chosen_eval if use_cache else None,
-                )
+                placement = commit(chosen_eval, self._tables, self._placements, schedule)
                 if use_cache:
                     total_invalidations += self._invalidate(chosen_eval)
                 commit_counter.inc()
@@ -535,9 +405,9 @@ class LevelBasedScheduler:
                         finish=placement.finish,
                         energy=placement.energy,
                         bd=bd,
-                        chosen=_candidate_from_eval(chosen_eval, bd),
+                        chosen=chosen_eval.candidate(bd),
                         candidates=[
-                            _candidate_from_eval(ev, bd)
+                            ev.candidate(bd)
                             for pe_index, ev in sorted(evaluations[chosen_task].items())
                             if pe_index != chosen_pe
                         ],

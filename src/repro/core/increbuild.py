@@ -30,11 +30,12 @@ move against the *delta* it induces instead:
    common case, since repair targets late critical tasks — cost almost
    nothing.
 
-3. **Dirty-cone replay.**  From the frontier the engine runs the very
-   same probe/commit loop as ``rebuild_schedule`` (shared code), so the
-   result is float-exact identical to a from-scratch rebuild — the
-   equivalence the randomized harness in ``tests/test_increbuild.py``
-   byte-compares via serialization v2.
+3. **Dirty-cone replay.**  From the frontier the engine resumes the
+   very list-scheduling loop ``rebuild_schedule`` runs
+   (:func:`~repro.core.rebuild.commit_steps`), so the result is
+   float-exact identical to a from-scratch rebuild — the equivalence the
+   randomized harness in ``tests/test_increbuild.py`` byte-compares via
+   serialization v2.
 
 4. **Early-abort bounding.**  Misses and tardiness only grow as more
    tasks are committed, so the running ``(misses, tardiness)`` over the
@@ -58,16 +59,14 @@ as the reference implementation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
 from repro.core.rebuild import (
     CommitStep,
-    _commit,
-    _eligible_tasks,
-    _probe,
+    commit_steps,
+    probe_mapped,
     rebuild_schedule,
     rebuild_schedule_traced,
 )
@@ -75,7 +74,7 @@ from repro.ctg.graph import CTG
 from repro.errors import InfeasibleOrderError
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
-from repro.schedule.table import EPS, Interval
+from repro.schedule.table import EPS
 from repro.schedule.serialization import schedule_to_json
 
 MissMetric = Tuple[int, float]
@@ -104,8 +103,8 @@ class IncrementalRebuilder:
     provably unable to beat the incumbent), and :meth:`promote` adopts
     the last winning candidate as the new incumbent.
 
-    ``early_abort`` and ``memoize`` exist so the equivalence harness can
-    exercise the pure prefix-replay path; ``selfcheck`` cross-checks
+    ``memoize`` exists so the equivalence harness can exercise the
+    pure prefix-replay path; ``selfcheck`` cross-checks
     every evaluation against a from-scratch rebuild (byte-comparing the
     v2 serialization) and turns any divergence into an assertion — the
     debug mode the randomized corpus runs under.
@@ -118,7 +117,6 @@ class IncrementalRebuilder:
         mapping: Mapping[str, int],
         orders: Mapping[int, Sequence[str]],
         algorithm: str = "rebuild",
-        early_abort: bool = True,
         memoize: bool = True,
         selfcheck: bool = False,
         use_path_cache: bool = True,
@@ -126,7 +124,6 @@ class IncrementalRebuilder:
         self.ctg = ctg
         self.acg = acg
         self.algorithm = algorithm
-        self.early_abort = early_abort
         self.memoize = memoize
         self.selfcheck = selfcheck
         self.use_path_cache = use_path_cache
@@ -170,16 +167,11 @@ class IncrementalRebuilder:
             algorithm=self.algorithm,
             use_path_cache=self.use_path_cache,
         )
-        self._adopt(self._mapping0, self._orders0, trace, self._tables_of(trace))
-
-    def _tables_of(self, trace: Sequence[CommitStep]) -> ResourceTables:
         tables = ResourceTables(use_path_cache=self.use_path_cache)
-        for step in trace:
-            tables.reserve(step.pe, step.placement.start, step.placement.finish)
-            for comm in step.comms:
-                for link in comm.links:
-                    tables.reserve(link, comm.start, comm.finish)
-        return tables
+        tables.fill(
+            [step.placement for step in trace], [comm for step in trace for comm in step.comms]
+        )
+        self._adopt(self._mapping0, self._orders0, trace, tables)
 
     def _adopt(
         self,
@@ -307,11 +299,11 @@ class IncrementalRebuilder:
                         tables = self._materialize(k)
                     key_k = (step.placement.start, step.placement.finish, chosen)
                     for name in divergent:
-                        start, finish = _probe(
-                            self.ctg, self.acg, name, mapping1[name], placements, tables
+                        evaluation = probe_mapped(
+                            self.ctg, self.acg, name, mapping1[name], tables, placements
                         )
                         self._probe_counter.inc()
-                        if (start, finish, name) < key_k:
+                        if (evaluation.start, evaluation.finish, name) < key_k:
                             hard = True
                             break
             if hard:
@@ -324,13 +316,7 @@ class IncrementalRebuilder:
                 remaining[succ] -= 1
             if tables is not None:
                 # Keep the materialized tables in step with the prefix.
-                placement = step.placement
-                if placement.finish - placement.start > EPS:
-                    tables.reserve(step.pe, placement.start, placement.finish)
-                for comm in step.comms:
-                    if comm.finish - comm.start > EPS:
-                        for link in comm.links:
-                            tables.reserve(link, comm.start, comm.finish)
+                tables.fill((step.placement,), step.comms)
         if tables is None:
             tables = self._materialize(frontier)
         return frontier, idx, remaining, placed, placements, tables
@@ -338,25 +324,8 @@ class IncrementalRebuilder:
     def _materialize(self, frontier: int) -> ResourceTables:
         """Fork the incumbent tables and undo the dirty cone's reservations."""
         tables = self._final_tables.fork()
-        undo: Dict[Hashable, List[Interval]] = {}
-        for step in self._trace[frontier:]:
-            placement = step.placement
-            if placement.finish - placement.start > EPS:
-                undo.setdefault(step.pe, []).append((placement.start, placement.finish))
-            for comm in step.comms:
-                if comm.finish - comm.start > EPS:
-                    for link in comm.links:
-                        undo.setdefault(link, []).append((comm.start, comm.finish))
-        for resource, intervals in undo.items():
-            intervals.sort()
-            # Zero-copy read: compared, never mutated (the slice copies).
-            busy = tables.busy_view(resource)
-            tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
-            if busy[tail_at:] == intervals:
-                tables.truncate_from(resource, intervals[0][0])
-            else:
-                for start, end in intervals:
-                    tables.release(resource, start, end)
+        cone = self._trace[frontier:]
+        tables.undo([step.placement for step in cone], [comm for step in cone for comm in step.comms])
         return tables
 
     def evaluate(
@@ -389,7 +358,7 @@ class IncrementalRebuilder:
         )
         self._prefix_counter.inc(frontier)
         bound = self._cum_bound[frontier]
-        if self.early_abort and not bound < incumbent_metric:
+        if not bound < incumbent_metric:
             self._abort_counter.inc()
             self._memo.add(signature)
             self._crosscheck(None, mapping, orders, incumbent_metric, aborted=True)
@@ -435,58 +404,42 @@ class IncrementalRebuilder:
         bound: MissMetric,
         incumbent_metric: MissMetric,
     ) -> Tuple[Optional[Schedule], List[CommitStep], ResourceTables]:
-        """Replay the dirty cone through the shared probe/commit loop."""
-        ctg, acg = self.ctg, self.acg
+        """Replay the dirty cone through the shared list-scheduling loop."""
+        ctg = self.ctg
         prefix = self._trace[:frontier]
-        schedule = Schedule(ctg, acg, algorithm=self.algorithm)
+        schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
         for step in prefix:
             schedule.place_task(step.placement)
             for comm in step.comms:
                 schedule.place_comm(comm)
-        unplaced = {name for name in self._task_names if name not in placed}
         trace = list(prefix)
         misses, tardiness = bound
-        replayed = 0
         task_of = ctg.task
-
-        while unplaced:
-            eligible = _eligible_tasks(
-                ctg, mapping, orders, next_slot, remaining_preds, unplaced
-            )
-            if not eligible:
-                self._replayed_counter.inc(replayed)
-                raise InfeasibleOrderError(
-                    "per-PE orders deadlock against CTG precedence; "
-                    f"{len(unplaced)} tasks stuck"
-                )
-            best: Optional[Tuple[float, float, str]] = None
-            for name in eligible:
-                start, finish = _probe(ctg, acg, name, mapping[name], placements, tables)
-                key = (start, finish, name)
-                if best is None or key < best:
-                    best = key
-            chosen = best[2]
-            placement, comms = _commit(
-                ctg, acg, chosen, mapping[chosen], placements, tables, schedule
-            )
-            replayed += 1
-            trace.append(
-                CommitStep(task=chosen, pe=placement.pe, placement=placement, comms=tuple(comms))
-            )
-            unplaced.discard(chosen)
-            next_slot[mapping[chosen]] += 1
-            for succ in ctg.successors(chosen):
-                remaining_preds[succ] -= 1
-            deadline = task_of(chosen).deadline
-            if placement.finish > deadline + EPS:
-                misses += 1
-            if math.isfinite(deadline):
-                tardiness += max(0.0, placement.finish - deadline)
-            if self.early_abort and not (misses, tardiness) < incumbent_metric:
-                self._replayed_counter.inc(replayed)
-                return None, trace, tables
-
-        self._replayed_counter.inc(replayed)
+        steps = commit_steps(
+            ctg,
+            self.acg,
+            mapping,
+            orders,
+            next_slot,
+            remaining_preds,
+            {name for name in self._task_names if name not in placed},
+            placements,
+            tables,
+            schedule,
+        )
+        try:
+            for step in steps:
+                trace.append(step)
+                deadline = task_of(step.task).deadline
+                finish = step.placement.finish
+                if finish > deadline + EPS:
+                    misses += 1
+                if math.isfinite(deadline):
+                    tardiness += max(0.0, finish - deadline)
+                if not (misses, tardiness) < incumbent_metric:
+                    return None, trace, tables
+        finally:
+            self._replayed_counter.inc(len(trace) - frontier)
         return schedule, trace, tables
 
     # -- selfcheck (debug / equivalence harness) ------------------------------

@@ -5,8 +5,14 @@ mappings and per-PE execution orders; after every candidate move the
 timed schedule must be rebuilt from scratch with the same communication
 semantics as the constructive scheduler.  :func:`rebuild_schedule` does
 that: it list-schedules the tasks respecting (a) CTG precedence and
-(b) the prescribed order of tasks sharing a PE, placing each task's
-receiving transactions with the Fig. 3 communication scheduler.
+(b) the prescribed order of tasks sharing a PE, placing each task with
+the shared probe/commit primitive of :mod:`repro.core.placement`.
+
+The list-scheduling loop itself is :func:`commit_steps`, one generator
+shared by the full rebuild, the incremental repair engine's dirty-cone
+replay (``repro.core.increbuild``) and degraded-mode recovery
+(``repro.faults.recovery``).  It commits the winning probe directly, so
+no Fig. 3 pass runs twice for one placement.
 
 A candidate (mapping, orders) pair can be *infeasible*: a swap may order
 ``a`` before ``b`` on one PE while ``b``'s descendants feed ``a``
@@ -18,13 +24,13 @@ move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.placement import Evaluation, commit, probe
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError, SchedulingError
+from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
@@ -76,7 +82,6 @@ def rebuild_schedule(
         mapping,
         pe_orders,
         algorithm=algorithm,
-        record_trace=False,
         use_path_cache=use_path_cache,
     )
     return schedule
@@ -88,15 +93,9 @@ def rebuild_schedule_traced(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
-    record_trace: bool = True,
     use_path_cache: bool = True,
 ) -> Tuple[Schedule, List[CommitStep]]:
-    """:func:`rebuild_schedule` plus the commit trace it followed.
-
-    With ``record_trace=False`` the trace list comes back empty (this is
-    the body of :func:`rebuild_schedule`); the schedule is identical
-    either way.
-    """
+    """:func:`rebuild_schedule` plus the commit trace it followed."""
     for name in ctg.task_names():
         if name not in mapping:
             raise SchedulingError(f"mapping misses task {name!r}")
@@ -106,14 +105,12 @@ def rebuild_schedule_traced(
     expected: Dict[int, List[str]] = {pe.index: [] for pe in acg.pes}
     for name, pe_index in mapping.items():
         expected.setdefault(pe_index, []).append(name)
-    position: Dict[str, int] = {}
     for pe_index, order in pe_orders.items():
-        for pos, name in enumerate(order):
+        for name in order:
             if mapping.get(name) != pe_index:
                 raise SchedulingError(
                     f"order of PE {pe_index} lists {name!r}, mapped to PE {mapping.get(name)}"
                 )
-            position[name] = pos
     for pe_index, names in expected.items():
         order = list(pe_orders.get(pe_index, ()))
         if sorted(order) != sorted(names):
@@ -122,16 +119,52 @@ def rebuild_schedule_traced(
             )
 
     schedule = Schedule(ctg, acg, algorithm=algorithm)
-    tables = ResourceTables(use_path_cache=use_path_cache)
-    placements: Dict[str, TaskPlacement] = {}
-    next_slot: Dict[int, int] = {pe_index: 0 for pe_index in expected}
-    remaining_preds: Dict[str, int] = {
-        name: ctg.in_degree(name) for name in ctg.task_names()
-    }
-    unplaced = set(ctg.task_names())
-    trace: List[CommitStep] = []
     scheduled_counter = obs.get().metrics.counter("rebuild.tasks_scheduled")
+    trace: List[CommitStep] = []
+    for step in commit_steps(
+        ctg,
+        acg,
+        mapping,
+        pe_orders,
+        next_slot={pe_index: 0 for pe_index in expected},
+        remaining_preds={name: ctg.in_degree(name) for name in ctg.task_names()},
+        unplaced=set(ctg.task_names()),
+        placements={},
+        tables=ResourceTables(use_path_cache=use_path_cache),
+        schedule=schedule,
+    ):
+        scheduled_counter.inc()
+        trace.append(step)
+    return schedule, trace
 
+
+def commit_steps(
+    ctg: CTG,
+    acg: ACG,
+    mapping: Mapping[str, int],
+    pe_orders: Mapping[int, Sequence[str]],
+    next_slot: Dict[int, int],
+    remaining_preds: Dict[str, int],
+    unplaced: Set[str],
+    placements: Dict[str, TaskPlacement],
+    tables: ResourceTables,
+    schedule: Schedule,
+    floor: float = 0.0,
+) -> Iterator[CommitStep]:
+    """List-schedule ``unplaced`` and yield each commit as it happens.
+
+    Each step probes every eligible task on its mapped PE and commits
+    the one with the least ``(start, finish, name)``.  The state
+    arguments are advanced in place; a caller may stop iterating at any
+    step and keep the state reached so far.  ``floor`` bounds all new
+    work from below (degraded-mode recovery passes the fault time).
+
+    Raises:
+        InfeasibleOrderError: no unplaced task is eligible.
+        SchedulingError: a task is mapped to a PE of infeasible type.
+        UnroutableError: a placed sender has no route to a task's PE
+            (only on a fault-degraded platform).
+    """
     while unplaced:
         eligible = _eligible_tasks(
             ctg, mapping, pe_orders, next_slot, remaining_preds, unplaced
@@ -141,30 +174,21 @@ def rebuild_schedule_traced(
                 "per-PE orders deadlock against CTG precedence; "
                 f"{len(unplaced)} tasks stuck"
             )
-        best: Optional[Tuple[float, float, str]] = None
-        for name in eligible:
-            start, finish = _probe(ctg, acg, name, mapping[name], placements, tables)
-            key = (start, finish, name)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        chosen = best[2]
-        placement, comms = _commit(
-            ctg, acg, chosen, mapping[chosen], placements, tables, schedule
+        best = min(
+            (
+                probe_mapped(ctg, acg, name, mapping[name], tables, placements, floor)
+                for name in eligible
+            ),
+            key=lambda ev: (ev.start, ev.finish, ev.task),
         )
-        scheduled_counter.inc()
-        if record_trace:
-            trace.append(
-                CommitStep(
-                    task=chosen, pe=placement.pe, placement=placement, comms=tuple(comms)
-                )
-            )
+        placement = commit(best, tables, placements, schedule)
+        chosen = best.task
         unplaced.discard(chosen)
-        next_slot[mapping[chosen]] += 1
+        next_slot[best.pe] += 1
         for succ in ctg.successors(chosen):
-            remaining_preds[succ] -= 1
-
-    return schedule, trace
+            if succ in remaining_preds:
+                remaining_preds[succ] -= 1
+        yield CommitStep(task=chosen, pe=best.pe, placement=placement, comms=tuple(best.comms))
 
 
 def _eligible_tasks(
@@ -186,69 +210,26 @@ def _eligible_tasks(
     return eligible
 
 
-def _probe(
+def probe_mapped(
     ctg: CTG,
     acg: ACG,
     task_name: str,
     pe_index: int,
-    placements: Dict[str, TaskPlacement],
     tables: ResourceTables,
+    placements: Dict[str, TaskPlacement],
     floor: float = 0.0,
-) -> Tuple[float, float]:
-    """Tentative (start, finish) of placing ``task_name`` now.
+) -> Evaluation:
+    """:func:`~repro.core.placement.probe` for a task the mapping fixes to a PE.
 
-    ``floor`` bounds both the transactions and the execution start from
-    below; degraded-mode recovery rebuilds pass the fault time so the
-    salvaged past stays untouched.
+    A mapped task has no alternative PE, so an unusable PE is an error
+    rather than a dropped candidate.
     """
-    cost = _cost(ctg, acg, task_name, pe_index)
-    overlay = tables.overlay()
-    drt, _comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay, floor=floor
-    )
-    start = overlay.find_earliest(pe_index, max(drt, floor), cost.time)
-    overlay.drop()
-    return start, start + cost.time
-
-
-def _commit(
-    ctg: CTG,
-    acg: ACG,
-    task_name: str,
-    pe_index: int,
-    placements: Dict[str, TaskPlacement],
-    tables: ResourceTables,
-    schedule: Schedule,
-    floor: float = 0.0,
-) -> Tuple[TaskPlacement, List[CommPlacement]]:
-    cost = _cost(ctg, acg, task_name, pe_index)
-    overlay = tables.overlay()
-    drt, comms = schedule_incoming_transactions(
-        ctg, acg, task_name, pe_index, placements, overlay, floor=floor
-    )
-    start = overlay.find_earliest(pe_index, max(drt, floor), cost.time)
-    overlay.commit()
-    tables.reserve(pe_index, start, start + cost.time)
-    placement = TaskPlacement(
-        task=task_name,
-        pe=pe_index,
-        start=start,
-        finish=start + cost.time,
-        energy=cost.energy,
-    )
-    placements[task_name] = placement
-    schedule.place_task(placement)
-    for comm in comms:
-        schedule.place_comm(comm)
-    return placement, comms
-
-
-def _cost(ctg: CTG, acg: ACG, task_name: str, pe_index: int):
-    task = ctg.task(task_name)
+    evaluation = probe(ctg, acg, task_name, pe_index, tables, placements, floor=floor)
+    if evaluation is not None:
+        return evaluation
     pe_type = acg.pe(pe_index).type_name
-    cost = task.cost_on(pe_type)
-    if not cost.feasible:
+    if not ctg.task(task_name).cost_on(pe_type).feasible:
         raise SchedulingError(
             f"task {task_name!r} mapped to PE {pe_index} of infeasible type {pe_type!r}"
         )
-    return cost
+    raise UnroutableError(f"no route from a sender of {task_name!r} to PE {pe_index}")

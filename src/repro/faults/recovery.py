@@ -18,9 +18,8 @@ four steps:
 2. **Salvage the tables** (:func:`_salvage_tables`).  The committed
    schedule's full resource tables are rebuilt, forked copy-on-write
    (:meth:`ResourceTables.fork`), and the rerun placements plus dropped
-   transactions are undone with the increbuild engine's idiom —
-   :meth:`ScheduleTable.truncate_from` when they form a resource's busy
-   tail, exact-match releases otherwise.  Transient fault windows are
+   transactions are undone with :meth:`ResourceTables.undo`, the same
+   helper the increbuild engine uses.  Transient fault windows are
    then written in as pseudo-reservations on both directions of the
    affected channel, so nothing new is ever scheduled *through* an
    outage.
@@ -50,14 +49,12 @@ new work with the past.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.eas import EASConfig, LevelBasedScheduler
-from repro.core.rebuild import _commit, _eligible_tasks, _probe
+from repro.core.rebuild import commit_steps
 from repro.core.repair import RepairConfig, RepairReport, search_and_repair
 from repro.core.slack import compute_budgets
 from repro.errors import (
@@ -224,39 +221,19 @@ def _salvage_tables(
     """Resource tables holding exactly the salvaged past plus fault windows.
 
     Built increbuild-style: full committed tables, a copy-on-write
-    :meth:`~repro.schedule.overlay.ResourceTables.fork`, then the rerun
-    placements and dropped transactions are undone — tail runs via
-    :meth:`~repro.schedule.table.ScheduleTable.truncate_from`, scattered
-    intervals via exact-match releases.  Transient outage windows are
+    :meth:`~repro.schedule.overlay.ResourceTables.fork`, then
+    :meth:`~repro.schedule.overlay.ResourceTables.undo` of the rerun
+    placements and dropped transactions.  Transient outage windows are
     reserved afterwards on both directions of each affected channel.
     """
     full = ResourceTables(use_path_cache=use_path_cache)
-    for placement in committed.task_placements.values():
-        if placement.finish - placement.start > EPS:
-            full.reserve(placement.pe, placement.start, placement.finish)
-    for comm in committed.comm_placements.values():
-        if comm.finish - comm.start > EPS:
-            for link in comm.links:
-                full.reserve(link, comm.start, comm.finish)
+    full.fill(committed.task_placements.values(), committed.comm_placements.values())
 
     tables = full.fork()
-    undo: Dict[Hashable, List[Tuple[float, float]]] = {}
-    for name, placement in committed.task_placements.items():
-        if name not in salvaged and placement.finish - placement.start > EPS:
-            undo.setdefault(placement.pe, []).append((placement.start, placement.finish))
-    for key, comm in committed.comm_placements.items():
-        if key not in kept and comm.finish - comm.start > EPS:
-            for link in comm.links:
-                undo.setdefault(link, []).append((comm.start, comm.finish))
-    for resource, intervals in undo.items():
-        intervals.sort()
-        busy = tables.busy_view(resource)
-        tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
-        if list(busy[tail_at:]) == intervals:
-            tables.truncate_from(resource, intervals[0][0])
-        else:
-            for start, end in intervals:
-                tables.release(resource, start, end)
+    tables.undo(
+        [p for name, p in committed.task_placements.items() if name not in salvaged],
+        [c for key, c in committed.comm_placements.items() if key not in kept],
+    )
 
     for link, windows in plan.transient_windows().items():
         for start, end in _merged_windows(windows):
@@ -296,54 +273,32 @@ def _recovery_rebuild(
     for key in kept:
         schedule.place_comm(committed.comm_placements[key])
 
-    tables = base_tables.fork()
     rerun = [name for name in ctg.task_names() if name not in salvaged]
     unplaced = set(rerun)
     remaining_preds = {
         name: sum(1 for pred in ctg.predecessors(name) if pred in unplaced)
         for name in rerun
     }
-    next_slot: Dict[int, int] = {}
-    rerun_orders: Dict[int, List[str]] = {}
-    for pe_index, order in orders.items():
-        tail = [name for name in order if name in unplaced]
-        rerun_orders[pe_index] = tail
-        next_slot[pe_index] = 0
-
+    rerun_orders = {
+        pe_index: [name for name in order if name in unplaced]
+        for pe_index, order in orders.items()
+    }
+    steps = commit_steps(
+        ctg,
+        degraded,
+        mapping,
+        rerun_orders,
+        next_slot={pe_index: 0 for pe_index in rerun_orders},
+        remaining_preds=remaining_preds,
+        unplaced=unplaced,
+        placements=placements,
+        tables=base_tables.fork(),
+        schedule=schedule,
+        floor=floor,
+    )
     try:
-        while unplaced:
-            eligible = _eligible_tasks(
-                ctg, mapping, rerun_orders, next_slot, remaining_preds, unplaced
-            )
-            if not eligible:
-                raise InfeasibleOrderError(
-                    f"recovery orders deadlock; {len(unplaced)} tasks stuck"
-                )
-            best: Optional[Tuple[float, float, str]] = None
-            for name in eligible:
-                start, finish = _probe(
-                    ctg, degraded, name, mapping[name], placements, tables, floor=floor
-                )
-                key = (start, finish, name)
-                if best is None or key < best:
-                    best = key
-            assert best is not None
-            chosen = best[2]
-            _commit(
-                ctg,
-                degraded,
-                chosen,
-                mapping[chosen],
-                placements,
-                tables,
-                schedule,
-                floor=floor,
-            )
-            unplaced.discard(chosen)
-            next_slot[mapping[chosen]] += 1
-            for succ in ctg.successors(chosen):
-                if succ in remaining_preds:
-                    remaining_preds[succ] -= 1
+        for _step in steps:
+            pass
     except (InfeasibleOrderError, UnroutableError):
         return None
     return schedule

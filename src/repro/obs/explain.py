@@ -24,8 +24,9 @@ shares sum exactly to ``schedule.total_energy()``.
 :func:`verify_decision_components` is the trust anchor: it replays the
 commit sequence on fresh resource tables and recomputes every recorded
 candidate's F(i,k) components with the same Fig. 3 machinery the
-scheduler used — any divergence between captured and recomputed numbers
-(cache replay bugs, schema drift) comes back as a mismatch string.
+scheduler used (:mod:`repro.core.placement`) — any divergence between
+captured and recomputed numbers (cache replay bugs, schema drift) comes
+back as a mismatch string.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.comm import schedule_incoming_transactions
 from repro.obs.decisions import Candidate, TaskDecision
 from repro.obs.utilization import analyze_schedule, task_energy_attribution
 from repro.schedule.overlay import ResourceTables
@@ -476,83 +476,61 @@ def verify_decision_components(
     machinery.  Returns one human-readable string per mismatching
     component; an empty list certifies the captured breakdown exact.
     """
+    from repro.core.placement import commit, probe
     from repro.schedule.entries import TaskPlacement
 
     mismatches: List[str] = []
     tables = ResourceTables()
     placements: Dict[str, TaskPlacement] = {}
     for decision in decisions:
-        task = ctg.task(decision.task)
         recorded = list(decision.candidates)
         if decision.chosen is not None:
             recorded.append(decision.chosen)
         for candidate in recorded:
-            pe = acg.pe(candidate.pe)
-            cost = task.cost_on(pe.type_name)
-            if not cost.feasible:
-                mismatches.append(
-                    f"{decision.task}@PE{candidate.pe}: recorded an infeasible PE"
-                )
-                continue
-            overlay = tables.overlay()
-            drt, comms = schedule_incoming_transactions(
+            evaluation = probe(
                 ctg,
                 acg,
                 decision.task,
                 candidate.pe,
+                tables,
                 placements,
-                overlay,
                 contention_aware=contention_aware,
             )
-            start = overlay.find_earliest(candidate.pe, drt, cost.time)
-            overlay.drop()
-            comm_energy = sum(c.energy for c in comms)
-            expected = {
-                "start": start,
-                "drt": drt,
-                "finish": start + cost.time,
-                "energy": cost.energy + comm_energy,
-                "compute_energy": cost.energy,
-                "comm_energy": comm_energy,
-            }
-            for key, value in expected.items():
+            if evaluation is None:
+                mismatches.append(
+                    f"{decision.task}@PE{candidate.pe}: recorded an infeasible PE"
+                )
+                continue
+            expected = evaluation.candidate()
+            for key in ("start", "drt", "finish", "energy", "compute_energy", "comm_energy"):
                 captured = getattr(candidate, key)
                 if captured is None:
                     continue
+                value = getattr(expected, key)
                 if abs(captured - value) > tolerance:
                     mismatches.append(
                         f"{decision.task}@PE{candidate.pe}: {key} captured "
                         f"{captured!r} != recomputed {value!r}"
                     )
-            hops = sum(len(c.links) for c in comms)
-            if candidate.hops is not None and candidate.hops != hops:
+            if candidate.hops is not None and candidate.hops != expected.hops:
                 mismatches.append(
                     f"{decision.task}@PE{candidate.pe}: hops captured "
-                    f"{candidate.hops} != recomputed {hops}"
+                    f"{candidate.hops} != recomputed {expected.hops}"
                 )
         # Commit the chosen placement exactly as the scheduler did.
-        pe = acg.pe(decision.pe)
-        cost = task.cost_on(pe.type_name)
-        overlay = tables.overlay()
-        drt, comms = schedule_incoming_transactions(
+        evaluation = probe(
             ctg,
             acg,
             decision.task,
             decision.pe,
+            tables,
             placements,
-            overlay,
             contention_aware=contention_aware,
         )
-        start = overlay.find_earliest(decision.pe, drt, cost.time)
-        overlay.commit()
-        tables.reserve(decision.pe, start, start + cost.time)
-        placements[decision.task] = TaskPlacement(
-            task=decision.task,
-            pe=decision.pe,
-            start=start,
-            finish=start + cost.time,
-            energy=cost.energy,
-        )
+        if evaluation is None:
+            mismatches.append(f"{decision.task}: committed to an infeasible PE{decision.pe}")
+            return mismatches
+        start = commit(evaluation, tables, placements, None).start
         if abs(start - decision.start) > tolerance:
             mismatches.append(
                 f"{decision.task}: committed start {decision.start!r} != "

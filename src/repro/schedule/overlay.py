@@ -38,10 +38,14 @@ fed through merges — the work metric ``BENCH_commsched.json`` gates on).
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+import math
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, AbstractSet, Dict, Hashable, Iterable, List, Sequence, Set, Tuple
 
-from repro.schedule.table import Interval, ScheduleTable, find_gap, merge_busy
+from repro.schedule.table import EPS, Interval, ScheduleTable, find_gap, merge_busy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.schedule.entries import CommPlacement, TaskPlacement
 
 #: shared read view of a resource that has no table yet.
 _EMPTY_BUSY: Tuple[Interval, ...] = ()
@@ -87,6 +91,9 @@ class ResourceTables:
         self._path_misses = metrics.counter("comm.path_cache_misses")
         self._horizon_hits = metrics.counter("comm.horizon_fast_path")
         self._merge_work = metrics.counter("comm.merge_intervals")
+        #: Fig. 3 counters, bumped by ``schedule_incoming_transactions``.
+        self.link_probes = metrics.counter("comm.link_probes")
+        self.local_transfers = metrics.counter("comm.local_transfers")
 
     def table(self, resource: Hashable) -> ScheduleTable:
         """Read access to one resource's table (do not mutate the result)."""
@@ -165,6 +172,34 @@ class ResourceTables:
         """Bulk-drop the resource's reservations beginning at/after ``start``."""
         return self._mutable(resource).truncate_from(start)
 
+    def fill(
+        self, placements: Iterable["TaskPlacement"], comms: Iterable["CommPlacement"]
+    ) -> None:
+        """Reserve each task placement on its PE and each transaction on its links."""
+        for resource, intervals in _intervals_of(placements, comms).items():
+            for start, end in intervals:
+                self.reserve(resource, start, end)
+
+    def undo(
+        self, placements: Iterable["TaskPlacement"], comms: Iterable["CommPlacement"]
+    ) -> None:
+        """Remove the reservations :meth:`fill` made for these placements.
+
+        Work is proportional to what is undone: where the intervals are
+        exactly a resource's busy tail, one :meth:`truncate_from` drops
+        them; elsewhere each is released by exact match.
+        """
+        for resource, intervals in _intervals_of(placements, comms).items():
+            intervals.sort()
+            # Zero-copy read: compared, never mutated (the slice copies).
+            busy = self.busy_view(resource)
+            tail_at = bisect_left(busy, (intervals[0][0], -math.inf))
+            if list(busy[tail_at:]) == intervals:
+                self.truncate_from(resource, intervals[0][0])
+            else:
+                for start, end in intervals:
+                    self.release(resource, start, end)
+
     def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
         return self.table(resource).find_earliest(ready, duration)
 
@@ -203,11 +238,28 @@ class ResourceTables:
         clone._path_misses = self._path_misses
         clone._horizon_hits = self._horizon_hits
         clone._merge_work = self._merge_work
+        clone.link_probes = self.link_probes
+        clone.local_transfers = self.local_transfers
         return clone
 
     def overlay(self) -> "TentativeOverlay":
         """A fresh what-if layer over the committed state."""
         return TentativeOverlay(self)
+
+
+def _intervals_of(
+    placements: Iterable["TaskPlacement"], comms: Iterable["CommPlacement"]
+) -> Dict[Hashable, List[Interval]]:
+    """The busy intervals the placements hold, by resource (empty ones skipped)."""
+    intervals: Dict[Hashable, List[Interval]] = {}
+    for placement in placements:
+        if placement.finish - placement.start > EPS:
+            intervals.setdefault(placement.pe, []).append((placement.start, placement.finish))
+    for comm in comms:
+        if comm.finish - comm.start > EPS:
+            for link in comm.links:
+                intervals.setdefault(link, []).append((comm.start, comm.finish))
+    return intervals
 
 
 class TentativeOverlay:
@@ -228,7 +280,8 @@ class TentativeOverlay:
     """
 
     def __init__(self, base: ResourceTables) -> None:
-        self._base = base
+        #: the committed tables this overlay layers over.
+        self.base = base
         self._extra: Dict[Hashable, List[Interval]] = {}
         #: per-resource max end of the tentative reservations, for the
         #: horizon fast path.
@@ -237,24 +290,24 @@ class TentativeOverlay:
 
     def _combined(self, resource: Hashable) -> Sequence[Interval]:
         extra = self._extra.get(resource)
-        base = self._base.busy_view(resource)
+        base = self.base.busy_view(resource)
         if not extra:
             return base
-        self._base._merge_work.inc(len(base) + len(extra))
+        self.base._merge_work.inc(len(base) + len(extra))
         return merge_busy([base, extra])
 
     def _horizon(self, resource: Hashable) -> float:
         """Latest busy end visible through the overlay on ``resource``."""
-        horizon = self._base.horizon(resource)
+        horizon = self.base.horizon(resource)
         extra = self._extra_horizon.get(resource, 0.0)
         return extra if extra > horizon else horizon
 
     def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
         self._probed.add(resource)
-        if self._base.use_path_cache and ready >= self._horizon(resource):
+        if self.base.use_path_cache and ready >= self._horizon(resource):
             # Nothing visible ends after `ready`: find_gap would scan
             # past every interval and return `ready` unchanged.
-            self._base._horizon_hits.inc()
+            self.base._horizon_hits.inc()
             return ready
         return find_gap(self._combined(resource), ready, duration)
 
@@ -273,7 +326,7 @@ class TentativeOverlay:
         if not resources:
             return ready
         self._probed.update(resources)
-        base = self._base
+        base = self.base
         if not base.use_path_cache:
             # Literal reference path: re-merge every link from scratch.
             views = [self._combined(r) for r in resources]
@@ -305,19 +358,21 @@ class TentativeOverlay:
         for resource in resources:
             self.reserve(resource, start, end)
 
-    def probed_resources(self) -> FrozenSet[Hashable]:
+    def probed_resources(self) -> AbstractSet[Hashable]:
         """Every resource whose busy state a query on this overlay read.
 
         This is the evaluation's *resource footprint*: its result can
         only change when one of these resources gains a reservation.
+        The set is live (queries after this call extend it), not a copy;
+        callers must not mutate it.
         """
-        return frozenset(self._probed)
+        return self._probed
 
     def reservations(self) -> Dict[Hashable, Tuple[Interval, ...]]:
         """Snapshot of the tentative reservations, keyed by resource.
 
-        The snapshot survives :meth:`drop`, so a cached evaluation can
-        replay exactly the reservations :meth:`commit` would have made.
+        The snapshot survives :meth:`drop`, so a caller can replay
+        exactly the reservations :meth:`commit` would have made.
         Per-resource intervals come back time-sorted (the storage
         order); they are mutually non-overlapping, so replay order is
         immaterial to the resulting tables.
@@ -328,7 +383,7 @@ class TentativeOverlay:
         """Apply all tentative reservations to the committed tables."""
         for resource, intervals in self._extra.items():
             for start, end in intervals:
-                self._base.reserve(resource, start, end)
+                self.base.reserve(resource, start, end)
         self._extra.clear()
         self._extra_horizon.clear()
 

@@ -224,3 +224,15 @@ class TestExplainReport:
         for entry in document["tasks"]:
             deadline = entry["deadline"]
             assert deadline is None or math.isfinite(deadline)
+
+
+class TestVerifyCli:
+    @pytest.mark.parametrize("algorithm", ["eas", "eas-base", "edf"])
+    def test_verify_exits_zero(self, algorithm, capsys):
+        """Every algorithm records ``energy`` as E_comp + E_comm, EDF included."""
+        from repro.cli import main
+
+        argv = ["explain", "--system", "encoder", "--clip", "akiyo"]
+        argv += ["--algorithm", algorithm, "--verify", "--format", "json"]
+        assert main(argv) == 0
+        assert "verify: all F(i,k) components exact" in capsys.readouterr().err

@@ -3,15 +3,18 @@ structurally valid, executable schedule, and cross-scheduler energy
 relations hold.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.arch.presets import hetero_mesh
 from repro.baselines.edf import edf_schedule
 from repro.baselines.greedy import greedy_energy_schedule, random_schedule
-from repro.core.eas import eas_base_schedule, eas_schedule
+from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
 from repro.core.rebuild import rebuild_schedule
 from repro.ctg.generator import GeneratorConfig, generate_ctg
+from repro.obs.explain import verify_decision_components
 from repro.sim.replay import simulate_schedule
 
 SLOW = settings(
@@ -122,3 +125,26 @@ def test_all_comm_durations_and_energies_match_model(params):
         assert abs(
             comm.duration - acg.comm_duration(comm.volume, comm.src_pe, comm.dst_pe)
         ) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "scheduler",
+    [
+        lambda ctg, acg: eas_schedule(ctg, acg),
+        lambda ctg, acg: eas_schedule(ctg, acg, EASConfig(use_cache=False)),
+        edf_schedule,
+        greedy_energy_schedule,
+    ],
+    ids=["eas", "eas-nocache", "edf", "greedy"],
+)
+@SLOW
+@given(ctg_params, st.integers(min_value=0, max_value=3))
+def test_recorded_decisions_recompute_exactly(scheduler, params, platform_seed):
+    """Every scheduler's recorded F(i,k) components replay through the
+    same placement primitive to within the verify tolerance."""
+    ctg = build(params)
+    acg = hetero_mesh(2, 3, shuffle_seed=platform_seed)
+    with obs.activate(obs.Instrumentation.enabled()):
+        schedule = scheduler(ctg, acg)
+    assert len(schedule.provenance) == ctg.n_tasks
+    assert verify_decision_components(ctg, acg, schedule.provenance) == []
