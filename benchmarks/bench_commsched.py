@@ -8,8 +8,10 @@ every transaction of every candidate PE.  The path-table cache
 committed list keyed by its link-table version counters, and probes
 whose ready time clears every link horizon skip merging entirely.
 
-This bench runs full ``eas_schedule`` passes with the cache on and off
-on category-1 presets over mesh_5x5 and mesh_6x6, asserts the two modes
+This bench runs Steps 1-2 of EAS on the default tables and on
+``repro.core.reference``'s ``LiteralTables`` for category-1 presets over
+mesh_5x5 and mesh_6x6 (which meet every deadline, so Step 3 never
+runs), asserts the two modes
 produce bit-identical schedules, and records the interval-merge work
 (``comm.merge_intervals`` — total intervals fed through ``merge_busy``)
 into ``BENCH_commsched.json``.
@@ -28,8 +30,11 @@ from typing import Any, Dict
 
 from repro import obs
 from repro.arch.presets import mesh_5x5, mesh_6x6
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import LevelBasedScheduler
+from repro.core.reference import LiteralTables
+from repro.core.slack import compute_budgets
 from repro.ctg.generator import generate_category
+from repro.schedule.overlay import ResourceTables
 from repro.schedule.serialization import schedule_to_json
 
 from benchmarks.conftest import run_once
@@ -46,12 +51,15 @@ MIN_MERGE_RATIO = 2.0
 MIN_WALL_SPEEDUP = 1.0
 
 
-def _run_variant(ctg, acg, use_path_cache: bool):
-    """One full EAS pass; returns (json, wall, metrics)."""
+def _run_variant(ctg, acg, tables_class):
+    """One Step-1 + Step-2 pass; returns (json, wall, metrics)."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
         started = time.perf_counter()
-        schedule = eas_schedule(ctg, acg, EASConfig(use_path_cache=use_path_cache))
+        budgets = compute_budgets(ctg, acg)
+        schedule = LevelBasedScheduler(
+            ctg, acg, budgets, algorithm_name="eas", tables=tables_class()
+        ).run()
         wall = time.perf_counter() - started
     # The serialization embeds the driver's wall-clock stamp; zero it so
     # the bit-identity assert compares only the scheduling decisions.
@@ -63,8 +71,8 @@ def _commsched_point(mesh, index: int, n_tasks: int) -> Dict[str, Any]:
     ctg = generate_category(1, index, n_tasks=n_tasks)
     acg = mesh()
 
-    literal_json, literal_wall, literal_metrics = _run_variant(ctg, acg, False)
-    cached_json, cached_wall, cached_metrics = _run_variant(ctg, acg, True)
+    literal_json, literal_wall, literal_metrics = _run_variant(ctg, acg, LiteralTables)
+    cached_json, cached_wall, cached_metrics = _run_variant(ctg, acg, ResourceTables)
 
     # Exactness before speed: the cache must be invisible in the output.
     assert cached_json == literal_json, "path-table cache changed the schedule"

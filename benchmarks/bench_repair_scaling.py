@@ -5,8 +5,10 @@ Every Step-3 candidate move used to cost a full ``rebuild_schedule``
 The incremental engine (``src/repro/core/increbuild.py``) shares the
 incumbent's clean commit prefix, replays only the dirty cone, aborts
 candidates that provably cannot win, and memoizes rejected move
-signatures.  This bench runs whole repair loops both ways on the
-repair-heavy category-2 / mesh_5x5 presets, asserts the two modes are
+signatures.  This bench runs whole repair loops both ways — the
+full-rebuild oracle ``repro.core.reference.full_rebuild_repair`` and
+``search_and_repair`` — on the repair-heavy category-2 / mesh_5x5
+presets, asserts the two modes are
 bit-identical (schedule serialization and ``RepairReport``), and records
 the reduction trajectory into ``BENCH_repair.json``.
 
@@ -31,7 +33,8 @@ from typing import Any, Dict
 from repro import obs
 from repro.arch.presets import mesh_5x5
 from repro.core.eas import EASConfig, eas_schedule
-from repro.core.repair import RepairConfig, search_and_repair
+from repro.core.reference import full_rebuild_repair
+from repro.core.repair import search_and_repair
 from repro.ctg.generator import generate_category
 from repro.schedule.serialization import schedule_to_json
 
@@ -50,14 +53,12 @@ MIN_REPLAY_RATIO = 3.0
 MIN_WALL_SPEEDUP = 2.0
 
 
-def _run_repair(base, use_incremental: bool):
+def _run_repair(base, repair):
     """One full repair loop; returns (json, report, wall, metrics)."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
         started = time.perf_counter()
-        repaired, report = search_and_repair(
-            base, RepairConfig(use_incremental=use_incremental)
-        )
+        repaired, report = repair(base)
         wall = time.perf_counter() - started
     return schedule_to_json(repaired), report, wall, bundle.metrics
 
@@ -70,8 +71,8 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
     base = eas_schedule(ctg, acg, EASConfig(repair=False))
     assert base.deadline_misses(), "preset must miss, or repair has nothing to do"
 
-    full_json, full_report, full_wall, full_metrics = _run_repair(base, False)
-    inc_json, inc_report, inc_wall, inc_metrics = _run_repair(base, True)
+    full_json, full_report, full_wall, full_metrics = _run_repair(base, full_rebuild_repair)
+    inc_json, inc_report, inc_wall, inc_metrics = _run_repair(base, search_and_repair)
 
     # Exactness before speed: both modes must agree bit-for-bit.
     assert inc_json == full_json, "incremental repair diverged from full rebuild"

@@ -10,6 +10,7 @@ extra seconds, and barely moves the energy.
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.core.reference import full_rebuild_repair
 from repro.evalx.experiments import run_repair_runtime
 
 
@@ -47,8 +48,8 @@ def test_repair_runtime_preset(benchmark, show):
     preset = dict(category=2, n_benchmarks=2, n_tasks=60, deadline_scale=0.5)
 
     def experiment():
-        full = run_repair_runtime(use_incremental=False, **preset)
-        incremental = run_repair_runtime(use_incremental=True, **preset)
+        full = run_repair_runtime(repair=full_rebuild_repair, **preset)
+        incremental = run_repair_runtime(**preset)
         return full, incremental
 
     full, incremental = run_once(benchmark, experiment)

@@ -3,7 +3,8 @@
 The paper's Step 2 recomputes every F(i,k) each RTL iteration; the
 incremental evaluation cache (see ``src/repro/core/eas.py``) makes that
 cost proportional to what a commit actually dirties.  This bench runs
-full EAS cached vs naive on generated CTGs of ~50/100/200 tasks mapped
+Steps 1-2 of EAS cached vs naive (``repro.core.reference``'s
+``NaiveLevelScheduler``) on generated CTGs of ~50/100/200 tasks mapped
 onto growing meshes (4x4 -> 6x6), checks the two paths agree exactly,
 and records the speedup trajectory — Fig. 3 evaluation counts, wall
 times, ratios — into ``BENCH_scaling.json`` via the benchstore.
@@ -18,7 +19,9 @@ from typing import Any, Dict
 
 from repro import obs
 from repro.arch.presets import mesh_4x4, mesh_5x5, mesh_6x6
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import LevelBasedScheduler
+from repro.core.reference import NaiveLevelScheduler
+from repro.core.slack import compute_budgets
 from repro.ctg.generator import generate_category
 
 from benchmarks.conftest import run_once
@@ -35,13 +38,16 @@ SIZES = [
 MIN_EVAL_RATIO_AT_200 = 3.0
 
 
-def _run_variant(ctg, acg, use_cache: bool):
-    """One full-EAS run; returns (schedule, evaluations, wall seconds)."""
+def _run_variant(ctg, acg, scheduler):
+    """One Step-1 + Step-2 run; returns (schedule, evaluations, wall seconds).
+
+    The scaling presets meet every deadline, so Step 3 never runs.
+    """
     ins = obs.Instrumentation.disabled()
-    config = EASConfig(use_cache=use_cache)
     with obs.activate(ins):
         started = time.perf_counter()
-        schedule = eas_schedule(ctg, acg, config)
+        budgets = compute_budgets(ctg, acg)
+        schedule = scheduler(ctg, acg, budgets, algorithm_name="eas").run()
         wall = time.perf_counter() - started
     return schedule, ins.metrics.counter("eas.evaluations").value, wall
 
@@ -49,8 +55,8 @@ def _run_variant(ctg, acg, use_cache: bool):
 def _scaling_point(label: str, n_tasks: int, mesh) -> Dict[str, Any]:
     ctg = generate_category(1, 0, n_tasks=n_tasks)
     acg = mesh(shuffle_seed=100)
-    naive, naive_evals, naive_wall = _run_variant(ctg, acg, use_cache=False)
-    cached, cached_evals, cached_wall = _run_variant(ctg, acg, use_cache=True)
+    naive, naive_evals, naive_wall = _run_variant(ctg, acg, NaiveLevelScheduler)
+    cached, cached_evals, cached_wall = _run_variant(ctg, acg, LevelBasedScheduler)
     # The cache must be invisible in the output before its speed counts.
     assert cached.task_placements == naive.task_placements
     assert cached.comm_placements == naive.comm_placements

@@ -6,7 +6,9 @@
   driver;
 * :mod:`repro.core.rebuild` — deterministic schedule reconstruction from
   a (mapping, per-PE order) pair;
-* :mod:`repro.core.repair` — Step 3, search-and-repair (LTS + GTM).
+* :mod:`repro.core.repair` — Step 3, search-and-repair (LTS + GTM);
+* :mod:`repro.core.reference` — the paper-literal oracle the optimised
+  paths are tested against (not imported here: tests and benches only).
 """
 
 from repro.core.slack import (

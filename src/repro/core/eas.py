@@ -36,14 +36,13 @@ intersects the commit's dirty set — the committed PE plus every link
 the committed transactions reserved.  An untouched footprint means the
 evaluation would recompute to the identical result, so cached and naive
 runs produce byte-identical schedules (see DESIGN.md for the argument
-and ``tests/test_eval_cache.py`` for the randomized equivalence
-harness).  ``EASConfig.use_cache`` keeps the naive path available as
-the reference implementation.
+and ``tests/test_property_reference.py`` for the property test against
+the naive :class:`repro.core.reference.NaiveLevelScheduler`).
 
 Every evaluation is a :func:`repro.core.placement.probe`, and the
-selected one is made permanent with :func:`repro.core.placement.commit`
-in both modes: the evaluation the selection just used is always clean,
-so committing it equals recomputing it.
+selected one is made permanent with :func:`repro.core.placement.commit`:
+the evaluation the selection just used is always clean, so committing
+it equals recomputing it.
 """
 
 from __future__ import annotations
@@ -84,24 +83,6 @@ class EASConfig:
             introduction criticises; the resulting timing is
             optimistic and its link usage may overlap — only the
             contention ablation should turn this off.
-        use_cache: reuse ``F(i,k)`` evaluations across RTL iterations,
-            invalidating only entries whose resource footprint the last
-            commit dirtied.  Produces schedules identical to the naive
-            path (the reference implementation kept behind
-            ``use_cache=False`` and the CLI's ``--no-eval-cache``) while
-            doing far fewer Fig. 3 evaluations.
-        use_incremental_repair: evaluate Step-3 candidate moves with the
-            incremental rebuild engine (prefix reuse + early abort +
-            memoization, see ``core/increbuild.py``) instead of a full
-            rebuild per candidate.  Both settings accept the identical
-            move sequence; ``False`` (CLI ``--no-incremental-repair``)
-            keeps the paper-literal path as the reference.
-        use_path_cache: serve Fig. 3 path probes from the version-keyed
-            merged-busy-list cache with the horizon fast path (see
-            ``schedule/overlay.py``), in both Step 2 and Step-3 rebuilds.
-            ``False`` (CLI ``--no-path-cache``) re-merges every route
-            from scratch per probe — the literal reference path.
-            Schedules are bit-identical either way; only runtime differs.
     """
 
     weight_policy: WeightPolicy = weight_var_product
@@ -109,9 +90,6 @@ class EASConfig:
     repair: bool = True
     max_repair_rounds: int = 64
     contention_aware: bool = True
-    use_cache: bool = True
-    use_incremental_repair: bool = True
-    use_path_cache: bool = True
 
 
 def _windows_conflict(
@@ -170,8 +148,6 @@ class LevelBasedScheduler:
         budgets: Mapping[str, TaskBudget],
         algorithm_name: str = "eas-base",
         contention_aware: bool = True,
-        use_cache: bool = True,
-        use_path_cache: bool = True,
         preplaced: Optional[Mapping[str, TaskPlacement]] = None,
         tables: Optional[ResourceTables] = None,
         floor: float = 0.0,
@@ -181,11 +157,8 @@ class LevelBasedScheduler:
         self.budgets = budgets
         self.algorithm_name = algorithm_name
         self.contention_aware = contention_aware
-        self.use_cache = use_cache
         self.floor = floor
-        self._tables = (
-            tables if tables is not None else ResourceTables(use_path_cache=use_path_cache)
-        )
+        self._tables = tables if tables is not None else ResourceTables()
         self._placements: Dict[str, TaskPlacement] = (
             dict(preplaced) if preplaced else {}
         )
@@ -346,7 +319,6 @@ class LevelBasedScheduler:
         record_decisions = ins.decisions.enabled
         decided: List[TaskDecision] = []
 
-        use_cache = self.use_cache
         cache = self._cache
         total_hits = 0
         total_invalidations = 0
@@ -357,7 +329,6 @@ class LevelBasedScheduler:
             ctg=self.ctg.name,
             tasks=self.ctg.n_tasks,
             pes=len(self.acg.pes),
-            eval_cache=use_cache,
         ) as level_span:
             while ready:
                 evaluations: Dict[str, Dict[int, Evaluation]] = {}
@@ -367,14 +338,13 @@ class LevelBasedScheduler:
                         per_pe: Dict[int, Evaluation] = {}
                         for pe_index in self._pes_for(task_name):
                             key = (task_name, pe_index)
-                            evaluation = cache.get(key) if use_cache else None
+                            evaluation = cache.get(key)
                             if evaluation is None:
                                 evaluation = self._evaluate(task_name, pe_index)
                                 if evaluation is None:
                                     continue
                                 fresh += 1
-                                if use_cache:
-                                    cache[key] = evaluation
+                                cache[key] = evaluation
                             else:
                                 hits += 1
                             per_pe[pe_index] = evaluation
@@ -388,8 +358,7 @@ class LevelBasedScheduler:
                 chosen_task, chosen_pe, outcome = self._select(evaluations)
                 chosen_eval = evaluations[chosen_task][chosen_pe]
                 placement = commit(chosen_eval, self._tables, self._placements, schedule)
-                if use_cache:
-                    total_invalidations += self._invalidate(chosen_eval)
+                total_invalidations += self._invalidate(chosen_eval)
                 commit_counter.inc()
                 if outcome.rescue:
                     rescue_counter.inc()
@@ -460,8 +429,6 @@ def eas_base_schedule(
             budgets,
             algorithm_name="eas-base" if cfg.contention_aware else "eas-base-nocontention",
             contention_aware=cfg.contention_aware,
-            use_cache=cfg.use_cache,
-            use_path_cache=cfg.use_path_cache,
         ).run()
     schedule.runtime_seconds = timing.seconds
     return schedule
@@ -486,11 +453,7 @@ def eas_schedule(
         if cfg.repair and schedule.deadline_misses():
             repaired, _report = search_and_repair(
                 schedule,
-                RepairConfig(
-                    max_rounds=cfg.max_repair_rounds,
-                    use_incremental=cfg.use_incremental_repair,
-                    use_path_cache=cfg.use_path_cache,
-                ),
+                RepairConfig(max_rounds=cfg.max_repair_rounds),
             )
             # Repair only reorders/remaps; the level-schedule decisions
             # remain the provenance of the original placements.

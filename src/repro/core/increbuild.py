@@ -33,9 +33,9 @@ move against the *delta* it induces instead:
 3. **Dirty-cone replay.**  From the frontier the engine resumes the
    very list-scheduling loop ``rebuild_schedule`` runs
    (:func:`~repro.core.rebuild.commit_steps`), so the result is
-   float-exact identical to a from-scratch rebuild — the equivalence the
-   randomized harness in ``tests/test_increbuild.py`` byte-compares via
-   serialization v2.
+   float-exact identical to a from-scratch rebuild — the equivalence
+   ``tests/test_increbuild.py`` byte-compares via serialization v2 for
+   every evaluation of whole repair runs.
 
 4. **Early-abort bounding.**  Misses and tardiness only grow as more
    tasks are committed, so the running ``(misses, tardiness)`` over the
@@ -51,9 +51,8 @@ move against the *delta* it induces instead:
    verbatim).  The memo is cleared whenever a move is accepted.
 
 Soundness arguments are spelled out in DESIGN.md ("Incremental repair
-correctness"); ``RepairConfig.use_incremental`` (CLI
-``--no-incremental-repair``) keeps the paper-literal full-rebuild path
-as the reference implementation.
+correctness"); :func:`repro.core.reference.full_rebuild_repair` keeps
+the paper-literal full rebuild per candidate as the reference oracle.
 """
 
 from __future__ import annotations
@@ -63,19 +62,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.rebuild import (
-    CommitStep,
-    commit_steps,
-    probe_mapped,
-    rebuild_schedule,
-    rebuild_schedule_traced,
-)
+from repro.core.rebuild import CommitStep, commit_steps, probe_mapped, rebuild_schedule_traced
 from repro.ctg.graph import CTG
 from repro.errors import InfeasibleOrderError
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
-from repro.schedule.serialization import schedule_to_json
 
 MissMetric = Tuple[int, float]
 
@@ -102,12 +94,6 @@ class IncrementalRebuilder:
     (or ``None`` when the candidate is infeasible, memo-rejected, or
     provably unable to beat the incumbent), and :meth:`promote` adopts
     the last winning candidate as the new incumbent.
-
-    ``memoize`` exists so the equivalence harness can exercise the
-    pure prefix-replay path; ``selfcheck`` cross-checks
-    every evaluation against a from-scratch rebuild (byte-comparing the
-    v2 serialization) and turns any divergence into an assertion — the
-    debug mode the randomized corpus runs under.
     """
 
     def __init__(
@@ -117,16 +103,10 @@ class IncrementalRebuilder:
         mapping: Mapping[str, int],
         orders: Mapping[int, Sequence[str]],
         algorithm: str = "rebuild",
-        memoize: bool = True,
-        selfcheck: bool = False,
-        use_path_cache: bool = True,
     ) -> None:
         self.ctg = ctg
         self.acg = acg
         self.algorithm = algorithm
-        self.memoize = memoize
-        self.selfcheck = selfcheck
-        self.use_path_cache = use_path_cache
         self._in_degree: Dict[str, int] = {
             name: ctg.in_degree(name) for name in ctg.task_names()
         }
@@ -160,14 +140,9 @@ class IncrementalRebuilder:
         if self._trace is not None:
             return
         _schedule, trace = rebuild_schedule_traced(
-            self.ctg,
-            self.acg,
-            self._mapping0,
-            self._orders0,
-            algorithm=self.algorithm,
-            use_path_cache=self.use_path_cache,
+            self.ctg, self.acg, self._mapping0, self._orders0, algorithm=self.algorithm
         )
-        tables = ResourceTables(use_path_cache=self.use_path_cache)
+        tables = ResourceTables()
         tables.fill(
             [step.placement for step in trace], [comm for step in trace for comm in step.comms]
         )
@@ -346,7 +321,7 @@ class IncrementalRebuilder:
         self._last = None
         self._candidate_counter.inc()
         signature = self._signature(mapping, orders)
-        if self.memoize and signature in self._memo:
+        if signature in self._memo:
             self._memo_counter.inc()
             return None
         self._ensure_incumbent()
@@ -361,7 +336,6 @@ class IncrementalRebuilder:
         if not bound < incumbent_metric:
             self._abort_counter.inc()
             self._memo.add(signature)
-            self._crosscheck(None, mapping, orders, incumbent_metric, aborted=True)
             return None
 
         try:
@@ -371,12 +345,10 @@ class IncrementalRebuilder:
             )
         except InfeasibleOrderError:
             self._memo.add(signature)
-            self._crosscheck(None, mapping, orders, incumbent_metric, aborted=False)
             return None
         if schedule is None:  # aborted mid-replay
             self._abort_counter.inc()
             self._memo.add(signature)
-            self._crosscheck(None, mapping, orders, incumbent_metric, aborted=True)
             return None
 
         if _schedule_metric(schedule) < incumbent_metric:
@@ -388,7 +360,6 @@ class IncrementalRebuilder:
             )
         else:
             self._memo.add(signature)
-        self._crosscheck(schedule, mapping, orders, incumbent_metric, aborted=False)
         return schedule
 
     def _replay(
@@ -441,40 +412,3 @@ class IncrementalRebuilder:
         finally:
             self._replayed_counter.inc(len(trace) - frontier)
         return schedule, trace, tables
-
-    # -- selfcheck (debug / equivalence harness) ------------------------------
-
-    def _crosscheck(
-        self,
-        schedule: Optional[Schedule],
-        mapping: Mapping[str, int],
-        orders: Mapping[int, Sequence[str]],
-        incumbent_metric: MissMetric,
-        aborted: bool,
-    ) -> None:
-        """Assert this evaluation agrees with a from-scratch rebuild."""
-        if not self.selfcheck:
-            return
-        try:
-            full = rebuild_schedule(
-                self.ctg,
-                self.acg,
-                mapping,
-                orders,
-                algorithm=self.algorithm,
-                use_path_cache=self.use_path_cache,
-            )
-        except InfeasibleOrderError:
-            full = None
-        if schedule is not None:
-            assert full is not None, "incremental built a schedule the full rebuild rejects"
-            assert schedule_to_json(schedule) == schedule_to_json(full), (
-                "incremental rebuild diverged from full rebuild"
-            )
-        elif aborted:
-            # An abort claims the candidate cannot beat the incumbent.
-            assert full is None or not _schedule_metric(full) < incumbent_metric, (
-                "early abort rejected a candidate that beats the incumbent"
-            )
-        else:
-            assert full is None, "incremental raised InfeasibleOrderError, full rebuild did not"

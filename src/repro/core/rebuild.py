@@ -59,7 +59,6 @@ def rebuild_schedule(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
-    use_path_cache: bool = True,
 ) -> Schedule:
     """Rebuild a timed schedule from a mapping and per-PE task orders.
 
@@ -68,22 +67,12 @@ def rebuild_schedule(
     start earliest is committed first; this keeps the reconstruction
     deterministic and packs resources greedily.
 
-    ``use_path_cache=False`` re-merges every route per probe (the
-    literal reference path); the result is bit-identical either way.
-
     Raises:
         InfeasibleOrderError: the orders deadlock against the precedence
             constraints.
         SchedulingError: the mapping assigns a task to an infeasible PE.
     """
-    schedule, _trace = rebuild_schedule_traced(
-        ctg,
-        acg,
-        mapping,
-        pe_orders,
-        algorithm=algorithm,
-        use_path_cache=use_path_cache,
-    )
+    schedule, _trace = rebuild_schedule_traced(ctg, acg, mapping, pe_orders, algorithm=algorithm)
     return schedule
 
 
@@ -93,7 +82,6 @@ def rebuild_schedule_traced(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
-    use_path_cache: bool = True,
 ) -> Tuple[Schedule, List[CommitStep]]:
     """:func:`rebuild_schedule` plus the commit trace it followed."""
     for name in ctg.task_names():
@@ -130,7 +118,7 @@ def rebuild_schedule_traced(
         remaining_preds={name: ctg.in_degree(name) for name in ctg.task_names()},
         unplaced=set(ctg.task_names()),
         placements={},
-        tables=ResourceTables(use_path_cache=use_path_cache),
+        tables=ResourceTables(),
         schedule=schedule,
     ):
         scheduled_counter.inc()

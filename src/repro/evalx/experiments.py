@@ -30,7 +30,7 @@ from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.core.eas import EASConfig, eas_base_schedule
-from repro.core.repair import search_and_repair
+from repro.core.repair import RepairReport, search_and_repair
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
@@ -94,8 +94,8 @@ def run_random_category(
 
     Compares ``eas-base`` (no repair), ``eas`` (with repair) and ``edf``
     on a 4x4 heterogeneous mesh, exactly the paper's setup.
-    ``eas_config`` overrides the EAS knobs (e.g. ``use_cache=False`` for
-    the ``--no-eval-cache`` A/B).  ``jobs`` > 1 fans the
+    ``eas_config`` overrides the EAS knobs (e.g. ``repair=False``).
+    ``jobs`` > 1 fans the
     (benchmark x scheduler) grid out over a process pool
     (``None``/``0`` defers to ``REPRO_JOBS``; 1 keeps the serial
     reference path); rows come back in grid order with identical
@@ -263,7 +263,7 @@ def run_repair_runtime(
     n_benchmarks: int = N_RANDOM_BENCHMARKS,
     n_tasks: Optional[int] = None,
     deadline_scale: float = 1.0,
-    use_incremental: bool = True,
+    repair: Callable[[Schedule], Tuple[Schedule, RepairReport]] = search_and_repair,
 ) -> List[ExperimentRow]:
     """Runtime overhead of search-and-repair on the miss-y benchmarks.
 
@@ -274,11 +274,10 @@ def run_repair_runtime(
     ``deadline_scale`` < 1 tightens every deadline by that factor — the
     guaranteed-miss preset knob (at the default scale whole suites can
     be schedulable, and this experiment silently produces no rows).
-    ``use_incremental`` selects the repair evaluation engine, so callers
-    can A/B the paper-literal and incremental paths on identical inputs.
+    ``repair`` replaces :func:`~repro.core.repair.search_and_repair`
+    (e.g. with :func:`repro.core.reference.full_rebuild_repair`), so
+    callers can A/B repair engines on identical inputs.
     """
-    from repro.core.repair import RepairConfig
-
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     rows: List[ExperimentRow] = []
     for index in range(n_benchmarks):
@@ -290,9 +289,7 @@ def run_repair_runtime(
         if not base.deadline_misses():
             continue
         with obs.timed_phase("repair_runtime.repair", ctg=ctg.name) as timing:
-            repaired, report = search_and_repair(
-                base, RepairConfig(use_incremental=use_incremental)
-            )
+            repaired, report = repair(base)
         repair_seconds = timing.seconds
         rows.append(
             ExperimentRow(

@@ -216,7 +216,6 @@ def _salvage_tables(
     salvaged: Set[str],
     kept: Set[Tuple[str, str]],
     plan: FaultPlan,
-    use_path_cache: bool = True,
 ) -> ResourceTables:
     """Resource tables holding exactly the salvaged past plus fault windows.
 
@@ -226,7 +225,7 @@ def _salvage_tables(
     placements and dropped transactions.  Transient outage windows are
     reserved afterwards on both directions of each affected channel.
     """
-    full = ResourceTables(use_path_cache=use_path_cache)
+    full = ResourceTables()
     full.fill(committed.task_placements.values(), committed.comm_placements.values())
 
     tables = full.fork()
@@ -346,9 +345,7 @@ def inject_and_recover(
                 )
 
         salvaged_placements = {name: committed.placement(name) for name in salvaged}
-        base_tables = _salvage_tables(
-            committed, salvaged, kept, plan, use_path_cache=cfg.use_path_cache
-        )
+        base_tables = _salvage_tables(committed, salvaged, kept, plan)
 
         budgets = compute_budgets(
             ctg,
@@ -362,8 +359,6 @@ def inject_and_recover(
             budgets,
             algorithm_name="recovery",
             contention_aware=cfg.contention_aware,
-            use_cache=cfg.use_cache,
-            use_path_cache=cfg.use_path_cache,
             preplaced=salvaged_placements,
             tables=base_tables.fork(),
             floor=fault_time,
@@ -403,8 +398,6 @@ def inject_and_recover(
                 recovery,
                 RepairConfig(
                     max_rounds=cfg.max_repair_rounds,
-                    use_incremental=False,
-                    use_path_cache=cfg.use_path_cache,
                     frozen=frozenset(salvaged),
                     rebuilder=rebuilder,
                 ),

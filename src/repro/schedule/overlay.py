@@ -29,7 +29,9 @@ through zero-copy views (:meth:`ResourceTables.busy_view`; the public
 :meth:`busy` / ``intervals()`` accessors keep copying for external use),
 and a probe whose ready time lies at or beyond every involved horizon —
 the common case at the schedule frontier — returns ``ready`` without
-merging anything (the *horizon fast path*).
+merging anything (the *horizon fast path*).  The paper-literal
+re-merge-per-probe path lives in :mod:`repro.core.reference` as the
+oracle these economies are tested against.
 
 Counters: ``comm.path_cache_hits`` / ``comm.path_cache_misses``,
 ``comm.horizon_fast_path``, and ``comm.merge_intervals`` (total intervals
@@ -65,18 +67,16 @@ class ResourceTables:
     per candidate move, so a candidate that only perturbs a handful of
     resources pays for copying exactly those tables.
 
-    ``use_path_cache`` selects between the version-keyed path-table
-    cache plus horizon fast path (the default) and the literal
-    recompute-every-merge reference path (CLI ``--no-path-cache``).
-    Both produce bit-identical schedules; only runtime differs.
+    Probes go through the version-keyed path-table cache plus horizon
+    fast path; :class:`repro.core.reference.LiteralTables` is the
+    recompute-every-merge oracle they must agree with bit for bit.
     """
 
-    def __init__(self, use_path_cache: bool = True) -> None:
+    def __init__(self) -> None:
         self._tables: Dict[Hashable, ScheduleTable] = {}
         #: resources whose table object is shared with a fork; mutate
         #: through :meth:`_mutable` only.
         self._shared: Set[Hashable] = set()
-        self.use_path_cache = use_path_cache
         #: route tuple -> (per-link version tuple, merged committed busy
         #: list).  Entries' lists are never mutated after insertion.
         self._path_cache: Dict[
@@ -221,7 +221,7 @@ class ResourceTables:
         return clone
 
     def _bare_clone(self) -> "ResourceTables":
-        """A clone shell sharing config, counters and valid cache entries.
+        """A clone shell of the same class sharing counters and valid cache entries.
 
         Sharing the counter objects skips a registry round-trip per
         clone; copying the path cache keeps routes warm across repair
@@ -229,10 +229,9 @@ class ResourceTables:
         copy preserves its version and every mutation bumps it — per
         lineage, versions are strictly monotone (see DESIGN.md).
         """
-        clone = ResourceTables.__new__(ResourceTables)
+        clone = type(self).__new__(type(self))
         clone._tables = {}
         clone._shared = set()
-        clone.use_path_cache = self.use_path_cache
         clone._path_cache = dict(self._path_cache)
         clone._path_hits = self._path_hits
         clone._path_misses = self._path_misses
@@ -304,7 +303,7 @@ class TentativeOverlay:
 
     def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
         self._probed.add(resource)
-        if self.base.use_path_cache and ready >= self._horizon(resource):
+        if ready >= self._horizon(resource):
             # Nothing visible ends after `ready`: find_gap would scan
             # past every interval and return `ready` unchanged.
             self.base._horizon_hits.inc()
@@ -317,21 +316,15 @@ class TentativeOverlay:
         """Earliest slot free on *all* path resources simultaneously.
 
         Implements Fig. 3: the path schedule table is the merge of the
-        occupied slots of the comprising links.  With the path cache on,
-        the committed part of that merge comes from
-        :meth:`ResourceTables.path_busy` and only the overlay's own
-        tentative intervals are merged per probe; a ready time at or
-        beyond every horizon skips the merge entirely.
+        occupied slots of the comprising links.  The committed part of
+        that merge comes from :meth:`ResourceTables.path_busy` and only
+        the overlay's own tentative intervals are merged per probe; a
+        ready time at or beyond every horizon skips the merge entirely.
         """
         if not resources:
             return ready
         self._probed.update(resources)
         base = self.base
-        if not base.use_path_cache:
-            # Literal reference path: re-merge every link from scratch.
-            views = [self._combined(r) for r in resources]
-            base._merge_work.inc(sum(len(view) for view in views))
-            return find_gap(merge_busy(views), ready, duration)
         horizon = 0.0
         for resource in resources:
             h = self._horizon(resource)

@@ -94,6 +94,16 @@ class TestScheduleCommand:
         assert restored.is_complete
 
 
+    @pytest.mark.parametrize(
+        "switch", ["--no-eval-cache", "--no-path-cache", "--no-incremental-repair"]
+    )
+    def test_reference_switches_are_gone(self, switch, capsys):
+        # The paper-literal paths live in repro.core.reference, not the CLI.
+        with pytest.raises(SystemExit):
+            main(["schedule", "--system", "decoder", switch])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestAnalysisCommands:
     def test_compare(self, capsys):
         assert main(["compare", "--system", "encoder", "--clip", "akiyo"]) == 0

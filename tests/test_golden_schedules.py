@@ -1,7 +1,7 @@
 """Golden digests: schedules must stay bit-identical across commits.
 
-Every other equivalence test compares two code paths *within* one
-revision (cache on vs off, incremental vs full rebuild).  This file pins
+Every other equivalence test compares the optimised paths against the
+paper-literal oracle of ``repro.core.reference`` *within* one revision.  This file pins
 the sha256 of ``schedule_to_json`` for a fixed small corpus, so a
 refactor or optimisation that changes any placement, transaction or
 float anywhere fails here, even when all paths change in lockstep.
@@ -25,7 +25,12 @@ from repro.baselines.edf import edf_schedule
 from repro.baselines.greedy import greedy_energy_schedule, random_schedule
 from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
 from repro.core.rebuild import rebuild_schedule
-from repro.core.repair import RepairConfig, search_and_repair
+from repro.core.reference import (
+    full_rebuild_repair,
+    reference_eas_base_schedule,
+    reference_eas_schedule,
+)
+from repro.core.repair import search_and_repair
 from repro.ctg.generator import generate_category
 from repro.faults.plan import FaultPlan, LinkFault, PEFault
 from repro.faults.recovery import inject_and_recover
@@ -57,10 +62,9 @@ def _rebuild(pair):
     return rebuild_schedule(ctg, acg, base.mapping(), base.pe_order())
 
 
-def _repair(pair, incremental: bool) -> Schedule:
+def _repair(pair, repair=search_and_repair) -> Schedule:
     ctg, acg = pair
-    base = eas_base_schedule(ctg, acg)
-    repaired, _report = search_and_repair(base, RepairConfig(use_incremental=incremental))
+    repaired, _report = repair(eas_base_schedule(ctg, acg))
     return repaired
 
 
@@ -83,13 +87,13 @@ def _link_plan(makespan: float) -> FaultPlan:
 
 CASES: Dict[str, Callable[[], Schedule]] = {
     "eas/loose": lambda: eas_schedule(*_loose()),
-    "eas/loose/nocache": lambda: eas_schedule(*_loose(), EASConfig(use_cache=False)),
+    "eas/loose/nocache": lambda: reference_eas_schedule(*_loose()),
     "eas/hetero": lambda: eas_schedule(*_hetero()),
     "eas/tight": lambda: eas_schedule(*_tight()),
-    "eas/tight/nocache": lambda: eas_schedule(*_tight(), EASConfig(use_cache=False)),
+    "eas/tight/nocache": lambda: reference_eas_schedule(*_tight()),
     "eas-base/loose": lambda: eas_base_schedule(*_loose()),
     "eas-base/tight": lambda: eas_base_schedule(*_tight()),
-    "eas-base/tight/nocache": lambda: eas_base_schedule(*_tight(), EASConfig(use_cache=False)),
+    "eas-base/tight/nocache": lambda: reference_eas_base_schedule(*_tight()),
     "eas-base/nocontention": lambda: eas_base_schedule(
         *_tight(), EASConfig(contention_aware=False)
     ),
@@ -100,8 +104,8 @@ CASES: Dict[str, Callable[[], Schedule]] = {
     "random/loose": lambda: random_schedule(*_loose(), seed=3),
     "rebuild/hetero": lambda: _rebuild(_hetero()),
     "rebuild/tight": lambda: _rebuild(_tight()),
-    "repair/incremental": lambda: _repair(_repairable(), incremental=True),
-    "repair/full": lambda: _repair(_repairable(), incremental=False),
+    "repair/incremental": lambda: _repair(_repairable()),
+    "repair/full": lambda: _repair(_repairable(), full_rebuild_repair),
     "recover/pe": lambda: _recover(_tight(), _pe_plan),
     "recover/link": lambda: _recover(_repairable(), _link_plan),
 }

@@ -3,12 +3,11 @@
 The load-bearing guarantee of ``core/increbuild.py`` is *exactness*: for
 every candidate move the repair loop probes — accepted or rejected — the
 incremental path must behave indistinguishably from a full
-``rebuild_schedule``.  The randomized corpus below runs whole repair
-loops with ``RepairConfig.selfcheck`` on, which cross-checks **every
-single evaluation** against a from-scratch rebuild byte-compared through
-serialization v2 (and every early abort against the full candidate
-metric), then additionally asserts the end-to-end results of the
-incremental and paper-literal modes are bit-identical — same schedule
+``rebuild_schedule``.  The ``checked_engine`` fixture cross-checks
+**every single evaluation** of whole repair runs against a from-scratch
+rebuild byte-compared through serialization v2 (and every rejection
+against the full candidate metric); the end-to-end results must also
+equal the paper-literal ``full_rebuild_repair`` oracle — same schedule
 bytes, same accepted-move sequence, same ``RepairReport`` counters.
 """
 
@@ -22,9 +21,11 @@ from repro.arch.topology import Mesh2D
 from repro.core.eas import EASConfig, eas_schedule
 from repro.core.increbuild import IncrementalRebuilder, _schedule_metric
 from repro.core.rebuild import rebuild_schedule
+from repro.core.reference import full_rebuild_repair, reference_eas_schedule
 from repro.core.repair import RepairConfig, search_and_repair
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
+from repro.errors import InfeasibleOrderError
 from repro.schedule.serialization import schedule_to_json
 
 from tests.conftest import uniform_task
@@ -40,111 +41,95 @@ def tightened(category: int, index: int, n_tasks: int = 24, factor: float = 0.55
     return generate_category(category, index, n_tasks=n_tasks).with_scaled_deadlines(factor)
 
 
+@pytest.fixture
+def checked_engine(monkeypatch):
+    """Cross-check every ``IncrementalRebuilder.evaluate`` against a full rebuild.
+
+    A schedule must byte-match ``rebuild_schedule`` through serialization
+    v2; a ``None`` (early abort, remembered rejection or deadlock) must
+    be a candidate the full rebuild rejects too — infeasible, or not
+    strictly better than the incumbent metric.  Returns a dict whose
+    ``"evaluations"`` entry counts the checked calls.
+    """
+    original = IncrementalRebuilder.evaluate
+    checked = {"evaluations": 0}
+
+    def evaluate(self, mapping, orders, incumbent_metric):
+        result = original(self, mapping, orders, incumbent_metric)
+        try:
+            full = rebuild_schedule(self.ctg, self.acg, mapping, orders, algorithm=self.algorithm)
+        except InfeasibleOrderError:
+            full = None
+        if result is not None:
+            assert full is not None, "incremental built a schedule the full rebuild rejects"
+            assert schedule_to_json(result) == schedule_to_json(full), (
+                "incremental rebuild diverged from full rebuild"
+            )
+        else:
+            assert full is None or not _schedule_metric(full) < incumbent_metric, (
+                "incremental rejected a candidate that beats the incumbent"
+            )
+        checked["evaluations"] += 1
+        return result
+
+    monkeypatch.setattr(IncrementalRebuilder, "evaluate", evaluate)
+    return checked
+
+
 class TestEquivalenceCorpus:
-    """Randomized 20+ graph harness: every probed move is cross-checked."""
+    """Whole repair runs with every probed move cross-checked."""
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("seed", [None, 20240915])
-    def test_full_repair_selfchecked(self, use_cache, seed):
+    def test_full_repair_selfchecked(self, use_cache, seed, checked_engine):
         """Every evaluation during repair matches a full rebuild.
 
-        ``selfcheck=True`` makes the engine byte-compare each evaluated
-        candidate (and verify each abort) inline, so a single repair run
-        checks hundreds of moves.  Parametrized over the Step-2 eval
-        cache and the jitter seed so both RNG disciplines and both base
-        schedule paths are exercised.
+        A single repair run checks hundreds of moves.  Parametrized over
+        the Step-2 base schedule (evaluation cache, or the naive
+        reference) and the jitter seed so both RNG disciplines and both
+        base schedule paths are exercised.
         """
         acg = mesh3x3()
+        level_schedule = eas_schedule if use_cache else reference_eas_schedule
         checked_misses = 0
         for index in range(3):
             ctg = tightened(2, index)
-            base = eas_schedule(ctg, acg, EASConfig(repair=False, use_cache=use_cache))
+            base = level_schedule(ctg, acg, EASConfig(repair=False))
             checked_misses += len(base.deadline_misses())
-            cfg = RepairConfig(
-                seed=seed,
-                use_incremental=True,
-                selfcheck=True,
-                max_rounds=4,
-                max_migrations_per_round=64,
-            )
+            cfg = RepairConfig(seed=seed, max_rounds=4, max_migrations_per_round=64)
             repaired, report = search_and_repair(base, cfg)
             repaired.validate_structure()
         assert checked_misses > 0, "corpus too easy: nothing exercised repair"
+        assert checked_engine["evaluations"] > 0
 
     def test_modes_bit_identical_across_corpus(self):
-        """Incremental and paper-literal repair agree bit-for-bit.
+        """Incremental repair and the full-rebuild oracle agree bit-for-bit.
 
         Same schedule serialization, same RepairReport (which encodes
-        the accepted/tried move sequence counts) on 20 random graphs
-        spanning both benchmark categories.
+        the accepted/tried move sequence counts) on six graphs spanning
+        both benchmark categories; ``tests/test_property_reference.py``
+        covers generated inputs.
         """
         acg = mesh3x3()
         exercised = 0
+        config = RepairConfig(max_rounds=4, max_migrations_per_round=48)
         for category in (1, 2):
-            for index in range(10):
+            for index in range(3):
                 ctg = tightened(category, index, factor=0.5)
                 base = eas_schedule(ctg, acg, EASConfig(repair=False))
                 outcomes = {}
-                for mode in (False, True):
-                    repaired, report = search_and_repair(
-                        base,
-                        RepairConfig(
-                            use_incremental=mode,
-                            max_rounds=4,
-                            max_migrations_per_round=48,
-                        ),
-                    )
-                    outcomes[mode] = (schedule_to_json(repaired), repr(report))
-                assert outcomes[False][0] == outcomes[True][0], (
-                    f"cat{category}-{index}: schedules diverge between modes"
+                for repair in (full_rebuild_repair, search_and_repair):
+                    repaired, report = repair(base, config)
+                    outcomes[repair] = (schedule_to_json(repaired), repr(report))
+                assert outcomes[full_rebuild_repair] == outcomes[search_and_repair], (
+                    f"cat{category}-{index}: incremental repair diverges from the oracle"
                 )
-                assert outcomes[False][1] == outcomes[True][1], (
-                    f"cat{category}-{index}: reports diverge between modes"
-                )
-                if "swaps=0/0, migrations=0/0" not in outcomes[True][1]:
+                if "swaps=0/0, migrations=0/0" not in outcomes[search_and_repair][1]:
                     exercised += 1
-        assert exercised >= 5, "corpus too easy: repair barely ran"
-
-    def test_path_cache_matrix_bit_identical(self):
-        """All four (incremental × path cache) combinations agree.
-
-        The path-table cache threads through both repair engines
-        (incremental replays and literal full rebuilds); a soundness bug
-        in either combination shows up as a serialization diff here.
-        """
-        acg = mesh3x3()
-        exercised = 0
-        for category, index in [(1, 2), (1, 7), (2, 1), (2, 6)]:
-            ctg = tightened(category, index, factor=0.5)
-            base = eas_schedule(ctg, acg, EASConfig(repair=False))
-            outcomes = {}
-            for use_incremental in (False, True):
-                for use_path_cache in (False, True):
-                    repaired, report = search_and_repair(
-                        base,
-                        RepairConfig(
-                            use_incremental=use_incremental,
-                            use_path_cache=use_path_cache,
-                            max_rounds=3,
-                            max_migrations_per_round=48,
-                        ),
-                    )
-                    outcomes[(use_incremental, use_path_cache)] = (
-                        schedule_to_json(repaired),
-                        repr(report),
-                    )
-            reference = outcomes[(False, False)]
-            for combo, outcome in outcomes.items():
-                assert outcome == reference, (
-                    f"cat{category}-{index}: (incremental, pathcache)={combo} "
-                    "diverges from the literal/literal reference"
-                )
-            if "swaps=0/0, migrations=0/0" not in reference[1]:
-                exercised += 1
         assert exercised >= 2, "corpus too easy: repair barely ran"
 
-    def test_random_walk_probes_and_promotes(self):
-        """Direct engine drive: random swaps/migrations, all selfchecked."""
+    def test_random_walk_probes_and_promotes(self, checked_engine):
+        """Direct engine drive: random swaps/migrations, all cross-checked."""
         acg = mesh3x3()
         rng = random.Random(7)
         evaluations = 0
@@ -154,9 +139,7 @@ class TestEquivalenceCorpus:
             mapping = dict(sched.mapping())
             orders = {pe: list(names) for pe, names in sched.pe_order().items()}
             base = rebuild_schedule(ctg, acg, mapping, orders)
-            engine = IncrementalRebuilder(
-                ctg, acg, mapping, orders, selfcheck=True, memoize=False
-            )
+            engine = IncrementalRebuilder(ctg, acg, mapping, orders)
             metric = _schedule_metric(base)
             for _trial in range(25):
                 cand_map = dict(mapping)
@@ -192,6 +175,7 @@ class TestEquivalenceCorpus:
                     mapping, orders = cand_map, cand_orders
                     metric = _schedule_metric(result)
         assert evaluations >= 80
+        assert checked_engine["evaluations"] == evaluations
 
 
 class TestEngineBehaviour:
@@ -207,7 +191,7 @@ class TestEngineBehaviour:
         orders = {0: ["a", "b"], 1: ["c"]}
         return ctg, acg, mapping, orders
 
-    def test_infeasible_candidate_rejected_without_corrupting_state(self):
+    def test_infeasible_candidate_rejected_without_corrupting_state(self, checked_engine):
         """A deadlocking candidate is a rejected move, nothing more.
 
         After the rejection the engine must still evaluate and promote
@@ -222,11 +206,11 @@ class TestEngineBehaviour:
         mapping = {"a": 0, "b": 0}
         orders = {0: ["a", "b"]}
         base = rebuild_schedule(ctg, acg, mapping, orders)
-        engine = IncrementalRebuilder(ctg, acg, mapping, orders, selfcheck=True)
+        engine = IncrementalRebuilder(ctg, acg, mapping, orders)
         metric = _schedule_metric(base)
         # b before a deadlocks: b's predecessor a can never run.
         assert engine.evaluate(mapping, {0: ["b", "a"]}, metric) is None
-        # The engine still evaluates later candidates exactly (selfcheck
+        # The engine still evaluates later candidates exactly (the fixture
         # cross-checks each against a full rebuild): migrate b off PE0.
         cand_map = {"a": 0, "b": 1}
         cand_orders = {0: ["a"], 1: ["b"]}
@@ -257,13 +241,13 @@ class TestEngineBehaviour:
         Whatever moves get probed, the final schedule must be structurally
         valid and its per-PE orders must partition exactly the task set —
         i.e. a rejected InfeasibleOrderError never leaks half-applied
-        orders into the loop state.  Runs in both modes.
+        orders into the loop state.  Runs incremental and full-rebuild.
         """
         acg = mesh3x3()
         ctg = tightened(2, 1, factor=0.5)
         base = eas_schedule(ctg, acg, EASConfig(repair=False))
-        for mode in (False, True):
-            repaired, _report = search_and_repair(base, RepairConfig(use_incremental=mode))
+        for repair in (full_rebuild_repair, search_and_repair):
+            repaired, _report = repair(base)
             repaired.validate_structure()
             listed = sorted(
                 name for names in repaired.pe_order().values() for name in names
@@ -273,22 +257,17 @@ class TestEngineBehaviour:
 
 class TestReportParity:
     def test_memo_skips_still_count_as_tried(self):
-        """Tried counters are mode-independent even when memo skips fire."""
+        """Tried counters match the full rebuild even when memo skips fire."""
         acg = mesh3x3()
         ctg = tightened(2, 3, factor=0.5)
         base = eas_schedule(ctg, acg, EASConfig(repair=False))
         reports = {}
         skips = {}
-        for mode in (False, True):
+        for mode, repair in ((False, full_rebuild_repair), (True, search_and_repair)):
             bundle = obs.Instrumentation.disabled()
             with obs.activate(bundle):
-                _repaired, report = search_and_repair(
-                    base,
-                    RepairConfig(
-                        use_incremental=mode,
-                        max_rounds=3,
-                        max_migrations_per_round=48,
-                    ),
+                _repaired, report = repair(
+                    base, RepairConfig(max_rounds=3, max_migrations_per_round=48)
                 )
             reports[mode] = (
                 report.swaps_tried,
@@ -298,4 +277,4 @@ class TestReportParity:
             )
             skips[mode] = bundle.metrics.counter("repair.memo_skips").value
         assert reports[False] == reports[True]
-        assert skips[False] == 0  # full mode never consults the memo
+        assert skips[False] == 0  # the full rebuild never consults the memo

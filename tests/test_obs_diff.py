@@ -16,6 +16,7 @@ from repro import obs
 from repro.arch.presets import mesh_3x3, mesh_4x4
 from repro.baselines.edf import edf_schedule
 from repro.core.eas import EASConfig, eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 from repro.obs.diff import (
     DIFF_SCHEMA_VERSION,
@@ -51,8 +52,8 @@ class TestExactAttribution:
     def test_identical_schedules_diff_empty(self):
         ctg = generate_category(1, 0, n_tasks=25)
         acg = mesh_3x3()
-        a = eas_schedule(ctg, acg, EASConfig(use_cache=True))
-        b = eas_schedule(ctg, acg, EASConfig(use_cache=False))
+        a = eas_schedule(ctg, acg)
+        b = reference_eas_schedule(ctg, acg)
         diff = diff_schedules(a, b)
         assert diff.moves == []
         assert diff.energy_by_task == {}
@@ -195,3 +196,42 @@ class TestRenderers:
             [],
         )
         assert delta.phase_walls["only-a"] == [1.0, None]
+
+
+class TestCliEndpoints:
+    def test_removed_cache_key_is_unknown(self, capsys):
+        from repro.cli import main
+
+        assert main(["diff", "algorithm=eas,cache=off", "algorithm=edf"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["repro-noc: error: diff endpoint 'algorithm=eas,cache=off': unknown key 'cache'"]
+
+    def test_legacy_ledger_params_still_resolve(self, tmp_path, capsys):
+        """Records from before the oracle refactor carry the old switches."""
+        from repro.cli import main
+
+        ledger = tmp_path / "ledger.jsonl"
+        legacy = {
+            "system": "random",
+            "category": 2,
+            "index": 1,
+            "n_tasks": 20,
+            "no_eval_cache": True,
+            "no_path_cache": False,
+            "no_incremental_repair": True,
+        }
+        with open(ledger, "w") as handle:
+            for run_id, algorithm in (("old-eas", "eas"), ("old-edf", "edf")):
+                record = {
+                    "type": "run_started",
+                    "run_id": run_id,
+                    "command": "schedule",
+                    "params": dict(legacy, algorithm=algorithm),
+                }
+                handle.write(json.dumps(record) + "\n")
+        status = main(
+            ["diff", "run:old-eas", "run:old-edf", "--ledger", str(ledger), "--format", "json"]
+        )
+        assert status == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["moves"]

@@ -2,8 +2,9 @@
 
 The trust-critical property: every F(i,k) component the scheduler
 records in its schema-v2 decision provenance must match an independent
-recompute on fresh resource tables — across a randomized corpus, with
-the incremental evaluation cache on *and* off.
+recompute on fresh resource tables — for the cached scheduler and the
+naive reference of ``repro.core.reference`` alike (generated inputs are
+covered by ``tests/test_property_reference.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import pytest
 
 from repro import obs
 from repro.arch.presets import hetero_mesh, mesh_3x3
-from repro.core.eas import EASConfig, eas_schedule
+from repro.core.eas import eas_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
 from repro.obs.explain import (
     EXPLAIN_SCHEMA_VERSION,
@@ -27,33 +29,35 @@ from repro.obs.explain import (
 )
 from repro.schedule.table import EPS
 
-from .test_eval_cache import _corpus
+#: (category, index, n_tasks, mesh rows/cols, type cycle) of the fixed corpus.
+CORPUS = [
+    (1, 0, 24, 3, ("cpu", "arm")),
+    (2, 1, 28, 4, ("dsp", "risc", "cpu")),
+    (2, 4, 32, 3, ("cpu", "dsp", "arm", "risc")),
+]
 
-N_VERIFY_GRAPHS = 22
 
-
-def _schedule(ctg, acg, use_cache=True):
+def _schedule(ctg, acg, scheduler=eas_schedule):
     ins = obs.Instrumentation.enabled()
     with obs.activate(ins):
-        return eas_schedule(ctg, acg, EASConfig(use_cache=use_cache))
+        return scheduler(ctg, acg)
 
 
 class TestVerifyDecisionComponents:
     def test_components_exact_across_corpus_cache_on_and_off(self):
-        """The acceptance criterion: >= 20 randomized graphs, both paths."""
-        graphs = 0
+        """Both the cached scheduler and the naive reference replay exactly."""
         decisions = 0
-        for ctg, acg in _corpus():
-            if graphs >= N_VERIFY_GRAPHS:
-                break
-            graphs += 1
-            for use_cache in (True, False):
-                schedule = _schedule(ctg, acg, use_cache=use_cache)
+        for category, index, n_tasks, size, cycle in CORPUS:
+            ctg = generate_category(
+                category, index, n_tasks=n_tasks, pe_type_names=tuple(sorted(set(cycle)))
+            )
+            acg = hetero_mesh(size, size, type_cycle=cycle, shuffle_seed=200 + index)
+            for scheduler in (eas_schedule, reference_eas_schedule):
+                schedule = _schedule(ctg, acg, scheduler)
                 assert schedule.provenance, ctg.name
                 mismatches = verify_decision_components(ctg, acg, schedule.provenance)
-                assert mismatches == [], f"{ctg.name} cache={use_cache}: {mismatches[:3]}"
+                assert mismatches == [], f"{ctg.name} {scheduler.__name__}: {mismatches[:3]}"
                 decisions += len(schedule.provenance)
-        assert graphs >= 20
         assert decisions > 0
 
     def test_detects_a_corrupted_component(self):

@@ -107,13 +107,14 @@ class TestMultistartRepair:
         assert report.rounds >= 1
 
     def test_eval_config_roundtrip_through_pool(self):
-        """--no-eval-cache travels with the spec into the workers."""
-        serial = run_fig5(
-            n_benchmarks=1, n_tasks=25, jobs=1, eas_config=EASConfig(use_cache=False)
-        )
-        pooled = run_fig5(
-            n_benchmarks=1, n_tasks=25, jobs=2, eas_config=EASConfig(use_cache=False)
-        )
+        """A non-default EASConfig travels with the spec into the workers."""
+        from repro.core.slack import weight_uniform
+
+        config = EASConfig(weight_policy=weight_uniform)
+        serial = run_fig5(n_benchmarks=1, n_tasks=25, jobs=1, eas_config=config)
+        pooled = run_fig5(n_benchmarks=1, n_tasks=25, jobs=2, eas_config=config)
+        default = run_fig5(n_benchmarks=1, n_tasks=25, jobs=1)
         assert _strip_runtimes(serial) == _strip_runtimes(pooled)
-        assert serial[0].metrics["eas:hits"] == 0
-        assert pooled[0].metrics["eas:hits"] == 0
+        # The uniform weights changed the EAS mapping, so the config
+        # really reached the schedulers on both sides.
+        assert pooled[0].energies["eas"] != default[0].energies["eas"]

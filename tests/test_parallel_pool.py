@@ -79,7 +79,7 @@ class TestBenchmarkSpec:
         spec = RunSpec(
             scheduler="eas",
             benchmark=BenchmarkSpec(kind="random", index=1, n_tasks=20),
-            eas_config=EASConfig(use_cache=False),
+            eas_config=EASConfig(repair=False),
             tag="cell",
         )
         clone = pickle.loads(pickle.dumps(spec))

@@ -11,8 +11,9 @@ from repro import obs
 from repro.arch.presets import hetero_mesh
 from repro.baselines.edf import edf_schedule
 from repro.baselines.greedy import greedy_energy_schedule, random_schedule
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.eas import eas_base_schedule, eas_schedule
 from repro.core.rebuild import rebuild_schedule
+from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import GeneratorConfig, generate_ctg
 from repro.obs.explain import verify_decision_components
 from repro.sim.replay import simulate_schedule
@@ -131,7 +132,7 @@ def test_all_comm_durations_and_energies_match_model(params):
     "scheduler",
     [
         lambda ctg, acg: eas_schedule(ctg, acg),
-        lambda ctg, acg: eas_schedule(ctg, acg, EASConfig(use_cache=False)),
+        reference_eas_schedule,
         edf_schedule,
         greedy_energy_schedule,
     ],

@@ -117,3 +117,151 @@ class TestMergeProperties:
         start = find_gap(merged, ready, duration)
         for table in tables:
             assert table.is_free(start, start + duration)
+
+
+# -- path cache vs the literal oracle ---------------------------------------------
+
+from repro.arch.topology import Link
+from repro.core.reference import LiteralTables
+from repro.errors import SchedulingError
+from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.schedule.overlay import ResourceTables
+
+PES = (0, 1)
+LINKS = tuple(Link((0, i), (0, i + 1)) for i in range(4))
+RESOURCES = PES + LINKS
+#: every contiguous route over the link chain, plus a reversed one.
+PATHS = tuple(LINKS[i:j] for i in range(4) for j in range(i + 1, 5)) + (LINKS[::-1],)
+
+time_point = st.integers(min_value=0, max_value=60).map(float)
+span = st.integers(min_value=1, max_value=12).map(float)
+lineage = st.integers(min_value=0, max_value=3)
+route = st.sampled_from(PATHS)
+
+table_ops = st.one_of(
+    st.tuples(st.just("reserve"), lineage, st.sampled_from(RESOURCES), time_point, span),
+    st.tuples(st.just("release"), lineage, st.sampled_from(RESOURCES), st.integers(0, 5)),
+    st.tuples(st.just("truncate"), lineage, st.sampled_from(RESOURCES), time_point),
+    st.tuples(
+        st.just("fill"),
+        lineage,
+        st.lists(st.tuples(st.sampled_from(PES), time_point, span), max_size=2),
+        st.lists(st.tuples(route, time_point, span), max_size=2),
+    ),
+    st.tuples(st.just("undo"), lineage),
+    st.tuples(st.just("fork"), lineage),
+    st.tuples(st.just("copy"), lineage),
+    st.tuples(
+        st.just("overlay"),
+        lineage,
+        st.lists(st.tuples(route, time_point, span), max_size=3),
+        st.booleans(),
+    ),
+)
+
+
+def _placements(tasks, comms):
+    placements = [
+        TaskPlacement(f"t{n}", pe, start, start + length, 0.0)
+        for n, (pe, start, length) in enumerate(tasks)
+    ]
+    transfers = [
+        CommPlacement(f"s{n}", f"d{n}", 1.0, 0, 1, start, start + length, links, 0.0)
+        for n, (links, start, length) in enumerate(comms)
+    ]
+    return placements, transfers
+
+
+def _apply(tables, op, args):
+    """Apply one op to a tables object; ``False`` when it does not apply."""
+    try:
+        if op == "reserve":
+            resource, start, length = args
+            tables.reserve(resource, start, start + length)
+        elif op == "release":
+            resource, index = args
+            busy = tables.busy(resource)
+            if index >= len(busy):
+                return False
+            tables.release(resource, *busy[index])
+        elif op == "truncate":
+            resource, start = args
+            tables.truncate_from(resource, start)
+        elif op == "fill":
+            tables.fill(*args)
+        elif op == "undo":
+            tables.undo(*args)
+        elif op == "overlay":
+            extras, commit = args
+            overlay = tables.overlay()
+            for links, start, length in extras:
+                overlay.reserve_on_path(links, start, start + length)
+            if commit:
+                overlay.commit()
+    except SchedulingError:
+        return False
+    return True
+
+
+def _assert_probes_agree(cached, literal, readies, extras):
+    for resource in RESOURCES:
+        assert cached.busy(resource) == literal.busy(resource)
+    for tentative in ((), extras):
+        oc, ol = cached.overlay(), literal.overlay()
+        for links, start, length in tentative:
+            oc.reserve_on_path(links, start, start + length)
+            ol.reserve_on_path(links, start, start + length)
+        for ready in readies:
+            for duration in (0.0, 1.0, 7.5):
+                for links in PATHS:
+                    assert oc.find_earliest_on_path(links, ready, duration) == (
+                        ol.find_earliest_on_path(links, ready, duration)
+                    )
+                for pe in PES:
+                    assert oc.find_earliest(pe, ready, duration) == (
+                        ol.find_earliest(pe, ready, duration)
+                    )
+
+
+class TestPathCacheMatchesLiteral:
+    """The version-keyed path cache and horizon fast path are invisible.
+
+    Random op sequences run in lockstep on :class:`ResourceTables` and the
+    paper-literal :class:`LiteralTables`, across forked and copied
+    lineages; after every step each lineage answers every probe the same.
+    """
+
+    @given(
+        st.lists(table_ops, min_size=1, max_size=14),
+        st.lists(time_point, min_size=1, max_size=3),
+        st.lists(st.tuples(route, time_point, span), max_size=2),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_every_probe_matches_literal(self, ops, readies, extras):
+        lineages = [(ResourceTables(), LiteralTables())]
+        filled = [[]]
+        for op, index, *args in ops:
+            index %= len(lineages)
+            cached, literal = lineages[index]
+            if op in ("fork", "copy"):
+                if len(lineages) < 4:
+                    lineages.append((getattr(cached, op)(), getattr(literal, op)()))
+                    filled.append(list(filled[index]))
+            else:
+                if op == "fill":
+                    args = list(_placements(*args))
+                elif op == "undo":
+                    if not filled[index]:
+                        continue
+                    args = filled[index][-1]
+                # Probe the cached side first so its path cache is warm
+                # (and possibly stale) when the mutation lands.
+                cached.overlay().find_earliest_on_path(LINKS, 0.0, 1.0)
+                applied = _apply(cached, op, args)
+                assert _apply(literal, op, args) == applied
+                if applied and op == "fill":
+                    filled[index].append(args)
+                elif applied and op == "undo":
+                    filled[index].pop()
+            for cached, literal in lineages:
+                _assert_probes_agree(cached, literal, readies, extras)

@@ -3,6 +3,7 @@
 
 from repro import obs
 from repro.arch.topology import Link
+from repro.core.reference import LiteralTables
 from repro.schedule.overlay import ResourceTables
 
 
@@ -202,11 +203,11 @@ class TestFork:
         assert second.busy(0) == [(0, 1), (2, 3)]
 
 
-def _fresh(use_path_cache=True):
+def _fresh(tables_class=ResourceTables):
     """(bundle, tables) with an isolated counter registry."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
-        tables = ResourceTables(use_path_cache=use_path_cache)
+        tables = tables_class()
     return bundle, tables
 
 
@@ -305,8 +306,8 @@ class TestPathCache:
         assert tables.overlay().find_earliest_on_path([a], 0, 5) == 10
 
     def test_literal_mode_matches_cached_mode(self):
-        _b1, cached = _fresh(use_path_cache=True)
-        b2, literal = _fresh(use_path_cache=False)
+        _b1, cached = _fresh()
+        b2, literal = _fresh(LiteralTables)
         a, b = Link((0, 0), (0, 1)), Link((0, 1), (0, 2))
         for tables in (cached, literal):
             tables.reserve(a, 0, 10)
@@ -322,6 +323,19 @@ class TestPathCache:
         assert _count(b2, "comm.path_cache_hits") == 0
         assert _count(b2, "comm.path_cache_misses") == 0
         assert _count(b2, "comm.horizon_fast_path") == 0
+
+    def test_literal_clones_stay_literal(self):
+        bundle, literal = _fresh(LiteralTables)
+        a = Link((0, 0), (0, 1))
+        literal.reserve(a, 0, 10)
+        for clone in (literal.fork(), literal.copy(), literal.fork().fork()):
+            assert type(clone) is LiteralTables
+            overlay = clone.overlay()
+            # Beyond every horizon: the cached path would skip the merge.
+            assert overlay.find_earliest_on_path([a], 50, 5) == 50
+            assert overlay.find_earliest(0, 50, 5) == 50
+        assert _count(bundle, "comm.horizon_fast_path") == 0
+        assert _count(bundle, "comm.path_cache_hits") == 0
 
     def test_busy_is_defensive_copy(self):
         _bundle, tables = _fresh()
