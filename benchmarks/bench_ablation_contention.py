@@ -14,11 +14,10 @@ incur.
 """
 
 from benchmarks.conftest import run_once
-from repro.arch.presets import mesh_4x4
 from repro.core.eas import EASConfig, eas_base_schedule
 from repro.core.rebuild import rebuild_schedule
-from repro.ctg.generator import generate_category
 from repro.evalx.experiments import default_n_tasks
+from repro.parallel.spec import paper_benchmark
 
 N_GRAPHS = 4
 
@@ -27,8 +26,7 @@ def run_ablation():
     rows = []
     n_tasks = max(60, default_n_tasks() // 2)
     for index in range(N_GRAPHS):
-        ctg = generate_category(2, index, n_tasks=n_tasks)
-        acg = mesh_4x4(shuffle_seed=100 + index)
+        ctg, acg = paper_benchmark("random", category=2, index=index, n_tasks=n_tasks).build()
 
         blind = eas_base_schedule(ctg, acg, EASConfig(contention_aware=False, repair=False))
         actual = rebuild_schedule(ctg, acg, blind.mapping(), blind.pe_order())

@@ -9,11 +9,10 @@ buys.
 """
 
 from benchmarks.conftest import run_once
-from repro.arch.presets import mesh_4x4
 from repro.core.eas import EASConfig, eas_schedule
 from repro.core.slack import WEIGHT_POLICIES
-from repro.ctg.generator import generate_category
 from repro.evalx.experiments import default_n_tasks
+from repro.parallel.spec import paper_benchmark
 
 N_GRAPHS = 4
 
@@ -22,8 +21,7 @@ def run_ablation():
     results = {name: {"energy": 0.0, "misses": 0} for name in WEIGHT_POLICIES}
     n_tasks = max(60, default_n_tasks() // 2)
     for index in range(N_GRAPHS):
-        ctg = generate_category(2, index, n_tasks=n_tasks)
-        acg = mesh_4x4(shuffle_seed=100 + index)
+        ctg, acg = paper_benchmark("random", category=2, index=index, n_tasks=n_tasks).build()
         for name, policy in WEIGHT_POLICIES.items():
             schedule = eas_schedule(ctg, acg, EASConfig(weight_policy=policy))
             results[name]["energy"] += schedule.total_energy()

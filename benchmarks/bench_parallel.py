@@ -2,8 +2,8 @@
 
 ``test_parallel`` regenerates the full Fig 5 + Fig 6 grid (10 random
 graphs x 3 schedulers x 2 categories, default 150-task scale) twice —
-``jobs=1`` (the serial reference path) and ``jobs=8`` — asserts the two
-produce identical rows, and records both wall times plus the speedup
+``jobs=1`` (the same spec grid run in-process) and ``jobs=8`` — asserts
+the two produce identical rows, and records both wall times plus the speedup
 into ``BENCH_parallel.json`` via the benchstore.  On machines exposing
 >= 4 CPUs the speedup must clear :data:`MIN_SPEEDUP`; on smaller boxes
 (CI containers are often 1-2 cores, where a process pool can only

@@ -11,23 +11,21 @@ cycles) that the abstraction hides.
 """
 
 from benchmarks.conftest import run_once
-from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.core.eas import eas_base_schedule
-from repro.ctg.generator import generate_category
-from repro.ctg.multimedia import av_encoder_ctg, av_integrated_ctg
+from repro.parallel.spec import paper_benchmark
 from repro.sim.wormhole import validate_transaction_abstraction
 
 CASES = (
-    ("encoder/foreman", lambda: (av_encoder_ctg("foreman"), mesh_2x2())),
-    ("integrated/toybox", lambda: (av_integrated_ctg("toybox"), mesh_3x3())),
-    ("cat2-0 (random)", lambda: (generate_category(2, 0, n_tasks=60), mesh_4x4(shuffle_seed=100))),
+    ("encoder/foreman", paper_benchmark("encoder", clip="foreman")),
+    ("integrated/toybox", paper_benchmark("integrated", clip="toybox")),
+    ("cat2-0 (random)", paper_benchmark("random", category=2, index=0, n_tasks=60)),
 )
 
 
 def run_validation():
     rows = []
-    for name, build in CASES:
-        ctg, acg = build()
+    for name, benchmark in CASES:
+        ctg, acg = benchmark.build()
         schedule = eas_base_schedule(ctg, acg)
         report = validate_transaction_abstraction(schedule)
         rows.append(

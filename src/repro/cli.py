@@ -18,17 +18,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import nullcontext, redirect_stdout
+from contextlib import contextmanager, nullcontext, redirect_stdout
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro import obs
-from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
-from repro.baselines.edf import edf_schedule
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.arch.presets import mesh_2x2
+from repro.core.eas import EASConfig
 from repro.ctg.generator import generate_category
-from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
-from repro.errors import LedgerError, SchedulingError
+from repro.ctg.multimedia import CLIP_NAMES
+from repro.errors import LedgerError, ReproError, SchedulingError
 from repro.evalx.experiments import (
     run_fig7,
     run_msb_table,
@@ -39,6 +38,7 @@ from repro.faults.plan import FAULT_KINDS
 from repro.obs.heartbeat import Heartbeat, resolve_interval
 from repro.obs.ledger import RunLedger, resolve_ledger_path
 from repro.parallel.pool import resolve_jobs
+from repro.parallel.spec import BenchmarkSpec, RunSpec, paper_benchmark, run_scheduler
 from repro.schedule.gantt import render_gantt
 
 
@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # trace/ledger I/O happens, and failures still exit cleanly.
         try:
             return args.handler(args)
-        except SchedulingError as exc:
+        except ReproError as exc:
             print(f"repro-noc: error: {exc}", file=sys.stderr)
             return 1
 
@@ -98,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 with output:
                     try:
                         status = args.handler(args)
-                    except SchedulingError as exc:
+                    except ReproError as exc:
                         instrumentation.tracer.event(
                             "scheduling_error", command=args.command, error=str(exc)
                         )
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="EAS vs EDF decomposition on one benchmark")
     p.add_argument("--system", default="encoder", choices=["encoder", "decoder", "integrated"])
     p.add_argument("--clip", default="foreman", choices=CLIP_NAMES)
-    p.set_defaults(handler=_handle_compare)
+    p.set_defaults(handler=_handle_comparison)
 
     p = sub.add_parser("optimal", help="exact optimum vs EAS/EDF on a tiny random graph")
     p.add_argument("--n-tasks", type=int, default=7, help="graph size (<= 12)")
@@ -455,29 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument(
         "--out", metavar="FILE", default="-", help="output path ('-' = stdout, the default)"
     )
-    fp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: REPRO_JOBS env, else 1 = serial "
-        "reference path; negative = all CPUs)",
-    )
+    _add_jobs_argument(fp)
     fp.set_defaults(handler=_handle_faults_sweep)
     _add_observability_arguments(fp)
 
     # Parallel execution, on the subcommands that run whole grids (the
     # evalx figures/tables) or repair portfolios (schedule).
     for name in ("fig5", "fig6", "table1", "table2", "table3", "schedule", "diff"):
-        group = sub.choices[name].add_argument_group("parallel execution")
-        group.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="worker processes (default: REPRO_JOBS env, else 1 = serial "
-            "reference path; negative = all CPUs)",
-        )
+        _add_jobs_argument(sub.choices[name])
     sub.choices["schedule"].add_argument(
         "--repair-starts",
         type=int,
@@ -497,6 +482,17 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_observability_arguments(subparser)
 
     return parser
+
+
+def _add_jobs_argument(subparser) -> None:
+    subparser.add_argument_group("parallel execution").add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes (default: REPRO_JOBS env, else 1 = in-process; "
+        "negative = all CPUs)",
+    )
 
 
 def _add_observability_arguments(subparser) -> None:
@@ -583,20 +579,9 @@ def _add_benchmark_arguments(p) -> None:
     p.add_argument("--dvs", action="store_true", help="apply the DVS slack-reclamation post-pass")
 
 
-def _build_benchmark(args):
-    """(ctg, acg) for the benchmark the shared selection flags name."""
-    if args.system == "random":
-        ctg = generate_category(args.category, args.index, n_tasks=args.n_tasks)
-        acg = mesh_4x4(shuffle_seed=100 + args.index)
-    else:
-        builder = {
-            "encoder": (av_encoder_ctg, mesh_2x2),
-            "decoder": (av_decoder_ctg, mesh_2x2),
-            "integrated": (av_integrated_ctg, mesh_3x3),
-        }[args.system]
-        ctg = builder[0](args.clip)
-        acg = builder[1]()
-    return ctg, acg
+def _benchmark_spec(args) -> BenchmarkSpec:
+    """The paper benchmark the shared selection flags name."""
+    return paper_benchmark(args.system, args.clip, args.category, args.index, args.n_tasks)
 
 
 def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
@@ -607,19 +592,14 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
         # the best feasible, lowest-energy result.
         from repro.core.repair import multistart_search_and_repair
 
-        schedule = eas_base_schedule(ctg, acg)
+        schedule = run_scheduler("eas-base", ctg, acg)
         schedule, portfolio = multistart_search_and_repair(
             schedule, starts=repair_starts, jobs=getattr(args, "jobs", None)
         )
         schedule.algorithm = args.algorithm
         print(portfolio.describe(), file=sys.stderr)
     else:
-        scheduler = {
-            "eas": eas_schedule,
-            "eas-base": eas_base_schedule,
-            "edf": edf_schedule,
-        }[args.algorithm]
-        schedule = scheduler(ctg, acg)
+        schedule = run_scheduler(args.algorithm, ctg, acg)
     if args.dvs:
         from repro.core.dvs import apply_dvs
 
@@ -633,7 +613,7 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
 
 
 def _handle_schedule(args) -> int:
-    ctg, acg = _build_benchmark(args)
+    ctg, acg = _benchmark_spec(args).build()
     schedule = _run_selected_scheduler(args, ctg, acg)
     print(schedule.summary())
     print(render_gantt(schedule, include_links=args.links))
@@ -658,21 +638,29 @@ def _handle_schedule(args) -> int:
     return 0
 
 
+@contextmanager
+def _recording() -> Iterator[obs.Instrumentation]:
+    """The active bundle if it records, else a fresh recording one.
+
+    ``inspect`` timelines want scheduler spans and ``explain`` wants
+    decision provenance even without ``--trace``/``--profile``.
+    """
+    instrumentation = obs.get()
+    if instrumentation.recording:
+        yield instrumentation
+        return
+    instrumentation = obs.Instrumentation.enabled()
+    with obs.activate(instrumentation):
+        yield instrumentation
+
+
 def _handle_inspect(args) -> int:
     import json as _json
-    from contextlib import nullcontext
 
     from repro.core.slack import compute_budgets
 
-    ctg, acg = _build_benchmark(args)
-    # The timeline wants scheduler spans even without --trace/--profile:
-    # activate a recording bundle unless one is already active.
-    instrumentation = obs.get()
-    context = nullcontext(instrumentation)
-    if not instrumentation.recording:
-        instrumentation = obs.Instrumentation.enabled()
-        context = obs.activate(instrumentation)
-    with context:
+    ctg, acg = _benchmark_spec(args).build()
+    with _recording() as instrumentation:
         schedule = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
         budgets = compute_budgets(ctg, acg)
     report = obs.analyze_schedule(schedule, budgets=budgets)
@@ -692,35 +680,16 @@ def _handle_inspect(args) -> int:
         summary = f"inspect: analytics report ({schedule.summary()})"
     else:
         payload = schedule.summary() + "\n\n" + report.format_text() + "\n"
-        summary = None
-
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            print(f"repro-noc: error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        if summary is None:
-            summary = f"inspect: report ({schedule.summary()})"
-        print(f"{summary} -> {args.out}", file=sys.stderr)
-    return 0
+        summary = f"inspect: report ({schedule.summary()})"
+    return _write_payload(args, payload, summary)
 
 
-def _handle_compare(args) -> int:
+def _handle_comparison(args) -> int:
     from repro.evalx.analysis import compare_schedules, utilization_table
 
-    builder = {
-        "encoder": (av_encoder_ctg, mesh_2x2),
-        "decoder": (av_decoder_ctg, mesh_2x2),
-        "integrated": (av_integrated_ctg, mesh_3x3),
-    }[args.system]
-    ctg = builder[0](args.clip)
-    acg = builder[1]()
-    eas = eas_schedule(ctg, acg)
-    edf = edf_schedule(ctg, acg)
+    ctg, acg = paper_benchmark(args.system, args.clip).build()
+    eas = run_scheduler("eas", ctg, acg)
+    edf = run_scheduler("edf", ctg, acg)
     print(compare_schedules(eas, edf).describe())
     print()
     print(utilization_table(eas))
@@ -740,8 +709,8 @@ def _handle_optimal(args) -> int:
     )
     acg = mesh_2x2()
     exact = optimal_schedule(ctg, acg)
-    eas = eas_schedule(ctg, acg)
-    edf = edf_schedule(ctg, acg)
+    eas = run_scheduler("eas", ctg, acg)
+    edf = run_scheduler("edf", ctg, acg)
     if not exact.feasible:
         print(f"{ctg.name}: no deadline-feasible mapping exists")
         return 1
@@ -807,21 +776,6 @@ def _write_payload(args, payload: str, summary: str) -> int:
     return 0
 
 
-def _schedule_with_provenance(args):
-    """Run the selected scheduler with decision recording forced on."""
-    from contextlib import nullcontext as _nullcontext
-
-    ctg, acg = _build_benchmark(args)
-    instrumentation = obs.get()
-    context = _nullcontext(instrumentation)
-    if not instrumentation.recording:
-        instrumentation = obs.Instrumentation.enabled()
-        context = obs.activate(instrumentation)
-    with context:
-        schedule = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
-    return ctg, acg, schedule
-
-
 def _handle_explain(args) -> int:
     from repro.obs.explain import (
         explain_schedule,
@@ -829,11 +783,11 @@ def _handle_explain(args) -> int:
         verify_decision_components,
     )
 
+    ctg, acg = _benchmark_spec(args).build()
     if args.load:
         from repro.errors import SerializationError
         from repro.schedule.serialization import schedule_from_json
 
-        ctg, acg = _build_benchmark(args)
         try:
             with open(args.load) as handle:
                 schedule = schedule_from_json(handle.read(), ctg, acg)
@@ -841,7 +795,8 @@ def _handle_explain(args) -> int:
             print(f"repro-noc: error: cannot load {args.load}: {exc}", file=sys.stderr)
             return 1
     else:
-        ctg, acg, schedule = _schedule_with_provenance(args)
+        with _recording():
+            schedule = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
 
     if args.verify:
         if not schedule.provenance:
@@ -898,20 +853,15 @@ def _resolve_diff_endpoint(token: str, args):
     return ("spec", _parse_endpoint_spec(token, args))
 
 
+#: the flags a diff endpoint (spec string or ledger params) can override.
+_ENDPOINT_KEYS = ("algorithm", "system", "clip", "category", "index", "n_tasks")
+
+
 def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = None):
     """A ``key=value,...`` spec string (or ledger params) -> RunSpec."""
-    from repro.parallel.spec import MSB_SYSTEMS, BenchmarkSpec, RunSpec
-
-    fields: Dict[str, Any] = {
-        "algorithm": args.algorithm,
-        "system": args.system,
-        "clip": args.clip,
-        "category": args.category,
-        "index": args.index,
-        "n_tasks": args.n_tasks,
-    }
+    fields: Dict[str, Any] = {key: getattr(args, key) for key in _ENDPOINT_KEYS}
     if params is not None:
-        for key in ("algorithm", "system", "clip", "category", "index", "n_tasks"):
+        for key in _ENDPOINT_KEYS:
             if params.get(key) is not None:
                 fields[key] = params[key]
     elif token:
@@ -930,27 +880,10 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
                 fields[key] = value
             else:
                 raise ValueError(f"diff endpoint {token!r}: unknown key {key!r}")
-    if fields["system"] == "random":
-        benchmark = BenchmarkSpec(
-            kind="random",
-            category=int(fields["category"]),
-            index=int(fields["index"]),
-            n_tasks=int(fields["n_tasks"]),
-            acg_preset="mesh_4x4",
-            shuffle_seed=100 + int(fields["index"]),
-        )
-    else:
-        if fields["system"] not in MSB_SYSTEMS:
-            raise ValueError(f"diff endpoint {token!r}: unknown system {fields['system']!r}")
-        benchmark = BenchmarkSpec(
-            kind="msb",
-            system=fields["system"],
-            clip=fields["clip"],
-            acg_preset=MSB_SYSTEMS[fields["system"]][1],
-        )
+    scheduler = fields.pop("algorithm")
     return RunSpec(
-        scheduler=fields["algorithm"],
-        benchmark=benchmark,
+        scheduler=scheduler,
+        benchmark=paper_benchmark(**fields),
         tag=token or "default",
     )
 
@@ -1014,7 +947,7 @@ def _handle_diff(args) -> int:
     schedules = []
     for kind, value in endpoints:
         if kind == "file":
-            ctg, acg = _build_benchmark(args)
+            ctg, acg = _benchmark_spec(args).build()
             try:
                 with open(value) as handle:
                     schedules.append(schedule_from_json(handle.read(), ctg, acg))
@@ -1055,7 +988,7 @@ def _handle_validate(args) -> int:
     from repro.schedule.serialization import schedule_from_json
     from repro.sim.wormhole import validate_transaction_abstraction
 
-    ctg, acg = _build_benchmark(args)
+    ctg, acg = _benchmark_spec(args).build()
     try:
         with open(args.schedule) as handle:
             schedule = schedule_from_json(handle.read(), ctg, acg)
@@ -1080,27 +1013,6 @@ def _handle_validate(args) -> int:
     return 0
 
 
-def _benchmark_spec(args):
-    """The picklable recipe matching ``_build_benchmark``'s flags."""
-    from repro.parallel.spec import MSB_SYSTEMS, BenchmarkSpec
-
-    if args.system == "random":
-        return BenchmarkSpec(
-            kind="random",
-            acg_preset="mesh_4x4",
-            shuffle_seed=100 + args.index,
-            category=args.category,
-            index=args.index,
-            n_tasks=args.n_tasks,
-        )
-    return BenchmarkSpec(
-        kind="msb",
-        acg_preset=MSB_SYSTEMS[args.system][1],
-        system=args.system,
-        clip=args.clip,
-    )
-
-
 def _handle_faults_help(args) -> int:
     args.faults_parser.print_help()
     return 2
@@ -1113,7 +1025,7 @@ def _handle_faults_inject(args) -> int:
     from repro.schedule.serialization import schedule_to_json
     from repro.sim.wormhole import validate_transaction_abstraction
 
-    ctg, acg = _build_benchmark(args)
+    ctg, acg = _benchmark_spec(args).build()
     committed = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
     committed.validate_structure()
     try:

@@ -23,20 +23,16 @@ the paper-scale configuration.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.arch.acg import ACG
-from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
+from repro.arch.presets import mesh_3x3
 from repro.core.eas import EASConfig, eas_base_schedule
 from repro.core.repair import RepairReport, search_and_repair
-from repro.ctg.generator import generate_category
-from repro.ctg.graph import CTG
-from repro.ctg.multimedia import CLIP_NAMES, av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
-from repro.obs.utilization import analyze_schedule
-from repro.parallel.pool import parallel_map, resolve_jobs
-from repro.parallel.spec import BenchmarkSpec, RunResult, RunSpec, run_scheduler
+from repro.ctg.multimedia import CLIP_NAMES, av_integrated_ctg
+from repro.parallel.pool import parallel_map
+from repro.parallel.spec import MSB_SYSTEMS, RunResult, RunSpec, paper_benchmark, run_scheduler
 from repro.schedule.schedule import Schedule
 
 #: Number of random benchmarks per category, as in the paper.
@@ -95,44 +91,25 @@ def run_random_category(
     Compares ``eas-base`` (no repair), ``eas`` (with repair) and ``edf``
     on a 4x4 heterogeneous mesh, exactly the paper's setup.
     ``eas_config`` overrides the EAS knobs (e.g. ``repair=False``).
-    ``jobs`` > 1 fans the
-    (benchmark x scheduler) grid out over a process pool
-    (``None``/``0`` defers to ``REPRO_JOBS``; 1 keeps the serial
-    reference path); rows come back in grid order with identical
-    contents either way.
+    ``jobs`` > 1 fans the (benchmark x scheduler) grid out over a process
+    pool (``None``/``0`` defers to ``REPRO_JOBS``; 1 runs it in-process);
+    rows come back in grid order with identical contents either way.
     """
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     wanted = tuple(schedulers) if schedulers else ("eas-base", "eas", "edf")
-    if resolve_jobs(jobs) > 1:
-        specs = [
-            RunSpec(
-                scheduler=name,
-                benchmark=BenchmarkSpec(
-                    kind="random",
-                    category=category,
-                    index=index,
-                    n_tasks=n_tasks,
-                    acg_preset="mesh_4x4",
-                    shuffle_seed=100 + index,
-                ),
-                eas_config=eas_config,
-                tag=f"cat{category}[{index}]:{name}",
-            )
-            for index in range(n_benchmarks)
-            for name in wanted
-        ]
-        rows = _rows_from_results(parallel_map(specs, jobs=jobs), wanted)
-        if progress is not None:
-            for index, row in enumerate(rows):
-                progress(f"cat{category} benchmark {index}: " + _row_brief(row))
-        return rows
-    rows: List[ExperimentRow] = []
-    for index in range(n_benchmarks):
-        ctg = generate_category(category, index, n_tasks=n_tasks)
-        acg = mesh_4x4(shuffle_seed=100 + index)
-        row = _compare(ctg, acg, wanted, eas_config=eas_config)
-        rows.append(row)
-        if progress is not None:
+    specs = [
+        RunSpec(
+            scheduler=name,
+            benchmark=paper_benchmark("random", category=category, index=index, n_tasks=n_tasks),
+            eas_config=eas_config,
+            tag=f"cat{category}[{index}]:{name}",
+        )
+        for index in range(n_benchmarks)
+        for name in wanted
+    ]
+    rows = _rows_from_results(parallel_map(specs, jobs=jobs), wanted)
+    if progress is not None:
+        for index, row in enumerate(rows):
             progress(f"cat{category} benchmark {index}: " + _row_brief(row))
     return rows
 
@@ -149,17 +126,6 @@ def run_fig6(**kwargs) -> List[ExperimentRow]:
 
 # -- Tables 1-3: multimedia system benchmarks ----------------------------------
 
-_MSB_BUILDERS: Dict[str, Tuple[Callable[[str], CTG], Callable[[], ACG]]] = {
-    "encoder": (av_encoder_ctg, mesh_2x2),
-    "decoder": (av_decoder_ctg, mesh_2x2),
-    "integrated": (av_integrated_ctg, mesh_3x3),
-}
-
-
-#: MSB system -> ACG preset name, for the pooled (picklable) spec path.
-_MSB_ACG_PRESETS = {"encoder": "mesh_2x2", "decoder": "mesh_2x2", "integrated": "mesh_3x3"}
-
-
 def run_msb_table(
     system: str,
     clips: Sequence[str] = CLIP_NAMES,
@@ -173,38 +139,21 @@ def run_msb_table(
     3x3).  Rows carry the computation/communication split and average
     hops per packet, reproducing the Sec. 6.2 textual statistics.
     ``jobs`` > 1 pools the (clip x scheduler) grid; 1 (the default
-    resolution) is the serial reference path.
+    resolution) runs it in-process.
     """
-    try:
-        build_ctg, build_acg = _MSB_BUILDERS[system]
-    except KeyError:
-        raise ValueError(f"unknown MSB system {system!r}; known: {sorted(_MSB_BUILDERS)}") from None
+    if system not in MSB_SYSTEMS:
+        raise ValueError(f"unknown MSB system {system!r}; known: {sorted(MSB_SYSTEMS)}")
     wanted = tuple(schedulers)
-    if resolve_jobs(jobs) > 1:
-        specs = [
-            RunSpec(
-                scheduler=name,
-                benchmark=BenchmarkSpec(
-                    kind="msb",
-                    system=system,
-                    clip=clip,
-                    acg_preset=_MSB_ACG_PRESETS[system],
-                ),
-                tag=f"{system}[{clip}]:{name}",
-            )
-            for clip in clips
-            for name in wanted
-        ]
-        return _rows_from_results(
-            parallel_map(specs, jobs=jobs), wanted, row_names=list(clips)
+    specs = [
+        RunSpec(
+            scheduler=name,
+            benchmark=paper_benchmark(system, clip=clip),
+            tag=f"{system}[{clip}]:{name}",
         )
-    rows = []
-    for clip in clips:
-        ctg = build_ctg(clip)
-        acg = build_acg()
-        row = _compare(ctg, acg, wanted, benchmark_name=clip)
-        rows.append(row)
-    return rows
+        for clip in clips
+        for name in wanted
+    ]
+    return _rows_from_results(parallel_map(specs, jobs=jobs), wanted, row_names=list(clips))
 
 
 # -- Fig. 7: performance/energy trade-off ----------------------------------------
@@ -233,7 +182,7 @@ def run_fig7(
         acg = mesh_3x3()
         ledger = obs.get().ledger
         for name in schedulers:
-            schedule = _run_scheduler(name, ctg, acg)
+            schedule = run_scheduler(name, ctg, acg)
             energy = schedule.total_energy()
             if schedule.deadline_misses():
                 energy = float("nan")
@@ -281,10 +230,11 @@ def run_repair_runtime(
     n_tasks = n_tasks if n_tasks is not None else default_n_tasks()
     rows: List[ExperimentRow] = []
     for index in range(n_benchmarks):
-        ctg = generate_category(category, index, n_tasks=n_tasks)
+        ctg, acg = paper_benchmark(
+            "random", category=category, index=index, n_tasks=n_tasks
+        ).build()
         if deadline_scale != 1.0:
             ctg = ctg.with_scaled_deadlines(deadline_scale)
-        acg = mesh_4x4(shuffle_seed=100 + index)
         base = eas_base_schedule(ctg, acg)
         if not base.deadline_misses():
             continue
@@ -327,8 +277,6 @@ def schedules_for_specs(
     roundtrip is float-exact and the rebuild order is spec order, so
     ``jobs=2`` yields schedules identical to ``jobs=1``.
     """
-    from dataclasses import replace
-
     from repro.schedule.serialization import schedule_from_dict
 
     prepared = [replace(spec, record=True, return_schedule=True) for spec in specs]
@@ -348,25 +296,18 @@ def schedules_for_specs(
 # -- shared helpers -------------------------------------------------------------------
 
 
-def _run_scheduler(
-    name: str, ctg: CTG, acg: ACG, eas_config: Optional[EASConfig] = None
-) -> Schedule:
-    return run_scheduler(name, ctg, acg, eas_config)
-
-
 def _rows_from_results(
     results: Sequence[RunResult],
     schedulers: Tuple[str, ...],
     row_names: Optional[Sequence[str]] = None,
 ) -> List[ExperimentRow]:
-    """Reassemble pooled per-cell results into serial-identical rows.
+    """Reassemble per-cell results into table rows.
 
     ``results`` is the flat grid in (benchmark-major, scheduler-minor)
     spec order; every group of ``len(schedulers)`` cells becomes one
-    :class:`ExperimentRow` with the same dict key order, rounding and
-    metric columns the serial ``_compare`` produces.  ``row_names``
-    overrides the benchmark label per row (the MSB tables label rows by
-    clip, not by CTG name).
+    :class:`ExperimentRow`, its dicts keyed in scheduler order.
+    ``row_names`` overrides the benchmark label per row (the MSB tables
+    label rows by clip, not by CTG name).
     """
     width = len(schedulers)
     if width == 0 or len(results) % width:
@@ -392,7 +333,7 @@ def _rows_from_results(
             extras[f"{name}:comp"] = cell.comp_energy
             extras[f"{name}:comm"] = cell.comm_energy
             extras[f"{name}:hops"] = cell.hops
-            metrics.update(_headline_metrics(name, {}, cell.headline_counters))
+            metrics.update(_headline_metrics(name, cell.headline_counters))
             metrics[f"{name}:peakpe"] = cell.peakpe
             metrics[f"{name}:cwait"] = cell.cwait
         benchmark = cells[0].benchmark
@@ -411,77 +352,21 @@ def _rows_from_results(
     return rows
 
 
-def _compare(
-    ctg: CTG,
-    acg: ACG,
-    schedulers: Tuple[str, ...],
-    benchmark_name: Optional[str] = None,
-    eas_config: Optional[EASConfig] = None,
-) -> ExperimentRow:
-    registry = obs.get().metrics
-    energies: Dict[str, float] = {}
-    misses: Dict[str, int] = {}
-    runtimes: Dict[str, float] = {}
-    extras: Dict[str, float] = {}
-    metrics: Dict[str, float] = {}
-    ledger = obs.get().ledger
-    for name in schedulers:
-        before = registry.counter_values()
-        schedule = _run_scheduler(name, ctg, acg, eas_config=eas_config)
-        schedule.validate_structure()
-        energies[name] = schedule.total_energy()
-        misses[name] = len(schedule.deadline_misses())
-        runtimes[name] = schedule.runtime_seconds
-        if ledger is not None:
-            # Mirror of the pooled per-cell record (see execute_spec):
-            # the ledger reconstructs serial grids cell by cell too.
-            ledger.phase(
-                "cell",
-                tag=f"{benchmark_name or ctg.name}:{name}",
-                scheduler=name,
-                benchmark=ctg.name,
-                runtime_seconds=schedule.runtime_seconds,
-                energy=energies[name],
-                misses=misses[name],
-            )
-        extras[f"{name}:comp"] = schedule.computation_energy()
-        extras[f"{name}:comm"] = schedule.communication_energy()
-        extras[f"{name}:hops"] = schedule.average_hops_per_packet()
-        metrics.update(_headline_metrics(name, before, registry.counter_values()))
-        # Per-resource analytics: peak PE load and link contention wait,
-        # as table columns and as ``util.<scheduler>.*`` gauges.
-        report = analyze_schedule(schedule)
-        report.register(registry, prefix=f"util.{name}.")
-        metrics[f"{name}:peakpe"] = round(report.peak_pe_utilization, 3)
-        metrics[f"{name}:cwait"] = round(report.total_contention_wait, 1)
-    return ExperimentRow(
-        benchmark=benchmark_name or ctg.name,
-        energies=energies,
-        misses=misses,
-        runtimes=runtimes,
-        extras=extras,
-        metrics=metrics,
-    )
-
-
-def _headline_metrics(
-    scheduler: str, before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-run counter deltas condensed to the reporting columns.
+def _headline_metrics(scheduler: str, counters: Dict[str, float]) -> Dict[str, float]:
+    """One cell's counters condensed to the reporting columns.
 
     ``<scheduler>:evals`` sums every ``*.evaluations`` counter the run
     incremented; ``<scheduler>:moves`` sums accepted repair moves;
     ``<scheduler>:hits`` is the evaluation-cache hit count (0 for the
     naive path and non-EAS schedulers).
     """
-    delta = {key: after[key] - before.get(key, 0.0) for key in after}
     return {
         f"{scheduler}:evals": sum(
-            value for key, value in delta.items() if key.endswith(".evaluations")
+            value for key, value in counters.items() if key.endswith(".evaluations")
         ),
-        f"{scheduler}:moves": delta.get("repair.lts_moves", 0.0)
-        + delta.get("repair.gtm_moves", 0.0),
-        f"{scheduler}:hits": delta.get("eas.cache_hits", 0.0),
+        f"{scheduler}:moves": counters.get("repair.lts_moves", 0.0)
+        + counters.get("repair.gtm_moves", 0.0),
+        f"{scheduler}:hits": counters.get("eas.cache_hits", 0.0),
     }
 
 

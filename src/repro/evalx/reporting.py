@@ -25,8 +25,8 @@ def format_table(
     Columns: benchmark, one energy column per scheduler, the paper's
     "Energy Savings (%)" column comparing ``better`` against ``worse``,
     deadline misses when any, any requested ``extras`` keys, plus one
-    column per observability metric key the rows carry (the per-run
-    counter deltas ``_compare`` records, e.g. ``eas:evals``).
+    column per observability metric key the rows carry (the per-cell
+    headline counters of each grid run, e.g. ``eas:evals``).
     """
     if not rows:
         return f"{title}\n  (no rows)"

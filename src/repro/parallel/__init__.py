@@ -4,16 +4,16 @@ The engine turns the repo's embarrassingly parallel workloads — the
 evalx (benchmark x scheduler) grids, multi-start repair portfolios,
 benchmark sweeps — into grids of picklable :class:`RunSpec` jobs fanned
 out over a ``ProcessPoolExecutor`` and reassembled in deterministic
-order, so ``jobs=N`` output is byte-identical to the ``jobs=1`` serial
-reference path.  See DESIGN.md ("Parallel execution engine") for the
-determinism contract and the telemetry merge semantics.
+order, so ``jobs=N`` output is byte-identical to ``jobs=1``, which runs
+the same grid in-process.  See DESIGN.md ("Parallel execution engine")
+for the determinism contract and the telemetry merge semantics.
 
 Typical use::
 
-    from repro.parallel import BenchmarkSpec, RunSpec, parallel_map
+    from repro.parallel import RunSpec, paper_benchmark, parallel_map
 
     specs = [
-        RunSpec(scheduler=s, benchmark=BenchmarkSpec(kind="random", index=i))
+        RunSpec(scheduler=s, benchmark=paper_benchmark("random", index=i))
         for i in range(10) for s in ("eas-base", "eas", "edf")
     ]
     results = parallel_map(specs, jobs=8)   # spec order preserved
@@ -27,6 +27,7 @@ from repro.parallel.spec import (
     RunResult,
     RunSpec,
     execute_spec,
+    paper_benchmark,
     run_scheduler,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "execute_spec",
+    "paper_benchmark",
     "parallel_map",
     "pool_map",
     "resolve_jobs",

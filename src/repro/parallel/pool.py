@@ -1,4 +1,4 @@
-"""Process-pool fan-out with telemetry merge and a serial fallback.
+"""Process-pool fan-out with telemetry merge and an in-process loop.
 
 Two layers:
 
@@ -6,20 +6,22 @@ Two layers:
   ``concurrent.futures.ProcessPoolExecutor``: results come back in item
   order regardless of completion order, the dispatch shows up as a
   ``parallel_map`` span plus ``jobs.workers`` / ``jobs.dispatched`` /
-  ``jobs.wall_saved_s`` metrics, and a pool that cannot start (no
-  ``fork``/semaphores in the sandbox, broken pickling of the target)
-  degrades to an in-process loop rather than failing the experiment.
+  ``jobs.wall_saved_s`` metrics.  One worker runs the same map
+  in-process, and a pool that cannot start (no ``fork``/semaphores in
+  the sandbox, broken pickling of the target) degrades to that loop
+  rather than failing the experiment.
 * :func:`parallel_map` — :func:`pool_map` specialised to the
-  :class:`~repro.parallel.spec.RunSpec` protocol: it toggles worker-side
-  recording to match the parent bundle and folds every worker's
-  telemetry back into the active bundle **in spec order**, which is what
-  makes pooled counter totals, last-writer-wins gauges and trace
-  contents match a serial run of the same grid.
+  :class:`~repro.parallel.spec.RunSpec` protocol, and the only engine
+  the evalx grids run on: it toggles worker-side recording to match the
+  parent bundle and folds every cell's telemetry back into the active
+  bundle **in spec order**, which is what makes counter totals,
+  last-writer-wins gauges and trace contents independent of the worker
+  count.
 
 Worker count resolution (:func:`resolve_jobs`): an explicit ``jobs``
 argument wins; ``None``/``0`` defers to the ``REPRO_JOBS`` environment
-variable; absent both, the serial reference path (1) is used.  Negative
-values mean "all visible CPUs".
+variable; absent both, one in-process worker is used.  Negative values
+mean "all visible CPUs".
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
     ``None`` and ``0`` mean "not specified"; negative values (argument
     or env) resolve to ``os.cpu_count()``.  The result is always >= 1,
-    and 1 selects the serial reference path.
+    and 1 runs the map in-process.
     """
     if jobs in (None, 0):
         raw = os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -81,7 +83,8 @@ def pool_map(
     ``jobs.pool_failures``; exceptions raised *by ``fn``* are never
     swallowed, in either mode.  ``finalize`` runs once per result, in
     item order, inside the dispatch span — the hook telemetry merging
-    uses so absorbed worker spans re-parent under ``label``.
+    uses so absorbed worker spans re-parent under ``label`` (in-process
+    at one worker there is no dispatch span, and they keep the caller's).
     """
     items = list(items)
     workers = min(resolve_jobs(jobs), len(items)) if items else 1
@@ -90,17 +93,9 @@ def pool_map(
     if monitor is not None:
         monitor.grid_started(len(items), workers=workers)
     if workers <= 1:
-        results = []
-        for item in items:
-            results.append(fn(item))
-            _notify_cell_done(monitor, results[-1])
-        if finalize is not None:
-            for result in results:
-                finalize(result)
-        return results
+        return _map_in_process(fn, items, monitor, finalize)
 
     started = time.perf_counter()
-    results: Optional[List[R]] = None
     with ins.tracer.span(label, jobs=workers, dispatched=len(items)):
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -115,18 +110,14 @@ def pool_map(
                 results = [future.result() for future in futures]
         except (BrokenProcessPool, OSError, ImportError) as exc:
             # The *pool* failed (sandboxed semaphores, fork bombs-proof
-            # environments, ...), not the work: degrade to serial.
+            # environments, ...), not the work: run the map in-process.
             ins.metrics.counter("jobs.pool_failures").inc()
             ins.tracer.event("pool_fallback", label=label, error=f"{type(exc).__name__}: {exc}")
-            results = None
-        if results is None:
-            results = []
-            for item in items:
-                results.append(fn(item))
-                _notify_cell_done(monitor, results[-1])
-        if finalize is not None:
-            for result in results:
-                finalize(result)
+            results = _map_in_process(fn, items, monitor, finalize)
+        else:
+            if finalize is not None:
+                for result in results:
+                    finalize(result)
     elapsed = time.perf_counter() - started
 
     ins.metrics.gauge("jobs.workers").set(workers)
@@ -136,6 +127,23 @@ def pool_map(
     )
     if worker_wall:
         ins.metrics.counter("jobs.wall_saved_s").inc(max(0.0, worker_wall - elapsed))
+    return results
+
+
+def _map_in_process(
+    fn: Callable[[T], R],
+    items: List[T],
+    monitor: Optional[Any],
+    finalize: Optional[Callable[[R], None]],
+) -> List[R]:
+    """The one-worker map: run, notify and finalize each item in order."""
+    results = []
+    for item in items:
+        results.append(fn(item))
+        _notify_cell_done(monitor, results[-1])
+    if finalize is not None:
+        for result in results:
+            finalize(result)
     return results
 
 

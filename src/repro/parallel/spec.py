@@ -4,13 +4,17 @@ A worker process never receives live scheduler state.  It receives a
 *spec* — a picklable description of how to **construct** the run from
 explicit seeds (generator category/index, ACG preset name + shuffle
 seed, scheduler id, :class:`~repro.core.eas.EASConfig`) — builds the
-benchmark from scratch inside a fresh observability bundle, runs the
+benchmark from those seeds inside a fresh observability bundle, runs the
 scheduler, and ships back a :class:`RunResult`: the schedule summary
 numbers plus the worker's whole :class:`MetricsRegistry`, its tracer
 records and its decision provenance.  The parent folds those into its
 own bundle (``MetricsRegistry.merge`` / ``Tracer.absorb``) in
-deterministic grid order, so pooled telemetry aggregates exactly like a
-serial run's.
+deterministic grid order, so telemetry aggregates identically for any
+worker count.
+
+:func:`paper_benchmark` is the one place the paper's Sec. 6 setup is
+written down: every caller that turns a benchmark name into a
+``(CTG, ACG)`` pair goes through it.
 
 Determinism contract: everything a spec influences must derive from the
 spec's explicit seeds.  Nothing in this module reads global
@@ -78,11 +82,13 @@ class BenchmarkSpec:
     ``kind="random"`` names a generated suite member (category, index,
     n_tasks, base_seed — exactly :func:`generate_category`'s arguments);
     ``kind="msb"`` names a multimedia system + clip.  The ACG comes from
-    a preset name plus an explicit shuffle seed.
+    a preset name plus an explicit shuffle seed; with no preset an MSB
+    takes its system's preset from :data:`MSB_SYSTEMS` and a random
+    benchmark the 4x4 mesh.
     """
 
     kind: str  # "random" | "msb"
-    acg_preset: str = "mesh_4x4"
+    acg_preset: Optional[str] = None
     shuffle_seed: Optional[int] = None
     # random-suite fields
     category: int = 1
@@ -94,31 +100,42 @@ class BenchmarkSpec:
     clip: str = "foreman"
 
     def build(self) -> Tuple[CTG, ACG]:
-        """Construct the benchmark from seeds (called inside the worker)."""
+        """Construct the benchmark from seeds (called inside the worker).
+
+        The last spec built is remembered, so the schedulers of one grid
+        row share a single build — schedulers never mutate their CTG or
+        ACG, which is what makes sharing them safe.
+        """
+        global _last_build
+        if _last_build is not None and _last_build[0] == self:
+            return _last_build[1]
+        preset_name = self.acg_preset
         if self.kind == "random":
             ctg = generate_category(
                 self.category, self.index, n_tasks=self.n_tasks, base_seed=self.base_seed
             )
         elif self.kind == "msb":
             try:
-                build_ctg, _preset = MSB_SYSTEMS[self.system]
+                build_ctg, msb_preset = MSB_SYSTEMS[self.system]
             except KeyError:
                 raise ValueError(
                     f"unknown MSB system {self.system!r}; known: {sorted(MSB_SYSTEMS)}"
                 ) from None
             ctg = build_ctg(self.clip)
+            preset_name = preset_name or msb_preset
         else:
             raise ValueError(f"unknown benchmark kind {self.kind!r}")
         try:
-            preset = ACG_PRESETS[self.acg_preset]
+            preset = ACG_PRESETS[preset_name or "mesh_4x4"]
         except KeyError:
             raise ValueError(
-                f"unknown ACG preset {self.acg_preset!r}; known: {sorted(ACG_PRESETS)}"
+                f"unknown ACG preset {preset_name!r}; known: {sorted(ACG_PRESETS)}"
             ) from None
         if self.shuffle_seed is not None:
             acg = preset(shuffle_seed=self.shuffle_seed)
         else:
             acg = preset()
+        _last_build = (self, (ctg, acg))
         return ctg, acg
 
     @property
@@ -127,6 +144,42 @@ class BenchmarkSpec:
         if self.kind == "msb":
             return self.clip
         return f"cat{self.category}-{self.index}"
+
+
+#: the most recent :meth:`BenchmarkSpec.build` — (spec, (ctg, acg)).
+_last_build: Optional[Tuple[BenchmarkSpec, Tuple[CTG, ACG]]] = None
+
+
+def paper_benchmark(
+    system: str,
+    clip: str = "foreman",
+    category: int = 1,
+    index: int = 0,
+    n_tasks: int = 150,
+) -> BenchmarkSpec:
+    """The paper's Sec. 6 benchmark named by ``system``.
+
+    ``"random"`` is member ``index`` of the generated category-I/II
+    suite (:func:`generate_category`) on the 4x4 heterogeneous mesh
+    shuffled with seed ``100 + index``; an :data:`MSB_SYSTEMS` name is
+    that multimedia system's CTG for ``clip`` on its preset mesh.
+    """
+    if system == "random":
+        return BenchmarkSpec(
+            kind="random",
+            acg_preset="mesh_4x4",
+            shuffle_seed=100 + index,
+            category=category,
+            index=index,
+            n_tasks=n_tasks,
+        )
+    if system not in MSB_SYSTEMS:
+        raise ValueError(
+            f"unknown system {system!r}; known: {['random', *sorted(MSB_SYSTEMS)]}"
+        )
+    return BenchmarkSpec(
+        kind="msb", acg_preset=MSB_SYSTEMS[system][1], system=system, clip=clip
+    )
 
 
 @dataclass(frozen=True)
@@ -171,8 +224,9 @@ class RunResult:
     hops: float
     peakpe: float
     cwait: float
-    #: counter values at the exact point serial ``_compare`` takes its
-    #: per-run delta (after validation, before utilization analytics).
+    #: the cell's counter values after validation, before utilization
+    #: analytics — the source of the ``<scheduler>:evals/moves/hits``
+    #: table columns.
     headline_counters: Dict[str, float] = field(default_factory=dict)
     #: the worker's whole registry, for ``MetricsRegistry.merge``.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -194,8 +248,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec inside a fresh observability bundle (worker entry).
 
     This is the pool's target callable — module-level so it pickles by
-    reference — but it is equally valid in-process: the serial fallback
-    path of :func:`repro.parallel.pool.parallel_map` calls it directly.
+    reference — and equally the in-process loop's: at one worker
+    :func:`repro.parallel.pool.parallel_map` calls it directly.
     """
     wall_started = time.perf_counter()
     bundle = obs.Instrumentation.enabled() if spec.record else obs.Instrumentation.disabled()

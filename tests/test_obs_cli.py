@@ -85,14 +85,14 @@ class TestSchedulingErrorHandling:
         raise SchedulingError("task 'x' has no feasible PE")
 
     def test_clean_one_line_error_and_nonzero_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.cli.eas_schedule", self._boom)
+        monkeypatch.setattr("repro.parallel.spec.eas_schedule", self._boom)
         assert main(["schedule", "--system", "encoder"]) == 1
         err = capsys.readouterr().err
         assert err.strip() == "repro-noc: error: task 'x' has no feasible PE"
         assert "Traceback" not in err
 
     def test_error_is_logged_through_tracer(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr("repro.cli.eas_schedule", self._boom)
+        monkeypatch.setattr("repro.parallel.spec.eas_schedule", self._boom)
         trace = tmp_path / "err.jsonl"
         assert main(["schedule", "--system", "encoder", "--trace", str(trace)]) == 1
         err = capsys.readouterr().err
@@ -112,12 +112,12 @@ class TestSchedulingErrorHandling:
         def bad(*args, **kwargs):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr("repro.cli.eas_schedule", bad)
+        monkeypatch.setattr("repro.parallel.spec.eas_schedule", bad)
         with pytest.raises(RuntimeError):
             main(["schedule", "--system", "encoder"])
 
 
-def _infeasible_benchmark(args):
+def _infeasible_benchmark(spec):
     """A CTG whose only task names a PE type no mesh tile provides."""
     ctg = CTG(name="infeasible")
     ctg.add_task(make_task("t0", {"fpga": 100}, deadline=1000.0))
@@ -130,7 +130,7 @@ class TestInfeasibleRunPostmortem:
     def test_clean_error_and_run_failed_record(self, capsys, monkeypatch, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(ledger))
-        monkeypatch.setattr("repro.cli._build_benchmark", _infeasible_benchmark)
+        monkeypatch.setattr("repro.parallel.spec.BenchmarkSpec.build", _infeasible_benchmark)
 
         assert main(["schedule", "--system", "encoder"]) == 1
 
@@ -161,13 +161,46 @@ class TestInfeasibleRunPostmortem:
         def bad(*args, **kwargs):
             raise RuntimeError("worker exploded")
 
-        monkeypatch.setattr("repro.cli.eas_schedule", bad)
+        monkeypatch.setattr("repro.parallel.spec.eas_schedule", bad)
         with pytest.raises(RuntimeError):
             main(["schedule", "--system", "encoder"])
         terminal = read_ledger(ledger)[-1]
         assert terminal["type"] == "run_failed"
         assert terminal["error"] == "RuntimeError: worker exploded"
         assert "worker exploded" in terminal["traceback"]
+
+
+#: CLI invocations whose bad input surfaces as a CTGError from the
+#: library (a zero-task graph, an unknown category, an unknown clip).
+BAD_INPUT_COMMANDS = {
+    "schedule-zero-tasks": ["schedule", "--system", "random", "--n-tasks", "0"],
+    "diff-unknown-category": ["diff", "category=3", "algorithm=edf", "--system", "random"],
+    "diff-unknown-clip": ["diff", "clip=nope", "algorithm=edf"],
+}
+
+
+class TestLibraryInputErrors:
+    """Any library error is a one-line exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("argv", BAD_INPUT_COMMANDS.values(), ids=BAD_INPUT_COMMANDS)
+    def test_clean_error_without_instrumentation(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-noc: error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", BAD_INPUT_COMMANDS.values(), ids=BAD_INPUT_COMMANDS)
+    def test_clean_error_and_run_failed_record(self, argv, capsys, monkeypatch, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-noc: error:")
+        assert len(err.strip().splitlines()) == 1
+        terminal = read_ledger(ledger)[-1]
+        assert terminal["type"] == "run_failed"
+        assert terminal["error"].startswith("CTGError: ")
 
 
 class TestTraceStdoutWithJobs:

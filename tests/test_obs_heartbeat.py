@@ -215,6 +215,16 @@ class TestPoolIntegration:
         assert snap["cells_done"] == 4
         assert snap["cells_total"] == 4
 
+    def test_one_worker_grid_reports_cells(self):
+        from repro.evalx.experiments import run_msb_table
+
+        stream = io.StringIO()
+        with Heartbeat(3600.0, stream=stream, stall_window=60.0) as monitor:
+            run_msb_table("decoder", clips=["akiyo"], jobs=1)
+            snap = monitor.snapshot()
+        assert snap["cells_total"] == 2
+        assert snap["cells_done"] == 2
+
     def test_pool_without_monitor_is_fine(self):
         assert active() is None
         assert pool_map(lambda x: x + 1, [1, 2], jobs=1) == [2, 3]

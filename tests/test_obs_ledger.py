@@ -366,3 +366,19 @@ class TestCliIntegration:
         assert any(r["type"] == "heartbeat" for r in records)
         assert records[-1]["type"] == "run_finished"
         assert json.dumps(records[-1]["top_phases"])  # JSON-clean span summary
+
+    def test_cell_records_identical_across_jobs(self, tmp_path, monkeypatch, capsys):
+        """One worker and two leave the same cells, in the same order."""
+        cells = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            monkeypatch.setenv("REPRO_LEDGER", str(path))
+            assert main(["table2", "--jobs", str(jobs)]) == 0
+            cells[jobs] = [
+                (r["tag"], r["spec"])
+                for r in read_ledger(path)
+                if r["type"] == "phase" and r["name"] == "cell"
+            ]
+        assert len(cells[1]) == 6
+        assert cells[1] == cells[2]
+        assert cells[1][0][0] == "decoder[akiyo]:eas"

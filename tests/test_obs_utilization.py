@@ -136,7 +136,7 @@ class TestOutputs:
             assert heading in text
 
     def test_registers_into_shared_registry_via_evalx(self):
-        """_compare publishes util.<scheduler>.* gauges into the live registry."""
+        """An evalx grid publishes util.<scheduler>.* gauges into the live registry."""
         from repro.evalx.experiments import run_msb_table
 
         registry = obs.get().metrics

@@ -10,9 +10,11 @@ from repro.core.eas import EASConfig
 from repro.parallel.pool import JOBS_ENV_VAR, parallel_map, pool_map, resolve_jobs
 from repro.parallel.spec import (
     ACG_PRESETS,
+    MSB_SYSTEMS,
     BenchmarkSpec,
     RunSpec,
     execute_spec,
+    paper_benchmark,
     run_scheduler,
 )
 
@@ -66,6 +68,30 @@ class TestBenchmarkSpec:
         ctg, acg = spec.build()
         assert len(acg.pes) == 4
         assert spec.row_name == "akiyo"
+
+    def test_msb_without_preset_uses_its_system_mesh(self):
+        ctg, acg = BenchmarkSpec(kind="msb", system="integrated", clip="foreman").build()
+        assert len(acg.pes) == 9
+        assert ctg.n_tasks == 40
+
+    def test_paper_benchmark_recipe(self):
+        random_spec = paper_benchmark("random", category=2, index=3, n_tasks=25)
+        assert (random_spec.acg_preset, random_spec.shuffle_seed) == ("mesh_4x4", 103)
+        assert random_spec.row_name == "cat2-3"
+        for system, n_pes in (("encoder", 4), ("decoder", 4), ("integrated", 9)):
+            spec = paper_benchmark(system, clip="akiyo")
+            assert spec.acg_preset == MSB_SYSTEMS[system][1]
+            assert len(spec.build()[1].pes) == n_pes
+        with pytest.raises(ValueError, match="unknown system"):
+            paper_benchmark("transcoder")
+
+    def test_build_is_shared_by_equal_specs(self):
+        spec = paper_benchmark("random", index=1, n_tasks=15)
+        first = spec.build()
+        again = paper_benchmark("random", index=1, n_tasks=15).build()
+        assert again[0] is first[0] and again[1] is first[1]
+        other = paper_benchmark("random", index=2, n_tasks=15).build()
+        assert other[0] is not first[0]
 
     def test_unknown_kind_and_preset(self):
         with pytest.raises(ValueError, match="unknown benchmark kind"):
