@@ -31,6 +31,7 @@ from typing import Any, Dict
 from repro import obs
 from repro.arch.presets import mesh_5x5, mesh_6x6
 from repro.core.eas import LevelBasedScheduler
+from repro.core.rebuild import FrozenPrefix
 from repro.core.reference import LiteralTables
 from repro.core.slack import compute_budgets
 from repro.ctg.generator import generate_category
@@ -58,7 +59,7 @@ def _run_variant(ctg, acg, tables_class):
         started = time.perf_counter()
         budgets = compute_budgets(ctg, acg)
         schedule = LevelBasedScheduler(
-            ctg, acg, budgets, algorithm_name="eas", tables=tables_class()
+            ctg, acg, budgets, algorithm_name="eas", prefix=FrozenPrefix(tables=tables_class())
         ).run()
         wall = time.perf_counter() - started
     # The serialization embeds the driver's wall-clock stamp; zero it so

@@ -55,12 +55,12 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 from repro import obs
 from repro.arch.acg import ACG
 from repro.core.placement import Evaluation, commit, probe
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix
 from repro.obs.decisions import TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError
 from repro.schedule.entries import TaskPlacement
-from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
 
@@ -131,14 +131,9 @@ class _SelectionOutcome:
 class LevelBasedScheduler:
     """Step 2 of EAS: energy-aware list scheduling steered by budgets.
 
-    The three optional arguments exist for degraded-mode recovery
-    (``repro.faults.recovery``), which re-runs Step 2 over the *surviving*
-    tasks of a committed schedule: ``preplaced`` seeds already-final
-    placements (their tasks are never re-scheduled, but their outputs
-    feed transactions), ``tables`` supplies resource tables pre-loaded
-    with the salvaged reservations, and ``floor`` forbids any new work
-    before the fault time.  All three default to the healthy-platform
-    behaviour.
+    Only the tasks outside ``prefix`` are scheduled, on top of it (see
+    :class:`~repro.core.rebuild.FrozenPrefix`; degraded-mode recovery
+    passes the salvaged past).
     """
 
     def __init__(
@@ -148,20 +143,16 @@ class LevelBasedScheduler:
         budgets: Mapping[str, TaskBudget],
         algorithm_name: str = "eas-base",
         contention_aware: bool = True,
-        preplaced: Optional[Mapping[str, TaskPlacement]] = None,
-        tables: Optional[ResourceTables] = None,
-        floor: float = 0.0,
+        prefix: FrozenPrefix = NO_PREFIX,
     ) -> None:
         self.ctg = ctg
         self.acg = acg
         self.budgets = budgets
         self.algorithm_name = algorithm_name
         self.contention_aware = contention_aware
-        self.floor = floor
-        self._tables = tables if tables is not None else ResourceTables()
-        self._placements: Dict[str, TaskPlacement] = (
-            dict(preplaced) if preplaced else {}
-        )
+        self.prefix = prefix
+        self._tables = prefix.start_tables()
+        self._placements: Dict[str, TaskPlacement] = {}
         #: clean F(i,k) evaluations carried across RTL iterations.
         self._cache: Dict[Tuple[str, int], Evaluation] = {}
         #: per-task feasible PE indices (static: depends on types only).
@@ -203,7 +194,7 @@ class LevelBasedScheduler:
             pe_index,
             self._tables,
             self._placements,
-            floor=self.floor,
+            floor=self.prefix.floor,
             contention_aware=self.contention_aware,
         )
         if evaluation is not None:
@@ -303,14 +294,10 @@ class LevelBasedScheduler:
     def run(self) -> Schedule:
         """Schedule every task; returns a structurally valid schedule."""
         schedule = Schedule(self.ctg, self.acg, algorithm=self.algorithm_name)
-        # Preplaced tasks count as done: they never enter the RTL and
-        # their successors only wait for the remaining predecessors.
-        done = set(self._placements)
-        remaining_preds: Dict[str, int] = {
-            name: sum(1 for p in self.ctg.predecessors(name) if p not in done)
-            for name in self.ctg.task_names()
-            if name not in done
-        }
+        # Prefix tasks count as done: they never enter the RTL and their
+        # successors only wait for the remaining predecessors.
+        self._placements = self.prefix.seed(schedule)
+        remaining_preds = self.prefix.open_preds(self.ctg)
         ready = sorted(name for name, n in remaining_preds.items() if n == 0)
 
         ins = self._ins
@@ -389,7 +376,7 @@ class LevelBasedScheduler:
                 del ready[bisect_left(ready, chosen_task)]
                 for succ in self.ctg.successors(chosen_task):
                     if succ not in remaining_preds:
-                        continue  # preplaced successor (recovery resurrect)
+                        continue  # prefix successor (recovery resurrect)
                     remaining_preds[succ] -= 1
                     if remaining_preds[succ] == 0:
                         insort(ready, succ)

@@ -50,6 +50,11 @@ move against the *delta* it induces instead:
    GTM relief sweep re-proposes many energy-sweep candidates
    verbatim).  The memo is cleared whenever a move is accepted.
 
+Given a :class:`~repro.core.rebuild.FrozenPrefix` (degraded-mode
+recovery), every rebuild the engine stands for starts from it: the trace
+covers only the open tasks, the tables start from the prefix tables, and
+the bounds start at the prefix's own ``(misses, tardiness)``.
+
 Soundness arguments are spelled out in DESIGN.md ("Incremental repair
 correctness"); :func:`repro.core.reference.full_rebuild_repair` keeps
 the paper-literal full rebuild per candidate as the reference oracle.
@@ -62,9 +67,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.rebuild import CommitStep, commit_steps, probe_mapped, rebuild_schedule_traced
+from repro.core.rebuild import (
+    NO_PREFIX,
+    CommitStep,
+    FrozenPrefix,
+    commit_steps,
+    probe_mapped,
+    rebuild_schedule_traced,
+)
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError
+from repro.errors import InfeasibleOrderError, UnroutableError
+from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -86,6 +99,17 @@ def _schedule_metric(schedule: Schedule) -> MissMetric:
     return (len(schedule.deadline_misses()), schedule.total_tardiness())
 
 
+def _tally(ctg: CTG, metric: MissMetric, placement: TaskPlacement) -> MissMetric:
+    """``metric`` plus one placement, added as ``Schedule.total_tardiness`` adds."""
+    misses, tardiness = metric
+    deadline = ctg.task(placement.task).deadline
+    if placement.finish > deadline + EPS:
+        misses += 1
+    if math.isfinite(deadline):
+        tardiness += max(0.0, placement.finish - deadline)
+    return misses, tardiness
+
+
 class IncrementalRebuilder:
     """Evaluates candidate (mapping, orders) moves against one incumbent.
 
@@ -93,7 +117,8 @@ class IncrementalRebuilder:
     each candidate with the schedule a full rebuild would have produced
     (or ``None`` when the candidate is infeasible, memo-rejected, or
     provably unable to beat the incumbent), and :meth:`promote` adopts
-    the last winning candidate as the new incumbent.
+    the last winning candidate as the new incumbent.  Every rebuild
+    starts from ``prefix``, whose tasks no candidate may move.
     """
 
     def __init__(
@@ -103,17 +128,21 @@ class IncrementalRebuilder:
         mapping: Mapping[str, int],
         orders: Mapping[int, Sequence[str]],
         algorithm: str = "rebuild",
+        prefix: FrozenPrefix = NO_PREFIX,
     ) -> None:
         self.ctg = ctg
         self.acg = acg
         self.algorithm = algorithm
-        self._in_degree: Dict[str, int] = {
-            name: ctg.in_degree(name) for name in ctg.task_names()
-        }
-        self._task_names: List[str] = ctg.task_names()
+        self.prefix = prefix
+        #: open predecessors of each open task, before any commit.
+        self._in_degree: Dict[str, int] = prefix.open_preds(ctg)
+        self._task_names: List[str] = list(self._in_degree)
+        self._prefix_metric: MissMetric = (0, 0.0)
+        for placement in prefix.placements:
+            self._prefix_metric = _tally(ctg, self._prefix_metric, placement)
         self._mapping0: Dict[str, int] = dict(mapping)
         self._orders0: Dict[int, List[str]] = {
-            pe: list(names) for pe, names in orders.items()
+            pe: list(names) for pe, names in prefix.open_orders(orders).items()
         }
         self._trace: Optional[List[CommitStep]] = None
         self._final_tables: Optional[ResourceTables] = None
@@ -140,9 +169,10 @@ class IncrementalRebuilder:
         if self._trace is not None:
             return
         _schedule, trace = rebuild_schedule_traced(
-            self.ctg, self.acg, self._mapping0, self._orders0, algorithm=self.algorithm
+            self.ctg, self.acg, self._mapping0, self._orders0,
+            algorithm=self.algorithm, prefix=self.prefix,
         )
-        tables = ResourceTables()
+        tables = self.prefix.start_tables()
         tables.fill(
             [step.placement for step in trace], [comm for step in trace for comm in step.comms]
         )
@@ -166,21 +196,15 @@ class IncrementalRebuilder:
     def _bounds_of(self, trace: Sequence[CommitStep]) -> List[MissMetric]:
         """Cumulative (misses, tardiness) after each trace prefix.
 
-        Accumulated in commit order — the same float-addition order
-        ``Schedule.total_tardiness`` uses on a schedule whose placements
-        were inserted in commit order — so prefix bounds are exact
-        partial sums of the final metric.
+        Starts at the frozen prefix's metric and accumulates in commit
+        order — the float-addition order ``Schedule.total_tardiness``
+        uses on a schedule seeded with the prefix and then filled in
+        commit order — so the bounds are exact partial sums of the
+        final metric.
         """
-        bounds: List[MissMetric] = [(0, 0.0)]
-        misses, tardiness = 0, 0.0
+        bounds: List[MissMetric] = [self._prefix_metric]
         for step in trace:
-            deadline = self.ctg.task(step.task).deadline
-            finish = step.placement.finish
-            if finish > deadline + EPS:
-                misses += 1
-            if math.isfinite(deadline):
-                tardiness += max(0.0, finish - deadline)
-            bounds.append((misses, tardiness))
+            bounds.append(_tally(self.ctg, bounds[-1], step.placement))
         return bounds
 
     def promote(self) -> None:
@@ -240,7 +264,8 @@ class IncrementalRebuilder:
         orders0 = self._orders0
         remaining = dict(self._in_degree)
         placed: Set[str] = set()
-        placements: Dict[str, object] = {}
+        placements: Dict[str, object] = {p.task: p for p in self.prefix.placements}
+        floor = self.prefix.floor
         idx: Dict[int, int] = {pe: 0 for pe in orders0}
         for pe in orders1:
             idx.setdefault(pe, 0)
@@ -275,7 +300,7 @@ class IncrementalRebuilder:
                     key_k = (step.placement.start, step.placement.finish, chosen)
                     for name in divergent:
                         evaluation = probe_mapped(
-                            self.ctg, self.acg, name, mapping1[name], tables, placements
+                            self.ctg, self.acg, name, mapping1[name], tables, placements, floor
                         )
                         self._probe_counter.inc()
                         if (evaluation.start, evaluation.finish, name) < key_k:
@@ -288,7 +313,8 @@ class IncrementalRebuilder:
             placements[chosen] = step.placement
             idx[step.pe] += 1
             for succ in successors(chosen):
-                remaining[succ] -= 1
+                if succ in remaining:  # a prefix task may follow an open one
+                    remaining[succ] -= 1
             if tables is not None:
                 # Keep the materialized tables in step with the prefix.
                 tables.fill((step.placement,), step.comms)
@@ -312,14 +338,17 @@ class IncrementalRebuilder:
         """The schedule a full rebuild of the candidate would produce.
 
         Returns ``None`` when the candidate cannot be accepted — its
-        orders deadlock, its bounded metric provably cannot beat
+        orders deadlock, a sender has no route to its PE on a degraded
+        platform, its bounded metric provably cannot beat
         ``incumbent_metric``, or it was already rejected against this
         incumbent.  A non-``None`` result is float-exact identical to
-        ``rebuild_schedule(ctg, acg, mapping, orders)``; when its metric
-        beats the incumbent the caller may :meth:`promote` it.
+        ``rebuild_schedule(ctg, acg, mapping, orders, prefix=prefix)``;
+        when its metric beats the incumbent the caller may
+        :meth:`promote` it.
         """
         self._last = None
         self._candidate_counter.inc()
+        orders = self.prefix.open_orders(orders)
         signature = self._signature(mapping, orders)
         if signature in self._memo:
             self._memo_counter.inc()
@@ -328,25 +357,22 @@ class IncrementalRebuilder:
 
         moved = {task for task, _pe in signature[0]}
         changed_pes = {pe for pe, _names in signature[1]}
-        frontier, next_slot, remaining, placed, placements, tables = self._frontier(
-            mapping, orders, changed_pes, moved
-        )
-        self._prefix_counter.inc(frontier)
-        bound = self._cum_bound[frontier]
-        if not bound < incumbent_metric:
-            self._abort_counter.inc()
-            self._memo.add(signature)
-            return None
-
+        schedule = None
         try:
-            schedule, trace, tables = self._replay(
-                mapping, orders, frontier, next_slot, remaining, placed,
-                placements, tables, bound, incumbent_metric,
+            frontier, next_slot, remaining, placed, placements, tables = self._frontier(
+                mapping, orders, changed_pes, moved
             )
-        except InfeasibleOrderError:
+            self._prefix_counter.inc(frontier)
+            bound = self._cum_bound[frontier]
+            if bound < incumbent_metric:
+                schedule, trace, tables = self._replay(
+                    mapping, orders, frontier, next_slot, remaining, placed,
+                    placements, tables, bound, incumbent_metric,
+                )
+        except (InfeasibleOrderError, UnroutableError):
             self._memo.add(signature)
             return None
-        if schedule is None:  # aborted mid-replay
+        if schedule is None:  # aborted at the frontier or mid-replay
             self._abort_counter.inc()
             self._memo.add(signature)
             return None
@@ -377,15 +403,15 @@ class IncrementalRebuilder:
     ) -> Tuple[Optional[Schedule], List[CommitStep], ResourceTables]:
         """Replay the dirty cone through the shared list-scheduling loop."""
         ctg = self.ctg
-        prefix = self._trace[:frontier]
+        shared = self._trace[:frontier]
         schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
-        for step in prefix:
+        self.prefix.seed(schedule)
+        for step in shared:
             schedule.place_task(step.placement)
             for comm in step.comms:
                 schedule.place_comm(comm)
-        trace = list(prefix)
-        misses, tardiness = bound
-        task_of = ctg.task
+        trace = list(shared)
+        metric = bound
         steps = commit_steps(
             ctg,
             self.acg,
@@ -397,17 +423,13 @@ class IncrementalRebuilder:
             placements,
             tables,
             schedule,
+            self.prefix.floor,
         )
         try:
             for step in steps:
                 trace.append(step)
-                deadline = task_of(step.task).deadline
-                finish = step.placement.finish
-                if finish > deadline + EPS:
-                    misses += 1
-                if math.isfinite(deadline):
-                    tardiness += max(0.0, finish - deadline)
-                if not (misses, tardiness) < incumbent_metric:
+                metric = _tally(ctg, metric, step.placement)
+                if not metric < incumbent_metric:
                     return None, trace, tables
         finally:
             self._replayed_counter.inc(len(trace) - frontier)

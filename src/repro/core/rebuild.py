@@ -9,10 +9,14 @@ that: it list-schedules the tasks respecting (a) CTG precedence and
 the shared probe/commit primitive of :mod:`repro.core.placement`.
 
 The list-scheduling loop itself is :func:`commit_steps`, one generator
-shared by the full rebuild, the incremental repair engine's dirty-cone
-replay (``repro.core.increbuild``) and degraded-mode recovery
-(``repro.faults.recovery``).  It commits the winning probe directly, so
-no Fig. 3 pass runs twice for one placement.
+shared by the full rebuild and the incremental repair engine's
+dirty-cone replay (``repro.core.increbuild``).  It commits the winning
+probe directly, so no Fig. 3 pass runs twice for one placement.
+
+A :class:`FrozenPrefix` is a committed past the rebuild starts from:
+degraded-mode recovery (``repro.faults.recovery``) salvages the tasks
+that finished before a fault, and every scheduler of Steps 2 and 3
+places only the remaining tasks on top of it.
 
 A candidate (mapping, orders) pair can be *infeasible*: a swap may order
 ``a`` before ``b`` on one PE while ``b``'s descendants feed ``a``
@@ -24,7 +28,8 @@ move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -34,6 +39,60 @@ from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
+
+
+@dataclass(frozen=True)
+class FrozenPrefix:
+    """Placements and transactions that later scheduling must build on, unchanged.
+
+    ``placements`` must be in task-name order and ``comms`` in
+    ``(src, dst)`` order, so a schedule seeded from the prefix sums its
+    floats in the same order whatever the string hash seed.  ``tables`` hold exactly
+    their reservations plus any pseudo-reservations (a transient link
+    outage); ``None`` stands for empty tables.  No new work starts
+    before ``floor``.  The empty :data:`NO_PREFIX` is the healthy case.
+    """
+
+    placements: Tuple[TaskPlacement, ...] = ()
+    comms: Tuple[CommPlacement, ...] = ()
+    tables: Optional[ResourceTables] = None
+    floor: float = 0.0
+
+    @cached_property
+    def tasks(self) -> FrozenSet[str]:
+        """The frozen task set: no repair move touches these tasks."""
+        return frozenset(placement.task for placement in self.placements)
+
+    def start_tables(self) -> ResourceTables:
+        """Private tables to schedule the open tasks on."""
+        return ResourceTables() if self.tables is None else self.tables.fork()
+
+    def seed(self, schedule: Schedule) -> Dict[str, TaskPlacement]:
+        """Place the prefix into ``schedule``; returns its placements by task."""
+        for placement in self.placements:
+            schedule.place_task(placement)
+        for comm in self.comms:
+            schedule.place_comm(comm)
+        return {placement.task: placement for placement in self.placements}
+
+    def open_preds(self, ctg: CTG) -> Dict[str, int]:
+        """Each open task's number of open predecessors."""
+        tasks = self.tasks
+        return {
+            name: sum(1 for pred in ctg.predecessors(name) if pred not in tasks)
+            for name in ctg.task_names()
+            if name not in tasks
+        }
+
+    def open_orders(self, orders: Mapping[int, Sequence[str]]) -> Mapping[int, Sequence[str]]:
+        """``orders`` without the prefix tasks."""
+        tasks = self.tasks
+        if not tasks:
+            return orders
+        return {pe: [name for name in names if name not in tasks] for pe, names in orders.items()}
+
+
+NO_PREFIX = FrozenPrefix()
 
 
 @dataclass(frozen=True)
@@ -59,20 +118,26 @@ def rebuild_schedule(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
+    prefix: FrozenPrefix = NO_PREFIX,
 ) -> Schedule:
     """Rebuild a timed schedule from a mapping and per-PE task orders.
 
     Among the tasks eligible at each step (all predecessors placed *and*
     first unplaced task in their PE's order), the one whose execution can
     start earliest is committed first; this keeps the reconstruction
-    deterministic and packs resources greedily.
+    deterministic and packs resources greedily.  The tasks of ``prefix``
+    keep their placements; the orders may list them or not.
 
     Raises:
         InfeasibleOrderError: the orders deadlock against the precedence
             constraints.
         SchedulingError: the mapping assigns a task to an infeasible PE.
+        UnroutableError: a placed sender has no route to a task's PE
+            (only on a fault-degraded platform).
     """
-    schedule, _trace = rebuild_schedule_traced(ctg, acg, mapping, pe_orders, algorithm=algorithm)
+    schedule, _trace = rebuild_schedule_traced(
+        ctg, acg, mapping, pe_orders, algorithm=algorithm, prefix=prefix
+    )
     return schedule
 
 
@@ -82,17 +147,20 @@ def rebuild_schedule_traced(
     mapping: Mapping[str, int],
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
+    prefix: FrozenPrefix = NO_PREFIX,
 ) -> Tuple[Schedule, List[CommitStep]]:
-    """:func:`rebuild_schedule` plus the commit trace it followed."""
+    """:func:`rebuild_schedule` plus the commit trace of the open tasks."""
     for name in ctg.task_names():
         if name not in mapping:
             raise SchedulingError(f"mapping misses task {name!r}")
 
     # Validate the order tables: each PE's order must list exactly the
-    # tasks mapped to it.
+    # open tasks mapped to it.
+    pe_orders = prefix.open_orders(pe_orders)
     expected: Dict[int, List[str]] = {pe.index: [] for pe in acg.pes}
     for name, pe_index in mapping.items():
-        expected.setdefault(pe_index, []).append(name)
+        if name not in prefix.tasks:
+            expected.setdefault(pe_index, []).append(name)
     for pe_index, order in pe_orders.items():
         for name in order:
             if mapping.get(name) != pe_index:
@@ -109,17 +177,19 @@ def rebuild_schedule_traced(
     schedule = Schedule(ctg, acg, algorithm=algorithm)
     scheduled_counter = obs.get().metrics.counter("rebuild.tasks_scheduled")
     trace: List[CommitStep] = []
+    remaining_preds = prefix.open_preds(ctg)
     for step in commit_steps(
         ctg,
         acg,
         mapping,
         pe_orders,
         next_slot={pe_index: 0 for pe_index in expected},
-        remaining_preds={name: ctg.in_degree(name) for name in ctg.task_names()},
-        unplaced=set(ctg.task_names()),
-        placements={},
-        tables=ResourceTables(),
+        remaining_preds=remaining_preds,
+        unplaced=set(remaining_preds),
+        placements=prefix.seed(schedule),
+        tables=prefix.start_tables(),
         schedule=schedule,
+        floor=prefix.floor,
     ):
         scheduled_counter.inc()
         trace.append(step)
@@ -145,7 +215,7 @@ def commit_steps(
     the one with the least ``(start, finish, name)``.  The state
     arguments are advanced in place; a caller may stop iterating at any
     step and keep the state reached so far.  ``floor`` bounds all new
-    work from below (degraded-mode recovery passes the fault time).
+    work from below (a :class:`FrozenPrefix` floor).
 
     Raises:
         InfeasibleOrderError: no unplaced task is eligible.

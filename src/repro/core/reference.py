@@ -13,7 +13,8 @@ benches can compare against it byte for byte:
 
 * :class:`LiteralTables` re-merges every route per probe;
 * :class:`NaiveLevelScheduler` recomputes every F(i,k) each iteration;
-* :func:`full_rebuild_repair` rebuilds every repair candidate from scratch;
+* :class:`FullRebuilder` rebuilds every repair candidate from scratch,
+  and :func:`full_rebuild_repair` runs Step 3 on it;
 * :func:`reference_eas_base_schedule` / :func:`reference_eas_schedule`
   compose the three.
 
@@ -22,18 +23,18 @@ Nothing outside ``tests/`` and ``benchmarks/`` imports it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
 from repro.core.eas import EASConfig, LevelBasedScheduler
+from repro.core.increbuild import IncrementalRebuilder, MissMetric
 from repro.core.placement import Evaluation
-from repro.core.rebuild import rebuild_schedule
-from repro.core.repair import RepairConfig, RepairReport, search_and_repair
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix, rebuild_schedule
+from repro.core.repair import RepairConfig, RepairReport, _repair
 from repro.core.slack import compute_budgets
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError
+from repro.errors import InfeasibleOrderError, UnroutableError
 from repro.schedule.overlay import ResourceTables, TentativeOverlay
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import find_gap, merge_busy
@@ -72,22 +73,36 @@ class NaiveLevelScheduler(LevelBasedScheduler):
         return 0
 
 
-def full_rebuild_repair(
-    schedule: Schedule, config: Optional[RepairConfig] = None
-) -> Tuple[Schedule, RepairReport]:
-    """Step 3 with a from-scratch :func:`rebuild_schedule` per candidate.
+class FullRebuilder(IncrementalRebuilder):
+    """Candidate evaluation by a from-scratch :func:`rebuild_schedule`.
 
-    An :class:`InfeasibleOrderError` counts as a rejected move.
+    A deadlocking or unroutable candidate counts as a rejected move.
     """
-    ctg, acg, algorithm = schedule.ctg, schedule.acg, schedule.algorithm
 
-    def rebuilder(mapping: Dict[str, int], orders: Dict[int, List[str]]) -> Optional[Schedule]:
+    def evaluate(
+        self,
+        mapping: Mapping[str, int],
+        orders: Mapping[int, Sequence[str]],
+        incumbent_metric: MissMetric,
+    ) -> Optional[Schedule]:
         try:
-            return rebuild_schedule(ctg, acg, mapping, orders, algorithm=algorithm)
-        except InfeasibleOrderError:
+            return rebuild_schedule(
+                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm, prefix=self.prefix
+            )
+        except (InfeasibleOrderError, UnroutableError):
             return None
 
-    return search_and_repair(schedule, replace(config or RepairConfig(), rebuilder=rebuilder))
+    def promote(self) -> None:
+        pass
+
+
+def full_rebuild_repair(
+    schedule: Schedule,
+    config: Optional[RepairConfig] = None,
+    prefix: FrozenPrefix = NO_PREFIX,
+) -> Tuple[Schedule, RepairReport]:
+    """Step 3 with a from-scratch rebuild per candidate (:class:`FullRebuilder`)."""
+    return _repair(schedule, config, prefix, FullRebuilder)
 
 
 def reference_eas_base_schedule(
@@ -105,7 +120,7 @@ def reference_eas_base_schedule(
             budgets,
             algorithm_name="eas-base" if cfg.contention_aware else "eas-base-nocontention",
             contention_aware=cfg.contention_aware,
-            tables=LiteralTables(),
+            prefix=FrozenPrefix(tables=LiteralTables()),
         ).run()
     schedule.runtime_seconds = timing.seconds
     return schedule

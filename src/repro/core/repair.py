@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro import obs
 from repro.core.comm import incoming_comm_energy, outgoing_comm_energy
 from repro.core.increbuild import IncrementalRebuilder
-from repro.core.rebuild import rebuild_schedule
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix, rebuild_schedule
 from repro.errors import RoutingError
 from repro.schedule.schedule import Schedule
 
@@ -48,17 +48,6 @@ class RepairConfig:
     #: destination rankings — the diversification knob the multi-start
     #: portfolio uses.  Never reads global ``random`` state.
     seed: Optional[int] = None
-    #: tasks no move may touch: they are never swapped, never migrated
-    #: and never used as a swap partner.  Degraded-mode recovery freezes
-    #: the salvaged pre-fault prefix this way; empty on a normal repair.
-    frozen: FrozenSet[str] = frozenset()
-    #: custom candidate evaluator ``(mapping, orders) -> Schedule | None``
-    #: replacing the incremental rebuild engine (``None`` = rejected
-    #: move).  Degraded-mode recovery supplies one that rebuilds over the
-    #: degraded platform with the salvaged prefix pre-seeded, and
-    #: :func:`repro.core.reference.full_rebuild_repair` one that rebuilds
-    #: every candidate from scratch; normal repairs leave it None.
-    rebuilder: Optional[Callable[[Dict[str, int], Dict[int, List[str]]], Optional[Schedule]]] = None
 
 
 @dataclass
@@ -106,75 +95,35 @@ def critical_tasks(schedule: Schedule) -> Set[str]:
     return critical
 
 
-class _MoveEvaluator:
-    """Candidate-move evaluation: the incremental engine or a custom rebuilder.
-
-    Without ``RepairConfig.rebuilder`` candidates go to the
-    :class:`IncrementalRebuilder` dirty-cone replay, which returns the
-    schedule a full rebuild would produce, or ``None`` for candidates it
-    *proves* cannot beat the current metric (early abort, remembered
-    rejection) — exactly the candidates the caller would reject anyway,
-    so the accepted-move sequence matches a full rebuild per candidate.
-
-    Also owns the per-incumbent-mapping destination ranking cache:
-    ``_destinations_by_energy`` depends only on (task, mapping), so GTM
-    passes between accepted migrations can reuse the rankings instead of
-    recomputing every incident-edge energy sum per pass.
-    """
-
-    def __init__(
-        self,
-        schedule: Schedule,
-        mapping: Dict[str, int],
-        orders: Dict[int, List[str]],
-        cfg: RepairConfig,
-    ) -> None:
-        self._rebuilder = cfg.rebuilder
-        self._engine: Optional[IncrementalRebuilder] = None
-        if cfg.rebuilder is None:
-            self._engine = IncrementalRebuilder(
-                schedule.ctg, schedule.acg, mapping, orders, algorithm=schedule.algorithm
-            )
-        self._dest_cache: Dict[str, List[int]] = {}
-
-    def evaluate(
-        self,
-        mapping: Dict[str, int],
-        orders: Dict[int, List[str]],
-        metric: MissMetric,
-    ) -> Optional[Schedule]:
-        if self._engine is None:
-            return self._rebuilder(mapping, orders)
-        return self._engine.evaluate(mapping, orders, metric)
-
-    def promote(self) -> None:
-        """The last evaluated candidate was accepted as the new incumbent."""
-        if self._engine is not None:
-            self._engine.promote()
-
-    def destinations(
-        self, schedule: Schedule, task: str, mapping: Dict[str, int]
-    ) -> List[int]:
-        ranked = self._dest_cache.get(task)
-        if ranked is None:
-            ranked = _destinations_by_energy(schedule, task, mapping)
-            self._dest_cache[task] = ranked
-        return ranked
-
-    def invalidate_destinations(self) -> None:
-        """An accepted migration changed the mapping; rankings are stale."""
-        self._dest_cache.clear()
-
-
 def search_and_repair(
     schedule: Schedule,
     config: Optional[RepairConfig] = None,
+    prefix: FrozenPrefix = NO_PREFIX,
 ) -> Tuple[Schedule, RepairReport]:
     """Fig. 4's repair flow: alternate LTS passes and GTM moves.
 
     Returns the best schedule found (the input schedule itself when no
     move helps) and a :class:`RepairReport`.  The returned schedule may
-    still miss deadlines if the instance is simply infeasible.
+    still miss deadlines if the instance is simply infeasible.  The
+    tasks of ``prefix`` are frozen: never swapped, never migrated and
+    never used as a swap partner; every candidate is rebuilt on top of
+    the prefix.
+    """
+    return _repair(schedule, config, prefix, IncrementalRebuilder)
+
+
+def _repair(
+    schedule: Schedule,
+    config: Optional[RepairConfig],
+    prefix: FrozenPrefix,
+    engine_class: Type[IncrementalRebuilder],
+) -> Tuple[Schedule, RepairReport]:
+    """:func:`search_and_repair` evaluating candidates with ``engine_class``.
+
+    The production engine answers each candidate with the schedule a
+    full rebuild would produce, or ``None`` for a candidate it proves
+    the caller would reject; the reference oracle subclasses it with a
+    literal full rebuild per candidate.
     """
     cfg = config or RepairConfig()
     report = RepairReport()
@@ -186,7 +135,11 @@ def search_and_repair(
     mapping = dict(current.mapping())
     orders = {pe: list(tasks) for pe, tasks in current.pe_order().items()}
     rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    evaluator = _MoveEvaluator(current, mapping, orders, cfg)
+    engine = engine_class(
+        current.ctg, current.acg, mapping, orders, algorithm=current.algorithm, prefix=prefix
+    )
+    # Destination rankings per task, valid until a migration is accepted.
+    destinations: Dict[str, List[int]] = {}
 
     ins = obs.get()
     round_counter = ins.metrics.counter("repair.rounds")
@@ -197,12 +150,12 @@ def search_and_repair(
             report.rounds += 1
             round_counter.inc()
             current, mapping, orders, metric, lts_improved = _lts_pass(
-                current, mapping, orders, metric, report, cfg, evaluator, rng
+                current, mapping, orders, metric, report, engine, rng
             )
             if metric[0] == 0:
                 break
             current, mapping, orders, metric, gtm_improved = _gtm_pass(
-                current, mapping, orders, metric, report, cfg, evaluator, rng
+                current, mapping, orders, metric, report, cfg, engine, destinations, rng
             )
             if not lts_improved and not gtm_improved:
                 break  # fixed point: no move helps
@@ -406,13 +359,12 @@ def _lts_pass(
     orders: Dict[int, List[str]],
     metric: MissMetric,
     report: RepairReport,
-    cfg: RepairConfig,
-    evaluator: _MoveEvaluator,
+    engine: IncrementalRebuilder,
     rng: Optional[random.Random] = None,
 ) -> Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]:
     """One LTS sweep: try to pull every critical task earlier on its PE."""
     improved_any = False
-    frozen = cfg.frozen
+    frozen = engine.prefix.tasks
     progress = True
     while progress and metric[0] > 0:
         progress = False
@@ -437,12 +389,12 @@ def _lts_pass(
                 )
                 candidate_orders = dict(orders)
                 candidate_orders[pe] = candidate_order
-                rebuilt = evaluator.evaluate(mapping, candidate_orders, metric)
+                rebuilt = engine.evaluate(mapping, candidate_orders, metric)
                 if rebuilt is None:
                     continue
                 candidate_metric = miss_metric(rebuilt)
                 if candidate_metric < metric:
-                    evaluator.promote()
+                    engine.promote()
                     orders[pe] = candidate_order
                     schedule = rebuilt
                     metric = candidate_metric
@@ -474,7 +426,8 @@ def _gtm_pass(
     metric: MissMetric,
     report: RepairReport,
     cfg: RepairConfig,
-    evaluator: _MoveEvaluator,
+    engine: IncrementalRebuilder,
+    destinations: Dict[str, List[int]],
     rng: Optional[random.Random] = None,
 ) -> Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]:
     """Attempt one accepted migration (Fig. 4 returns to LTS after it).
@@ -491,30 +444,33 @@ def _gtm_pass(
        critical; the relief ordering targets the capacity bottleneck
        that usually causes the miss (our addition; the paper does not
        specify behaviour when the energy-ordered search fails).
+
+    ``destinations`` caches the energy rankings, which depend only on
+    (task, mapping); an accepted migration clears it.
     """
+    frozen = engine.prefix.tasks
     critical = [
         task
         for task in _jittered(_criticality_order(schedule, critical_tasks(schedule)), rng)
-        if task not in cfg.frozen
+        if task not in frozen
     ]
 
-    energy_sweep = (
-        (task, dest_pe)
-        for task in critical
-        for dest_pe in _jittered(evaluator.destinations(schedule, task, mapping), rng)
-    )
-    result = _try_migrations(
-        schedule, mapping, orders, metric, report, cfg, evaluator, energy_sweep
-    )
-    if result is not None:
-        return result
+    def ranked(task: str) -> List[int]:
+        if task not in destinations:
+            destinations[task] = _destinations_by_energy(schedule, task, mapping)
+        return destinations[task]
 
-    relief_sweep = _load_relief_candidates(schedule, mapping, critical)
-    result = _try_migrations(
-        schedule, mapping, orders, metric, report, cfg, evaluator, relief_sweep
+    energy_sweep = (
+        (task, dest_pe) for task in critical for dest_pe in _jittered(ranked(task), rng)
     )
-    if result is not None:
-        return result
+    relief_sweep = _load_relief_candidates(schedule, mapping, critical)
+    for candidates in (energy_sweep, relief_sweep):
+        result = _try_migrations(
+            schedule, mapping, orders, metric, report, cfg, engine, candidates
+        )
+        if result is not None:
+            destinations.clear()
+            return result
     return schedule, mapping, orders, metric, False
 
 
@@ -525,7 +481,7 @@ def _try_migrations(
     metric: MissMetric,
     report: RepairReport,
     cfg: RepairConfig,
-    evaluator: _MoveEvaluator,
+    engine: IncrementalRebuilder,
     candidates,
 ) -> Optional[Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]]:
     """Try candidate (task, dest) migrations; return on first acceptance."""
@@ -543,13 +499,12 @@ def _try_migrations(
         candidate_orders = {pe: list(names) for pe, names in orders.items()}
         candidate_orders[source_pe].remove(task)
         _insert_by_start(candidate_orders.setdefault(dest_pe, []), task, schedule)
-        rebuilt = evaluator.evaluate(candidate_mapping, candidate_orders, metric)
+        rebuilt = engine.evaluate(candidate_mapping, candidate_orders, metric)
         if rebuilt is None:
             continue
         candidate_metric = miss_metric(rebuilt)
         if candidate_metric < metric:
-            evaluator.promote()
-            evaluator.invalidate_destinations()
+            engine.promote()
             report.migrations_accepted += 1
             ins = obs.get()
             ins.metrics.counter("repair.gtm_moves").inc()

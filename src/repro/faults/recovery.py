@@ -15,21 +15,19 @@ four steps:
    the historical delivery stands even if its producer is resurrected
    for someone else.
 
-2. **Salvage the tables** (:func:`_salvage_tables`).  The committed
-   schedule's full resource tables are rebuilt, forked copy-on-write
-   (:meth:`ResourceTables.fork`), and the rerun placements plus dropped
-   transactions are undone with :meth:`ResourceTables.undo`, the same
-   helper the increbuild engine uses.  Transient fault windows are
-   then written in as pseudo-reservations on both directions of the
-   affected channel, so nothing new is ever scheduled *through* an
+2. **Freeze the prefix** (:func:`salvage_prefix`).  The salvaged
+   placements and kept transactions become one
+   :class:`~repro.core.rebuild.FrozenPrefix` with floor ``t``, whose
+   resource tables hold exactly their reservations.  Transient fault
+   windows are written in as pseudo-reservations on both directions of
+   the affected channel, so nothing new is ever scheduled *through* an
    outage.
 
 3. **Re-plan** over the :class:`~repro.faults.degraded.DegradedACG`:
    Step-1 budgets are recomputed on the degraded platform, the
-   level-based scheduler re-runs with the salvaged placements pre-seeded
-   and every start clamped to ``floor = t``, and search-and-repair
-   polishes the result with the salvaged prefix frozen and a
-   recovery-aware rebuilder evaluating candidate moves.
+   level-based scheduler re-runs from the prefix, and search-and-repair
+   polishes the result on the incremental engine from the same prefix,
+   whose tasks no move may touch.
 
 4. **Validate** (:func:`validate_recovery`).  The recovery schedule must
    pass the structural validators (completeness, PE and link
@@ -54,18 +52,12 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.eas import EASConfig, LevelBasedScheduler
-from repro.core.rebuild import commit_steps
+from repro.core.rebuild import FrozenPrefix
 from repro.core.repair import RepairConfig, RepairReport, search_and_repair
 from repro.core.slack import compute_budgets
-from repro.errors import (
-    InfeasibleOrderError,
-    ScheduleValidationError,
-    SchedulingError,
-    UnroutableError,
-)
+from repro.errors import ScheduleValidationError, SchedulingError
 from repro.faults.degraded import DegradedACG
 from repro.faults.plan import FaultPlan
-from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -195,7 +187,7 @@ def kept_comm_keys(committed: Schedule, salvaged: Set[str]) -> Set[Tuple[str, st
     return {key for key in committed.comm_placements if key[1] in salvaged}
 
 
-# -- salvaged resource tables ---------------------------------------------------
+# -- frozen prefix --------------------------------------------------------------
 
 
 def _merged_windows(
@@ -211,96 +203,30 @@ def _merged_windows(
     return [(start, end) for start, end in merged]
 
 
-def _salvage_tables(
+def salvage_prefix(
     committed: Schedule,
     salvaged: Set[str],
     kept: Set[Tuple[str, str]],
     plan: FaultPlan,
-) -> ResourceTables:
-    """Resource tables holding exactly the salvaged past plus fault windows.
+) -> FrozenPrefix:
+    """The salvaged past as a prefix floored at the plan's fault time.
 
-    Built increbuild-style: full committed tables, a copy-on-write
-    :meth:`~repro.schedule.overlay.ResourceTables.fork`, then
-    :meth:`~repro.schedule.overlay.ResourceTables.undo` of the rerun
-    placements and dropped transactions.  Transient outage windows are
-    reserved afterwards on both directions of each affected channel.
+    Placements go in task-name order and transactions in ``(src, dst)``
+    order.  The tables hold exactly their reservations, plus the
+    transient outage windows on both directions of each affected
+    channel.
     """
-    full = ResourceTables()
-    full.fill(committed.task_placements.values(), committed.comm_placements.values())
-
-    tables = full.fork()
-    tables.undo(
-        [p for name, p in committed.task_placements.items() if name not in salvaged],
-        [c for key, c in committed.comm_placements.items() if key not in kept],
-    )
-
+    placements = tuple(committed.placement(name) for name in sorted(salvaged))
+    comms = tuple(committed.comm_placements[key] for key in sorted(kept))
+    tables = ResourceTables()
+    tables.fill(placements, comms)
     for link, windows in plan.transient_windows().items():
         for start, end in _merged_windows(windows):
             tables.reserve(link, start, end)
-    return tables
+    return FrozenPrefix(placements, comms, tables, floor=plan.fault_time)
 
 
 # -- recovery -------------------------------------------------------------------
-
-
-def _recovery_rebuild(
-    committed: Schedule,
-    degraded: DegradedACG,
-    salvaged: Set[str],
-    kept: Set[Tuple[str, str]],
-    base_tables: ResourceTables,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    floor: float,
-) -> Optional[Schedule]:
-    """Deterministically rebuild a recovery schedule for (mapping, orders).
-
-    The repair loop's candidate evaluator: the salvaged prefix is
-    pre-committed verbatim, the rerun tasks are list-scheduled with the
-    same eligibility/probe/commit machinery as a normal rebuild, floored
-    at the fault time and routed over the degraded platform.  Returns
-    ``None`` for candidates that deadlock or hit a partition (rejected
-    moves), mirroring the healthy rebuild contract.
-    """
-    ctg = committed.ctg
-    schedule = Schedule(ctg, degraded, algorithm="recovery")
-    placements: Dict[str, TaskPlacement] = {}
-    for name in salvaged:
-        placement = committed.placement(name)
-        placements[name] = placement
-        schedule.place_task(placement)
-    for key in kept:
-        schedule.place_comm(committed.comm_placements[key])
-
-    rerun = [name for name in ctg.task_names() if name not in salvaged]
-    unplaced = set(rerun)
-    remaining_preds = {
-        name: sum(1 for pred in ctg.predecessors(name) if pred in unplaced)
-        for name in rerun
-    }
-    rerun_orders = {
-        pe_index: [name for name in order if name in unplaced]
-        for pe_index, order in orders.items()
-    }
-    steps = commit_steps(
-        ctg,
-        degraded,
-        mapping,
-        rerun_orders,
-        next_slot={pe_index: 0 for pe_index in rerun_orders},
-        remaining_preds=remaining_preds,
-        unplaced=unplaced,
-        placements=placements,
-        tables=base_tables.fork(),
-        schedule=schedule,
-        floor=floor,
-    )
-    try:
-        for _step in steps:
-            pass
-    except (InfeasibleOrderError, UnroutableError):
-        return None
-    return schedule
 
 
 def inject_and_recover(
@@ -344,9 +270,7 @@ def inject_and_recover(
                     f"plan {plan.name!r}: task {name!r} has no surviving feasible PE"
                 )
 
-        salvaged_placements = {name: committed.placement(name) for name in salvaged}
-        base_tables = _salvage_tables(committed, salvaged, kept, plan)
-
+        prefix = salvage_prefix(committed, salvaged, kept, plan)
         budgets = compute_budgets(
             ctg,
             degraded,
@@ -359,9 +283,7 @@ def inject_and_recover(
             budgets,
             algorithm_name="recovery",
             contention_aware=cfg.contention_aware,
-            preplaced=salvaged_placements,
-            tables=base_tables.fork(),
-            floor=fault_time,
+            prefix=prefix,
         )
         try:
             recovery = scheduler.run()
@@ -372,35 +294,11 @@ def inject_and_recover(
             raise UnsurvivableFaultError(
                 f"plan {plan.name!r}: degraded platform is partitioned ({exc})"
             ) from exc
-        for name, placement in salvaged_placements.items():
-            recovery.place_task(placement)
-        for key in kept:
-            recovery.place_comm(committed.comm_placements[key])
 
         repair_report: Optional[RepairReport] = None
         if cfg.repair and recovery.deadline_misses():
-
-            def rebuilder(
-                mapping: Dict[str, int], orders: Dict[int, List[str]]
-            ) -> Optional[Schedule]:
-                return _recovery_rebuild(
-                    committed,
-                    degraded,
-                    salvaged,
-                    kept,
-                    base_tables,
-                    mapping,
-                    orders,
-                    fault_time,
-                )
-
             recovery, repair_report = search_and_repair(
-                recovery,
-                RepairConfig(
-                    max_rounds=cfg.max_repair_rounds,
-                    frozen=frozenset(salvaged),
-                    rebuilder=rebuilder,
-                ),
+                recovery, RepairConfig(max_rounds=cfg.max_repair_rounds), prefix=prefix
             )
 
         if validate:

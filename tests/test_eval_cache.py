@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro import obs
 from repro.arch.presets import hetero_mesh
 from repro.core.eas import EASConfig, LevelBasedScheduler, eas_schedule
+from repro.core.rebuild import FrozenPrefix
 from repro.core.reference import (
     LiteralTables,
     NaiveLevelScheduler,
@@ -49,7 +50,7 @@ def _level(ctg, acg, scheduler=LevelBasedScheduler, tables=ResourceTables):
     ins = obs.Instrumentation.enabled()
     with obs.activate(ins):
         budgets = compute_budgets(ctg, acg)
-        schedule = scheduler(ctg, acg, budgets, tables=tables()).run()
+        schedule = scheduler(ctg, acg, budgets, prefix=FrozenPrefix(tables=tables())).run()
     return schedule, ins
 
 

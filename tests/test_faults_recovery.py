@@ -1,7 +1,13 @@
 """Tests for degraded-mode rescheduling: salvage, recovery, validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3
 from repro.arch.topology import Mesh2D
@@ -217,3 +223,51 @@ class TestSmallPlatform:
         )
         result = inject_and_recover(committed, plan)
         assert result.recovery.placement("t5").pe != plan.pe_faults[0].pe
+
+
+#: A recovery whose repair accepts migrations from a frozen prefix; prints
+#: the floats and the report ``TestHashSeedIndependence`` compares.
+_HASH_SEED_PROBE = """
+from repro.arch.presets import mesh_3x3
+from repro.core.eas import EASConfig, eas_schedule
+from repro.ctg.generator import generate_category
+from repro.faults.plan import generate_fault_plans
+from repro.faults.recovery import inject_and_recover
+
+ctg = generate_category(2, 0, n_tasks=20).with_scaled_deadlines(0.65)
+acg = mesh_3x3()
+committed = eas_schedule(ctg, acg)
+plan = generate_fault_plans(acg, 1, seed=0, horizon=committed.makespan())[0]
+result = inject_and_recover(committed, plan, config=EASConfig(max_repair_rounds=4))
+report = result.repair_report
+print(report.swaps_accepted + report.migrations_accepted)
+print(repr(result.recovery.total_energy()))
+print(repr(result.recovery.total_tardiness()))
+print(repr(report))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_recovery_floats_do_not_depend_on_string_hashing(self):
+        """Salvaged placements and kept transactions seed in a fixed order.
+
+        The prefix is seeded by task name and by ``(src, dst)``, so the
+        recovery's float sums come out the same under any
+        ``PYTHONHASHSEED``.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(done.stdout.splitlines())
+        accepted = int(outputs[0][0])
+        assert accepted > 0, "the probe recovery never accepted a repair move"
+        assert outputs[0] == outputs[1]

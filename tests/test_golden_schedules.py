@@ -32,7 +32,7 @@ from repro.core.reference import (
 )
 from repro.core.repair import search_and_repair
 from repro.ctg.generator import generate_category
-from repro.faults.plan import FaultPlan, LinkFault, PEFault
+from repro.faults.plan import FaultPlan, LinkFault, PEFault, TransientFault
 from repro.faults.recovery import inject_and_recover
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_to_json
@@ -72,8 +72,8 @@ def _recover(pair, make_plan) -> Schedule:
     ctg, acg = pair
     committed = eas_schedule(ctg, acg)
     plan = make_plan(committed.makespan())
-    # Recovery leaves misses on these plans, so its repair runs the
-    # recovery rebuilder; two rounds keep the case fast.
+    # Recovery leaves misses on these plans, so its repair runs from the
+    # salvaged prefix; two rounds keep the case fast.
     return inject_and_recover(committed, plan, config=EASConfig(max_repair_rounds=2)).recovery
 
 
@@ -83,6 +83,12 @@ def _pe_plan(makespan: float) -> FaultPlan:
 
 def _link_plan(makespan: float) -> FaultPlan:
     return FaultPlan("link", 0, link_faults=(LinkFault((1, 1), (1, 2), makespan * 0.3),))
+
+
+def _transient_plan(makespan: float) -> FaultPlan:
+    """An outage the recovery must route around; repair accepts migrations."""
+    window = TransientFault((0, 0), (0, 1), makespan * 0.2, makespan * 0.5)
+    return FaultPlan("transient", 0, transient_faults=(window,))
 
 
 CASES: Dict[str, Callable[[], Schedule]] = {
@@ -108,6 +114,7 @@ CASES: Dict[str, Callable[[], Schedule]] = {
     "repair/full": lambda: _repair(_repairable(), full_rebuild_repair),
     "recover/pe": lambda: _recover(_tight(), _pe_plan),
     "recover/link": lambda: _recover(_repairable(), _link_plan),
+    "recover/transient": lambda: _recover(_repairable(), _transient_plan),
 }
 
 EXPECTED: Dict[str, str] = {
@@ -129,6 +136,7 @@ EXPECTED: Dict[str, str] = {
     "rebuild/tight": "4dddc9afe644f35ad1f7ea19504381982a40ff21ab434f0f52866fa4002ad288",
     "recover/link": "8a85093bc806cd8b366de601d00e25d69300e0e6e13b56ee941072bc4fc9f7eb",
     "recover/pe": "19ca9aad367c919243805b641f91434b2301b228d6c8bb45bee5757852522326",
+    "recover/transient": "ebe3638c41d3388a2492e6aeddbe946c771fb5d4641af8852e22ebe9c21d2be6",
     "repair/full": "8a9e16a1f40cd306f2b0c829b9ad5d606b49ca108c2e835b713742e8853f6966",
     "repair/incremental": "8a9e16a1f40cd306f2b0c829b9ad5d606b49ca108c2e835b713742e8853f6966",
 }

@@ -9,6 +9,8 @@ rebuild byte-compared through serialization v2 (and every rejection
 against the full candidate metric); the end-to-end results must also
 equal the paper-literal ``full_rebuild_repair`` oracle — same schedule
 bytes, same accepted-move sequence, same ``RepairReport`` counters.
+Degraded-mode recovery runs the same engine from a frozen prefix, so
+the fixture rebuilds from the engine's prefix, on its platform.
 """
 
 import random
@@ -25,7 +27,10 @@ from repro.core.reference import full_rebuild_repair, reference_eas_schedule
 from repro.core.repair import RepairConfig, search_and_repair
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError
+from repro.errors import InfeasibleOrderError, UnroutableError
+from repro.faults.degraded import DegradedACG
+from repro.faults.plan import FaultPlan, LinkFault, generate_fault_plans
+from repro.faults.recovery import inject_and_recover, salvage_prefix
 from repro.schedule.serialization import schedule_to_json
 
 from tests.conftest import uniform_task
@@ -45,11 +50,12 @@ def tightened(category: int, index: int, n_tasks: int = 24, factor: float = 0.55
 def checked_engine(monkeypatch):
     """Cross-check every ``IncrementalRebuilder.evaluate`` against a full rebuild.
 
-    A schedule must byte-match ``rebuild_schedule`` through serialization
-    v2; a ``None`` (early abort, remembered rejection or deadlock) must
-    be a candidate the full rebuild rejects too — infeasible, or not
-    strictly better than the incumbent metric.  Returns a dict whose
-    ``"evaluations"`` entry counts the checked calls.
+    A schedule must byte-match ``rebuild_schedule`` from the engine's
+    prefix through serialization v2; a ``None`` (early abort, remembered
+    rejection, deadlock or unroutable candidate) must be a candidate the
+    full rebuild rejects too — infeasible, or not strictly better than
+    the incumbent metric.  Returns a dict whose ``"evaluations"`` entry
+    counts the checked calls.
     """
     original = IncrementalRebuilder.evaluate
     checked = {"evaluations": 0}
@@ -57,8 +63,10 @@ def checked_engine(monkeypatch):
     def evaluate(self, mapping, orders, incumbent_metric):
         result = original(self, mapping, orders, incumbent_metric)
         try:
-            full = rebuild_schedule(self.ctg, self.acg, mapping, orders, algorithm=self.algorithm)
-        except InfeasibleOrderError:
+            full = rebuild_schedule(
+                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm, prefix=self.prefix
+            )
+        except (InfeasibleOrderError, UnroutableError):
             full = None
         if result is not None:
             assert full is not None, "incremental built a schedule the full rebuild rejects"
@@ -100,6 +108,21 @@ class TestEquivalenceCorpus:
             repaired, report = search_and_repair(base, cfg)
             repaired.validate_structure()
         assert checked_misses > 0, "corpus too easy: nothing exercised repair"
+        assert checked_engine["evaluations"] > 0
+
+    def test_recovery_repair_selfchecked(self, checked_engine):
+        """Every evaluation of recovery repair matches a rebuild from the prefix."""
+        acg = mesh3x3()
+        accepted = 0
+        for index in range(2):
+            ctg = tightened(2, index, n_tasks=20, factor=0.65)
+            committed = eas_schedule(ctg, acg)
+            for plan in generate_fault_plans(acg, 3, seed=index, horizon=committed.makespan()):
+                result = inject_and_recover(committed, plan, EASConfig(max_repair_rounds=3))
+                report = result.repair_report
+                if report is not None:
+                    accepted += report.swaps_accepted + report.migrations_accepted
+        assert accepted > 0, "corpus too easy: recovery repair never accepted a move"
         assert checked_engine["evaluations"] > 0
 
     def test_modes_bit_identical_across_corpus(self):
@@ -253,6 +276,51 @@ class TestEngineBehaviour:
                 name for names in repaired.pe_order().values() for name in names
             )
             assert listed == sorted(ctg.task_names())
+
+
+class TestDegradedPlatform:
+    def test_unroutable_candidate_is_a_memoized_rejection(self):
+        """A migration cut off from its sender is rejected, then memo-skipped.
+
+        ``a`` finishes on PE1 before both channels of PE0's tile are cut,
+        so it is frozen in the prefix; moving its consumer ``c`` onto the
+        isolated PE0 has no route for ``a -> c``.
+        """
+        ctg = CTG()
+        ctg.add_task(uniform_task("a", 10, 1))
+        ctg.add_task(uniform_task("c", 10, 1, deadline=15.0))
+        ctg.connect("a", "c", volume=100)
+        acg = ACG(Mesh2D(2, 2), pe_types=["cpu", "dsp", "arm", "risc"])
+        mapping = {"a": 1, "c": 1}
+        orders = {0: [], 1: ["a", "c"], 2: [], 3: []}
+        committed = rebuild_schedule(ctg, acg, mapping, orders)
+        fault_time = committed.placement("a").finish
+        corner = acg.pe(0).position
+        plan = FaultPlan(
+            "isolate-pe0",
+            link_faults=tuple(
+                LinkFault(corner, neighbor, fault_time)
+                for neighbor in acg.topology.neighbors(corner)
+            ),
+        )
+        degraded = DegradedACG(acg, plan)
+        prefix = salvage_prefix(committed, {"a"}, set(), plan)
+        candidate_map = {"a": 1, "c": 0}
+        candidate_orders = {0: ["c"], 1: ["a"], 2: [], 3: []}
+        with pytest.raises(UnroutableError):
+            rebuild_schedule(ctg, degraded, candidate_map, candidate_orders, prefix=prefix)
+
+        bundle = obs.Instrumentation.disabled()
+        with obs.activate(bundle):
+            engine = IncrementalRebuilder(ctg, degraded, mapping, orders, prefix=prefix)
+            metric = _schedule_metric(
+                rebuild_schedule(ctg, degraded, mapping, orders, prefix=prefix)
+            )
+            assert metric[0] == 1  # c misses, so the candidate is replayed
+            assert engine.evaluate(candidate_map, candidate_orders, metric) is None
+            assert engine.evaluate(candidate_map, candidate_orders, metric) is None
+        assert bundle.metrics.counter("repair.incremental_aborts").value == 0
+        assert bundle.metrics.counter("repair.memo_skips").value == 1
 
 
 class TestReportParity:

@@ -8,9 +8,15 @@ contention on or off, the production paths must produce byte-identical
 serializations, identical repair reports and exactly replayable decision
 provenance.  The pinned ``@example`` cases make sure the evaluation cache
 hits, a Rule-3 rescue fires and Step-3 repair accepts moves.
+
+Fault plans are a dimension too: degraded-mode recovery (whose repair
+runs on the incremental engine from the salvaged prefix) must equal the
+same recovery repaired by a full rebuild per candidate.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +25,7 @@ from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.presets import DEFAULT_TYPE_CYCLE
 from repro.arch.topology import Mesh2D, Torus2D
+from repro.core import increbuild, rebuild
 from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
 from repro.core.reference import (
     full_rebuild_repair,
@@ -27,6 +34,9 @@ from repro.core.reference import (
 )
 from repro.core.repair import RepairConfig, search_and_repair
 from repro.ctg.generator import generate_category
+from repro.errors import UnroutableError
+from repro.faults.plan import FaultPlan, LinkFault, PEFault, TransientFault
+from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
 from repro.obs.explain import verify_decision_components
 from repro.rng import make_rng
 from repro.schedule.serialization import schedule_to_json
@@ -142,3 +152,112 @@ def test_examples_exercise_every_optimised_path():
     assert hits > 0, "examples never hit the evaluation cache"
     assert rescues > 0, "examples never triggered a Rule-3 rescue"
     assert accepted > 0, "examples never accepted a Step-3 repair move"
+
+
+# -- fault plans ------------------------------------------------------------------
+
+#: (category-II index, n_tasks, deadline scale, rows, cols, fault time as
+#: a fraction of the committed makespan, draw picking the PE and channel).
+#: One-row meshes let a single fault partition the NoC.
+fault_cases = st.tuples(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=6, max_value=18),
+    st.sampled_from([0.55, 0.65, 0.8]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=3, max_value=4),
+    st.floats(min_value=0.1, max_value=0.9),
+    st.integers(min_value=0, max_value=1000),
+)
+
+#: Pinned cases: recovery repair accepting moves on a 2-D mesh, and on a
+#: one-row mesh where the cut leaves candidates unroutable.
+FAULT_EXAMPLES = [
+    (0, 12, 0.55, 2, 3, 0.3, 1),
+    (0, 16, 0.65, 1, 3, 0.3, 1),
+]
+
+#: Step-3 bound inside recovery (the oracle rebuilds every candidate).
+RECOVERY = EASConfig(max_repair_rounds=3)
+
+FAULT_PROPERTY = settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def fault_plans(acg, makespan: float, fraction: float, pick: int):
+    """A PE death, a link cut and a transient window, all at ``fraction``."""
+    t = makespan * fraction
+    channels = sorted({tuple(sorted((link.src, link.dst))) for link in acg.all_links()})
+    src, dst = channels[pick % len(channels)]
+    return [
+        FaultPlan("pe", pe_faults=(PEFault(pick % acg.n_pes, t),)),
+        FaultPlan("link", link_faults=(LinkFault(src, dst, t),)),
+        FaultPlan(
+            "transient", transient_faults=(TransientFault(src, dst, t, t + 0.3 * makespan),)
+        ),
+    ]
+
+
+def committed_with_plans(case):
+    index, n_tasks, scale, rows, cols, fraction, pick = case
+    ctg = generate_category(2, index, n_tasks=n_tasks).with_scaled_deadlines(scale)
+    types = [DEFAULT_TYPE_CYCLE[i % len(DEFAULT_TYPE_CYCLE)] for i in range(rows * cols)]
+    acg = ACG(Mesh2D(rows, cols), pe_types=types)
+    committed = eas_schedule(ctg, acg)
+    return committed, fault_plans(acg, committed.makespan(), fraction, pick)
+
+
+def recover(committed, plan):
+    """The recovery's serialization and report, or the unsurvivable verdict."""
+    try:
+        result = inject_and_recover(committed, plan, RECOVERY)
+    except UnsurvivableFaultError as exc:
+        return ("unsurvivable", str(exc)), None
+    return (dump(result.recovery), repr(result.repair_report)), result.repair_report
+
+
+def _example_faults(test):
+    for case in FAULT_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@_example_faults
+@FAULT_PROPERTY
+@given(fault_cases)
+def test_recovery_repair_matches_full_rebuild(case):
+    committed, plans = committed_with_plans(case)
+    for plan in plans:
+        incremental, _ = recover(committed, plan)
+        with mock.patch("repro.faults.recovery.search_and_repair", full_rebuild_repair):
+            full, _ = recover(committed, plan)
+        assert incremental == full, plan.name
+
+
+def test_fault_examples_exercise_recovery_repair():
+    """The pinned fault cases accept a move and reject an unroutable one."""
+    accepted = unroutable = 0
+    probe_mapped = rebuild.probe_mapped
+
+    def counting_probe(*args, **kwargs):
+        nonlocal unroutable
+        try:
+            return probe_mapped(*args, **kwargs)
+        except UnroutableError:
+            unroutable += 1
+            raise
+
+    with mock.patch.object(rebuild, "probe_mapped", counting_probe), mock.patch.object(
+        increbuild, "probe_mapped", counting_probe
+    ):
+        for case in FAULT_EXAMPLES:
+            committed, plans = committed_with_plans(case)
+            for plan in plans:
+                _outcome, report = recover(committed, plan)
+                if report is not None:
+                    accepted += report.swaps_accepted + report.migrations_accepted
+    assert accepted > 0, "fault examples never accepted a recovery repair move"
+    assert unroutable > 0, "fault examples never rejected an unroutable candidate"
