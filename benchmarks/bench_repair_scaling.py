@@ -18,10 +18,18 @@ Accounting: a full-mode candidate replays every task
 repair run (also counted under ``rebuild.tasks_scheduled``), so the
 ratio charges the engine for its amortized setup.
 
+The incremental mode's probes per commit are ``rebuild.probes`` over the
+same commits (``rebuild.tasks_scheduled`` plus ``repair.replayed_tasks``):
+the probe cache of ``rebuild.commit_steps`` re-probes only the tasks a
+commit may have moved, where a cacheless loop probes every eligible task
+at every step.
+
 Gates (CI runs ``test_repair`` under ``--bench-check``):
 
 * replayed tasks per candidate must drop >= ``MIN_REPLAY_RATIO`` (3x) —
   never waived;
+* incremental probes per commit must stay <= ``MAX_PROBES_PER_COMMIT``
+  (2.0) — never waived;
 * repair wall time must improve >= ``MIN_WALL_SPEEDUP`` (2x) — waived on
   single-CPU hosts, where timing is too noisy to gate.
 """
@@ -50,6 +58,7 @@ POINTS = [
 SMOKE_POINT = ("cat2-0-smoke", 0, 60, 0.5)
 
 MIN_REPLAY_RATIO = 3.0
+MAX_PROBES_PER_COMMIT = 2.0
 MIN_WALL_SPEEDUP = 2.0
 
 
@@ -84,6 +93,7 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
         inc_metrics.counter("repair.replayed_tasks").value
         + inc_metrics.counter("rebuild.tasks_scheduled").value
     )
+    probes_per_commit = inc_metrics.counter("rebuild.probes").value / replayed_inc
     return {
         "tasks": n_tasks,
         "deadline_scale": factor,
@@ -96,6 +106,7 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
         "replay_ratio": round(replayed_full / replayed_inc, 2),
         "prefix_reused": inc_metrics.counter("repair.prefix_reused_tasks").value,
         "frontier_probes": inc_metrics.counter("repair.frontier_probes").value,
+        "probes_per_commit": round(probes_per_commit, 2),
         "aborts": inc_metrics.counter("repair.incremental_aborts").value,
         "memo_skips": inc_metrics.counter("repair.memo_skips").value,
         "wall_full_s": round(full_wall, 4),
@@ -114,17 +125,26 @@ def _describe(points: Dict[str, Dict[str, Any]]) -> str:
             f"{p['replayed_full']:.0f} -> {p['replayed_incremental']:.0f} tasks "
             f"(x{p['replay_ratio']:.2f}), wall {p['wall_full_s']:.2f} -> "
             f"{p['wall_incremental_s']:.2f} s (x{p['wall_speedup']:.2f}), "
+            f"{p['probes_per_commit']:.2f} probes/commit, "
             f"{p['aborts']:.0f} aborts, {p['memo_skips']:.0f} memo skips"
         )
     return "\n".join(lines)
 
 
-def _check_gates(point: Dict[str, Any]) -> None:
-    # The replay-count gate is deterministic — never waived.
+def _check_count_gates(point: Dict[str, Any]) -> None:
+    # Operation counts are deterministic — never waived.
     assert point["replay_ratio"] >= MIN_REPLAY_RATIO, (
         f"replayed-task reduction {point['replay_ratio']}x below "
         f"{MIN_REPLAY_RATIO}x floor"
     )
+    assert point["probes_per_commit"] <= MAX_PROBES_PER_COMMIT, (
+        f"{point['probes_per_commit']} incremental probes per commit above "
+        f"{MAX_PROBES_PER_COMMIT} ceiling"
+    )
+
+
+def _check_gates(point: Dict[str, Any]) -> None:
+    _check_count_gates(point)
     # The wall gate needs believable timing; waive on 1-CPU runners.
     if (os.cpu_count() or 1) > 1:
         assert point["wall_speedup"] >= MIN_WALL_SPEEDUP, (
@@ -154,13 +174,13 @@ def test_repair(benchmark, show):
 
 
 def test_repair_smoke(benchmark, show):
-    """Small fast point for quick local runs; replay gate still applies."""
+    """Small fast point for quick local runs; the count gates still apply."""
 
     def experiment():
         label, index, n_tasks, factor = SMOKE_POINT
         point = _repair_point(index, n_tasks, factor)
         show(_describe({label: point}))
-        assert point["replay_ratio"] >= MIN_REPLAY_RATIO
+        _check_count_gates(point)
         return point
 
     run_once(benchmark, experiment)

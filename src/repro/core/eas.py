@@ -28,16 +28,18 @@ Incremental evaluation
 ----------------------
 Naively, Step 2 recomputes every ``F(i,k)`` on every iteration even
 though a commit only mutates one PE table and the links its
-transactions traverse.  The scheduler therefore caches evaluations
-across iterations and, after each commit, evicts only the entries whose
-*resource footprint* (the PE and link tables the evaluation probed,
-reported by :class:`~repro.schedule.overlay.TentativeOverlay`)
-intersects the commit's dirty set — the committed PE plus every link
-the committed transactions reserved.  An untouched footprint means the
-evaluation would recompute to the identical result, so cached and naive
-runs produce byte-identical schedules (see DESIGN.md for the argument
-and ``tests/test_property_reference.py`` for the property test against
-the naive :class:`repro.core.reference.NaiveLevelScheduler`).
+transactions traverse.  The scheduler therefore keeps its evaluations
+in a :class:`~repro.core.placement.ProbeCache` across iterations.
+After each commit the cache evicts only the entries whose *resource
+footprint* (the PE and link tables the evaluation probed) holds a
+resource the commit reserved — the committed PE plus every link of the
+committed transactions — and whose granted windows overlap the
+committed ones in time.  Any other evaluation would recompute to the
+identical result, so cached and naive runs produce byte-identical
+schedules (see DESIGN.md for the argument and
+``tests/test_property_reference.py`` for the property test against the
+naive :class:`repro.core.reference.NaiveLevelScheduler`).  Step 3's
+rebuild loop, ``rebuild.commit_steps``, uses the same cache.
 
 Every evaluation is a :func:`repro.core.placement.probe`, and the
 selected one is made permanent with :func:`repro.core.placement.commit`:
@@ -50,11 +52,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Type
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.placement import Evaluation, commit, probe
+from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix
 from repro.obs.decisions import TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
@@ -92,31 +94,6 @@ class EASConfig:
     contention_aware: bool = True
 
 
-def _windows_conflict(
-    a: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
-    b: Mapping[Hashable, Tuple[Tuple[float, float], ...]],
-) -> bool:
-    """Whether two granted-window maps overlap on any shared resource.
-
-    Plain interval overlap (``s < end and start < e``): windows that
-    merely touch endpoints cannot move a ``find_gap`` result, while
-    anything closer — including sub-EPS contact — conservatively
-    counts as a conflict.  Window lists are tiny (one slot per
-    transaction on a link), so the pairwise scan is cheap.
-    """
-    if len(b) < len(a):
-        a, b = b, a
-    for resource, intervals in a.items():
-        others = b.get(resource)
-        if not others:
-            continue
-        for start, end in intervals:
-            for other_start, other_end in others:
-                if other_start < end and start < other_end:
-                    return True
-    return False
-
-
 @dataclass
 class _SelectionOutcome:
     """Why the Step-2 selection picked its (task, PE) pair."""
@@ -136,6 +113,10 @@ class LevelBasedScheduler:
     passes the salvaged past).
     """
 
+    #: the evaluation cache's class; the reference oracle swaps in one
+    #: that forgets every entry on commit.
+    cache_type: Type[ProbeCache] = ProbeCache
+
     def __init__(
         self,
         ctg: CTG,
@@ -154,13 +135,12 @@ class LevelBasedScheduler:
         self._tables = prefix.start_tables()
         self._placements: Dict[str, TaskPlacement] = {}
         #: clean F(i,k) evaluations carried across RTL iterations.
-        self._cache: Dict[Tuple[str, int], Evaluation] = {}
+        self._cache = self.cache_type()
         #: per-task feasible PE indices (static: depends on types only).
         self._feasible_pes: Dict[str, List[int]] = {}
         ins = obs.get()
         self._ins = ins
         self._eval_counter = ins.metrics.counter("eas.evaluations")
-        self._restore_counter = ins.metrics.counter("comm.table_restores")
         self._hit_counter = ins.metrics.counter("eas.cache_hits")
         self._invalidation_counter = ins.metrics.counter("eas.cache_invalidations")
 
@@ -199,50 +179,7 @@ class LevelBasedScheduler:
         )
         if evaluation is not None:
             self._eval_counter.inc()
-            self._restore_counter.inc()
         return evaluation
-
-    # -- cache maintenance --------------------------------------------------
-
-    def _invalidate(self, committed: Evaluation) -> int:
-        """Evict cache entries whose footprint the commit dirtied.
-
-        A commit mutates exactly (a) the committed PE's table and (b)
-        the link tables its transactions reserved; an evaluation whose
-        probe footprint misses all of them would recompute to the
-        identical result and stays cached.  Within a shared resource the
-        check is refined to *time windows*: ``find_gap`` is monotone
-        under added busy intervals and its result only moves when a new
-        interval overlaps the granted slot, so a commit reserving a
-        shared link at a disjoint time leaves the evaluation exact
-        (sub-EPS boundary contact counts as overlap, conservatively).
-        Entries of the committed task itself are consumed, not
-        invalidated.  Returns the number of dirtied entries.
-        """
-        dirty = committed.windows
-        evicted = 0
-        stale: List[Tuple[str, int]] = []
-        for key, evaluation in self._cache.items():
-            if key[0] == committed.task:
-                stale.append(key)
-            elif not evaluation.footprint.isdisjoint(dirty) and _windows_conflict(
-                dirty, evaluation.windows
-            ):
-                stale.append(key)
-                evicted += 1
-        for key in stale:
-            del self._cache[key]
-        if evicted:
-            self._invalidation_counter.inc(evicted)
-        self._ins.tracer.event(
-            "eval_cache_sweep",
-            task=committed.task,
-            pe=committed.pe,
-            dirty_resources=len(dirty),
-            evicted=evicted,
-            retained=len(self._cache),
-        )
-        return evicted
 
     # -- selection ------------------------------------------------------------
 
@@ -307,6 +244,8 @@ class LevelBasedScheduler:
         decided: List[TaskDecision] = []
 
         cache = self._cache
+        # bound once: CPython does not specialise method calls on a dict subclass
+        lookup = cache.get
         total_hits = 0
         total_invalidations = 0
 
@@ -325,7 +264,7 @@ class LevelBasedScheduler:
                         per_pe: Dict[int, Evaluation] = {}
                         for pe_index in self._pes_for(task_name):
                             key = (task_name, pe_index)
-                            evaluation = cache.get(key)
+                            evaluation = lookup(key)
                             if evaluation is None:
                                 evaluation = self._evaluate(task_name, pe_index)
                                 if evaluation is None:
@@ -345,7 +284,18 @@ class LevelBasedScheduler:
                 chosen_task, chosen_pe, outcome = self._select(evaluations)
                 chosen_eval = evaluations[chosen_task][chosen_pe]
                 placement = commit(chosen_eval, self._tables, self._placements, schedule)
-                total_invalidations += self._invalidate(chosen_eval)
+                evicted = cache.invalidate(chosen_eval)
+                if evicted:
+                    self._invalidation_counter.inc(evicted)
+                    total_invalidations += evicted
+                ins.tracer.event(
+                    "eval_cache_sweep",
+                    task=chosen_task,
+                    pe=chosen_pe,
+                    dirty_resources=len(chosen_eval.windows),
+                    evicted=evicted,
+                    retained=len(cache),
+                )
                 commit_counter.inc()
                 if outcome.rescue:
                     rescue_counter.inc()

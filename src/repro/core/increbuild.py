@@ -32,7 +32,8 @@ move against the *delta* it induces instead:
 
 3. **Dirty-cone replay.**  From the frontier the engine resumes the
    very list-scheduling loop ``rebuild_schedule`` runs
-   (:func:`~repro.core.rebuild.commit_steps`), so the result is
+   (:func:`~repro.core.rebuild.commit_steps`, with a fresh probe cache
+   for the new tables), so the result is
    float-exact identical to a from-scratch rebuild — the equivalence
    ``tests/test_increbuild.py`` byte-compares via serialization v2 for
    every evaluation of whole repair runs.
@@ -67,6 +68,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.core.placement import ProbeCache
 from repro.core.rebuild import (
     NO_PREFIX,
     CommitStep,
@@ -422,6 +424,7 @@ class IncrementalRebuilder:
             {name for name in self._task_names if name not in placed},
             placements,
             tables,
+            ProbeCache(),
             schedule,
             self.prefix.floor,
         )

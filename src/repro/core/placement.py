@@ -15,13 +15,18 @@ and the probe footprint.  :func:`commit` is the other half: it reserves the
 evaluation's :attr:`~Evaluation.windows`, exactly the slots the probe
 found, so committing an evaluation equals recomputing it on the same
 tables (DESIGN.md, "Placement primitive").
+
+:class:`ProbeCache` keeps clean evaluations across commits for the two
+list-scheduling loops, EAS Step 2 and ``rebuild.commit_steps``: a commit
+drops only the entries whose probe it may have changed (DESIGN.md,
+"Probe cache").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Dict, Hashable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.arch.acg import ACG
 from repro.core.comm import schedule_incoming_transactions
@@ -45,8 +50,8 @@ class Evaluation:
     ``contention_aware`` is False only in the fixed-delay ablation, whose
     transfers hold no links.
 
-    The evaluation keeps no open overlay: it can sit in the EAS cache for
-    many iterations, and a live overlay per cached entry kept several
+    The evaluation keeps no open overlay: it can sit in a
+    :class:`ProbeCache` for many iterations, and a live overlay per cached entry kept several
     times more objects alive for the garbage collector to scan.
     """
 
@@ -69,8 +74,8 @@ class Evaluation:
         ``[start, finish)``; empty transfers and fixed-delay transfers
         hold no links.  These are exactly the tentative reservations the
         probe's overlay held.  Built on first use: besides commit, only
-        EAS cache invalidation reads it, and only for entries a commit
-        may have touched.
+        :meth:`ProbeCache.invalidate` reads it, and only for entries a
+        commit may have touched.
         """
         windows = {self.pe: ((self.start, self.finish),)}
         if self.contention_aware:
@@ -180,3 +185,72 @@ def commit(
         for comm in evaluation.comms:
             schedule.place_comm(comm)
     return placement
+
+
+Windows = Mapping[Hashable, Tuple[Interval, ...]]
+
+
+def _windows_conflict(a: Windows, b: Windows) -> bool:
+    """Whether two granted-window maps overlap on any shared resource.
+
+    Plain interval overlap (``s < end and start < e``): windows that
+    merely touch endpoints cannot move a ``find_gap`` result, while
+    anything closer — including sub-EPS contact — conservatively
+    counts as a conflict.  Window lists are tiny (one slot per
+    transaction on a link), so the pairwise scan is cheap.
+    """
+    if len(b) < len(a):
+        a, b = b, a
+    for resource, intervals in a.items():
+        others = b.get(resource)
+        if not others:
+            continue
+        for start, end in intervals:
+            for other_start, other_end in others:
+                if other_start < end and start < other_end:
+                    return True
+    return False
+
+
+class ProbeCache(Dict[Tuple[str, int], Evaluation]):
+    """Clean probes by ``(task, pe)``, carried across commits.
+
+    A plain dict to its readers, so a lookup on a scheduler's hot path
+    costs no Python call (the loops bind ``cache.get`` once: CPython
+    specialises method calls only on an exact ``dict``).  It is sound wherever a probed task's senders
+    are all placed and never move, and the floor is constant: a probe
+    then depends only on the busy lists of its footprint, and only
+    commits change those.  After each :func:`commit` the scheduler
+    calls :meth:`invalidate` with the committed evaluation.
+    """
+
+    __slots__ = ()
+
+    def invalidate(self, committed: Evaluation) -> int:
+        """Drop the entries ``committed`` may have changed.
+
+        A commit mutates exactly the committed PE's table and the link
+        tables its transactions reserved.  An entry whose footprint
+        misses all of them would recompute to the identical result.
+        Within a shared resource the check is refined to *time
+        windows*: ``find_gap`` is monotone under added busy intervals
+        and its result only moves when a new interval overlaps the
+        granted slot, so a commit reserving a shared link at a disjoint
+        time leaves the entry exact.  The committed task's own entries
+        are consumed, not counted.  Returns the number of entries the
+        commit dirtied.
+        """
+        dirty = committed.windows
+        evicted = 0
+        stale: List[Tuple[str, int]] = []
+        for key, evaluation in self.items():
+            if key[0] == committed.task:
+                stale.append(key)
+            elif not evaluation.footprint.isdisjoint(dirty) and _windows_conflict(
+                dirty, evaluation.windows
+            ):
+                stale.append(key)
+                evicted += 1
+        for key in stale:
+            del self[key]
+        return evicted

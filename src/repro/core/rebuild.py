@@ -11,7 +11,11 @@ the shared probe/commit primitive of :mod:`repro.core.placement`.
 The list-scheduling loop itself is :func:`commit_steps`, one generator
 shared by the full rebuild and the incremental repair engine's
 dirty-cone replay (``repro.core.increbuild``).  It commits the winning
-probe directly, so no Fig. 3 pass runs twice for one placement.
+probe directly, so no Fig. 3 pass runs twice for one placement, and it
+keeps the losing probes in the same
+:class:`~repro.core.placement.ProbeCache` EAS Step 2 uses: a commit
+evicts only the probes whose resources and time windows it touched, so
+a task waiting for its turn is not probed again after every commit.
 
 A :class:`FrozenPrefix` is a committed past the rebuild starts from:
 degraded-mode recovery (``repro.faults.recovery``) salvages the tasks
@@ -29,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.placement import Evaluation, commit, probe
+from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.ctg.graph import CTG
 from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
 from repro.schedule.entries import CommPlacement, TaskPlacement
@@ -119,6 +123,7 @@ def rebuild_schedule(
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
     prefix: FrozenPrefix = NO_PREFIX,
+    cache_type: Type[ProbeCache] = ProbeCache,
 ) -> Schedule:
     """Rebuild a timed schedule from a mapping and per-PE task orders.
 
@@ -126,7 +131,8 @@ def rebuild_schedule(
     first unplaced task in their PE's order), the one whose execution can
     start earliest is committed first; this keeps the reconstruction
     deterministic and packs resources greedily.  The tasks of ``prefix``
-    keep their placements; the orders may list them or not.
+    keep their placements; the orders may list them or not.  The probes
+    are kept in a fresh ``cache_type`` (see :func:`commit_steps`).
 
     Raises:
         InfeasibleOrderError: the orders deadlock against the precedence
@@ -136,7 +142,7 @@ def rebuild_schedule(
             (only on a fault-degraded platform).
     """
     schedule, _trace = rebuild_schedule_traced(
-        ctg, acg, mapping, pe_orders, algorithm=algorithm, prefix=prefix
+        ctg, acg, mapping, pe_orders, algorithm=algorithm, prefix=prefix, cache_type=cache_type
     )
     return schedule
 
@@ -148,6 +154,7 @@ def rebuild_schedule_traced(
     pe_orders: Mapping[int, Sequence[str]],
     algorithm: str = "rebuild",
     prefix: FrozenPrefix = NO_PREFIX,
+    cache_type: Type[ProbeCache] = ProbeCache,
 ) -> Tuple[Schedule, List[CommitStep]]:
     """:func:`rebuild_schedule` plus the commit trace of the open tasks."""
     for name in ctg.task_names():
@@ -188,6 +195,7 @@ def rebuild_schedule_traced(
         unplaced=set(remaining_preds),
         placements=prefix.seed(schedule),
         tables=prefix.start_tables(),
+        cache=cache_type(),
         schedule=schedule,
         floor=prefix.floor,
     ):
@@ -206,16 +214,22 @@ def commit_steps(
     unplaced: Set[str],
     placements: Dict[str, TaskPlacement],
     tables: ResourceTables,
+    cache: ProbeCache,
     schedule: Schedule,
     floor: float = 0.0,
 ) -> Iterator[CommitStep]:
     """List-schedule ``unplaced`` and yield each commit as it happens.
 
-    Each step probes every eligible task on its mapped PE and commits
-    the one with the least ``(start, finish, name)``.  The state
-    arguments are advanced in place; a caller may stop iterating at any
-    step and keep the state reached so far.  ``floor`` bounds all new
-    work from below (a :class:`FrozenPrefix` floor).
+    Each step commits the eligible task whose probe on its mapped PE
+    has the least ``(start, finish, name)``.  Probes are kept in
+    ``cache``, which every commit invalidates
+    (:meth:`~repro.core.placement.ProbeCache.invalidate`); a task stays
+    eligible until it is committed, so most steps probe only the tasks
+    the last commit made eligible.  ``cache`` must hold no probe made on
+    other tables.  The state arguments are advanced in place; a caller
+    may stop iterating at any step and keep the state reached so far.
+    ``floor`` bounds all new work from below (a :class:`FrozenPrefix`
+    floor).
 
     Raises:
         InfeasibleOrderError: no unplaced task is eligible.
@@ -223,6 +237,10 @@ def commit_steps(
         UnroutableError: a placed sender has no route to a task's PE
             (only on a fault-degraded platform).
     """
+    metrics = obs.get().metrics
+    probe_counter = metrics.counter("rebuild.probes")
+    hit_counter = metrics.counter("rebuild.probe_hits")
+    lookup = cache.get
     while unplaced:
         eligible = _eligible_tasks(
             ctg, mapping, pe_orders, next_slot, remaining_preds, unplaced
@@ -232,14 +250,21 @@ def commit_steps(
                 "per-PE orders deadlock against CTG precedence; "
                 f"{len(unplaced)} tasks stuck"
             )
-        best = min(
-            (
-                probe_mapped(ctg, acg, name, mapping[name], tables, placements, floor)
-                for name in eligible
-            ),
-            key=lambda ev: (ev.start, ev.finish, ev.task),
-        )
+        evaluations = []
+        fresh = 0
+        for name in eligible:
+            key = (name, mapping[name])
+            evaluation = lookup(key)
+            if evaluation is None:
+                evaluation = probe_mapped(ctg, acg, name, key[1], tables, placements, floor)
+                cache[key] = evaluation
+                fresh += 1
+            evaluations.append(evaluation)
+        probe_counter.inc(fresh)
+        hit_counter.inc(len(eligible) - fresh)
+        best = min(evaluations, key=lambda ev: (ev.start, ev.finish, ev.task))
         placement = commit(best, tables, placements, schedule)
+        cache.invalidate(best)
         chosen = best.task
         unplaced.discard(chosen)
         next_slot[best.pe] += 1

@@ -3,7 +3,8 @@
 Hu & Marculescu's Step 2 restores the link and PE tables "every time a
 F(i,k) is calculated", and Step 3 rebuilds the schedule for every LTS/GTM
 candidate.  Three optimisations skip work the literal algorithm does —
-the F(i,k) evaluation cache (:mod:`repro.core.eas`), the version-keyed
+the probe cache of Step 2 and the rebuild loop
+(:class:`repro.core.placement.ProbeCache`), the version-keyed
 path-table cache with its horizon fast path
 (:mod:`repro.schedule.overlay`) and the incremental dirty-cone repair
 (:mod:`repro.core.increbuild`) — and each must be observationally
@@ -12,11 +13,13 @@ subclasses of and calls into the production code, so tests and A/B
 benches can compare against it byte for byte:
 
 * :class:`LiteralTables` re-merges every route per probe;
+* :class:`ClearingProbeCache` forgets every probe on commit;
 * :class:`NaiveLevelScheduler` recomputes every F(i,k) each iteration;
 * :class:`FullRebuilder` rebuilds every repair candidate from scratch,
-  and :func:`full_rebuild_repair` runs Step 3 on it;
+  re-probing every eligible task at every step, and
+  :func:`full_rebuild_repair` runs Step 3 on it;
 * :func:`reference_eas_base_schedule` / :func:`reference_eas_schedule`
-  compose the three.
+  compose them.
 
 Nothing outside ``tests/`` and ``benchmarks/`` imports it.
 """
@@ -29,7 +32,7 @@ from repro import obs
 from repro.arch.acg import ACG
 from repro.core.eas import EASConfig, LevelBasedScheduler
 from repro.core.increbuild import IncrementalRebuilder, MissMetric
-from repro.core.placement import Evaluation
+from repro.core.placement import Evaluation, ProbeCache
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix, rebuild_schedule
 from repro.core.repair import RepairConfig, RepairReport, _repair
 from repro.core.slack import compute_budgets
@@ -65,18 +68,27 @@ class LiteralTables(ResourceTables):
         return LiteralOverlay(self)
 
 
+class ClearingProbeCache(ProbeCache):
+    """A probe cache that forgets every entry on commit."""
+
+    __slots__ = ()
+
+    def invalidate(self, committed: Evaluation) -> int:
+        self.clear()
+        return 0
+
+
 class NaiveLevelScheduler(LevelBasedScheduler):
     """Step 2 recomputing every F(i,k) on every RTL iteration."""
 
-    def _invalidate(self, committed: Evaluation) -> int:
-        self._cache.clear()
-        return 0
+    cache_type = ClearingProbeCache
 
 
 class FullRebuilder(IncrementalRebuilder):
     """Candidate evaluation by a from-scratch :func:`rebuild_schedule`.
 
-    A deadlocking or unroutable candidate counts as a rejected move.
+    Every step of the rebuild probes every eligible task again.  A
+    deadlocking or unroutable candidate counts as a rejected move.
     """
 
     def evaluate(
@@ -87,7 +99,13 @@ class FullRebuilder(IncrementalRebuilder):
     ) -> Optional[Schedule]:
         try:
             return rebuild_schedule(
-                self.ctg, self.acg, mapping, orders, algorithm=self.algorithm, prefix=self.prefix
+                self.ctg,
+                self.acg,
+                mapping,
+                orders,
+                algorithm=self.algorithm,
+                prefix=self.prefix,
+                cache_type=ClearingProbeCache,
             )
         except (InfeasibleOrderError, UnroutableError):
             return None

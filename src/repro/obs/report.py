@@ -248,6 +248,7 @@ def _last_run_delta(
 #: ``None`` misses counter is a pure fast-path count (no rate).
 _CACHE_COUNTERS = [
     ("eval F(i,k)", "eas.cache_hits", "eas.evaluations"),
+    ("rebuild probe", "rebuild.probe_hits", "rebuild.probes"),
     ("path-table", "comm.path_cache_hits", "comm.path_cache_misses"),
     ("horizon fast path", "comm.horizon_fast_path", None),
 ]

@@ -274,8 +274,8 @@ class TentativeOverlay:
     query consulted (its *probe footprint*).  An F(i,k) evaluation's
     result is a pure function of the busy states it probed, so a later
     commit can only change the result if it reserves one of the probed
-    resources — the invariant the incremental evaluation cache in
-    :mod:`repro.core.eas` invalidates on.
+    resources — the invariant :class:`repro.core.placement.ProbeCache`
+    invalidates on.
     """
 
     def __init__(self, base: ResourceTables) -> None:

@@ -143,6 +143,21 @@ class TestLedgerSections:
         tags = [c["tag"] for c in report["slow_cells"]]
         assert tags == ["encoder[akiyo]:eas", "encoder[akiyo]:edf"]
 
+    def test_cache_rates_include_rebuild_probes(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        for run_id, hits, probes in (("run-a", 30, 10), ("run-b", 10, 10)):
+            ledger = RunLedger(path, run_id=run_id)
+            ledger.run_started(command="schedule", argv=["schedule"])
+            ledger.run_finished(
+                status=0,
+                metrics={"rebuild.probe_hits": hits, "rebuild.probes": probes},
+            )
+        report = build_report(bench_dir=tmp_path, ledger_path=path)
+        assert report["caches"] == [
+            {"cache": "rebuild probe", "hits": 40, "misses": 20, "hit_rate_pct": 66.7}
+        ]
+        assert "rebuild probe      hits 40" in format_report(report, "text")
+
     def test_no_ledger_sections_without_path(self, tmp_path):
         report = build_report(bench_dir=tmp_path, ledger_path=None)
         assert report["failures"] == []

@@ -11,12 +11,15 @@ import pytest
 from repro.arch.presets import mesh_3x3
 from repro.core.comm import schedule_incoming_transactions
 from repro.core.eas import eas_schedule
-from repro.core.placement import commit, probe
+from repro.arch.topology import Link
+from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.ctg.generator import generate_category
 from repro.faults.degraded import DegradedACG
 from repro.faults.plan import FaultPlan, PEFault
-from repro.schedule.entries import TaskPlacement
+from repro.ctg.task import TaskCosts
+from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import ResourceTables
+from repro.schedule.table import EPS
 
 
 def _literal_place(ctg, acg, task, pe, tables, placements, floor, contention_aware):
@@ -109,3 +112,65 @@ class TestFillUndo:
         expected = self._filled(kept, comms_of)
         for resource in set(tables.resources()) | set(expected.resources()):
             assert tables.busy(resource) == expected.busy(resource)
+
+
+class TestProbeCacheInvalidate:
+    """The window-conflict rule a commit applies to the cached probes."""
+
+    LINK = Link((0, 0), (0, 1))
+
+    def _evaluation(self, task, pe, start, finish, link_window=None):
+        comms = []
+        if link_window is not None:
+            comms.append(
+                CommPlacement(
+                    src_task="src", dst_task=task, volume=1.0, src_pe=9, dst_pe=pe,
+                    start=link_window[0], finish=link_window[1], links=(self.LINK,), energy=0.0,
+                )
+            )
+        return Evaluation(
+            task=task, pe=pe, start=start, finish=finish, drt=start, energy=0.0,
+            cost=TaskCosts(time=finish - start, energy=0.0), comms=comms,
+            footprint=frozenset({pe, *((self.LINK,) if comms else ())}),
+            contention_aware=True,
+        )
+
+    def _sweep(self, committed, *entries):
+        cache = ProbeCache()
+        for entry in (committed, *entries):
+            cache[(entry.task, entry.pe)] = entry
+        evicted = cache.invalidate(committed)
+        return evicted, cache
+
+    def test_endpoint_contact_keeps_the_entry(self):
+        committed = self._evaluation("a", 0, 0.0, 5.0, link_window=(10.0, 12.0))
+        before = self._evaluation("b", 0, 5.0, 8.0)
+        after = self._evaluation("c", 1, 20.0, 21.0, link_window=(12.0, 14.0))
+        evicted, cache = self._sweep(committed, before, after)
+        assert evicted == 0
+        assert set(cache) == {("b", 0), ("c", 1)}
+
+    @pytest.mark.parametrize("on_link", [False, True])
+    def test_sub_eps_overlap_evicts_the_entry(self, on_link):
+        committed = self._evaluation("a", 0, 0.0, 5.0, link_window=(10.0, 12.0))
+        if on_link:
+            entry = self._evaluation("b", 1, 20.0, 21.0, link_window=(12.0 - EPS / 2, 14.0))
+        else:
+            entry = self._evaluation("b", 0, 5.0 - EPS / 2, 8.0)
+        evicted, cache = self._sweep(committed, entry)
+        assert evicted == 1
+        assert not cache
+
+    def test_committed_task_entries_are_consumed_not_counted(self):
+        committed = self._evaluation("a", 0, 0.0, 5.0)
+        elsewhere = self._evaluation("a", 1, 0.0, 5.0)
+        evicted, cache = self._sweep(committed, elsewhere)
+        assert evicted == 0
+        assert not cache
+
+    def test_disjoint_resources_keep_the_entry(self):
+        committed = self._evaluation("a", 0, 0.0, 5.0)
+        other_pe = self._evaluation("b", 1, 0.0, 5.0, link_window=(0.0, 5.0))
+        evicted, cache = self._sweep(committed, other_pe)
+        assert evicted == 0
+        assert set(cache) == {("b", 1)}

@@ -12,6 +12,11 @@ hits, a Rule-3 rescue fires and Step-3 repair accepts moves.
 Fault plans are a dimension too: degraded-mode recovery (whose repair
 runs on the incremental engine from the salvaged prefix) must equal the
 same recovery repaired by a full rebuild per candidate.
+
+The rebuild loop's probe cache is checked on its own as well: for a
+mapping and per-PE orders after one LTS swap or GTM move, with and
+without a frozen prefix, the commit trace must not depend on whether
+probes survive a commit.
 """
 
 from __future__ import annotations
@@ -27,16 +32,24 @@ from repro.arch.presets import DEFAULT_TYPE_CYCLE
 from repro.arch.topology import Mesh2D, Torus2D
 from repro.core import increbuild, rebuild
 from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.placement import ProbeCache
 from repro.core.reference import (
+    ClearingProbeCache,
     full_rebuild_repair,
     reference_eas_base_schedule,
     reference_eas_schedule,
 )
 from repro.core.repair import RepairConfig, search_and_repair
 from repro.ctg.generator import generate_category
-from repro.errors import UnroutableError
+from repro.errors import SchedulingError, UnroutableError
 from repro.faults.plan import FaultPlan, LinkFault, PEFault, TransientFault
-from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
+from repro.faults.recovery import (
+    UnsurvivableFaultError,
+    classify_salvage,
+    inject_and_recover,
+    kept_comm_keys,
+    salvage_prefix,
+)
 from repro.obs.explain import verify_decision_components
 from repro.rng import make_rng
 from repro.schedule.serialization import schedule_to_json
@@ -137,21 +150,128 @@ def test_incremental_repair_matches_full_rebuild(case):
 
 
 def test_examples_exercise_every_optimised_path():
-    """The pinned cases hit the cache, rescue a task and repair for real."""
-    hits = rescues = accepted = 0
+    """The pinned cases hit both caches, rescue a task and repair for real."""
+    hits = rescues = accepted = probe_hits = 0
     for case in EXAMPLES:
         ctg, acg, config = build(case)
         base, metrics = run(eas_base_schedule, ctg, acg, config)
         hits += metrics.counter("eas.cache_hits").value
         rescues += metrics.counter("eas.rescues").value
-        (_repaired, report), _ = run(search_and_repair, base, REPAIR)
+        (_repaired, report), metrics = run(search_and_repair, base, REPAIR)
         accepted += report.swaps_accepted + report.migrations_accepted
-        # The reference never hits the evaluation cache.
+        probe_hits += metrics.counter("rebuild.probe_hits").value
+        # The reference never hits either cache.
         _reference, metrics = run(reference_eas_base_schedule, ctg, acg, config)
         assert metrics.counter("eas.cache_hits").value == 0
+        _reference, metrics = run(full_rebuild_repair, base, REPAIR)
+        assert metrics.counter("rebuild.probe_hits").value == 0
     assert hits > 0, "examples never hit the evaluation cache"
+    assert probe_hits > 0, "examples never hit the rebuild probe cache"
     assert rescues > 0, "examples never triggered a Rule-3 rescue"
     assert accepted > 0, "examples never accepted a Step-3 repair move"
+
+
+# -- the rebuild loop's probe cache ---------------------------------------------
+
+#: (category-II index, n_tasks, rows, cols, move kind, draw picking the
+#: move, prefix cut as a fraction of the base makespan).
+rebuild_cases = st.tuples(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=6, max_value=24),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(["none", "swap", "move"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=0.1, max_value=0.9),
+)
+
+#: Pinned cases: an LTS swap and a GTM move, each behind a prefix.
+REBUILD_EXAMPLES = [
+    (1, 20, 3, 3, "swap", 7, 0.4),
+    (5, 24, 3, 3, "move", 11, 0.5),
+]
+
+
+def _perturbed(base, prefix, kind: str, draw: int):
+    """``base``'s mapping and per-PE orders after one LTS swap or GTM move.
+
+    Only open tasks move, so the pair is a valid input with and without
+    ``prefix``.  Swaps exchange two tasks adjacent in a PE's open order;
+    a move re-inserts a task on another PE that can run it.
+    """
+    mapping = dict(base.mapping())
+    orders = {pe: list(names) for pe, names in base.pe_order().items()}
+    open_orders = prefix.open_orders(orders)
+    if kind == "swap":
+        pairs = [
+            (names[j], names[j + 1])
+            for _pe, names in sorted(open_orders.items())
+            for j in range(len(names) - 1)
+        ]
+        if pairs:
+            a, b = pairs[draw % len(pairs)]
+            order = orders[mapping[a]]
+            i, j = order.index(a), order.index(b)
+            order[i], order[j] = b, a
+    elif kind == "move":
+        ctg, acg = base.ctg, base.acg
+        moves = [
+            (name, pe.index)
+            for _pe, names in sorted(open_orders.items())
+            for name in names
+            for pe in acg.pes
+            if pe.index != mapping[name] and ctg.task(name).cost_on(pe.type_name).feasible
+        ]
+        if moves:
+            name, dst = moves[draw % len(moves)]
+            orders[mapping[name]].remove(name)
+            destination = orders.setdefault(dst, [])
+            destination.insert(draw % (len(destination) + 1), name)
+            mapping[name] = dst
+    return mapping, orders
+
+
+def _commit_trace(ctg, acg, mapping, orders, prefix, cache_type):
+    """The rebuild's commit trace, or the name of the error it raised."""
+    try:
+        _schedule, trace = rebuild.rebuild_schedule_traced(
+            ctg, acg, mapping, orders, prefix=prefix, cache_type=cache_type
+        )
+    except (SchedulingError, UnroutableError) as exc:
+        return type(exc).__name__
+    return repr(trace)
+
+
+def _example_rebuilds(test):
+    for case in REBUILD_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@_example_rebuilds
+@PROPERTY
+@given(rebuild_cases)
+def test_rebuild_probe_cache_matches_clearing_cache(case):
+    index, n_tasks, rows, cols, kind, draw, fraction = case
+    ctg = generate_category(2, index, n_tasks=n_tasks)
+    types = [DEFAULT_TYPE_CYCLE[i % len(DEFAULT_TYPE_CYCLE)] for i in range(rows * cols)]
+    acg = ACG(Mesh2D(rows, cols), pe_types=types)
+    base = eas_base_schedule(ctg, acg)
+    # A transient outage on one channel from the cut on: the prefix
+    # carries the floor, the salvaged past and the pseudo-reservation.
+    t = base.makespan() * fraction
+    channels = sorted({tuple(sorted((link.src, link.dst))) for link in acg.all_links()})
+    src, dst = channels[draw % len(channels)]
+    plan = FaultPlan(
+        "transient", transient_faults=(TransientFault(src, dst, t, t + 0.3 * base.makespan()),)
+    )
+    salvaged, _rerun = classify_salvage(base, t, frozenset())
+    prefix = salvage_prefix(base, salvaged, kept_comm_keys(base, salvaged), plan)
+    mapping, orders = _perturbed(base, prefix, kind, draw)
+    for frozen in (rebuild.NO_PREFIX, prefix):
+        cached = _commit_trace(ctg, acg, mapping, orders, frozen, ProbeCache)
+        clearing = _commit_trace(ctg, acg, mapping, orders, frozen, ClearingProbeCache)
+        assert cached == clearing
 
 
 # -- fault plans ------------------------------------------------------------------
