@@ -23,9 +23,13 @@ DEFAULT_BANDWIDTH = 1000.0
 
 
 class Route:
-    """Precomputed route between two PEs."""
+    """Precomputed route between two PEs.
 
-    __slots__ = ("src", "dst", "links", "n_hops", "energy_per_bit", "bandwidth")
+    ``link_keys`` holds each link's :attr:`~repro.arch.topology.Link.key`,
+    the resource ids the Fig. 3 pass probes and reserves.
+    """
+
+    __slots__ = ("src", "dst", "links", "link_keys", "n_hops", "energy_per_bit", "bandwidth")
 
     def __init__(
         self,
@@ -39,6 +43,7 @@ class Route:
         self.src = src
         self.dst = dst
         self.links = links
+        self.link_keys = tuple(link.key for link in links)
         self.n_hops = n_hops
         self.energy_per_bit = energy_per_bit
         self.bandwidth = bandwidth
@@ -95,6 +100,8 @@ class ACG:
         ]
         self._coord_to_index: Dict[Coord, int] = {pe.position: pe.index for pe in self.pes}
         self._routes: Dict[Tuple[int, int], Route] = {}
+        #: one Link per directed channel, shared by every route over it.
+        self._links: Dict[Tuple[Coord, Coord], Link] = {}
         self._build_routes()
 
     # -- construction ---------------------------------------------------------
@@ -103,17 +110,26 @@ class ACG:
         for src_pe in self.pes:
             for dst_pe in self.pes:
                 path = self.routing.route(self.topology, src_pe.position, dst_pe.position)
-                self.topology.validate_path(path)
-                links = tuple(Link(a, b) for a, b in zip(path, path[1:]))
-                n_hops = len(path)
-                self._routes[(src_pe.index, dst_pe.index)] = Route(
-                    src=src_pe.index,
-                    dst=dst_pe.index,
-                    links=links,
-                    n_hops=n_hops,
-                    energy_per_bit=self.energy_model.energy_per_bit(n_hops),
-                    bandwidth=self.link_bandwidth,
-                )
+                self._routes[(src_pe.index, dst_pe.index)] = self._make_route(src_pe, dst_pe, path)
+
+    def _make_route(self, src_pe: PE, dst_pe: PE, path: Sequence[Coord]) -> Route:
+        """The :class:`Route` along tile ``path``, one shared ``Link`` per channel."""
+        self.topology.validate_path(path)
+        links = []
+        for hop in zip(path, path[1:]):
+            link = self._links.get(hop)
+            if link is None:
+                link = self._links[hop] = Link(*hop)
+            links.append(link)
+        n_hops = len(path)
+        return Route(
+            src=src_pe.index,
+            dst=dst_pe.index,
+            links=tuple(links),
+            n_hops=n_hops,
+            energy_per_bit=self.energy_model.energy_per_bit(n_hops),
+            bandwidth=self.link_bandwidth,
+        )
 
     # -- PE queries -----------------------------------------------------------
 
@@ -161,29 +177,35 @@ class ACG:
 
     def energy_per_bit(self, src: int, dst: int) -> float:
         """``e(r_ij)`` of Definition 2 (nJ per bit)."""
-        return self._routes[(src, dst)].energy_per_bit
+        return self.route(src, dst).energy_per_bit
 
     def bandwidth(self, src: int, dst: int) -> float:
         """``b(r_ij)`` of Definition 2 (bits per time unit)."""
-        return self._routes[(src, dst)].bandwidth
+        return self.route(src, dst).bandwidth
 
     def comm_energy(self, volume_bits: float, src: int, dst: int) -> float:
         """Energy of one transaction: ``v(c) * e(r_ij)`` (Eq. 3 term)."""
-        return volume_bits * self._routes[(src, dst)].energy_per_bit
+        try:
+            return volume_bits * self._routes[(src, dst)].energy_per_bit
+        except KeyError:
+            raise ArchitectureError(f"no route {src}->{dst}") from None
 
     def comm_duration(self, volume_bits: float, src: int, dst: int) -> float:
         """Link occupation time of one transaction.
 
         Zero for same-tile transfers; otherwise ``volume / b(r_ij)``.
         """
-        route = self._routes[(src, dst)]
+        try:
+            route = self._routes[(src, dst)]
+        except KeyError:
+            raise ArchitectureError(f"no route {src}->{dst}") from None
         if route.is_local or volume_bits == 0:
             return 0.0
         return volume_bits / route.bandwidth
 
     def hop_count(self, src: int, dst: int) -> int:
         """Routers traversed from ``src`` to ``dst`` (1 for local)."""
-        return self._routes[(src, dst)].n_hops
+        return self.route(src, dst).n_hops
 
     def all_links(self) -> List[Link]:
         return self.topology.links()

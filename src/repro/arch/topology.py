@@ -10,20 +10,59 @@ matching the paper's Fig. 1 tile labels ``(row, col)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ArchitectureError
 
 Coord = Tuple[int, int]
 
+#: Bits per coordinate in :attr:`Link.key`: rows and columns in
+#: ``[0, 2**LINK_COORD_BITS)`` are encodable.
+LINK_COORD_BITS = 10
+#: Tag bit set in every link key.  It sits above the four packed
+#: coordinates, so every key is at least ``2**40``: far above any PE
+#: index (a topology whose coordinates are all encodable has at most
+#: ``2**20`` tiles), so a link key never equals a PE index.
+LINK_KEY_TAG = 1 << (4 * LINK_COORD_BITS)
+_COORD_LIMIT = 1 << LINK_COORD_BITS
+
+
+def link_key(src: Coord, dst: Coord) -> int:
+    """The resource id of the link ``src -> dst`` (see :attr:`Link.key`).
+
+    The four coordinates are packed ``LINK_COORD_BITS`` bits each below
+    :data:`LINK_KEY_TAG`, so the key is injective over the encodable
+    range.  Raises :class:`ArchitectureError` outside it.
+    """
+    bits = LINK_COORD_BITS
+    try:
+        (sr, sc), (dr, dc) = src, dst
+        packed = ((sr << bits | sc) << bits | dr) << bits | dc
+    except (TypeError, ValueError):
+        raise ArchitectureError(f"link {src}->{dst}: coordinates must be integer (row, col) pairs") from None
+    if not 0 <= min(sr, sc, dr, dc) <= max(sr, sc, dr, dc) < _COORD_LIMIT:
+        raise ArchitectureError(f"link {src}->{dst}: coordinates must lie in [0, {_COORD_LIMIT})")
+    return LINK_KEY_TAG | packed
+
 
 @dataclass(frozen=True)
 class Link:
-    """A directed physical channel between two adjacent routers."""
+    """A directed physical channel between two adjacent routers.
+
+    ``key`` is the link's integer resource id in the schedulers' tables:
+    :func:`link_key` of its coordinates, fixed at construction.  It
+    depends on ``(src, dst)`` alone, so every ``Link`` naming the same
+    channel (healthy or detour routes, fault plans, loaded schedules)
+    has the same key, and no key equals a PE index.
+    """
 
     src: Coord
     dst: Coord
+    key: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", link_key(self.src, self.dst))
 
     def __repr__(self) -> str:
         return f"Link({self.src}->{self.dst})"

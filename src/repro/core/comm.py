@@ -32,6 +32,10 @@ tables ... will be restored every time a F(i,k) is calculated".
 overlay's :class:`~repro.schedule.overlay.ResourceTables` fetched once,
 not looked up per call.
 
+Link tables are addressed by resource id: a transaction probes and
+reserves its route's ``link_keys`` (each link's
+:attr:`~repro.arch.topology.Link.key`), never the ``Link`` objects,
+which stay in the :class:`CommPlacement` for display and serialization.
 The overlay additionally records every link table this pass probed
 (``overlay.probed_resources()``), the evaluation's *resource
 footprint*: the F(i,k) result is a pure function of the busy
@@ -123,9 +127,9 @@ def schedule_incoming_transactions(
             start = ready
             finish = start + duration
         else:
-            start = overlay.find_earliest_on_path(route.links, ready, duration)
+            start = overlay.find_earliest_on_path(route.link_keys, ready, duration)
             finish = start + duration
-            overlay.reserve_on_path(route.links, start, finish)
+            overlay.reserve_on_path(route.link_keys, start, finish)
             link_probes.inc()
         comm_placements.append(
             CommPlacement(

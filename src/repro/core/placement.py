@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.acg import ACG
 from repro.core.comm import schedule_incoming_transactions
@@ -35,7 +35,7 @@ from repro.ctg.task import TaskCosts
 from repro.errors import UnroutableError
 from repro.obs.decisions import Candidate
 from repro.schedule.entries import CommPlacement, TaskPlacement
-from repro.schedule.overlay import ResourceTables
+from repro.schedule.overlay import ResourceId, ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import Interval
 
@@ -46,7 +46,8 @@ class Evaluation:
 
     ``energy`` is the paper's ``E = E_comp + E_comm``: the task's
     computation energy plus the network energy of its incoming
-    transactions.  ``footprint`` is every resource the probe read;
+    transactions.  ``footprint`` is every resource the probe read, by
+    :data:`~repro.schedule.overlay.ResourceId` (PE index or ``Link.key``);
     ``contention_aware`` is False only in the fixed-delay ablation, whose
     transfers hold no links.
 
@@ -63,16 +64,16 @@ class Evaluation:
     energy: float
     cost: TaskCosts
     comms: List[CommPlacement]
-    footprint: AbstractSet[Hashable]
+    footprint: AbstractSet[ResourceId]
     contention_aware: bool
 
     @cached_property
-    def windows(self) -> Dict[Hashable, Tuple[Interval, ...]]:
-        """The busy windows committing this evaluation reserves, by resource.
+    def windows(self) -> Dict[ResourceId, Tuple[Interval, ...]]:
+        """The busy windows committing this evaluation reserves, by resource id.
 
-        The task's slot on ``pe`` plus each transfer's links over its
-        ``[start, finish)``; empty transfers and fixed-delay transfers
-        hold no links.  These are exactly the tentative reservations the
+        The task's slot on ``pe`` plus each transfer's links, by
+        ``Link.key``, over its ``[start, finish)``; empty transfers and
+        fixed-delay transfers hold no links.  These are exactly the tentative reservations the
         probe's overlay held.  Built on first use: besides commit, only
         :meth:`ProbeCache.invalidate` reads it, and only for entries a
         commit may have touched.
@@ -82,7 +83,8 @@ class Evaluation:
             for comm in self.comms:
                 if comm.finish > comm.start:
                     for link in comm.links:
-                        windows[link] = windows.get(link, ()) + ((comm.start, comm.finish),)
+                        key = link.key
+                        windows[key] = windows.get(key, ()) + ((comm.start, comm.finish),)
         return windows
 
     def candidate(self, bd: Optional[float] = None) -> Candidate:
@@ -187,7 +189,7 @@ def commit(
     return placement
 
 
-Windows = Mapping[Hashable, Tuple[Interval, ...]]
+Windows = Mapping[ResourceId, Tuple[Interval, ...]]
 
 
 def _windows_conflict(a: Windows, b: Windows) -> bool:

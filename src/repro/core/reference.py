@@ -26,7 +26,7 @@ Nothing outside ``tests/`` and ``benchmarks/`` imports it.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -38,7 +38,7 @@ from repro.core.repair import RepairConfig, RepairReport, _repair
 from repro.core.slack import compute_budgets
 from repro.ctg.graph import CTG
 from repro.errors import InfeasibleOrderError, UnroutableError
-from repro.schedule.overlay import ResourceTables, TentativeOverlay
+from repro.schedule.overlay import ResourceId, ResourceTables, TentativeOverlay
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import find_gap, merge_busy
 
@@ -46,12 +46,12 @@ from repro.schedule.table import find_gap, merge_busy
 class LiteralOverlay(TentativeOverlay):
     """Fig. 3 probes that merge every involved busy list from scratch."""
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+    def find_earliest(self, resource: ResourceId, ready: float, duration: float) -> float:
         self._probed.add(resource)
         return find_gap(self._combined(resource), ready, duration)
 
     def find_earliest_on_path(
-        self, resources: Sequence[Hashable], ready: float, duration: float
+        self, resources: Sequence[ResourceId], ready: float, duration: float
     ) -> float:
         if not resources:
             return ready

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.arch.acg import ACG, Route
 from repro.arch.routing import RoutingAlgorithm, ShortestPathRouting
-from repro.arch.topology import Coord, Link, Topology
+from repro.arch.topology import Coord, Topology
 from repro.errors import ArchitectureError, RoutingError, UnroutableError
 from repro.faults.plan import FaultPlan
 
@@ -146,6 +146,7 @@ class DegradedACG(ACG):
         self.pes = list(base.pes)
         self._coord_to_index: Dict[Coord, int] = {pe.position: pe.index for pe in self.pes}
         self._routes: Dict[Tuple[int, int], Route] = {}
+        self._links = dict(base._links)
         self._unroutable: Dict[Tuple[int, int], str] = {}
         self._build_degraded_routes()
 
@@ -162,17 +163,7 @@ class DegradedACG(ACG):
                     # error: record it and let route() raise on access.
                     self._unroutable[(src_pe.index, dst_pe.index)] = str(exc)
                     continue
-                self.topology.validate_path(path)
-                links = tuple(Link(a, b) for a, b in zip(path, path[1:]))
-                n_hops = len(path)
-                self._routes[(src_pe.index, dst_pe.index)] = Route(
-                    src=src_pe.index,
-                    dst=dst_pe.index,
-                    links=links,
-                    n_hops=n_hops,
-                    energy_per_bit=self.energy_model.energy_per_bit(n_hops),
-                    bandwidth=self.link_bandwidth,
-                )
+                self._routes[(src_pe.index, dst_pe.index)] = self._make_route(src_pe, dst_pe, path)
 
     # -- availability / route queries -----------------------------------------
 
@@ -191,15 +182,9 @@ class DegradedACG(ACG):
             raise UnroutableError(reason)
         raise ArchitectureError(f"no route {src}->{dst}")
 
-    # The healthy ACG reads self._routes directly in these; go through
-    # route() so dead/partitioned pairs raise UnroutableError instead of
-    # KeyError.
-
-    def energy_per_bit(self, src: int, dst: int) -> float:
-        return self.route(src, dst).energy_per_bit
-
-    def bandwidth(self, src: int, dst: int) -> float:
-        return self.route(src, dst).bandwidth
+    # The healthy ACG reads self._routes directly in these two per-transaction
+    # queries; go through route() so dead/partitioned pairs raise
+    # UnroutableError, not the healthy ACG's plain ArchitectureError.
 
     def comm_energy(self, volume_bits: float, src: int, dst: int) -> float:
         return volume_bits * self.route(src, dst).energy_per_bit
@@ -209,9 +194,6 @@ class DegradedACG(ACG):
         if route.is_local or volume_bits == 0:
             return 0.0
         return volume_bits / route.bandwidth
-
-    def hop_count(self, src: int, dst: int) -> int:
-        return self.route(src, dst).n_hops
 
     def describe(self) -> str:
         lines = [super().describe()]

@@ -222,7 +222,7 @@ def salvage_prefix(
     tables.fill(placements, comms)
     for link, windows in plan.transient_windows().items():
         for start, end in _merged_windows(windows):
-            tables.reserve(link, start, end)
+            tables.reserve(link.key, start, end)
     return FrozenPrefix(placements, comms, tables, floor=plan.fault_time)
 
 

@@ -42,23 +42,29 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, AbstractSet, Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.schedule.table import EPS, Interval, ScheduleTable, find_gap, merge_busy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.entries import CommPlacement, TaskPlacement
 
+#: A schedule-table resource: a PE index or a :attr:`repro.arch.topology.Link.key`
+#: (link keys never equal a PE index).  The tables accept any hashable key
+#: at runtime; the schedulers only ever pass these ints.
+ResourceId = int
+
 #: shared read view of a resource that has no table yet.
 _EMPTY_BUSY: Tuple[Interval, ...] = ()
 
 
 class ResourceTables:
-    """Committed schedule tables for a set of resources, keyed by hashable ids.
+    """Committed schedule tables for a set of resources, keyed by :data:`ResourceId`.
 
     Resources are created lazily: querying an unknown resource sees an
     empty table.  PE resources are keyed by PE index, link resources by
-    :class:`repro.arch.topology.Link`.
+    :attr:`Link.key <repro.arch.topology.Link.key>`, a plain int, so the
+    hot path never hashes a ``Link`` dataclass.
 
     :meth:`fork` produces a copy-on-write clone: both sides keep sharing
     the per-resource :class:`ScheduleTable` objects until one of them
@@ -73,14 +79,14 @@ class ResourceTables:
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[Hashable, ScheduleTable] = {}
+        self._tables: Dict[ResourceId, ScheduleTable] = {}
         #: resources whose table object is shared with a fork; mutate
         #: through :meth:`_mutable` only.
-        self._shared: Set[Hashable] = set()
+        self._shared: Set[ResourceId] = set()
         #: route tuple -> (per-link version tuple, merged committed busy
         #: list).  Entries' lists are never mutated after insertion.
         self._path_cache: Dict[
-            Tuple[Hashable, ...], Tuple[Tuple[int, ...], List[Interval]]
+            Tuple[ResourceId, ...], Tuple[Tuple[int, ...], List[Interval]]
         ] = {}
         # Counter fetch is deferred so merely importing this module never
         # drags in the obs package (which itself imports schedule code).
@@ -95,7 +101,7 @@ class ResourceTables:
         self.link_probes = metrics.counter("comm.link_probes")
         self.local_transfers = metrics.counter("comm.local_transfers")
 
-    def table(self, resource: Hashable) -> ScheduleTable:
+    def table(self, resource: ResourceId) -> ScheduleTable:
         """Read access to one resource's table (do not mutate the result)."""
         tbl = self._tables.get(resource)
         if tbl is None:
@@ -103,7 +109,7 @@ class ResourceTables:
             self._tables[resource] = tbl
         return tbl
 
-    def _mutable(self, resource: Hashable) -> ScheduleTable:
+    def _mutable(self, resource: ResourceId) -> ScheduleTable:
         """The resource's table, privately owned (copied if fork-shared)."""
         tbl = self.table(resource)
         if resource in self._shared:
@@ -112,12 +118,12 @@ class ResourceTables:
             self._shared.discard(resource)
         return tbl
 
-    def busy(self, resource: Hashable) -> List[Interval]:
+    def busy(self, resource: ResourceId) -> List[Interval]:
         """Defensive copy of a resource's busy list (external/API use)."""
         tbl = self._tables.get(resource)
         return tbl.intervals() if tbl is not None else []
 
-    def busy_view(self, resource: Hashable) -> Sequence[Interval]:
+    def busy_view(self, resource: ResourceId) -> Sequence[Interval]:
         """Zero-copy read view of a resource's busy list.
 
         Callers must treat the result as immutable and must not hold it
@@ -127,7 +133,7 @@ class ResourceTables:
         tbl = self._tables.get(resource)
         return tbl.busy_view() if tbl is not None else _EMPTY_BUSY
 
-    def version(self, resource: Hashable) -> int:
+    def version(self, resource: ResourceId) -> int:
         """The resource's content-version (0 for never-touched tables).
 
         A lazily created empty table also reports 0: both states have
@@ -136,12 +142,12 @@ class ResourceTables:
         tbl = self._tables.get(resource)
         return tbl.version if tbl is not None else 0
 
-    def horizon(self, resource: Hashable) -> float:
+    def horizon(self, resource: ResourceId) -> float:
         """End of the resource's last committed reservation (0.0 if none)."""
         tbl = self._tables.get(resource)
         return tbl.horizon() if tbl is not None else 0.0
 
-    def path_busy(self, resources: Sequence[Hashable]) -> Sequence[Interval]:
+    def path_busy(self, resources: Sequence[ResourceId]) -> Sequence[Interval]:
         """The merged committed busy list of a route, cached by version.
 
         The cache key is the route's resource tuple; the entry is valid
@@ -162,13 +168,13 @@ class ResourceTables:
         self._path_misses.inc()
         return merged
 
-    def reserve(self, resource: Hashable, start: float, end: float) -> None:
+    def reserve(self, resource: ResourceId, start: float, end: float) -> None:
         self._mutable(resource).reserve(start, end)
 
-    def release(self, resource: Hashable, start: float, end: float) -> None:
+    def release(self, resource: ResourceId, start: float, end: float) -> None:
         self._mutable(resource).release(start, end)
 
-    def truncate_from(self, resource: Hashable, start: float) -> int:
+    def truncate_from(self, resource: ResourceId, start: float) -> int:
         """Bulk-drop the resource's reservations beginning at/after ``start``."""
         return self._mutable(resource).truncate_from(start)
 
@@ -200,10 +206,10 @@ class ResourceTables:
                 for start, end in intervals:
                     self.release(resource, start, end)
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+    def find_earliest(self, resource: ResourceId, ready: float, duration: float) -> float:
         return self.table(resource).find_earliest(ready, duration)
 
-    def resources(self) -> List[Hashable]:
+    def resources(self) -> List[ResourceId]:
         return list(self._tables)
 
     def copy(self) -> "ResourceTables":
@@ -248,16 +254,16 @@ class ResourceTables:
 
 def _intervals_of(
     placements: Iterable["TaskPlacement"], comms: Iterable["CommPlacement"]
-) -> Dict[Hashable, List[Interval]]:
+) -> Dict[ResourceId, List[Interval]]:
     """The busy intervals the placements hold, by resource (empty ones skipped)."""
-    intervals: Dict[Hashable, List[Interval]] = {}
+    intervals: Dict[ResourceId, List[Interval]] = {}
     for placement in placements:
         if placement.finish - placement.start > EPS:
             intervals.setdefault(placement.pe, []).append((placement.start, placement.finish))
     for comm in comms:
         if comm.finish - comm.start > EPS:
             for link in comm.links:
-                intervals.setdefault(link, []).append((comm.start, comm.finish))
+                intervals.setdefault(link.key, []).append((comm.start, comm.finish))
     return intervals
 
 
@@ -281,13 +287,13 @@ class TentativeOverlay:
     def __init__(self, base: ResourceTables) -> None:
         #: the committed tables this overlay layers over.
         self.base = base
-        self._extra: Dict[Hashable, List[Interval]] = {}
+        self._extra: Dict[ResourceId, List[Interval]] = {}
         #: per-resource max end of the tentative reservations, for the
         #: horizon fast path.
-        self._extra_horizon: Dict[Hashable, float] = {}
-        self._probed: Set[Hashable] = set()
+        self._extra_horizon: Dict[ResourceId, float] = {}
+        self._probed: Set[ResourceId] = set()
 
-    def _combined(self, resource: Hashable) -> Sequence[Interval]:
+    def _combined(self, resource: ResourceId) -> Sequence[Interval]:
         extra = self._extra.get(resource)
         base = self.base.busy_view(resource)
         if not extra:
@@ -295,13 +301,13 @@ class TentativeOverlay:
         self.base._merge_work.inc(len(base) + len(extra))
         return merge_busy([base, extra])
 
-    def _horizon(self, resource: Hashable) -> float:
+    def _horizon(self, resource: ResourceId) -> float:
         """Latest busy end visible through the overlay on ``resource``."""
         horizon = self.base.horizon(resource)
         extra = self._extra_horizon.get(resource, 0.0)
         return extra if extra > horizon else horizon
 
-    def find_earliest(self, resource: Hashable, ready: float, duration: float) -> float:
+    def find_earliest(self, resource: ResourceId, ready: float, duration: float) -> float:
         self._probed.add(resource)
         if ready >= self._horizon(resource):
             # Nothing visible ends after `ready`: find_gap would scan
@@ -311,7 +317,7 @@ class TentativeOverlay:
         return find_gap(self._combined(resource), ready, duration)
 
     def find_earliest_on_path(
-        self, resources: Sequence[Hashable], ready: float, duration: float
+        self, resources: Sequence[ResourceId], ready: float, duration: float
     ) -> float:
         """Earliest slot free on *all* path resources simultaneously.
 
@@ -340,18 +346,18 @@ class TentativeOverlay:
             merged = merge_busy([merged] + extras)
         return find_gap(merged, ready, duration)
 
-    def reserve(self, resource: Hashable, start: float, end: float) -> None:
+    def reserve(self, resource: ResourceId, start: float, end: float) -> None:
         if end - start <= 0:
             return
         insort(self._extra.setdefault(resource, []), (start, end))
         if end > self._extra_horizon.get(resource, 0.0):
             self._extra_horizon[resource] = end
 
-    def reserve_on_path(self, resources: Iterable[Hashable], start: float, end: float) -> None:
+    def reserve_on_path(self, resources: Iterable[ResourceId], start: float, end: float) -> None:
         for resource in resources:
             self.reserve(resource, start, end)
 
-    def probed_resources(self) -> AbstractSet[Hashable]:
+    def probed_resources(self) -> AbstractSet[ResourceId]:
         """Every resource whose busy state a query on this overlay read.
 
         This is the evaluation's *resource footprint*: its result can
@@ -361,7 +367,7 @@ class TentativeOverlay:
         """
         return self._probed
 
-    def reservations(self) -> Dict[Hashable, Tuple[Interval, ...]]:
+    def reservations(self) -> Dict[ResourceId, Tuple[Interval, ...]]:
         """Snapshot of the tentative reservations, keyed by resource.
 
         The snapshot survives :meth:`drop`, so a caller can replay

@@ -16,7 +16,7 @@ from typing import Any, Dict
 from repro.arch.acg import ACG
 from repro.arch.topology import Link
 from repro.ctg.graph import CTG
-from repro.errors import SerializationError
+from repro.errors import ArchitectureError, SerializationError
 from repro.obs.decisions import TaskDecision
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.schedule import Schedule
@@ -74,9 +74,15 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
 def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
     """Rebuild a schedule object against its CTG and platform.
 
+    Link coordinates must be integers in the range :attr:`Link.key`
+    encodes, so a loaded link never aliases another resource id.  As
+    everywhere in the document, a JSON boolean reads as the integer 0
+    or 1 and names the same link those would.
+
     Raises:
         SerializationError: malformed document or mismatched CTG/ACG
-            (wrong name, wrong platform size, unknown tasks).
+            (wrong name, wrong platform size, unknown tasks, link
+            coordinates that are negative, out of range or not integers).
     """
     try:
         if data.get("format") != "repro-schedule":
@@ -108,9 +114,7 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
                 )
             )
         for entry in data["comms"]:
-            links = tuple(
-                Link(tuple(src), tuple(dst)) for src, dst in entry["links"]
-            )
+            links = tuple(Link(tuple(src), tuple(dst)) for src, dst in entry["links"])
             schedule.place_comm(
                 CommPlacement(
                     src_task=entry["src_task"],
@@ -130,7 +134,7 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
         return schedule
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArchitectureError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed schedule document: {exc}") from exc
 
 

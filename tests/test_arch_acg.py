@@ -116,6 +116,29 @@ class TestEnergyAndBandwidth:
         assert acg.bandwidth(0, 1) == 123.0
 
 
+class TestUnknownPairQueries:
+    """Pair queries name an unknown PE pair in an ArchitectureError, like route()."""
+
+    def _raises(self, query):
+        with pytest.raises(ArchitectureError, match=r"0->99"):
+            query(mesh_2x2())
+
+    def test_energy_per_bit(self):
+        self._raises(lambda acg: acg.energy_per_bit(0, 99))
+
+    def test_bandwidth(self):
+        self._raises(lambda acg: acg.bandwidth(0, 99))
+
+    def test_comm_energy(self):
+        self._raises(lambda acg: acg.comm_energy(1000, 0, 99))
+
+    def test_comm_duration(self):
+        self._raises(lambda acg: acg.comm_duration(1000, 0, 99))
+
+    def test_hop_count(self):
+        self._raises(lambda acg: acg.hop_count(0, 99))
+
+
 class TestPresets:
     def test_sizes(self):
         assert mesh_2x2().n_pes == 4

@@ -107,7 +107,7 @@ class TestDRT:
         tables = ResourceTables()
         # Block the link (0,0)->(0,1) for [0, 100).
         link01 = acg.route(0, 1).links[0]
-        tables.reserve(link01, 0, 100)
+        tables.reserve(link01.key, 0, 100)
         drt, comms = schedule_incoming_transactions(
             ctg, acg, "recv", 1, placements, tables.overlay()
         )
@@ -134,7 +134,7 @@ class TestDRT:
         schedule_incoming_transactions(ctg, acg, "recv", 3, placements, overlay)
         overlay.drop()
         for link in acg.route(0, 3).links:
-            assert tables.busy(link) == []
+            assert tables.busy(link.key) == []
 
     def test_energy_matches_acg(self):
         ctg = two_senders_ctg()

@@ -131,7 +131,7 @@ class TestProbeCacheInvalidate:
         return Evaluation(
             task=task, pe=pe, start=start, finish=finish, drt=start, energy=0.0,
             cost=TaskCosts(time=finish - start, energy=0.0), comms=comms,
-            footprint=frozenset({pe, *((self.LINK,) if comms else ())}),
+            footprint=frozenset({pe, *((self.LINK.key,) if comms else ())}),
             contention_aware=True,
         )
 
