@@ -20,7 +20,6 @@ from repro import (
     mesh_3x3,
     simulate_schedule,
 )
-from repro.core.periodic import throughput_report
 
 SYSTEMS = [
     ("A/V encoder (Table 1, 24 tasks, 2x2)", av_encoder_ctg, mesh_2x2),
@@ -54,14 +53,6 @@ def main() -> None:
                 f"{edf.average_hops_per_packet():.2f}, "
                 f"misses EAS={len(eas.deadline_misses())} EDF={len(edf.deadline_misses())}"
             )
-        # Pipelined throughput: can the EAS schedule sustain the frame
-        # rate when one instance is launched per frame period?
-        report = throughput_report(eas)
-        print(
-            f"  pipelined: min period {report.min_period:.0f} us "
-            f"-> sustainable {report.sustainable_rate(1_000_000):.0f} inst/s "
-            f"(overlap factor {report.overlap_factor:.2f})"
-        )
         print()
 
 

@@ -33,7 +33,7 @@ from repro.arch import (
     mesh_3x3,
     mesh_4x4,
 )
-from repro.baselines import edf_schedule, greedy_energy_schedule, random_schedule
+from repro.baselines import edf_schedule
 from repro.core import (
     EASConfig,
     RepairConfig,
@@ -95,13 +95,11 @@ __all__ = [
     "generate_category",
     "generate_ctg",
     "get_routing",
-    "greedy_energy_schedule",
     "hetero_mesh",
     "mesh_2x2",
     "mesh_3x3",
     "mesh_4x4",
     "obs",
-    "random_schedule",
     "rebuild_schedule",
     "render_gantt",
     "search_and_repair",

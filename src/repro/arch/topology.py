@@ -198,8 +198,3 @@ class HoneycombTopology(Topology):
                 # Vertical link only when (r + c) is even: degree <= 3.
                 if r + 1 < rows and (r + c) % 2 == 0:
                     self._add_bidirectional((r, c), (r + 1, c))
-
-
-def grid_index(coord: Coord, cols: int) -> int:
-    """Dense index of a (row, col) coordinate in row-major order."""
-    return coord[0] * cols + coord[1]

@@ -11,6 +11,10 @@ single benchmark and print its Gantt chart:
 * ``repro-noc inspect --format chrome`` — schedule one benchmark and
   export its timeline as Chrome Trace Format for Perfetto, or per-PE /
   per-link analytics as text / JSON.
+
+Every :class:`~repro.errors.ReproError` ends a run the same way, in
+:func:`main`: one ``repro-noc: error: ...`` line on stderr, exit status
+1 and, when the run ledger is on, a ``run_failed`` record.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ from repro.arch.presets import mesh_2x2
 from repro.core.eas import EASConfig
 from repro.ctg.generator import generate_category
 from repro.ctg.multimedia import CLIP_NAMES
-from repro.errors import LedgerError, ReproError, SchedulingError
+from repro.errors import (
+    InvalidArgumentError,
+    LedgerError,
+    ObservabilityError,
+    ReproError,
+    SchedulingError,
+    SerializationError,
+)
 from repro.evalx.experiments import (
     run_fig7,
     run_msb_table,
@@ -48,24 +59,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-
-    trace_path = getattr(args, "trace", None)
-    profile = bool(getattr(args, "profile", False))
-    heartbeat_secs = resolve_interval(getattr(args, "heartbeat", None))
+    if getattr(args, "repair_starts", 1) > 1 and args.algorithm != "eas":
+        parser.error(
+            f"--repair-starts {args.repair_starts} runs the Step-3 repair portfolio, "
+            f"which only --algorithm eas has (got {args.algorithm})"
+        )
+    # The one error boundary: any ReproError, from a handler or from the
+    # ledger/trace plumbing around it, is a one-line exit 1.
     try:
-        ledger = _open_ledger(args)
-    except LedgerError as exc:
+        return _run(args, list(argv) if argv is not None else sys.argv[1:])
+    except ReproError as exc:
         print(f"repro-noc: error: {exc}", file=sys.stderr)
         return 1
 
+
+def _run(args, argv: List[str]) -> int:
+    """Run the handler under the requested instrumentation.
+
+    A ``ReproError`` the handler raises is recorded (tracer event,
+    counter, ``run_failed`` ledger record) and re-raised for
+    :func:`main` once the profile and trace are out.
+    """
+    trace_path = getattr(args, "trace", None)
+    profile = bool(getattr(args, "profile", False))
+    heartbeat_secs = resolve_interval(getattr(args, "heartbeat", None))
+    ledger = _open_ledger(args)
     if ledger is None and not trace_path and not profile and not heartbeat_secs:
-        # Uninstrumented path: the default null bundle stays active, no
-        # trace/ledger I/O happens, and failures still exit cleanly.
-        try:
-            return args.handler(args)
-        except ReproError as exc:
-            print(f"repro-noc: error: {exc}", file=sys.stderr)
-            return 1
+        # Uninstrumented path: the default null bundle stays active and
+        # no trace/ledger I/O happens.
+        return args.handler(args)
 
     # Heartbeat needs the open-span stack, so it implies a live tracer;
     # a ledger alone rides on the cheap disabled bundle (its per-run
@@ -76,12 +98,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     instrumentation.ledger = ledger
     status = 0
+    failure: Optional[ReproError] = None
     started = time.perf_counter()
     with obs.activate(instrumentation):
         if ledger is not None:
             ledger.run_started(
                 command=args.command,
-                argv=list(argv) if argv is not None else sys.argv[1:],
+                argv=argv,
                 params=_ledger_params(args),
                 jobs=resolve_jobs(getattr(args, "jobs", None)),
             )
@@ -110,8 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             ledger.run_failed(
                                 exc, metrics=instrumentation.metrics.counter_values()
                             )
-                        print(f"repro-noc: error: {exc}", file=sys.stderr)
-                        status = 1
+                        failure = exc
         except BaseException as exc:
             if ledger is not None and not ledger.closed:
                 ledger.run_failed(exc, metrics=instrumentation.metrics.counter_values())
@@ -126,16 +148,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if profile:
         print(obs.export.format_profile(instrumentation), file=sys.stderr)
     if trace_path:
-        meta = {
-            "command": args.command,
-            "argv": list(argv) if argv is not None else sys.argv[1:],
-        }
+        meta = {"command": args.command, "argv": argv}
         try:
             records = obs.export.write_trace(trace_path, instrumentation, meta=meta)
         except OSError as exc:
-            print(f"repro-noc: error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace: {records} records -> {trace_path}", file=sys.stderr)
+            trace_error = ObservabilityError(f"cannot write trace: {exc}")
+            if failure is None:
+                raise trace_error from exc
+            # Keep the handler's error: report the trace on its own line.
+            print(f"repro-noc: error: {trace_error}", file=sys.stderr)
+        else:
+            print(f"trace: {records} records -> {trace_path}", file=sys.stderr)
+    if failure is not None:
+        raise failure
     return status
 
 
@@ -470,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="multi-start repair portfolio: K seeded LTS/GTM orderings "
         "(start 0 is the paper-literal ordering), best feasible lowest-energy "
-        "schedule wins; runs across --jobs workers (eas/eas-base only)",
+        "schedule wins; runs across --jobs workers (--algorithm eas only)",
     )
 
     # Observability flags, available on every subcommand.  ``faults`` is
@@ -586,17 +611,18 @@ def _benchmark_spec(args) -> BenchmarkSpec:
 
 def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
     repair_starts = getattr(args, "repair_starts", 1)
-    if repair_starts > 1 and args.algorithm in ("eas", "eas-base"):
-        # Multi-start portfolio: level-schedule once, then race K seeded
-        # LTS/GTM repair orderings (in parallel under --jobs) and keep
-        # the best feasible, lowest-energy result.
+    if repair_starts > 1:
+        # Multi-start portfolio (``main`` admits K > 1 for eas only):
+        # level-schedule once, then race K seeded LTS/GTM repair
+        # orderings (in parallel under --jobs) and keep the best
+        # feasible, lowest-energy result.
         from repro.core.repair import multistart_search_and_repair
 
         schedule = run_scheduler("eas-base", ctg, acg)
         schedule, portfolio = multistart_search_and_repair(
             schedule, starts=repair_starts, jobs=getattr(args, "jobs", None)
         )
-        schedule.algorithm = args.algorithm
+        schedule.algorithm = "eas"
         print(portfolio.describe(), file=sys.stderr)
     else:
         schedule = run_scheduler(args.algorithm, ctg, acg)
@@ -620,20 +646,17 @@ def _handle_schedule(args) -> int:
     if args.save:
         from repro.schedule.serialization import schedule_to_json
 
-        with open(args.save, "w") as handle:
-            handle.write(schedule_to_json(schedule))
+        _write_file(args.save, schedule_to_json(schedule))
         print(f"schedule written to {args.save}")
     if args.svg:
         from repro.schedule.svg import render_schedule_svg
 
-        with open(args.svg, "w") as handle:
-            handle.write(render_schedule_svg(schedule))
+        _write_file(args.svg, render_schedule_svg(schedule))
         print(f"SVG Gantt written to {args.svg}")
     if args.svg_platform:
         from repro.schedule.svg import render_platform_svg
 
-        with open(args.svg_platform, "w") as handle:
-            handle.write(render_platform_svg(schedule))
+        _write_file(args.svg_platform, render_platform_svg(schedule))
         print(f"SVG platform view written to {args.svg_platform}")
     return 0
 
@@ -730,20 +753,15 @@ def _handle_report(args) -> int:
     ledger_path = resolve_ledger_path(getattr(args, "ledger", None))
     if args.prune_ledger is not None:
         if ledger_path is None:
-            print("repro-noc: error: no run ledger to prune", file=sys.stderr)
-            return 1
+            raise LedgerError("no run ledger to prune")
         from repro.obs.ledger import prune_ledger
 
         active_run = obs.get().ledger
-        try:
-            pruned = prune_ledger(
-                ledger_path,
-                args.prune_ledger,
-                preserve=[active_run.run_id] if active_run is not None else [],
-            )
-        except LedgerError as exc:
-            print(f"repro-noc: error: {exc}", file=sys.stderr)
-            return 1
+        pruned = prune_ledger(
+            ledger_path,
+            args.prune_ledger,
+            preserve=[active_run.run_id] if active_run is not None else [],
+        )
         print(
             f"ledger pruned: kept {pruned['runs_kept']}/{pruned['runs_before']} runs "
             f"({pruned['records_kept']}/{pruned['records_before']} records)",
@@ -765,15 +783,39 @@ def _write_payload(args, payload: str, summary: str) -> int:
     """Write ``payload`` to ``args.out`` ('-' = stdout), report on stderr."""
     if args.out == "-":
         sys.stdout.write(payload)
-        return 0
-    try:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        print(f"repro-noc: error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"{summary} -> {args.out}", file=sys.stderr)
+    else:
+        _write_file(args.out, payload)
+        print(f"{summary} -> {args.out}", file=sys.stderr)
     return 0
+
+
+def _read_file(path: str) -> str:
+    """The text of an input file; an unreadable path is a SerializationError."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a SerializationError."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SerializationError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_schedule(path: str, ctg, acg):
+    """A saved schedule of the benchmark the flags name."""
+    from repro.schedule.serialization import schedule_from_json
+
+    try:
+        with open(path) as handle:
+            return schedule_from_json(handle.read(), ctg, acg)
+    except (OSError, SerializationError) as exc:
+        raise SerializationError(f"cannot load {path}: {exc}") from exc
 
 
 def _handle_explain(args) -> int:
@@ -785,27 +827,17 @@ def _handle_explain(args) -> int:
 
     ctg, acg = _benchmark_spec(args).build()
     if args.load:
-        from repro.errors import SerializationError
-        from repro.schedule.serialization import schedule_from_json
-
-        try:
-            with open(args.load) as handle:
-                schedule = schedule_from_json(handle.read(), ctg, acg)
-        except (OSError, SerializationError) as exc:
-            print(f"repro-noc: error: cannot load {args.load}: {exc}", file=sys.stderr)
-            return 1
+        schedule = _load_schedule(args.load, ctg, acg)
     else:
         with _recording():
             schedule = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
 
     if args.verify:
         if not schedule.provenance:
-            print(
-                "repro-noc: error: no decision provenance to verify "
-                "(the loaded schedule predates format v2?)",
-                file=sys.stderr,
+            raise SerializationError(
+                "no decision provenance to verify "
+                "(the loaded schedule predates format v2?)"
             )
-            return 1
         mismatches = verify_decision_components(ctg, acg, schedule.provenance)
         if mismatches:
             for line in mismatches:
@@ -817,11 +849,7 @@ def _handle_explain(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        report = explain_schedule(schedule, focus=args.task)
-    except KeyError as exc:
-        print(f"repro-noc: error: {exc.args[0]}", file=sys.stderr)
-        return 1
+    report = explain_schedule(schedule, focus=args.task)
     payload = format_explain(report, args.format)
     if not payload.endswith("\n"):
         payload += "\n"
@@ -870,16 +898,19 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
             if not part:
                 continue
             if "=" not in part:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"diff endpoint {token!r}: expected key=value, got {part!r}"
                 )
             key, value = (s.strip() for s in part.split("=", 1))
             if key in ("category", "index", "n_tasks"):
-                fields[key] = int(value)
+                try:
+                    fields[key] = int(value)
+                except ValueError as exc:
+                    raise InvalidArgumentError(str(exc)) from exc
             elif key in ("algorithm", "system", "clip"):
                 fields[key] = value
             else:
-                raise ValueError(f"diff endpoint {token!r}: unknown key {key!r}")
+                raise InvalidArgumentError(f"diff endpoint {token!r}: unknown key {key!r}")
     scheduler = fields.pop("algorithm")
     return RunSpec(
         scheduler=scheduler,
@@ -889,17 +920,11 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
 
 
 def _handle_diff(args) -> int:
-    from repro.errors import SerializationError
     from repro.evalx.experiments import schedules_for_specs
     from repro.obs.diff import diff_schedules, format_diff, run_delta
     from repro.obs.ledger import read_ledger
-    from repro.schedule.serialization import schedule_from_json
 
-    try:
-        resolved = [_resolve_diff_endpoint(tok, args) for tok in (args.a, args.b)]
-    except ValueError as exc:
-        print(f"repro-noc: error: {exc}", file=sys.stderr)
-        return 1
+    resolved = [_resolve_diff_endpoint(tok, args) for tok in (args.a, args.b)]
 
     ledger_records = None
     run_ids: List[Optional[str]] = [None, None]
@@ -920,21 +945,13 @@ def _handle_diff(args) -> int:
                 None,
             )
             if started is None:
-                print(
-                    f"repro-noc: error: run {value!r} has no run_started record "
-                    "in the ledger",
-                    file=sys.stderr,
-                )
-                return 1
+                raise LedgerError(f"run {value!r} has no run_started record in the ledger")
             params = started.get("params") or {}
             if "algorithm" not in params:
-                print(
-                    f"repro-noc: error: run {value!r} "
-                    f"(command {started.get('command')!r}) does not describe a "
-                    "single schedule; diff `schedule`/`inspect`/`explain` runs",
-                    file=sys.stderr,
+                raise LedgerError(
+                    f"run {value!r} (command {started.get('command')!r}) does not describe "
+                    "a single schedule; diff `schedule`/`inspect`/`explain` runs"
                 )
-                return 1
             run_ids[position] = value
             endpoints.append(("spec", _parse_endpoint_spec("", args, params=params)))
         else:
@@ -947,21 +964,11 @@ def _handle_diff(args) -> int:
     schedules = []
     for kind, value in endpoints:
         if kind == "file":
-            ctg, acg = _benchmark_spec(args).build()
-            try:
-                with open(value) as handle:
-                    schedules.append(schedule_from_json(handle.read(), ctg, acg))
-            except (OSError, SerializationError) as exc:
-                print(f"repro-noc: error: cannot load {value}: {exc}", file=sys.stderr)
-                return 1
+            schedules.append(_load_schedule(value, *_benchmark_spec(args).build()))
         else:
             schedules.append(next(computed))
 
-    try:
-        diff = diff_schedules(schedules[0], schedules[1], label_a=args.a, label_b=args.b)
-    except ValueError as exc:
-        print(f"repro-noc: error: {exc}", file=sys.stderr)
-        return 1
+    diff = diff_schedules(schedules[0], schedules[1], label_a=args.a, label_b=args.b)
 
     runs = None
     if run_ids[0] is not None and run_ids[1] is not None:
@@ -984,26 +991,19 @@ def _handle_diff(args) -> int:
 
 
 def _handle_validate(args) -> int:
-    from repro.errors import ScheduleValidationError, SerializationError
+    from repro.errors import ScheduleValidationError
     from repro.schedule.serialization import schedule_from_json
     from repro.sim.wormhole import validate_transaction_abstraction
 
     ctg, acg = _benchmark_spec(args).build()
+    # A verdict, not an error: every failure is one FAIL line on stdout.
     try:
-        with open(args.schedule) as handle:
-            schedule = schedule_from_json(handle.read(), ctg, acg)
-    except OSError as exc:
-        print(f"validate: FAIL: cannot read {args.schedule}: {exc}")
-        return 1
-    except SerializationError as exc:
-        print(f"validate: FAIL: {exc}")
-        return 1
-    try:
+        schedule = schedule_from_json(_read_file(args.schedule), ctg, acg)
         schedule.validate_consistency()
         validate_transaction_abstraction(
             schedule, slack_hops_factor=args.slack_hops_factor
         )
-    except (ScheduleValidationError, SchedulingError) as exc:
+    except (ScheduleValidationError, SchedulingError, SerializationError) as exc:
         print(f"validate: FAIL: {exc}")
         return 1
     print(
@@ -1019,7 +1019,6 @@ def _handle_faults_help(args) -> int:
 
 
 def _handle_faults_inject(args) -> int:
-    from repro.errors import SerializationError
     from repro.faults.plan import FaultPlan, generate_fault_plans
     from repro.faults.recovery import inject_and_recover
     from repro.schedule.serialization import schedule_to_json
@@ -1028,25 +1027,17 @@ def _handle_faults_inject(args) -> int:
     ctg, acg = _benchmark_spec(args).build()
     committed = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
     committed.validate_structure()
-    try:
-        if args.plan:
-            with open(args.plan) as handle:
-                plan = FaultPlan.from_json(handle.read())
-        else:
-            plan = generate_fault_plans(
-                acg,
-                1,
-                seed=args.fault_seed,
-                horizon=committed.makespan(),
-                kinds=(args.kind,),
-            )[0]
-        result = inject_and_recover(committed, plan)
-    except OSError as exc:
-        print(f"repro-noc: error: cannot read {args.plan}: {exc}", file=sys.stderr)
-        return 1
-    except SerializationError as exc:
-        print(f"repro-noc: error: {exc}", file=sys.stderr)
-        return 1
+    if args.plan:
+        plan = FaultPlan.from_json(_read_file(args.plan))
+    else:
+        plan = generate_fault_plans(
+            acg,
+            1,
+            seed=args.fault_seed,
+            horizon=committed.makespan(),
+            kinds=(args.kind,),
+        )[0]
+    result = inject_and_recover(committed, plan)
     print(result.describe())
     deltas = result.utilization_deltas()
     print(
@@ -1065,12 +1056,10 @@ def _handle_faults_inject(args) -> int:
         )
         print("simulate : post-fault flit-level delivery confirmed")
     if args.save_plan:
-        with open(args.save_plan, "w") as handle:
-            handle.write(plan.to_json())
+        _write_file(args.save_plan, plan.to_json())
         print(f"fault plan written to {args.save_plan}")
     if args.save:
-        with open(args.save, "w") as handle:
-            handle.write(schedule_to_json(result.recovery))
+        _write_file(args.save, schedule_to_json(result.recovery))
         print(f"recovery schedule written to {args.save}")
     return 0
 
@@ -1081,18 +1070,14 @@ def _handle_faults_sweep(args) -> int:
     from repro.faults.sweep import run_fault_sweep
 
     kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
-    try:
-        report = run_fault_sweep(
-            _benchmark_spec(args),
-            scheduler=args.algorithm,
-            n_plans=args.plans,
-            seed=args.fault_seed,
-            kinds=kinds,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"repro-noc: error: {exc}", file=sys.stderr)
-        return 1
+    report = run_fault_sweep(
+        _benchmark_spec(args),
+        scheduler=args.algorithm,
+        n_plans=args.plans,
+        seed=args.fault_seed,
+        kinds=kinds,
+        jobs=args.jobs,
+    )
     if args.format == "json":
         payload = _json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n"
     else:
@@ -1108,8 +1093,7 @@ def _handle_export_ctg(args) -> int:
     from repro.ctg.serialization import ctg_to_json
 
     ctg = generate_category(args.category, args.index, n_tasks=args.n_tasks)
-    with open(args.output, "w") as handle:
-        handle.write(ctg_to_json(ctg))
+    _write_file(args.output, ctg_to_json(ctg))
     print(f"{ctg.name}: {ctg.n_tasks} tasks, {ctg.n_edges} edges -> {args.output}")
     return 0
 

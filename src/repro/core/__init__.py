@@ -22,13 +22,6 @@ from repro.core.slack import (
 from repro.core.comm import schedule_incoming_transactions
 from repro.core.dvs import DVSConfig, DVSReport, apply_dvs
 from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule, LevelBasedScheduler
-from repro.core.periodic import (
-    ThroughputReport,
-    is_periodic_feasible,
-    resource_bound_period,
-    scan_min_period,
-    throughput_report,
-)
 from repro.core.rebuild import rebuild_schedule
 from repro.core.repair import RepairConfig, RepairReport, search_and_repair
 
@@ -41,12 +34,7 @@ __all__ = [
     "RepairConfig",
     "RepairReport",
     "TaskBudget",
-    "ThroughputReport",
     "WEIGHT_POLICIES",
-    "is_periodic_feasible",
-    "resource_bound_period",
-    "scan_min_period",
-    "throughput_report",
     "compute_budgets",
     "eas_base_schedule",
     "eas_schedule",

@@ -73,7 +73,9 @@ from repro.core.rebuild import (
     NO_PREFIX,
     CommitStep,
     FrozenPrefix,
+    MissMetric,
     commit_steps,
+    miss_metric,
     probe_mapped,
     rebuild_schedule_traced,
 )
@@ -84,21 +86,10 @@ from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
 
-MissMetric = Tuple[int, float]
-
 #: (mapping-delta, order-delta) of a candidate against the incumbent.
 MoveSignature = Tuple[
     Tuple[Tuple[str, int], ...], Tuple[Tuple[int, Tuple[str, ...]], ...]
 ]
-
-
-def _schedule_metric(schedule: Schedule) -> MissMetric:
-    """(misses, tardiness) — local twin of ``repair.miss_metric``.
-
-    Recomputed here (not imported) because ``repro.core.repair`` imports
-    this module.
-    """
-    return (len(schedule.deadline_misses()), schedule.total_tardiness())
 
 
 def _tally(ctg: CTG, metric: MissMetric, placement: TaskPlacement) -> MissMetric:
@@ -379,7 +370,7 @@ class IncrementalRebuilder:
             self._memo.add(signature)
             return None
 
-        if _schedule_metric(schedule) < incumbent_metric:
+        if miss_metric(schedule) < incumbent_metric:
             self._last = (
                 dict(mapping),
                 {pe: list(names) for pe, names in orders.items()},

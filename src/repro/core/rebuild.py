@@ -44,6 +44,14 @@ from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.schedule import Schedule
 
+#: Step 3's objective, compared lexicographically: lower is better.
+MissMetric = Tuple[int, float]
+
+
+def miss_metric(schedule: Schedule) -> MissMetric:
+    """(number of deadline misses, total tardiness) — lower is better."""
+    return (len(schedule.deadline_misses()), schedule.total_tardiness())
+
 
 @dataclass(frozen=True)
 class FrozenPrefix:

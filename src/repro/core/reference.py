@@ -19,25 +19,28 @@ benches can compare against it byte for byte:
   re-probing every eligible task at every step, and
   :func:`full_rebuild_repair` runs Step 3 on it;
 * :func:`reference_eas_base_schedule` / :func:`reference_eas_schedule`
-  compose them.
+  compose them;
+* :func:`random_schedule` is a uniform random feasible mapping — a
+  statistical null and a schedule witness for the property tests.
 
 Nothing outside ``tests/`` and ``benchmarks/`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
 from repro.core.eas import EASConfig, LevelBasedScheduler
-from repro.core.increbuild import IncrementalRebuilder, MissMetric
+from repro.core.increbuild import IncrementalRebuilder
 from repro.core.placement import Evaluation, ProbeCache
-from repro.core.rebuild import NO_PREFIX, FrozenPrefix, rebuild_schedule
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, rebuild_schedule
 from repro.core.repair import RepairConfig, RepairReport, _repair
 from repro.core.slack import compute_budgets
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError, UnroutableError
+from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
+from repro.rng import RandomLike, make_rng
 from repro.schedule.overlay import ResourceId, ResourceTables, TentativeOverlay
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import find_gap, merge_busy
@@ -156,5 +159,27 @@ def reference_eas_schedule(ctg: CTG, acg: ACG, config: Optional[EASConfig] = Non
             repaired.provenance = schedule.provenance
             schedule = repaired
     schedule.algorithm = "eas"
+    schedule.runtime_seconds = timing.seconds
+    return schedule
+
+
+def random_schedule(ctg: CTG, acg: ACG, seed: RandomLike = None) -> Schedule:
+    """Uniform random feasible mapping, rebuilt with topological orders."""
+    rng = make_rng(seed)
+    mapping: Dict[str, int] = {}
+    for task in ctg.tasks():
+        candidates = [
+            pe.index for pe in acg.pes if task.cost_on(pe.type_name).feasible
+        ]
+        if not candidates:
+            raise SchedulingError(f"task {task.name!r} has no feasible PE")
+        mapping[task.name] = rng.choice(candidates)
+
+    orders: Dict[int, list] = {pe.index: [] for pe in acg.pes}
+    for name in ctg.topological_order():
+        orders[mapping[name]].append(name)
+
+    with obs.timed_phase("random", ctg=ctg.name) as timing:
+        schedule = rebuild_schedule(ctg, acg, mapping, orders, algorithm="random")
     schedule.runtime_seconds = timing.seconds
     return schedule

@@ -29,11 +29,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 from repro import obs
 from repro.core.comm import incoming_comm_energy, outgoing_comm_energy
 from repro.core.increbuild import IncrementalRebuilder
-from repro.core.rebuild import NO_PREFIX, FrozenPrefix, rebuild_schedule
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, miss_metric, rebuild_schedule
 from repro.errors import RoutingError
 from repro.schedule.schedule import Schedule
-
-MissMetric = Tuple[int, float]
 
 
 @dataclass
@@ -74,11 +72,6 @@ class RepairReport:
             f"{self.swaps_tried}, migrations={self.migrations_accepted}/"
             f"{self.migrations_tried}, misses {self.initial_misses}->{self.final_misses})"
         )
-
-
-def miss_metric(schedule: Schedule) -> MissMetric:
-    """(number of deadline misses, total tardiness) — lower is better."""
-    return (len(schedule.deadline_misses()), schedule.total_tardiness())
 
 
 def critical_tasks(schedule: Schedule) -> Set[str]:

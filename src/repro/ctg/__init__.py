@@ -10,7 +10,6 @@ from repro.ctg.graph import CTG
 from repro.ctg.analysis import (
     critical_path_length,
     effective_deadlines,
-    task_levels,
     longest_mean_path_into,
     longest_mean_path_from,
 )
@@ -44,5 +43,4 @@ __all__ = [
     "generate_ctg",
     "longest_mean_path_from",
     "longest_mean_path_into",
-    "task_levels",
 ]

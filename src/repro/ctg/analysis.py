@@ -8,23 +8,9 @@ arithmetic, exactly as the paper's slack-budgeting step does with ``M_t``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.ctg.graph import CTG
-
-
-def task_levels(ctg: CTG) -> Dict[str, int]:
-    """Topological level of each task (sources are level 0).
-
-    The level of a task is one more than the maximum level of its
-    predecessors; it is the index of the wave in which a level-based
-    scheduler could first consider the task.
-    """
-    levels: Dict[str, int] = {}
-    for name in ctg.topological_order():
-        preds = ctg.predecessors(name)
-        levels[name] = 0 if not preds else 1 + max(levels[p] for p in preds)
-    return levels
 
 
 def mean_exec_times(ctg: CTG, pe_types: Sequence[str]) -> Dict[str, float]:
@@ -76,25 +62,6 @@ def critical_path_length(ctg: CTG, pe_types: Sequence[str]) -> float:
     return max(into.values()) if into else 0.0
 
 
-def critical_path_tasks(ctg: CTG, pe_types: Sequence[str]) -> List[str]:
-    """One longest path (by mean execution time), source to sink."""
-    means = mean_exec_times(ctg, pe_types)
-    into = longest_mean_path_into(ctg, means)
-    if not into:
-        return []
-    # Walk backwards from the task with the largest inclusive path length.
-    current = max(into, key=lambda n: into[n])
-    path = [current]
-    while True:
-        preds = ctg.predecessors(current)
-        if not preds:
-            break
-        current = max(preds, key=lambda p: into[p])
-        path.append(current)
-    path.reverse()
-    return path
-
-
 def effective_deadlines(
     ctg: CTG,
     pe_types: Sequence[str],
@@ -119,28 +86,3 @@ def effective_deadlines(
             inherited = min(inherited, candidate)
         eff[name] = min(own, inherited)
     return eff
-
-
-def path_between(ctg: CTG, src: str, dst: str) -> Optional[List[str]]:
-    """Any dependency path from ``src`` to ``dst`` or ``None``.
-
-    Cheap DFS used by tests; not on any scheduler hot path.
-    """
-    if src == dst:
-        return [src]
-    stack: List[Tuple[str, List[str]]] = [(src, [src])]
-    seen = {src}
-    while stack:
-        node, path = stack.pop()
-        for succ in ctg.successors(node):
-            if succ == dst:
-                return path + [succ]
-            if succ not in seen:
-                seen.add(succ)
-                stack.append((succ, path + [succ]))
-    return None
-
-
-def sum_along(path: Sequence[str], values: Mapping[str, float]) -> float:
-    """Sum of per-task values along an explicit path."""
-    return sum(values[name] for name in path)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import CTGError, InfeasibleTaskError
 
@@ -169,28 +169,6 @@ class CommEdge:
     @property
     def is_control_only(self) -> bool:
         return self.volume == 0.0
-
-
-def uniform_costs(pe_types: Iterable[str], time: float, energy: float) -> Dict[str, TaskCosts]:
-    """Convenience: identical costs on every listed PE type."""
-    return {t: TaskCosts(time=time, energy=energy) for t in pe_types}
-
-
-def scaled_costs(
-    base_time: float,
-    base_energy: float,
-    type_factors: Mapping[str, tuple],
-) -> Dict[str, TaskCosts]:
-    """Build per-type costs from a base cost and (speed, power) factors.
-
-    ``type_factors`` maps PE-type name to ``(time_factor, energy_factor)``;
-    the resulting cost is ``(base_time * time_factor,
-    base_energy * energy_factor)``.
-    """
-    return {
-        name: TaskCosts(time=base_time * tf, energy=base_energy * ef)
-        for name, (tf, ef) in type_factors.items()
-    }
 
 
 def _mean(values) -> float:

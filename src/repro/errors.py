@@ -56,7 +56,31 @@ class ScheduleValidationError(ReproError):
 
 
 class SerializationError(ReproError):
-    """A CTG or schedule file could not be parsed."""
+    """A CTG, schedule or fault-plan file could not be read or parsed,
+    or an output file could not be written.
+
+    The CLI raises it for an unreadable input path (missing, a
+    directory, no permission) as well as for malformed content, so both
+    end as the same one-line exit.
+    """
+
+
+class InvalidArgumentError(ReproError, ValueError):
+    """A caller-supplied value names nothing the library can act on.
+
+    An unknown scheduler, benchmark system, ACG preset or fault kind, a
+    malformed ``diff`` endpoint spec, or two schedules of different
+    benchmarks handed to one diff.
+    Also a :class:`ValueError`, the way :class:`InfeasibleTaskError`
+    has two bases, so callers that catch the builtin keep working.
+    """
+
+
+class UnknownTaskError(ReproError, KeyError):
+    """A task name the schedule does not place (also a :class:`KeyError`)."""
+
+    # KeyError renders its argument with repr(); keep the plain message.
+    __str__ = Exception.__str__
 
 
 class ObservabilityError(ReproError):

@@ -3,7 +3,6 @@
 from repro.evalx.analysis import (
     ScheduleComparison,
     compare_schedules,
-    energy_by_task_type,
     utilization_table,
 )
 from repro.evalx.experiments import (
@@ -23,7 +22,6 @@ __all__ = [
     "FigureSeries",
     "ScheduleComparison",
     "compare_schedules",
-    "energy_by_task_type",
     "utilization_table",
     "format_figure",
     "format_table",

@@ -127,12 +127,3 @@ def utilization_table(schedule: Schedule) -> str:
             f"({100 * utilisation:5.1f}%), comp energy {energy[pe.index]:10.1f} nJ"
         )
     return "\n".join(lines)
-
-
-def energy_by_task_type(schedule: Schedule) -> Dict[str, float]:
-    """Computation energy aggregated by the tasks' type labels."""
-    totals: Dict[str, float] = {}
-    for placement in schedule.task_placements.values():
-        label = schedule.ctg.task(placement.task).task_type or "(untyped)"
-        totals[label] = totals.get(label, 0.0) + placement.energy
-    return totals

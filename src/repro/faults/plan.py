@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.acg import ACG
 from repro.arch.topology import Coord, Link
-from repro.errors import SerializationError
+from repro.errors import InvalidArgumentError, SerializationError
 from repro.rng import make_rng
 
 #: Version of the JSON fault-plan document.  Bump on any change to the
@@ -234,14 +234,14 @@ def generate_fault_plans(
     is a pure function of ``(platform, n_plans, seed, horizon, kinds)``.
     """
     if n_plans < 0:
-        raise ValueError(f"n_plans must be >= 0, got {n_plans}")
+        raise InvalidArgumentError(f"n_plans must be >= 0, got {n_plans}")
     if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     for kind in kinds:
         if kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {kind!r}; known: {list(FAULT_KINDS)}")
+            raise InvalidArgumentError(f"unknown fault kind {kind!r}; known: {list(FAULT_KINDS)}")
     if not kinds:
-        raise ValueError("need at least one fault kind")
+        raise InvalidArgumentError("need at least one fault kind")
 
     rng = make_rng(seed)
     channels = _physical_channels(acg)

@@ -50,7 +50,7 @@ from repro.obs.heartbeat import Heartbeat
 from repro.obs.ledger import RUN_LEDGER_SCHEMA_VERSION, RunLedger, prune_ledger, read_ledger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import build_report, format_report
-from repro.obs.timeline import chrome_trace, write_chrome_trace
+from repro.obs.timeline import chrome_trace
 from repro.obs.tracer import NULL_TRACER, Event, NullTracer, Span, Tracer
 from repro.obs.utilization import UtilizationReport, analyze_schedule
 
@@ -101,5 +101,4 @@ __all__ = [
     "timed_phase",
     "timeline",
     "utilization",
-    "write_chrome_trace",
 ]

@@ -99,14 +99,14 @@ class TaskDecision:
     rescue: bool = False
     #: energy regret δE = E2 - E1; ``inf`` marks a forced placement
     #: (single BD-feasible PE), ``None`` an algorithm without a regret
-    #: notion (EDF, greedy).
+    #: notion (EDF).
     regret: Optional[float] = None
     start: float = 0.0
     finish: float = 0.0
     energy: float = 0.0
     candidates: List[Candidate] = field(default_factory=list)
     #: the budgeted deadline (Step-1 BD) the selection steered by;
-    #: ``None`` for schedulers without budgets (EDF, greedy).
+    #: ``None`` for schedulers without budgets (EDF).
     bd: Optional[float] = None
     #: the winning PE's full F(i,k) component breakdown (schema v2);
     #: ``None`` when the scheduler recorded only the summary fields.
@@ -157,7 +157,7 @@ class TaskDecision:
             reason = "forced: only BD-feasible PE"
         elif self.regret is not None:
             reason = f"max regret δE={self.regret:.4g} nJ"
-        else:
+        else:  # EDF: the performance-greedy earliest finish
             reason = "greedy pick"
         losers = f", beat {len(self.candidates)} candidate(s)" if self.candidates else ""
         return (

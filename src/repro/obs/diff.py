@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.obs.decisions import TaskDecision
 from repro.obs.utilization import task_energy_attribution
-from repro.schedule.table import EPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.schedule import Schedule
@@ -158,15 +158,15 @@ def diff_schedules(
     """Diff two schedules of the same benchmark.
 
     Raises:
-        ValueError: the schedules describe different CTGs or platforms —
-            per-task deltas would be meaningless.
+        InvalidArgumentError: the schedules describe different CTGs or
+            platforms — per-task deltas would be meaningless.
     """
     if a.ctg.name != b.ctg.name:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"cannot diff schedules of different CTGs: {a.ctg.name!r} vs {b.ctg.name!r}"
         )
     if a.acg.n_pes != b.acg.n_pes:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"cannot diff schedules on different platforms: "
             f"{a.acg.n_pes} vs {b.acg.n_pes} PEs"
         )

@@ -36,14 +36,14 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.decisions import Candidate, TaskDecision
+from repro.errors import UnknownTaskError
+from repro.obs.decisions import TaskDecision
 from repro.obs.utilization import analyze_schedule, task_energy_attribution
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.table import EPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.acg import ACG
-    from repro.core.slack import TaskBudget
     from repro.ctg.graph import CTG
     from repro.schedule.schedule import Schedule
 
@@ -406,7 +406,7 @@ def explain_schedule(
     deadline tasks are explained, critical-path tasks first.
     """
     if focus is not None and focus not in schedule.task_placements:
-        raise KeyError(f"task {focus!r} is not scheduled")
+        raise UnknownTaskError(f"task {focus!r} is not scheduled")
     target = focus if focus is not None else pick_target(schedule)
     path = critical_path(schedule, target=target)
     decisions = {d.task: d for d in schedule.provenance}

@@ -34,7 +34,6 @@ byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.obs.export import _jsonable_attrs
@@ -220,20 +219,6 @@ def chrome_trace(
             "total_energy_nJ": schedule.total_energy(),
         },
     }
-
-
-def write_chrome_trace(
-    path: str,
-    schedule: "Schedule",
-    tracer: Optional[Union[Tracer, NullTracer]] = None,
-    include_idle_links: bool = False,
-) -> int:
-    """Write the CTF JSON to ``path``; returns the event count."""
-    document = chrome_trace(schedule, tracer, include_idle_links=include_idle_links)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1, allow_nan=False)
-        handle.write("\n")
-    return len(document["traceEvents"])
 
 
 def _meta(pid: int, tid: Optional[int], kind: str, **args: Any) -> Dict[str, Any]:

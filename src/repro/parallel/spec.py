@@ -39,6 +39,7 @@ from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
+from repro.errors import InvalidArgumentError
 from repro.obs.decisions import TaskDecision
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.utilization import analyze_schedule
@@ -72,7 +73,7 @@ def run_scheduler(
         return eas_base_schedule(ctg, acg, eas_config)
     if name == "edf":
         return edf_schedule(ctg, acg)
-    raise ValueError(f"unknown scheduler {name!r}")
+    raise InvalidArgumentError(f"unknown scheduler {name!r}")
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,17 @@ class BenchmarkSpec:
             try:
                 build_ctg, msb_preset = MSB_SYSTEMS[self.system]
             except KeyError:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"unknown MSB system {self.system!r}; known: {sorted(MSB_SYSTEMS)}"
                 ) from None
             ctg = build_ctg(self.clip)
             preset_name = preset_name or msb_preset
         else:
-            raise ValueError(f"unknown benchmark kind {self.kind!r}")
+            raise InvalidArgumentError(f"unknown benchmark kind {self.kind!r}")
         try:
             preset = ACG_PRESETS[preset_name or "mesh_4x4"]
         except KeyError:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown ACG preset {preset_name!r}; known: {sorted(ACG_PRESETS)}"
             ) from None
         if self.shuffle_seed is not None:
@@ -174,7 +175,7 @@ def paper_benchmark(
             n_tasks=n_tasks,
         )
     if system not in MSB_SYSTEMS:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"unknown system {system!r}; known: {['random', *sorted(MSB_SYSTEMS)]}"
         )
     return BenchmarkSpec(

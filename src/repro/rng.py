@@ -8,7 +8,7 @@ builders) accepts either an integer seed or an existing
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 RandomLike = Union[int, random.Random, None]
 
@@ -24,15 +24,6 @@ def make_rng(seed: RandomLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def spawn(rng: random.Random) -> random.Random:
-    """Derive an independent child generator from ``rng``.
-
-    Used when a component wants sub-streams that do not perturb the
-    parent's sequence (e.g. one stream per generated benchmark).
-    """
-    return random.Random(rng.getrandbits(64))
-
-
 def triangular_int(rng: random.Random, low: int, high: int, mode: Optional[int] = None) -> int:
     """Integer draw from a triangular distribution over ``[low, high]``."""
     if low > high:
@@ -41,10 +32,3 @@ def triangular_int(rng: random.Random, low: int, high: int, mode: Optional[int] 
         return low
     value = rng.triangular(low, high, mode if mode is not None else (low + high) / 2)
     return max(low, min(high, int(round(value))))
-
-
-def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    """Pick one of ``items`` with the given relative ``weights``."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    return rng.choices(list(items), weights=list(weights), k=1)[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.topology import HoneycombTopology, Link, Mesh2D, Torus2D, grid_index
+from repro.arch.topology import HoneycombTopology, Link, Mesh2D, Torus2D
 from repro.errors import ArchitectureError
 
 
@@ -98,9 +98,3 @@ class TestLink:
         b = Link((0, 1), (0, 0))
         assert a != b
         assert len({a, b, Link((0, 0), (0, 1))}) == 2
-
-
-def test_grid_index():
-    assert grid_index((0, 0), cols=4) == 0
-    assert grid_index((1, 2), cols=4) == 6
-    assert grid_index((3, 3), cols=4) == 15

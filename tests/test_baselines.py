@@ -1,4 +1,4 @@
-"""Tests for the EDF baseline and the greedy/random reference schedulers."""
+"""Tests for the EDF baseline and the random reference scheduler."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.arch.acg import ACG
 from repro.arch.presets import mesh_4x4
 from repro.arch.topology import Mesh2D
 from repro.baselines.edf import edf_schedule
-from repro.baselines.greedy import greedy_energy_schedule, random_schedule
 from repro.core.eas import eas_base_schedule
+from repro.core.reference import random_schedule
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 
@@ -78,34 +78,6 @@ class TestEDF:
         ctg.add_task(Task("alien", costs={"gpu": TaskCosts(1, 1)}))
         with pytest.raises(ReproError):
             edf_schedule(ctg, acg4())
-
-
-class TestGreedyEnergy:
-    def test_valid_and_cheapest_single_task(self):
-        ctg = CTG()
-        ctg.add_task(
-            make_task(
-                "t",
-                {"cpu": 10, "dsp": 20, "arm": 40, "risc": 30},
-                {"cpu": 100, "dsp": 50, "arm": 10, "risc": 25},
-            )
-        )
-        schedule = greedy_energy_schedule(ctg, acg4())
-        schedule.validate_structure()
-        assert schedule.acg.pe(schedule.placement("t").pe).type_name == "arm"
-
-    def test_never_beaten_by_edf_on_energy(self, diamond_ctg):
-        greedy = greedy_energy_schedule(diamond_ctg, acg4())
-        edf = edf_schedule(diamond_ctg, acg4())
-        assert greedy.total_energy() <= edf.total_energy() + 1e-6
-
-    def test_colocates_heavy_communication(self):
-        ctg = CTG()
-        ctg.add_task(uniform_task("p", 10, 5))
-        ctg.add_task(uniform_task("c", 10, 5))
-        ctg.connect("p", "c", volume=1_000_000)
-        schedule = greedy_energy_schedule(ctg, acg4())
-        assert schedule.placement("p").pe == schedule.placement("c").pe
 
 
 class TestRandom:

@@ -7,9 +7,9 @@ import pytest
 from repro.arch.acg import ACG
 from repro.arch.topology import Mesh2D
 from repro.baselines.edf import edf_schedule
-from repro.baselines.greedy import random_schedule
 from repro.baselines.optimal import optimal_schedule
 from repro.core.eas import eas_schedule
+from repro.core.reference import random_schedule
 from repro.ctg.generator import GeneratorConfig, generate_ctg
 from repro.ctg.graph import CTG
 from repro.errors import SchedulingError

@@ -104,6 +104,36 @@ class TestScheduleCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestRepairStarts:
+    """``--repair-starts K`` > 1 runs the Step-3 portfolio, which only EAS has."""
+
+    #: EAS-base misses one deadline here; EAS's repair clears it.
+    ARGV = ["schedule", "--system", "random", "--category", "2", "--index", "5", "--n-tasks", "40"]
+
+    def test_eas_runs_the_portfolio(self, capsys):
+        assert main(self.ARGV + ["--algorithm", "eas", "--repair-starts", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "repair portfolio: 2 start(s)" in captured.err
+        assert "Schedule[eas] of cat2-5" in captured.out
+        assert "misses=0" in captured.out
+
+    def test_eas_base_rejects_k_above_one(self, capsys):
+        assert main(self.ARGV + ["--algorithm", "eas-base"]) == 0
+        assert "misses=1" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGV + ["--algorithm", "eas-base", "--repair-starts", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--repair-starts 2" in err and "(got eas-base)" in err
+
+    def test_edf_rejects_k_above_one(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGV + ["--algorithm", "edf", "--repair-starts", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--repair-starts 2" in err and "(got edf)" in err
+
+
 class TestAnalysisCommands:
     def test_compare(self, capsys):
         assert main(["compare", "--system", "encoder", "--clip", "akiyo"]) == 0

@@ -1,18 +1,14 @@
-"""Tests for CTG analyses: levels, longest paths, effective deadlines."""
+"""Tests for CTG analyses: longest paths, effective deadlines."""
 
 import math
 
 
 from repro.ctg.analysis import (
     critical_path_length,
-    critical_path_tasks,
     effective_deadlines,
     longest_mean_path_from,
     longest_mean_path_into,
     mean_exec_times,
-    path_between,
-    sum_along,
-    task_levels,
 )
 from repro.ctg.graph import CTG
 
@@ -33,18 +29,6 @@ def layered_ctg():
     ctg.connect("b", "d")
     ctg.connect("c", "d")
     return ctg
-
-
-class TestLevels:
-    def test_levels(self):
-        levels = task_levels(layered_ctg())
-        assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
-
-    def test_independent_tasks_all_level_zero(self):
-        ctg = CTG()
-        for i in range(3):
-            ctg.add_task(uniform_task(f"t{i}", 1, 1))
-        assert set(task_levels(ctg).values()) == {0}
 
 
 class TestLongestPaths:
@@ -76,10 +60,6 @@ class TestLongestPaths:
 
     def test_critical_path_length(self):
         assert critical_path_length(layered_ctg(), PE_TYPES) == 65
-
-    def test_critical_path_tasks(self):
-        path = critical_path_tasks(layered_ctg(), PE_TYPES)
-        assert path == ["a", "c", "d"]
 
     def test_into_from_consistency(self):
         """For any task: into + from - own == a path length <= CP."""
@@ -120,21 +100,3 @@ class TestEffectiveDeadlines:
         ctg = layered_ctg()
         eff = effective_deadlines(ctg, PE_TYPES, slack_per_hop=10.0)
         assert eff["b"] == 185
-
-
-class TestPathHelpers:
-    def test_path_between(self):
-        ctg = layered_ctg()
-        path = path_between(ctg, "a", "d")
-        assert path is not None and path[0] == "a" and path[-1] == "d"
-
-    def test_no_path(self):
-        ctg = layered_ctg()
-        assert path_between(ctg, "b", "c") is None
-
-    def test_trivial_path(self):
-        assert path_between(layered_ctg(), "a", "a") == ["a"]
-
-    def test_sum_along(self):
-        values = {"a": 1.0, "b": 2.0, "c": 4.0}
-        assert sum_along(["a", "c"], values) == 5.0

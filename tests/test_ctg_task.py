@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.ctg.task import CommEdge, Task, TaskCosts, scaled_costs, uniform_costs
+from repro.ctg.task import CommEdge, Task, TaskCosts
 from repro.errors import CTGError
 
 
@@ -116,15 +116,3 @@ class TestCommEdge:
     def test_negative_volume_rejected(self):
         with pytest.raises(CTGError):
             CommEdge(src="a", dst="b", volume=-1.0)
-
-
-class TestCostHelpers:
-    def test_uniform_costs(self):
-        costs = uniform_costs(["a", "b"], time=5, energy=7)
-        assert costs["a"] == TaskCosts(5, 7)
-        assert costs["b"] == TaskCosts(5, 7)
-
-    def test_scaled_costs(self):
-        costs = scaled_costs(100, 10, {"fast": (0.5, 2.0), "slow": (2.0, 0.5)})
-        assert costs["fast"] == TaskCosts(50, 20)
-        assert costs["slow"] == TaskCosts(200, 5)

@@ -9,7 +9,6 @@ from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg
 from repro.errors import ReproError
 from repro.evalx.analysis import (
     compare_schedules,
-    energy_by_task_type,
     utilization_table,
 )
 
@@ -84,15 +83,3 @@ class TestUtilizationTable:
         assert len(percents) == eas.acg.n_pes
         for pct in percents:
             assert 0.0 <= pct <= 100.0 + 1e-6
-
-
-class TestEnergyByTaskType:
-    def test_totals_match_computation_energy(self, schedules):
-        eas, _edf = schedules
-        totals = energy_by_task_type(eas)
-        assert sum(totals.values()) == pytest.approx(eas.computation_energy())
-
-    def test_known_kinds_present(self, schedules):
-        eas, _edf = schedules
-        totals = energy_by_task_type(eas)
-        assert "dsp-kernel" in totals and "control" in totals

@@ -22,11 +22,11 @@ import pytest
 from repro import obs
 from repro.arch.presets import hetero_mesh, mesh_3x3
 from repro.baselines.edf import edf_schedule
-from repro.baselines.greedy import greedy_energy_schedule, random_schedule
 from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
 from repro.core.rebuild import rebuild_schedule
 from repro.core.reference import (
     full_rebuild_repair,
+    random_schedule,
     reference_eas_base_schedule,
     reference_eas_schedule,
 )
@@ -105,8 +105,6 @@ CASES: Dict[str, Callable[[], Schedule]] = {
     ),
     "edf/loose": lambda: edf_schedule(*_loose()),
     "edf/hetero": lambda: edf_schedule(*_hetero()),
-    "greedy/loose": lambda: greedy_energy_schedule(*_loose()),
-    "greedy/hetero": lambda: greedy_energy_schedule(*_hetero()),
     "random/loose": lambda: random_schedule(*_loose(), seed=3),
     "rebuild/hetero": lambda: _rebuild(_hetero()),
     "rebuild/tight": lambda: _rebuild(_tight()),
@@ -129,8 +127,6 @@ EXPECTED: Dict[str, str] = {
     "eas/tight/nocache": "7459963bd47a99d91f89ca486e590e5ffd584414d1d71b0558c360f23e940c35",
     "edf/hetero": "c7cac0edace5ba5a8b302478886a3d31ec747a4dcce4268473119ff63b59c685",
     "edf/loose": "be2c11285f677f8da3b81c9f4b6d471d19edab8b8bda36d4a1ad6aba7142022e",
-    "greedy/hetero": "10b89e9884065bb4bc4876b174674371d2c1c550c267cd45b254050681d62012",
-    "greedy/loose": "9b0b90c11099ae6ab9c5f08216c686790847bd53b94326b61c4fb77eeb4e50e5",
     "random/loose": "de83e27ec2f45bc7d1edf4eaf20c0ef155fbbc232c24e398ea23e3f88ee37022",
     "rebuild/hetero": "4ff9cacb7ec807b7fa6ce6e05455921491409435a4aa79975503afda0beaad8e",
     "rebuild/tight": "4dddc9afe644f35ad1f7ea19504381982a40ff21ab434f0f52866fa4002ad288",

@@ -21,8 +21,8 @@ from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.topology import Mesh2D
 from repro.core.eas import EASConfig, eas_schedule
-from repro.core.increbuild import IncrementalRebuilder, _schedule_metric
-from repro.core.rebuild import rebuild_schedule
+from repro.core.increbuild import IncrementalRebuilder
+from repro.core.rebuild import miss_metric, rebuild_schedule
 from repro.core.reference import full_rebuild_repair, reference_eas_schedule
 from repro.core.repair import RepairConfig, search_and_repair
 from repro.ctg.generator import generate_category
@@ -74,7 +74,7 @@ def checked_engine(monkeypatch):
                 "incremental rebuild diverged from full rebuild"
             )
         else:
-            assert full is None or not _schedule_metric(full) < incumbent_metric, (
+            assert full is None or not miss_metric(full) < incumbent_metric, (
                 "incremental rejected a candidate that beats the incumbent"
             )
         checked["evaluations"] += 1
@@ -163,7 +163,7 @@ class TestEquivalenceCorpus:
             orders = {pe: list(names) for pe, names in sched.pe_order().items()}
             base = rebuild_schedule(ctg, acg, mapping, orders)
             engine = IncrementalRebuilder(ctg, acg, mapping, orders)
-            metric = _schedule_metric(base)
+            metric = miss_metric(base)
             for _trial in range(25):
                 cand_map = dict(mapping)
                 cand_orders = {pe: list(names) for pe, names in orders.items()}
@@ -193,10 +193,10 @@ class TestEquivalenceCorpus:
                     cand_orders.setdefault(dst, []).append(task)
                 result = engine.evaluate(cand_map, cand_orders, metric)
                 evaluations += 1
-                if result is not None and _schedule_metric(result) < metric:
+                if result is not None and miss_metric(result) < metric:
                     engine.promote()
                     mapping, orders = cand_map, cand_orders
-                    metric = _schedule_metric(result)
+                    metric = miss_metric(result)
         assert evaluations >= 80
         assert checked_engine["evaluations"] == evaluations
 
@@ -230,7 +230,7 @@ class TestEngineBehaviour:
         orders = {0: ["a", "b"]}
         base = rebuild_schedule(ctg, acg, mapping, orders)
         engine = IncrementalRebuilder(ctg, acg, mapping, orders)
-        metric = _schedule_metric(base)
+        metric = miss_metric(base)
         # b before a deadlocks: b's predecessor a can never run.
         assert engine.evaluate(mapping, {0: ["b", "a"]}, metric) is None
         # The engine still evaluates later candidates exactly (the fixture
@@ -238,11 +238,11 @@ class TestEngineBehaviour:
         cand_map = {"a": 0, "b": 1}
         cand_orders = {0: ["a"], 1: ["b"]}
         result = engine.evaluate(cand_map, cand_orders, metric)
-        if result is not None and _schedule_metric(result) < metric:
+        if result is not None and miss_metric(result) < metric:
             engine.promote()
             # Promotion adopted the candidate; the next evaluation runs
             # against the new incumbent and is still cross-checked.
-            engine.evaluate(mapping, orders, _schedule_metric(result))
+            engine.evaluate(mapping, orders, miss_metric(result))
 
     def test_memoized_rejection_skips_second_rebuild(self):
         ctg, acg, mapping, orders = self._two_pe_fixture()
@@ -250,10 +250,10 @@ class TestEngineBehaviour:
         bundle = obs.Instrumentation.disabled()
         with obs.activate(bundle):
             engine = IncrementalRebuilder(ctg, acg, mapping, orders)
-            metric = _schedule_metric(base)
+            metric = miss_metric(base)
             cand_orders = {0: ["b", "a"], 1: ["c"]}
             first = engine.evaluate(mapping, cand_orders, metric)
-            assert first is None or not _schedule_metric(first) < metric
+            assert first is None or not miss_metric(first) < metric
             second = engine.evaluate(mapping, cand_orders, metric)
             assert second is None
         assert bundle.metrics.counter("repair.memo_skips").value == 1
@@ -313,7 +313,7 @@ class TestDegradedPlatform:
         bundle = obs.Instrumentation.disabled()
         with obs.activate(bundle):
             engine = IncrementalRebuilder(ctg, degraded, mapping, orders, prefix=prefix)
-            metric = _schedule_metric(
+            metric = miss_metric(
                 rebuild_schedule(ctg, degraded, mapping, orders, prefix=prefix)
             )
             assert metric[0] == 1  # c misses, so the candidate is replayed

@@ -170,37 +170,122 @@ class TestInfeasibleRunPostmortem:
         assert "worker exploded" in terminal["traceback"]
 
 
-#: CLI invocations whose bad input surfaces as a CTGError from the
-#: library (a zero-task graph, an unknown category, an unknown clip).
+#: CLI invocations whose bad input surfaces as a typed library error:
+#: ``(argv, error class, message)``.  ``{tmp}`` is the test's tmp_path,
+#: where the ``bad_inputs`` fixture writes a JSON document that is not
+#: a schedule and one that is not a fault plan.
 BAD_INPUT_COMMANDS = {
-    "schedule-zero-tasks": ["schedule", "--system", "random", "--n-tasks", "0"],
-    "diff-unknown-category": ["diff", "category=3", "algorithm=edf", "--system", "random"],
-    "diff-unknown-clip": ["diff", "clip=nope", "algorithm=edf"],
+    "schedule-zero-tasks": (
+        ["schedule", "--system", "random", "--n-tasks", "0"],
+        "CTGError",
+        "n_tasks must be >= 1",
+    ),
+    "diff-unknown-category": (
+        ["diff", "category=3", "algorithm=edf", "--system", "random"],
+        "CTGError",
+        "unknown category 3; use 1 or 2",
+    ),
+    "diff-unknown-clip": (
+        ["diff", "clip=nope", "algorithm=edf"],
+        "CTGError",
+        "unknown clip 'nope'; known: ('akiyo', 'foreman', 'toybox')",
+    ),
+    "diff-unknown-system": (
+        ["diff", "system=bogus", "algorithm=edf"],
+        "InvalidArgumentError",
+        "unknown system 'bogus'; known: ['random', 'decoder', 'encoder', 'integrated']",
+    ),
+    "explain-load-non-schedule": (
+        ["explain", "--load", "{tmp}/not-a-schedule.json"],
+        "SerializationError",
+        "cannot load {tmp}/not-a-schedule.json: not a repro-schedule document: format=None",
+    ),
+    "diff-unknown-spec-key": (
+        ["diff", "algorithm=eas", "foo=1"],
+        "InvalidArgumentError",
+        "diff endpoint 'foo=1': unknown key 'foo'",
+    ),
+    "faults-inject-non-plan": (
+        ["faults", "inject", "--plan", "{tmp}/not-a-plan.json"],
+        "SerializationError",
+        "fault plan must be an object, got list",
+    ),
+    "faults-sweep-unknown-kind": (
+        ["faults", "sweep", "--kinds", "bogus", "--plans", "2"],
+        "InvalidArgumentError",
+        "unknown fault kind 'bogus'; known: ['pe', 'link', 'transient']",
+    ),
+    "inspect-out-missing-dir": (
+        ["inspect", "--out", "{tmp}/missing/x"],
+        "SerializationError",
+        "cannot write {tmp}/missing/x: [Errno 2] No such file or directory: '{tmp}/missing/x'",
+    ),
+    "report-prune-without-ledger": (
+        ["report", "--prune-ledger", "1", "--ledger", "off"],
+        "LedgerError",
+        "no run ledger to prune",
+    ),
 }
 
 
-class TestLibraryInputErrors:
-    """Any library error is a one-line exit 1, never a traceback."""
+@pytest.fixture
+def bad_inputs(tmp_path):
+    (tmp_path / "not-a-schedule.json").write_text('{"a": 1}\n')
+    (tmp_path / "not-a-plan.json").write_text("[1, 2]\n")
+    return str(tmp_path)
 
-    @pytest.mark.parametrize("argv", BAD_INPUT_COMMANDS.values(), ids=BAD_INPUT_COMMANDS)
-    def test_clean_error_without_instrumentation(self, argv, capsys):
+
+def _bad_input_case(case_id, tmp):
+    argv, error_class, message = BAD_INPUT_COMMANDS[case_id]
+    return [arg.format(tmp=tmp) for arg in argv], error_class, message.format(tmp=tmp)
+
+
+class TestLibraryInputErrors:
+    """Any library error is a one-line exit 1, never a traceback.
+
+    ``main`` is the one place that maps a ``ReproError`` to that exit, so
+    every case also leaves a ``run_failed`` ledger record that names the
+    error class.
+    """
+
+    @pytest.mark.parametrize("case_id", BAD_INPUT_COMMANDS)
+    def test_clean_error_without_instrumentation(self, case_id, bad_inputs, capsys):
+        argv, _error_class, message = _bad_input_case(case_id, bad_inputs)
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("repro-noc: error:")
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "Traceback" not in captured.err
+        assert captured.err == f"repro-noc: error: {message}\n"
 
-    @pytest.mark.parametrize("argv", BAD_INPUT_COMMANDS.values(), ids=BAD_INPUT_COMMANDS)
-    def test_clean_error_and_run_failed_record(self, argv, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "case_id",
+        [case for case, (argv, _cls, _msg) in BAD_INPUT_COMMANDS.items() if "--ledger" not in argv],
+    )
+    def test_clean_error_and_run_failed_record(
+        self, case_id, bad_inputs, capsys, monkeypatch, tmp_path
+    ):
+        argv, error_class, message = _bad_input_case(case_id, bad_inputs)
         ledger = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(ledger))
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("repro-noc: error:")
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == f"repro-noc: error: {message}\n"
         terminal = read_ledger(ledger)[-1]
         assert terminal["type"] == "run_failed"
-        assert terminal["error"].startswith("CTGError: ")
+        assert terminal["error"] == f"{error_class}: {message}"
+
+    @pytest.mark.parametrize("case_id", BAD_INPUT_COMMANDS)
+    def test_error_line_is_last_under_trace(self, case_id, bad_inputs, capsys, tmp_path):
+        argv, _error_class, message = _bad_input_case(case_id, bad_inputs)
+        assert main(argv + ["--trace", str(tmp_path / "trace.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"repro-noc: error: {message}"
+        assert "Traceback" not in err
+
+    def test_unwritable_trace_keeps_the_handler_error(self, bad_inputs, capsys, tmp_path):
+        argv, _error_class, message = _bad_input_case("diff-unknown-system", bad_inputs)
+        bad = tmp_path / "missing-dir" / "trace.jsonl"
+        assert main(argv + ["--trace", str(bad)]) == 1
+        first, last = capsys.readouterr().err.splitlines()
+        assert first.startswith("repro-noc: error: cannot write trace: ")
+        assert last == f"repro-noc: error: {message}"
 
 
 class TestTraceStdoutWithJobs:

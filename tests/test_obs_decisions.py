@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.baselines.edf import edf_schedule
-from repro.baselines.greedy import greedy_energy_schedule
 from repro.core.eas import eas_schedule
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.arch.presets import mesh_2x2
@@ -61,9 +60,7 @@ class TestSchedulerCoverage:
             schedule = scheduler(ctg, acg)
         return schedule, ins
 
-    @pytest.mark.parametrize(
-        "scheduler", [eas_schedule, edf_schedule, greedy_energy_schedule]
-    )
+    @pytest.mark.parametrize("scheduler", [eas_schedule, edf_schedule])
     def test_every_task_decided_exactly_once(self, encoder, scheduler):
         ctg, acg = encoder
         schedule, ins = self._run_with_log(scheduler, ctg, acg)

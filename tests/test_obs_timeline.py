@@ -15,7 +15,6 @@ from repro.obs.timeline import (
     chrome_trace,
     schedule_timeline_events,
     tracer_timeline_events,
-    write_chrome_trace,
 )
 
 #: every CTF data event must carry these fields.
@@ -156,13 +155,3 @@ class TestTracerLane:
 
     def test_empty_tracer_contributes_nothing(self):
         assert tracer_timeline_events(obs.NULL_TRACER) == []
-
-
-class TestWriter:
-    def test_write_chrome_trace_roundtrip(self, cat1_schedule, tmp_path):
-        schedule, ins = cat1_schedule
-        path = tmp_path / "trace.json"
-        count = write_chrome_trace(str(path), schedule, tracer=ins.tracer)
-        document = json.loads(path.read_text())
-        assert len(document["traceEvents"]) == count
-        assert document["otherData"]["algorithm"] == "eas"

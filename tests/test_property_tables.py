@@ -129,9 +129,14 @@ from repro.schedule.overlay import ResourceTables
 
 PES = (0, 1)
 LINKS = tuple(Link((0, i), (0, i + 1)) for i in range(4))
-RESOURCES = PES + LINKS
+#: the tables, overlays and probes address a link by its ``Link.key``;
+#: the placements ``fill``/``undo`` take keep their ``Link`` objects and
+#: store them under those keys, so both meet on one table.
+LINK_KEYS = tuple(link.key for link in LINKS)
+RESOURCES = PES + LINK_KEYS
 #: every contiguous route over the link chain, plus a reversed one.
 PATHS = tuple(LINKS[i:j] for i in range(4) for j in range(i + 1, 5)) + (LINKS[::-1],)
+KEYED_PATHS = tuple(tuple(link.key for link in links) for links in PATHS)
 
 time_point = st.integers(min_value=0, max_value=60).map(float)
 span = st.integers(min_value=1, max_value=12).map(float)
@@ -172,6 +177,10 @@ def _placements(tasks, comms):
     return placements, transfers
 
 
+def _keys(links):
+    return tuple(link.key for link in links)
+
+
 def _apply(tables, op, args):
     """Apply one op to a tables object; ``False`` when it does not apply."""
     try:
@@ -195,7 +204,7 @@ def _apply(tables, op, args):
             extras, commit = args
             overlay = tables.overlay()
             for links, start, length in extras:
-                overlay.reserve_on_path(links, start, start + length)
+                overlay.reserve_on_path(_keys(links), start, start + length)
             if commit:
                 overlay.commit()
     except SchedulingError:
@@ -209,13 +218,13 @@ def _assert_probes_agree(cached, literal, readies, extras):
     for tentative in ((), extras):
         oc, ol = cached.overlay(), literal.overlay()
         for links, start, length in tentative:
-            oc.reserve_on_path(links, start, start + length)
-            ol.reserve_on_path(links, start, start + length)
+            oc.reserve_on_path(_keys(links), start, start + length)
+            ol.reserve_on_path(_keys(links), start, start + length)
         for ready in readies:
             for duration in (0.0, 1.0, 7.5):
-                for links in PATHS:
-                    assert oc.find_earliest_on_path(links, ready, duration) == (
-                        ol.find_earliest_on_path(links, ready, duration)
+                for keys in KEYED_PATHS:
+                    assert oc.find_earliest_on_path(keys, ready, duration) == (
+                        ol.find_earliest_on_path(keys, ready, duration)
                     )
                 for pe in PES:
                     assert oc.find_earliest(pe, ready, duration) == (
@@ -229,6 +238,7 @@ class TestPathCacheMatchesLiteral:
     Random op sequences run in lockstep on :class:`ResourceTables` and the
     paper-literal :class:`LiteralTables`, across forked and copied
     lineages; after every step each lineage answers every probe the same.
+    Filled transfers and direct reservations share the keyed link tables.
     """
 
     @given(
@@ -256,7 +266,7 @@ class TestPathCacheMatchesLiteral:
                     args = filled[index][-1]
                 # Probe the cached side first so its path cache is warm
                 # (and possibly stale) when the mutation lands.
-                cached.overlay().find_earliest_on_path(LINKS, 0.0, 1.0)
+                cached.overlay().find_earliest_on_path(LINK_KEYS, 0.0, 1.0)
                 applied = _apply(cached, op, args)
                 assert _apply(literal, op, args) == applied
                 if applied and op == "fill":

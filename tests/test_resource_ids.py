@@ -168,7 +168,7 @@ def _keyed(transfers):
 
 
 class TestKeyedPathCacheMatchesLiteral:
-    """The lockstep oracle of ``test_property_tables``, with links as ``Link.key``.
+    """The lockstep oracle of ``test_property_tables``, on the chain routes by ``Link.key``.
 
     ``fill``/``undo`` take ``CommPlacement``s holding ``Link`` objects and
     store them under their keys; reserve, release, truncate, overlay
@@ -201,8 +201,6 @@ class TestKeyedPathCacheMatchesLiteral:
                     if not filled[index]:
                         continue
                     args = filled[index][-1]
-                elif op == "overlay":
-                    args = [_keyed(args[0]), args[1]]
                 # Warm the cached side's path cache before the mutation lands.
                 cached.overlay().find_earliest_on_path(ROUTE_KEYS[-1], 0.0, 1.0)
                 applied = _apply(cached, op, args)

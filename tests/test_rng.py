@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.rng import make_rng, spawn, triangular_int, weighted_choice
+from repro.rng import make_rng, triangular_int
 
 
 class TestMakeRng:
@@ -21,24 +21,6 @@ class TestMakeRng:
 
     def test_string_seed_accepted(self):
         assert make_rng("clip:foreman").random() == make_rng("clip:foreman").random()
-
-
-class TestSpawn:
-    def test_child_is_independent(self):
-        parent = make_rng(7)
-        child = spawn(parent)
-        # Drawing from the child does not perturb a sibling spawned from
-        # an identically-seeded parent.
-        parent2 = make_rng(7)
-        child2 = spawn(parent2)
-        child.random()
-        assert parent.random() == parent2.random()
-        assert child2.random() is not None
-
-    def test_children_deterministic(self):
-        a = spawn(make_rng(3))
-        b = spawn(make_rng(3))
-        assert a.random() == b.random()
 
 
 class TestTriangularInt:
@@ -61,19 +43,3 @@ class TestTriangularInt:
         rng = make_rng(2)
         high_mode = [triangular_int(rng, 0, 100, mode=90) for _ in range(500)]
         assert sum(low_mode) < sum(high_mode)
-
-
-class TestWeightedChoice:
-    def test_degenerate_weight(self):
-        rng = make_rng(1)
-        for _ in range(20):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(1), ["a"], [1.0, 2.0])
-
-    def test_respects_weights_statistically(self):
-        rng = make_rng(3)
-        picks = [weighted_choice(rng, ["x", "y"], [9.0, 1.0]) for _ in range(500)]
-        assert picks.count("x") > picks.count("y") * 3
