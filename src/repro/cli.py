@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_jobs_argument(sub.choices[name])
     sub.choices["schedule"].add_argument(
         "--repair-starts",
-        type=int,
+        type=_portfolio_size,
         default=1,
         metavar="K",
         help="multi-start repair portfolio: K seeded LTS/GTM orderings "
@@ -507,6 +507,17 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_observability_arguments(subparser)
 
     return parser
+
+
+def _portfolio_size(text: str) -> int:
+    """``--repair-starts`` K: an integer >= 1 (1 = plain scheduler)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"K must be >= 1, got {value}")
+    return value
 
 
 def _add_jobs_argument(subparser) -> None:

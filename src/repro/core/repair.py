@@ -219,20 +219,13 @@ class _StartPayload:
 
 
 def _portfolio_start(payload: "_StartPayload") -> Dict[str, object]:
-    """Worker entry: rebuild the base schedule, repair it, ship the outcome.
-
-    Runs inside a fresh disabled bundle so worker-side counters never
-    race the parent registry; the registry travels home in the result
-    and is merged by the parent in start order.
-    """
-    bundle = obs.Instrumentation.disabled()
-    with obs.activate(bundle):
-        schedule = rebuild_schedule(
-            payload.ctg, payload.acg, payload.mapping, payload.orders,
-            algorithm=payload.algorithm,
-        )
-        repaired, report = search_and_repair(schedule, payload.config)
-        metric = miss_metric(repaired)
+    """Worker entry: rebuild the base schedule, repair it, ship the outcome."""
+    schedule = rebuild_schedule(
+        payload.ctg, payload.acg, payload.mapping, payload.orders,
+        algorithm=payload.algorithm,
+    )
+    repaired, report = search_and_repair(schedule, payload.config)
+    metric = miss_metric(repaired)
     return {
         "start": payload.start,
         "seed": payload.config.seed,
@@ -242,7 +235,6 @@ def _portfolio_start(payload: "_StartPayload") -> Dict[str, object]:
         "tardiness": metric[1],
         "energy": repaired.total_energy(),
         "report": report,
-        "metrics": bundle.metrics,
     }
 
 
@@ -296,13 +288,7 @@ def multistart_search_and_repair(
     jobs = resolve_jobs(jobs)
     ins = obs.get()
     ins.metrics.counter("repair.portfolio_starts").inc(starts)
-    raw = pool_map(
-        _portfolio_start,
-        payloads,
-        jobs=jobs,
-        label="repair_portfolio",
-        finalize=lambda result: ins.metrics.merge(result["metrics"]),
-    )
+    raw = pool_map(_portfolio_start, payloads, jobs=jobs, label="repair_portfolio")
 
     outcomes = [
         StartOutcome(

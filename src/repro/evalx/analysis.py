@@ -11,9 +11,9 @@ the two views every evaluation in this repository is narrated with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import ReproError
+from repro.obs.utilization import analyze_schedule
 from repro.schedule.schedule import Schedule
 
 
@@ -108,22 +108,14 @@ def compare_schedules(a: Schedule, b: Schedule) -> ScheduleComparison:
 def utilization_table(schedule: Schedule) -> str:
     """Per-PE busy time / utilisation / task count, one line per tile."""
     span = schedule.makespan()
-    busy: Dict[int, float] = {pe.index: 0.0 for pe in schedule.acg.pes}
-    count: Dict[int, int] = {pe.index: 0 for pe in schedule.acg.pes}
-    energy: Dict[int, float] = {pe.index: 0.0 for pe in schedule.acg.pes}
-    for placement in schedule.task_placements.values():
-        busy[placement.pe] += placement.duration
-        count[placement.pe] += 1
-        energy[placement.pe] += placement.energy
     lines = [
         f"PE utilisation of {schedule.ctg.name} [{schedule.algorithm}] "
         f"(makespan {span:g}):"
     ]
-    for pe in schedule.acg.pes:
-        utilisation = busy[pe.index] / span if span > 0 else 0.0
+    for pe in analyze_schedule(schedule).pes:
         lines.append(
             f"  PE{pe.index:>2} {pe.type_name:>5} @ {pe.position}: "
-            f"{count[pe.index]:3d} tasks, busy {busy[pe.index]:10.1f} "
-            f"({100 * utilisation:5.1f}%), comp energy {energy[pe.index]:10.1f} nJ"
+            f"{pe.n_tasks:3d} tasks, busy {pe.busy:10.1f} "
+            f"({100 * pe.utilization:5.1f}%), comp energy {pe.compute_energy:10.1f} nJ"
         )
     return "\n".join(lines)

@@ -31,8 +31,16 @@ from repro.arch.presets import mesh_3x3
 from repro.core.eas import EASConfig, eas_base_schedule
 from repro.core.repair import RepairReport, search_and_repair
 from repro.ctg.multimedia import CLIP_NAMES, av_integrated_ctg
-from repro.parallel.pool import parallel_map
-from repro.parallel.spec import MSB_SYSTEMS, RunResult, RunSpec, paper_benchmark, run_scheduler
+from repro.obs.decisions import DecisionLog
+from repro.parallel.pool import pool_map
+from repro.parallel.spec import (
+    MSB_SYSTEMS,
+    RunResult,
+    RunSpec,
+    execute_spec,
+    paper_benchmark,
+    run_scheduler,
+)
 from repro.schedule.schedule import Schedule
 
 #: Number of random benchmarks per category, as in the paper.
@@ -107,7 +115,7 @@ def run_random_category(
         for index in range(n_benchmarks)
         for name in wanted
     ]
-    rows = _rows_from_results(parallel_map(specs, jobs=jobs), wanted)
+    rows = _rows_from_results(pool_map(execute_spec, specs, jobs=jobs), wanted)
     if progress is not None:
         for index, row in enumerate(rows):
             progress(f"cat{category} benchmark {index}: " + _row_brief(row))
@@ -153,7 +161,9 @@ def run_msb_table(
         for clip in clips
         for name in wanted
     ]
-    return _rows_from_results(parallel_map(specs, jobs=jobs), wanted, row_names=list(clips))
+    return _rows_from_results(
+        pool_map(execute_spec, specs, jobs=jobs), wanted, row_names=list(clips)
+    )
 
 
 # -- Fig. 7: performance/energy trade-off ----------------------------------------
@@ -271,25 +281,27 @@ def schedules_for_specs(
     """Run ``specs`` (pooled via ``jobs``) and return the full schedules.
 
     The engine behind in-process ``repro-noc diff`` endpoints: each spec
-    is forced to record decision provenance and ship its committed
-    schedule home as a serialized document; the parent rebuilds it
-    against a locally-built CTG/ACG pair.  The serialize/rebuild
-    roundtrip is float-exact and the rebuild order is spec order, so
-    ``jobs=2`` yields schedules identical to ``jobs=1``.
+    ships its committed schedule home as a serialized document and the
+    parent rebuilds it against a locally-built CTG/ACG pair.  The map
+    runs under a decision-recording bundle, so the pool's workers record
+    provenance and the v2 document carries it even without ``--trace``.
+    The serialize/rebuild roundtrip is float-exact and the rebuild order
+    is spec order, so ``jobs=2`` yields schedules identical to ``jobs=1``.
     """
     from repro.schedule.serialization import schedule_from_dict
 
-    prepared = [replace(spec, record=True, return_schedule=True) for spec in specs]
-    results = parallel_map(prepared, jobs=jobs)
+    prepared = [replace(spec, return_schedule=True) for spec in specs]
+    ins = obs.get()
+    if not ins.decisions.enabled:
+        ins = replace(ins, decisions=DecisionLog(enabled=True))
+    with obs.activate(ins):
+        results = pool_map(execute_spec, prepared, jobs=jobs)
     schedules: List[Schedule] = []
     for spec, result in zip(prepared, results):
         if result.schedule_doc is None:
             raise ValueError(f"spec {spec.tag!r} returned no schedule document")
         ctg, acg = spec.benchmark.build()
-        schedule = schedule_from_dict(result.schedule_doc, ctg, acg)
-        if not schedule.provenance and result.decisions:
-            schedule.provenance = list(result.decisions)
-        schedules.append(schedule)
+        schedules.append(schedule_from_dict(result.schedule_doc, ctg, acg))
     return schedules
 
 

@@ -10,17 +10,17 @@ for it.
 The job protocol mirrors :mod:`repro.parallel.spec`: a worker receives a
 :class:`FaultRunSpec` (benchmark seeds, the committed schedule and the
 plan as serialized documents — never live objects), rebuilds everything
-inside a fresh observability bundle, and ships back a
-:class:`FaultRunResult` of plain deterministic numbers plus its metrics
-registry and buffered ledger records.  The parent folds those in plan
-order, so a sweep's report, counters and ledger are **byte-identical at
-any job count** — the same contract the evalx grids honour.
+and returns a :class:`FaultRunResult` of plain deterministic numbers.
+:func:`~repro.parallel.pool.pool_map`'s worker envelope ships each
+plan's metrics, trace and buffered ``fault_plan`` ledger record home and
+folds them in plan order, so a sweep's report, counters and ledger are
+**byte-identical at any job count** — the same contract the evalx grids
+honour.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -28,8 +28,6 @@ from repro import obs
 from repro.core.eas import EASConfig
 from repro.faults.plan import FAULT_KINDS, FaultPlan, generate_fault_plans
 from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
-from repro.obs.ledger import make_record
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import pool_map
 from repro.parallel.spec import BenchmarkSpec, run_scheduler
 from repro.schedule.serialization import schedule_from_dict, schedule_to_dict
@@ -45,7 +43,6 @@ class FaultRunSpec:
     schedule_doc: Dict[str, Any]
     eas_config: Optional[EASConfig] = None
     tag: str = ""
-    ledger_run_id: Optional[str] = None
 
 
 @dataclass
@@ -67,10 +64,6 @@ class FaultRunResult:
     tardiness_delta: float = 0.0
     energy_delta: float = 0.0
     makespan_delta: float = 0.0
-    #: worker wall for the whole injection (telemetry only, never report).
-    wall_seconds: float = 0.0
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    ledger_records: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
@@ -80,66 +73,57 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
     in-process on the serial path.  An unsurvivable fault is a *result*
     (``recovered=False`` with the reason), not a worker crash.
     """
-    wall_started = time.perf_counter()
-    bundle = obs.Instrumentation.disabled()
-    with obs.activate(bundle):
-        ctg, acg = spec.benchmark.build()
-        committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
-        plan = FaultPlan.from_dict(spec.plan_doc)
-        try:
-            recovery = inject_and_recover(committed, plan, spec.eas_config)
-        except UnsurvivableFaultError as exc:
-            result = FaultRunResult(
-                tag=spec.tag,
-                plan_name=plan.name,
-                kind=plan.kind,
-                fault_time=plan.fault_time,
-                recovered=False,
-                survived=False,
-                reason=str(exc),
-                misses_before=len(committed.deadline_misses()),
-            )
-        else:
-            result = FaultRunResult(
-                tag=spec.tag,
-                plan_name=plan.name,
-                kind=plan.kind,
-                fault_time=recovery.fault_time,
-                recovered=True,
-                survived=recovery.survived,
-                salvaged=len(recovery.salvaged),
-                rerun=len(recovery.rerun),
-                remapped=len(recovery.remapped),
-                misses_before=recovery.misses_before,
-                misses_after=recovery.misses_after,
-                tardiness_delta=recovery.tardiness_delta,
-                energy_delta=recovery.energy_delta,
-                makespan_delta=recovery.makespan_delta,
-            )
-    result.wall_seconds = time.perf_counter() - wall_started
-    result.metrics = bundle.metrics
-    if spec.ledger_run_id is not None:
-        result.ledger_records.append(
-            make_record(
-                "phase",
-                spec.ledger_run_id,
-                name="fault_plan",
-                tag=spec.tag,
-                plan=plan.name,
-                kind=plan.kind,
-                fault_time=result.fault_time,
-                recovered=result.recovered,
-                survived=result.survived,
-                reason=result.reason,
-                salvaged=result.salvaged,
-                rerun=result.rerun,
-                remapped=result.remapped,
-                misses_before=result.misses_before,
-                misses_after=result.misses_after,
-                energy_delta=result.energy_delta,
-                pid=os.getpid(),
-                wall_seconds=result.wall_seconds,
-            )
+    ctg, acg = spec.benchmark.build()
+    committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
+    plan = FaultPlan.from_dict(spec.plan_doc)
+    try:
+        recovery = inject_and_recover(committed, plan, spec.eas_config)
+    except UnsurvivableFaultError as exc:
+        result = FaultRunResult(
+            tag=spec.tag,
+            plan_name=plan.name,
+            kind=plan.kind,
+            fault_time=plan.fault_time,
+            recovered=False,
+            survived=False,
+            reason=str(exc),
+            misses_before=len(committed.deadline_misses()),
+        )
+    else:
+        result = FaultRunResult(
+            tag=spec.tag,
+            plan_name=plan.name,
+            kind=plan.kind,
+            fault_time=recovery.fault_time,
+            recovered=True,
+            survived=recovery.survived,
+            salvaged=len(recovery.salvaged),
+            rerun=len(recovery.rerun),
+            remapped=len(recovery.remapped),
+            misses_before=recovery.misses_before,
+            misses_after=recovery.misses_after,
+            tardiness_delta=recovery.tardiness_delta,
+            energy_delta=recovery.energy_delta,
+            makespan_delta=recovery.makespan_delta,
+        )
+    ledger = obs.get().ledger
+    if ledger is not None:
+        ledger.phase(
+            "fault_plan",
+            tag=spec.tag,
+            plan=plan.name,
+            kind=plan.kind,
+            fault_time=result.fault_time,
+            recovered=result.recovered,
+            survived=result.survived,
+            reason=result.reason,
+            salvaged=result.salvaged,
+            rerun=result.rerun,
+            remapped=result.remapped,
+            misses_before=result.misses_before,
+            misses_after=result.misses_after,
+            energy_delta=result.energy_delta,
+            pid=os.getpid(),
         )
     return result
 
@@ -266,7 +250,6 @@ def run_fault_sweep(
     seed: int = 0,
     kinds: Sequence[str] = FAULT_KINDS,
     jobs: Optional[int] = None,
-    ledger_run_id: Optional[str] = None,
 ) -> FaultSweepReport:
     """Schedule once, then inject ``n_plans`` seeded faults (pooled).
 
@@ -276,11 +259,7 @@ def run_fault_sweep(
     ``(benchmark, scheduler, eas_config, n_plans, seed, kinds)`` —
     independent of ``jobs``.
     """
-    ins = obs.get()
-    ledger = ins.ledger
-    if ledger_run_id is None and ledger is not None:
-        ledger_run_id = ledger.run_id
-    with ins.tracer.span(
+    with obs.get().tracer.span(
         "faults.sweep", n_plans=n_plans, seed=seed, scheduler=scheduler
     ):
         ctg, acg = benchmark.build()
@@ -298,23 +277,10 @@ def run_fault_sweep(
                 schedule_doc=schedule_doc,
                 eas_config=eas_config,
                 tag=plan.name,
-                ledger_run_id=ledger_run_id,
             )
             for plan in plans
         ]
-
-        def _finalize(result: FaultRunResult) -> None:
-            ins.metrics.merge(result.metrics)
-            if ledger is not None:
-                ledger.absorb(result.ledger_records)
-
-        results = pool_map(
-            execute_fault_spec,
-            specs,
-            jobs=jobs,
-            label="faults.sweep.pool",
-            finalize=_finalize,
-        )
+        results = pool_map(execute_fault_spec, specs, jobs=jobs, label="faults.sweep.pool")
 
         report = FaultSweepReport(
             benchmark=ctg.name,

@@ -31,10 +31,11 @@ SIGKILLed mid-grid still leaves its ``run_started`` and every completed
 ``atexit`` fallback that marks still-open runs as failed, so *some*
 terminal record exists for anything short of a hard kill.
 
-Worker processes never write the file: they buffer records
-(``path=None``) and ship them home inside
-:class:`~repro.parallel.spec.RunResult`; the parent appends them in
-deterministic grid order via :meth:`RunLedger.absorb`.
+Worker processes never write the file: the worker envelope of
+:func:`repro.parallel.pool.pool_map` gives each pooled item a buffered
+``RunLedger(path=None)`` under the parent's run id, ships its records
+home, and the parent appends them in deterministic item order via
+:meth:`RunLedger.absorb`.
 """
 
 from __future__ import annotations
@@ -69,18 +70,6 @@ MAX_TRACEBACK_CHARS = 8000
 def new_run_id() -> str:
     """A unique, sortable run identifier: ``<ms-hex>-<pid>-<random>``."""
     return f"{int(time.time() * 1000):x}-{os.getpid()}-{os.urandom(3).hex()}"
-
-
-def make_record(type_: str, run_id: str, **fields: Any) -> Dict[str, Any]:
-    """One ledger line as a plain dict (shared by writer and workers)."""
-    record: Dict[str, Any] = {
-        "type": type_,
-        "schema_version": RUN_LEDGER_SCHEMA_VERSION,
-        "run_id": run_id,
-        "t": time.time(),
-    }
-    record.update(fields)
-    return record
 
 
 def default_ledger_path() -> Path:
@@ -147,7 +136,13 @@ class RunLedger:
 
     def record(self, type_: str, **fields: Any) -> Dict[str, Any]:
         """Append one record of ``type_`` (see the module record table)."""
-        record = make_record(type_, self.run_id, **fields)
+        record: Dict[str, Any] = {
+            "type": type_,
+            "schema_version": RUN_LEDGER_SCHEMA_VERSION,
+            "run_id": self.run_id,
+            "t": time.time(),
+        }
+        record.update(fields)
         self._append(record)
         return record
 

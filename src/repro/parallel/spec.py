@@ -4,13 +4,12 @@ A worker process never receives live scheduler state.  It receives a
 *spec* — a picklable description of how to **construct** the run from
 explicit seeds (generator category/index, ACG preset name + shuffle
 seed, scheduler id, :class:`~repro.core.eas.EASConfig`) — builds the
-benchmark from those seeds inside a fresh observability bundle, runs the
-scheduler, and ships back a :class:`RunResult`: the schedule summary
-numbers plus the worker's whole :class:`MetricsRegistry`, its tracer
-records and its decision provenance.  The parent folds those into its
-own bundle (``MetricsRegistry.merge`` / ``Tracer.absorb``) in
-deterministic grid order, so telemetry aggregates identically for any
-worker count.
+benchmark from those seeds, runs the scheduler, and returns a
+:class:`RunResult` of schedule summary numbers.  The grids run it as
+``pool_map(execute_spec, specs, jobs=N)``: the pool's worker envelope
+supplies the fresh observability bundle and ships its metrics, trace,
+decisions and buffered ledger records home (see
+:mod:`repro.parallel.pool`).
 
 :func:`paper_benchmark` is the one place the paper's Sec. 6 setup is
 written down: every caller that turns a benchmark name into a
@@ -18,20 +17,17 @@ written down: every caller that turns a benchmark name into a
 
 Determinism contract: everything a spec influences must derive from the
 spec's explicit seeds.  Nothing in this module reads global
-``random`` state, the clock (beyond wall-time measurement), or the
-parent's instrumentation — that is what makes ``jobs=N`` output
-byte-identical to ``jobs=1``.
+``random`` state, the clock, or the parent's instrumentation — that is
+what makes ``jobs=N`` output byte-identical to ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
-from repro.obs.ledger import make_record
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4, mesh_5x5, mesh_6x6
 from repro.baselines.edf import edf_schedule
@@ -40,8 +36,6 @@ from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
 from repro.errors import InvalidArgumentError
-from repro.obs.decisions import TaskDecision
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.utilization import analyze_schedule
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_to_dict
@@ -190,15 +184,8 @@ class RunSpec:
     scheduler: str
     benchmark: BenchmarkSpec
     eas_config: Optional[EASConfig] = None
-    #: ship tracer spans/events and decision provenance back (set by the
-    #: dispatcher when the parent bundle records; costs pickling only).
-    record: bool = False
     #: grid-cell identifier, for labels and error reports.
     tag: str = ""
-    #: the parent CLI run's ledger run id (set by the dispatcher when a
-    #: run ledger is active): the worker buffers one ``phase`` record per
-    #: cell under this id and ships it home in ``RunResult``.
-    ledger_run_id: Optional[str] = None
     #: ship the full committed schedule back as a serialized document
     #: (set by ``repro-noc diff`` when both endpoints are computed
     #: in-process); costs one ``schedule_to_dict`` per cell.
@@ -207,7 +194,7 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """What a worker ships back: summary numbers + telemetry snapshot."""
+    """What a worker returns: the cell's summary numbers."""
 
     tag: str
     benchmark: str  # the built CTG's name
@@ -218,8 +205,6 @@ class RunResult:
     #: ``timed_phase`` stamp on ``Schedule.runtime_seconds``) — never the
     #: parent's dispatch time, so TXT-RT overhead numbers stay honest.
     runtime_seconds: float
-    #: total worker wall for the cell (build + schedule + analytics).
-    wall_seconds: float
     comp_energy: float
     comm_energy: float
     hops: float
@@ -229,15 +214,6 @@ class RunResult:
     #: analytics — the source of the ``<scheduler>:evals/moves/hits``
     #: table columns.
     headline_counters: Dict[str, float] = field(default_factory=dict)
-    #: the worker's whole registry, for ``MetricsRegistry.merge``.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: tracer records (``Tracer.export_records`` payload) when recording.
-    trace: Optional[Dict[str, List[Dict[str, Any]]]] = None
-    #: decision provenance records when recording.
-    decisions: List[TaskDecision] = field(default_factory=list)
-    #: buffered run-ledger records (plain dicts) for the parent to
-    #: append in grid order — the worker never touches the ledger file.
-    ledger_records: List[Dict[str, Any]] = field(default_factory=list)
     #: serialized schedule document (``schedule_to_dict``) when the spec
     #: asked for it; the parent rebuilds with ``schedule_from_dict``
     #: against a locally-built CTG/ACG pair — the roundtrip is
@@ -246,42 +222,34 @@ class RunResult:
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec inside a fresh observability bundle (worker entry).
+    """Build, schedule and summarize one spec (the grids' pooled function).
 
-    This is the pool's target callable — module-level so it pickles by
-    reference — and equally the in-process loop's: at one worker
-    :func:`repro.parallel.pool.parallel_map` calls it directly.
+    Module-level so the pool pickles it by reference.  Under
+    :func:`repro.parallel.pool.pool_map` it runs inside the worker
+    envelope's fresh bundle, so the counters it reads are this cell's
+    alone and its ledger ``cell`` record is buffered for the parent.
     """
-    wall_started = time.perf_counter()
-    bundle = obs.Instrumentation.enabled() if spec.record else obs.Instrumentation.disabled()
-    with obs.activate(bundle):
-        ctg, acg = spec.benchmark.build()
-        schedule = run_scheduler(spec.scheduler, ctg, acg, spec.eas_config)
-        schedule.validate_structure()
-        headline_counters = bundle.metrics.counter_values()
-        report = analyze_schedule(schedule)
-        report.register(bundle.metrics, prefix=f"util.{spec.scheduler}.")
-    ledger_records: List[Dict[str, Any]] = []
-    if spec.ledger_run_id is not None:
-        # One ``phase`` cell record per spec, under the *parent's* run
-        # id: the ledger reconstructs the whole grid — which cell, its
-        # exact construction seeds, which worker pid ran it and how long
-        # it took — without workers ever opening the ledger file.
-        ledger_records.append(
-            make_record(
-                "phase",
-                spec.ledger_run_id,
-                name="cell",
-                tag=spec.tag,
-                scheduler=spec.scheduler,
-                benchmark=ctg.name,
-                spec=asdict(spec.benchmark),
-                pid=os.getpid(),
-                runtime_seconds=schedule.runtime_seconds,
-                wall_seconds=time.perf_counter() - wall_started,
-                energy=schedule.total_energy(),
-                misses=len(schedule.deadline_misses()),
-            )
+    ins = obs.get()
+    ctg, acg = spec.benchmark.build()
+    schedule = run_scheduler(spec.scheduler, ctg, acg, spec.eas_config)
+    schedule.validate_structure()
+    headline_counters = ins.metrics.counter_values()
+    report = analyze_schedule(schedule)
+    report.register(ins.metrics, prefix=f"util.{spec.scheduler}.")
+    if ins.ledger is not None:
+        # One ``phase`` cell record per spec: the ledger reconstructs the
+        # whole grid — which cell, its exact construction seeds, which
+        # worker pid ran it — from the parent's file alone.
+        ins.ledger.phase(
+            "cell",
+            tag=spec.tag,
+            scheduler=spec.scheduler,
+            benchmark=ctg.name,
+            spec=asdict(spec.benchmark),
+            pid=os.getpid(),
+            runtime_seconds=schedule.runtime_seconds,
+            energy=schedule.total_energy(),
+            misses=len(schedule.deadline_misses()),
         )
     return RunResult(
         tag=spec.tag,
@@ -290,16 +258,11 @@ def execute_spec(spec: RunSpec) -> RunResult:
         energy=schedule.total_energy(),
         misses=len(schedule.deadline_misses()),
         runtime_seconds=schedule.runtime_seconds,
-        wall_seconds=time.perf_counter() - wall_started,
         comp_energy=schedule.computation_energy(),
         comm_energy=schedule.communication_energy(),
         hops=schedule.average_hops_per_packet(),
         peakpe=round(report.peak_pe_utilization, 3),
         cwait=round(report.total_contention_wait, 1),
         headline_counters=headline_counters,
-        metrics=bundle.metrics,
-        trace=bundle.tracer.export_records() if spec.record else None,
-        decisions=list(bundle.decisions) if spec.record else [],
-        ledger_records=ledger_records,
         schedule_doc=schedule_to_dict(schedule) if spec.return_schedule else None,
     )

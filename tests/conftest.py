@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4
 from repro.ctg.graph import CTG
 from repro.ctg.task import Task, TaskCosts
+from repro.obs.heartbeat import Heartbeat
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +25,25 @@ def _no_ambient_flight_recorder(monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER", "off")
     monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
     monkeypatch.delenv("REPRO_STALL_SECS", raising=False)
+
+
+class _WallSampler(Heartbeat):
+    """A quiet active heartbeat that keeps every per-cell wall sample."""
+
+    def __init__(self) -> None:
+        super().__init__(3600.0, stream=io.StringIO(), stall_window=60.0)
+        self.walls = []
+
+    def cell_done(self, wall_seconds=None) -> None:
+        self.walls.append(wall_seconds)
+        super().cell_done(wall_seconds)
+
+
+@pytest.fixture
+def heartbeat_walls():
+    """Run the test under an active heartbeat; yields its wall samples."""
+    with _WallSampler() as monitor:
+        yield monitor.walls
 
 
 def make_task(name, time_by_type, energy_by_type=None, deadline=float("inf")):

@@ -133,6 +133,15 @@ class TestRepairStarts:
         err = capsys.readouterr().err
         assert "--repair-starts 2" in err and "(got edf)" in err
 
+    @pytest.mark.parametrize("k", ["0", "-4"])
+    def test_k_below_one_is_a_parse_error(self, capsys, k):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGV + ["--algorithm", "eas", "--repair-starts", k])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --repair-starts: K must be >= 1, got {k}" in captured.err
+        assert captured.out == ""
+
 
 class TestAnalysisCommands:
     def test_compare(self, capsys):

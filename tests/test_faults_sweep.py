@@ -11,6 +11,7 @@ from repro.faults.sweep import (
     execute_fault_spec,
     run_fault_sweep,
 )
+from repro.obs.ledger import RunLedger, read_ledger
 from repro.parallel.spec import BenchmarkSpec
 
 
@@ -133,29 +134,54 @@ class TestWorkerProtocol:
         if not result.recovered:
             assert result.reason
 
-    def test_ledger_records_buffered_not_written(self, small_benchmark, tmp_path):
-        from repro.core.eas import eas_schedule
-        from repro.faults.plan import generate_fault_plans
-        from repro.schedule.serialization import schedule_to_dict
 
-        ctg, acg = small_benchmark.build()
-        committed = eas_schedule(ctg, acg)
-        plan = generate_fault_plans(acg, 1, seed=0, horizon=committed.makespan())[0]
-        spec = FaultRunSpec(
-            benchmark=small_benchmark,
-            scheduler="eas",
-            plan_doc=plan.to_dict(),
-            schedule_doc=schedule_to_dict(committed),
-            tag=plan.name,
-            ledger_run_id="run-test",
-        )
-        result = execute_fault_spec(spec)
-        assert len(result.ledger_records) == 1
-        record = result.ledger_records[0]
-        assert record["type"] == "phase"
-        assert record["name"] == "fault_plan"
-        assert record["run_id"] == "run-test"
-        assert record["plan"] == plan.name
+class TestEnvelope:
+    """The pool's worker envelope treats a sweep like any other grid."""
+
+    def _sweep(self, benchmark, bundle, jobs):
+        with obs.activate(bundle):
+            return run_fault_sweep(benchmark, n_plans=3, seed=1, jobs=jobs)
+
+    def test_worker_spans_identical_across_jobs(self, small_benchmark):
+        names = []
+        for jobs in (1, 2):
+            bundle = obs.Instrumentation.enabled()
+            self._sweep(small_benchmark, bundle, jobs)
+            names.append(
+                [s.name for s in bundle.tracer.spans if s.name != "faults.sweep.pool"]
+            )
+        assert names[0] == names[1]
+        assert names[0].count("faults.recover") == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_wall_sample_per_plan(self, small_benchmark, heartbeat_walls, jobs):
+        run_fault_sweep(small_benchmark, n_plans=3, seed=1, jobs=jobs)
+        assert len(heartbeat_walls) == 3
+        assert all(wall is not None and wall >= 0 for wall in heartbeat_walls)
+
+    def test_ledger_and_counters_identical_across_jobs(self, small_benchmark, tmp_path):
+        """Workers buffer; the parent appends one record per plan, in plan order."""
+        records, counters = [], []
+        for jobs in (1, 2):
+            bundle = obs.Instrumentation.disabled()
+            bundle.ledger = RunLedger(tmp_path / f"ledger-{jobs}.jsonl")
+            report = self._sweep(small_benchmark, bundle, jobs)
+            phases = read_ledger(bundle.ledger.path)
+            assert {r["run_id"] for r in phases} == {bundle.ledger.run_id}
+            records.append(
+                [{k: v for k, v in r.items() if k not in ("t", "pid", "run_id")} for r in phases]
+            )
+            counters.append(
+                {
+                    k: v
+                    for k, v in bundle.metrics.counter_values().items()
+                    if not k.startswith("jobs.")
+                }
+            )
+        assert [r["name"] for r in records[0]] == ["fault_plan"] * 3
+        assert [r["plan"] for r in records[0]] == [row.plan_name for row in report.rows]
+        assert records[0] == records[1]
+        assert counters[0] == counters[1]
 
 
 class TestReportShape:

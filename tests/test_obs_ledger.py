@@ -13,7 +13,6 @@ from repro.obs.ledger import (
     group_runs,
     iter_failures,
     ledger_size_bytes,
-    make_record,
     new_run_id,
     prune_ledger,
     read_ledger,
@@ -83,8 +82,9 @@ class TestRecordPlumbing:
 
     def test_absorb_appends_worker_records_verbatim(self, ledger_path):
         parent = RunLedger(ledger_path)
-        worker = [make_record("phase", parent.run_id, name="cell", tag="w0")]
-        parent.absorb(worker)
+        worker = RunLedger(None, run_id=parent.run_id)
+        worker.phase("cell", tag="w0")
+        parent.absorb(worker.buffered)
         (record,) = read_ledger(ledger_path)
         assert record["tag"] == "w0"
         assert record["run_id"] == parent.run_id

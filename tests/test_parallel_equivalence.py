@@ -9,6 +9,9 @@ reproduces ``jobs=1`` exactly.
 
 import random
 
+import pytest
+
+from repro import obs
 from repro.core.eas import EASConfig, eas_base_schedule
 from repro.core.repair import multistart_search_and_repair, search_and_repair
 from repro.evalx.experiments import run_fig5, run_msb_table
@@ -118,3 +121,28 @@ class TestMultistartRepair:
         # The uniform weights changed the EAS mapping, so the config
         # really reached the schedulers on both sides.
         assert pooled[0].energies["eas"] != default[0].energies["eas"]
+
+
+class TestPortfolioEnvelope:
+    """The repair portfolio runs in the pool's worker envelope like a grid."""
+
+    _missy_base = TestMultistartRepair._missy_base
+
+    def test_worker_spans_identical_across_worker_counts(self):
+        base = self._missy_base()
+        names = []
+        for jobs in (1, 2):
+            bundle = obs.Instrumentation.enabled()
+            with obs.activate(bundle):
+                multistart_search_and_repair(base, starts=3, jobs=jobs)
+            names.append(
+                [s.name for s in bundle.tracer.spans if s.name != "repair_portfolio"]
+            )
+        assert names[0] == names[1]
+        assert names[0].count("search_and_repair") == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_wall_sample_per_start(self, heartbeat_walls, jobs):
+        multistart_search_and_repair(self._missy_base(), starts=3, jobs=jobs)
+        assert len(heartbeat_walls) == 3
+        assert all(wall is not None and wall >= 0 for wall in heartbeat_walls)

@@ -7,7 +7,8 @@ import pytest
 
 from repro import obs
 from repro.core.eas import EASConfig
-from repro.parallel.pool import JOBS_ENV_VAR, parallel_map, pool_map, resolve_jobs
+from repro.obs.ledger import RunLedger, read_ledger
+from repro.parallel.pool import JOBS_ENV_VAR, _Envelope, pool_map, resolve_jobs
 from repro.parallel.spec import (
     ACG_PRESETS,
     MSB_SYSTEMS,
@@ -131,35 +132,33 @@ class TestExecuteSpec:
         assert result.comp_energy == schedule.computation_energy()
         assert result.benchmark == ctg.name
         assert result.runtime_seconds > 0
-        assert result.wall_seconds >= result.runtime_seconds
 
     def test_fresh_bundle_does_not_touch_parent_metrics(self):
         ins = obs.Instrumentation.disabled()
-        with obs.activate(ins):
-            execute_spec(
-                RunSpec(
-                    scheduler="eas",
-                    benchmark=BenchmarkSpec(kind="random", index=0, n_tasks=15),
-                )
-            )
-            assert ins.metrics.counter_values() == {}
-
-    def test_record_flag_ships_trace_and_decisions(self):
+        ins.metrics.counter("eas.evaluations").inc(10**6)
         spec = RunSpec(
-            scheduler="eas",
-            benchmark=BenchmarkSpec(kind="random", index=0, n_tasks=15),
-            record=True,
+            scheduler="eas", benchmark=BenchmarkSpec(kind="random", index=0, n_tasks=15)
         )
-        result = execute_spec(spec)
-        assert result.trace is not None
-        names = {payload["name"] for payload in result.trace["spans"]}
+        with obs.activate(ins):
+            (result,) = pool_map(execute_spec, [spec], jobs=1)
+        # The cell counted in its own registry; the parent gained it by merge.
+        evaluations = result.headline_counters["eas.evaluations"]
+        assert 0 < evaluations < 10**6
+        assert ins.metrics.counter("eas.evaluations").value == 10**6 + evaluations
+
+    def test_envelope_ships_trace_and_decisions_iff_recording(self):
+        spec = RunSpec(
+            scheduler="eas", benchmark=BenchmarkSpec(kind="random", index=0, n_tasks=15)
+        )
+        recorded = _Envelope(execute_spec, record=True, run_id=None)(spec)
+        names = {payload["name"] for payload in recorded.trace["spans"]}
         assert "eas" in names
-        assert len(result.decisions) > 0
-        unrecorded = execute_spec(
-            RunSpec(scheduler="eas", benchmark=spec.benchmark, record=False)
-        )
+        assert len(recorded.decisions) > 0
+        assert recorded.ledger_records == []
+        unrecorded = _Envelope(execute_spec, record=False, run_id=None)(spec)
         assert unrecorded.trace is None
         assert unrecorded.decisions == []
+        assert unrecorded.wall_seconds >= unrecorded.result.runtime_seconds > 0
 
     def test_unknown_scheduler(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
@@ -174,6 +173,15 @@ def _square(value: int) -> int:
 
 def _boom(value: int) -> int:
     raise RuntimeError(f"boom {value}")
+
+
+def _worker_view(item: int):
+    """What a pooled item sees of its envelope bundle."""
+    ins = obs.get()
+    ledger = ins.ledger
+    if ledger is not None:
+        ledger.phase("cell", tag=f"item{item}")
+    return ins.recording, None if ledger is None else (ledger.path, ledger.run_id)
 
 
 class TestPoolMap:
@@ -215,7 +223,7 @@ class TestParallelMapTelemetry:
     def test_metrics_merged_into_parent(self):
         ins = obs.Instrumentation.disabled()
         with obs.activate(ins):
-            results = parallel_map(self._specs(), jobs=2)
+            results = pool_map(execute_spec, self._specs(), jobs=2)
         assert [r.tag for r in results] == ["cell0", "cell1"]
         counters = ins.metrics.counter_values()
         # Worker-side scheduler counters made it home via merge.
@@ -225,7 +233,7 @@ class TestParallelMapTelemetry:
     def test_recording_parent_absorbs_worker_spans(self):
         ins = obs.Instrumentation.enabled()
         with obs.activate(ins):
-            parallel_map(self._specs(2), jobs=2)
+            pool_map(execute_spec, self._specs(2), jobs=2)
         names = [span.name for span in ins.tracer.spans]
         assert names.count("edf") == 2
         assert "parallel_map" in names
@@ -237,5 +245,27 @@ class TestParallelMapTelemetry:
     def test_non_recording_parent_ships_no_trace(self):
         ins = obs.Instrumentation.disabled()
         with obs.activate(ins):
-            results = parallel_map(self._specs(1), jobs=2)
-        assert results[0].trace is None
+            views = pool_map(_worker_view, [0, 1], jobs=2)
+        assert views == [(False, None), (False, None)]
+
+
+class TestWorkerEnvelope:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_workers_buffer_under_the_parent_run_id(self, tmp_path, jobs):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ins = obs.Instrumentation.enabled()
+        ins.ledger = ledger
+        with obs.activate(ins):
+            views = pool_map(_worker_view, [0, 1, 2], jobs=jobs)
+        # Workers record iff the parent records and never open the file:
+        # their ledger is buffered under the parent's run id.
+        assert views == [(True, (None, ledger.run_id))] * 3
+        records = [r for r in read_ledger(ledger.path) if r["type"] == "phase"]
+        assert [r["tag"] for r in records] == ["item0", "item1", "item2"]
+        assert {r["run_id"] for r in records} == {ledger.run_id}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_wall_sample_per_item(self, heartbeat_walls, jobs):
+        assert pool_map(_square, [1, 2, 3], jobs=jobs) == [1, 4, 9]
+        assert len(heartbeat_walls) == 3
+        assert all(wall is not None and wall >= 0 for wall in heartbeat_walls)
