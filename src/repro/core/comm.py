@@ -48,13 +48,32 @@ link tables entirely, so its footprint is the destination PE alone.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 from repro.arch.acg import ACG
 from repro.ctg.graph import CTG
+from repro.ctg.task import CommEdge
 from repro.errors import SchedulingError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import TentativeOverlay
+
+
+def in_sender_order(
+    lct: Iterable[CommEdge], placements: Mapping[str, TaskPlacement]
+) -> List[CommEdge]:
+    """Fig. 3: "sort LCT by the finish time of its sender" (ties by sender name)."""
+    return sorted(lct, key=lambda e: (placements[e.src].finish, e.src))
+
+
+def task_energy(compute_energy: float, comm_energies: Iterable[float]) -> float:
+    """The Step-2 metric ``E(i,k) = E_comp + E_comm``.
+
+    ``comm_energies`` are the task's incoming transaction energies in
+    :func:`in_sender_order`.  The probe's ``Evaluation.energy`` and
+    the level-based scheduler's walk key both come from here, so the
+    two are the same float, not two sums that happen to agree.
+    """
+    return compute_energy + sum(comm_energies)
 
 
 def schedule_incoming_transactions(
@@ -104,8 +123,7 @@ def schedule_incoming_transactions(
                 f"cannot schedule transactions of {task!r}: sender {edge.src!r} unplaced"
             )
 
-    # Fig. 3: "sort LCT by the finish time of its sender".
-    lct = sorted(lct, key=lambda e: (placements[e.src].finish, e.src))
+    lct = in_sender_order(lct, placements)
 
     link_probes = overlay.base.link_probes
     local_transfers = overlay.base.local_transfers

@@ -26,20 +26,44 @@ forced placement risks losing it, so it is treated as maximal regret
 
 Incremental evaluation
 ----------------------
-Naively, Step 2 recomputes every ``F(i,k)`` on every iteration even
-though a commit only mutates one PE table and the links its
-transactions traverse.  The scheduler therefore keeps its evaluations
-in a :class:`~repro.core.placement.ProbeCache` across iterations.
-After each commit the cache evicts only the entries whose *resource
+Naively, Step 2 recomputes every ``F(i,k)`` on every iteration.  Two
+things make that unnecessary, and neither changes a single decision.
+
+*The energy-ordered walk.*  The selection reads three things of a ready
+task: whether any PE meets ``BD_i`` (Rule 3), its minimum-energy
+BD-feasible PE ``E1`` and the energy ``E2`` of the next one (Rule 4).
+``E(i,k) = E_comp + E_comm`` depends on the mapping of the task's
+senders, never on timing, and the senders are all placed before the
+task enters the RTL.  So each task's PEs are sorted once by
+``(E(i,k), pe)`` on entry — unroutable PEs of a fault-degraded platform
+dropped — and every iteration walks that order, probing only on a
+cache miss, until the rules are decided: ``E1``'s whole energy group is
+read (it fixes the ``(energy, finish, pe)`` tie-break) and either a
+second BD-feasible PE lies in that group (``δE = 0``) or the first
+BD-feasible PE of a later group gives ``E2``.  A task no PE serves by
+``BD_i`` reads its whole list, so Rule 3's ``min_F`` stays exact.
+:func:`repro.core.comm.task_energy` forms both the walk key and
+``Evaluation.energy``, so the two are the same float.  With decisions
+recorded, the chosen task's list is read to the end before the commit,
+so its record lists every candidate.  ``eas.walk_skips`` counts the PEs
+the walks left unread.
+
+*The probe cache.*  A commit only mutates one PE table and the links
+its transactions traverse, so evaluations live in a
+:class:`~repro.core.placement.ProbeCache` across iterations.  After
+each commit the cache evicts only the entries whose *resource
 footprint* (the PE and link tables the evaluation probed) holds a
 resource the commit reserved — the committed PE plus every link of the
 committed transactions — and whose granted windows overlap the
 committed ones in time.  Any other evaluation would recompute to the
-identical result, so cached and naive runs produce byte-identical
-schedules (see DESIGN.md for the argument and
-``tests/test_property_reference.py`` for the property test against the
-naive :class:`repro.core.reference.NaiveLevelScheduler`).  Step 3's
-rebuild loop, ``rebuild.commit_steps``, uses the same cache.
+identical result.  Step 3's rebuild loop, ``rebuild.commit_steps``,
+uses the same cache.
+
+DESIGN.md gives both arguments.  The paper-literal
+:class:`repro.core.reference.NaiveLevelScheduler` probes every F(i,k)
+each iteration and selects over the whole table; the property tests
+(``tests/test_property_reference.py``, ``tests/test_property_walk.py``)
+require byte-identical schedules and provenance from both.
 
 Every evaluation is a :func:`repro.core.placement.probe`, and the
 selected one is made permanent with :func:`repro.core.placement.commit`:
@@ -52,16 +76,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.core.comm import in_sender_order, task_energy
 from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix
 from repro.obs.decisions import TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, UnroutableError
 from repro.schedule.entries import TaskPlacement
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -105,6 +130,24 @@ class _SelectionOutcome:
     regret: Optional[float] = None
 
 
+class _Summary(NamedTuple):
+    """What the selection rules read of one ready task's F(i,k) row."""
+
+    #: the BD-feasible PE of least ``(energy, finish, pe)``; None when
+    #: no PE meets the budgeted deadline.
+    e1: Optional[Evaluation]
+    #: ``δE = E2 - E1``: 0 when E1's energy group holds a second
+    #: BD-feasible PE, inf when E1 is the only one.
+    regret: float
+    #: the PE of least ``(finish, energy, pe)``, read only by Rule 3
+    #: (so set only when ``e1`` is None).
+    fastest: Optional[Evaluation]
+
+
+#: one walk step: a candidate PE's energy ``E(i,k)`` and its index.
+WalkKey = Tuple[float, int]
+
+
 class LevelBasedScheduler:
     """Step 2 of EAS: energy-aware list scheduling steered by budgets.
 
@@ -112,10 +155,6 @@ class LevelBasedScheduler:
     :class:`~repro.core.rebuild.FrozenPrefix`; degraded-mode recovery
     passes the salvaged past).
     """
-
-    #: the evaluation cache's class; the reference oracle swaps in one
-    #: that forgets every entry on commit.
-    cache_type: Type[ProbeCache] = ProbeCache
 
     def __init__(
         self,
@@ -135,31 +174,29 @@ class LevelBasedScheduler:
         self._tables = prefix.start_tables()
         self._placements: Dict[str, TaskPlacement] = {}
         #: clean F(i,k) evaluations carried across RTL iterations.
-        self._cache = self.cache_type()
-        #: per-task feasible PE indices (static: depends on types only).
-        self._feasible_pes: Dict[str, List[int]] = {}
+        self._cache = ProbeCache()
+        #: each ready task's candidate PEs in increasing ``(E, pe)`` order.
+        self._walk_keys: Dict[str, List[WalkKey]] = {}
+        #: per sender PE, the energy per bit toward every PE and the
+        #: PEs it cannot reach.
+        self._epb_rows: Dict[int, Tuple[List[float], FrozenSet[int]]] = {}
+        #: the available PEs by type.
+        self._pes_by_type: Dict[str, List[int]] = {}
+        for pe in acg.pes:
+            if acg.pe_available(pe.index):
+                self._pes_by_type.setdefault(pe.type_name, []).append(pe.index)
+        #: this RTL iteration's cache hits, fresh probes and unread keys.
+        self._hits = self._fresh = self._skips = 0
         ins = obs.get()
         self._ins = ins
         self._eval_counter = ins.metrics.counter("eas.evaluations")
         self._hit_counter = ins.metrics.counter("eas.cache_hits")
+        self._skip_counter = ins.metrics.counter("eas.walk_skips")
         self._invalidation_counter = ins.metrics.counter("eas.cache_invalidations")
 
     # -- F(i,k) evaluation --------------------------------------------------
 
-    def _pes_for(self, task_name: str) -> List[int]:
-        """Available PE indices whose type can run ``task_name``."""
-        pes = self._feasible_pes.get(task_name)
-        if pes is None:
-            task = self.ctg.task(task_name)
-            pes = [
-                pe.index
-                for pe in self.acg.pes
-                if self.acg.pe_available(pe.index) and task.cost_on(pe.type_name).feasible
-            ]
-            self._feasible_pes[task_name] = pes
-        return pes
-
-    def _evaluate(self, task_name: str, pe_index: int) -> Optional[Evaluation]:
+    def _probe(self, task_name: str, pe_index: int) -> Optional[Evaluation]:
         """Compute ``F(i,k)``; ``None`` when the PE is unusable.
 
         A PE can be unusable because its type cannot run the task, or —
@@ -167,7 +204,7 @@ class LevelBasedScheduler:
         route from some already-placed sender; both simply remove the
         candidate.
         """
-        evaluation = probe(
+        return probe(
             self.ctg,
             self.acg,
             task_name,
@@ -177,54 +214,167 @@ class LevelBasedScheduler:
             floor=self.prefix.floor,
             contention_aware=self.contention_aware,
         )
-        if evaluation is not None:
-            self._eval_counter.inc()
+
+    def _lookup(self, task_name: str, pe_index: int) -> Evaluation:
+        """``F(i,k)`` of a walk-key PE, from the cache or a fresh probe."""
+        key = (task_name, pe_index)
+        evaluation = self._cache.get(key)
+        if evaluation is None:
+            evaluation = self._cache[key] = self._probe(task_name, pe_index)
+            self._fresh += 1
+        else:
+            self._hits += 1
         return evaluation
+
+    def _epb_row(self, src: int) -> Tuple[List[float], FrozenSet[int]]:
+        """``e(r_src,k)`` for every PE ``k``, and the PEs ``src`` cannot reach.
+
+        Built once per sender PE; an unreachable PE's entry is unused.
+        """
+        entry = self._epb_rows.get(src)
+        if entry is None:
+            row: List[float] = []
+            unreachable = set()
+            for pe in self.acg.pes:
+                try:
+                    row.append(self.acg.route(src, pe.index).energy_per_bit)
+                except UnroutableError:
+                    row.append(math.nan)
+                    unreachable.add(pe.index)
+            entry = self._epb_rows[src] = (row, frozenset(unreachable))
+        return entry
+
+    def _enter_rtl(self, task_name: str) -> None:
+        """Sort ``task_name``'s candidate PEs by ``(E(i,k), pe)``.
+
+        ``E(i,k)`` reads only the mapping of the task's senders, which
+        are all placed once it is ready and never move, so the order is
+        fixed for its whole stay in the RTL.  Unavailable PEs, types
+        that cannot run the task and PEs some sender cannot reach (on a
+        fault-degraded platform) are exactly the ones :func:`probe`
+        rejects; they get no key.  Each transaction's energy is
+        ``volume * e(r)``, the product ``ACG.comm_energy`` forms.
+        """
+        task = self.ctg.task(task_name)
+        rows = []
+        blocked: FrozenSet[int] = frozenset()
+        for edge in in_sender_order(self.ctg.in_edges(task_name), self._placements):
+            row, unreachable = self._epb_row(self._placements[edge.src].pe)
+            rows.append((edge.volume, row))
+            blocked |= unreachable
+        keys: List[WalkKey] = []
+        for type_name, pes in self._pes_by_type.items():
+            cost = task.cost_on(type_name)
+            if not cost.feasible:
+                continue
+            for index in pes:
+                if index not in blocked:
+                    comm = [volume * row[index] for volume, row in rows]
+                    keys.append((task_energy(cost.energy, comm), index))
+        keys.sort()
+        self._walk_keys[task_name] = keys
+
+    def _walk(self, task_name: str) -> _Summary:
+        """The selection inputs of one ready task.
+
+        Walks the task's PEs in ``(E, pe)`` order and stops as soon as
+        the paper's rules are decided: E1's whole energy group is read
+        (fixing the ``(energy, finish, pe)`` tie-break) and either a
+        second BD-feasible PE lies in that group (``δE = 0``) or the
+        first BD-feasible PE of a later group gives E2.  A task no PE
+        serves by its budgeted deadline reads every key, so Rule 3's
+        ``min F`` is exact.
+        """
+        keys = self._walk_keys[task_name]
+        if not keys:
+            raise SchedulingError(f"task {task_name!r} has no feasible PE")
+        limit = self.budgets[task_name].budgeted_deadline + EPS
+        lookup = self._lookup
+        e1: Optional[Evaluation] = None
+        e1_energy = 0.0
+        fastest: Optional[Evaluation] = None
+        regret = math.inf
+        read = 0
+        for energy, pe_index in keys:
+            if regret == 0.0 and energy != e1_energy:
+                break  # E1's group is complete and holds a tie
+            evaluation = lookup(task_name, pe_index)
+            read += 1
+            if evaluation.finish > limit:
+                if e1 is None and (
+                    fastest is None
+                    or (evaluation.finish, energy, pe_index)
+                    < (fastest.finish, fastest.energy, fastest.pe)
+                ):
+                    fastest = evaluation
+            elif e1 is None:
+                e1, e1_energy = evaluation, energy
+            elif energy == e1_energy:
+                regret = 0.0
+                if evaluation.finish < e1.finish:
+                    e1 = evaluation
+            else:
+                regret = energy - e1_energy
+                break
+        self._skips += len(keys) - read
+        return _Summary(e1, regret, None if e1 is not None else fastest)
 
     # -- selection ------------------------------------------------------------
 
-    def _select(
-        self, evaluations: Dict[str, Dict[int, Evaluation]]
-    ) -> Tuple[str, int, _SelectionOutcome]:
-        """Apply the paper's Step-2 selection rules to the current RTL."""
-        min_f: Dict[str, Evaluation] = {}
-        for task_name, per_pe in evaluations.items():
-            if not per_pe:
-                raise SchedulingError(f"task {task_name!r} has no feasible PE")
-            min_f[task_name] = min(
-                per_pe.values(), key=lambda ev: (ev.finish, ev.energy, ev.pe)
-            )
+    def _select(self, summaries: Dict[str, _Summary]) -> Tuple[Evaluation, _SelectionOutcome]:
+        """Apply the paper's Step-2 selection rules to the RTL's summaries.
 
+        ``summaries`` must be in task-name order.
+        """
         # Rule 3: violating tasks go first, fastest PE wins.
         violations = [
-            (min_f[t].finish - self.budgets[t].budgeted_deadline, t)
-            for t in evaluations
-            if min_f[t].finish > self.budgets[t].budgeted_deadline + EPS
+            (summary.fastest.finish - self.budgets[t].budgeted_deadline, t)
+            for t, summary in summaries.items()
+            if summary.fastest is not None
         ]
         if violations:
             violations.sort(key=lambda item: (-item[0], item[1]))
-            chosen = violations[0][1]
-            return chosen, min_f[chosen].pe, _SelectionOutcome(rescue=True)
+            fastest = summaries[violations[0][1]].fastest
+            assert fastest is not None
+            return fastest, _SelectionOutcome(rescue=True)
 
         # Rule 4: all tasks can meet their BD somewhere; maximise regret.
         # Ties: tighter (smaller) BD first, then task name, for determinism.
-        best_task: Optional[str] = None
+        best: Optional[Evaluation] = None
         best_key: Tuple[float, float] = (-math.inf, -math.inf)
-        best_pe = -1
-        for task_name in sorted(evaluations):
-            per_pe = evaluations[task_name]
-            bd = self.budgets[task_name].budgeted_deadline
-            feasible = [ev for ev in per_pe.values() if ev.finish <= bd + EPS]
-            feasible.sort(key=lambda ev: (ev.energy, ev.finish, ev.pe))
-            e1 = feasible[0]
-            delta = math.inf if len(feasible) == 1 else feasible[1].energy - e1.energy
-            key = (delta, -bd)
-            if best_task is None or key > best_key:
-                best_task = task_name
+        for task_name, summary in summaries.items():
+            key = (summary.regret, -self.budgets[task_name].budgeted_deadline)
+            if best is None or key > best_key:
+                best = summary.e1
                 best_key = key
-                best_pe = e1.pe
-        assert best_task is not None
-        return best_task, best_pe, _SelectionOutcome(regret=best_key[0])
+        assert best is not None
+        return best, _SelectionOutcome(regret=best_key[0])
+
+    def _choose(
+        self, ready: List[str], rtl_span, record: bool
+    ) -> Tuple[Evaluation, _SelectionOutcome, Dict[int, Evaluation]]:
+        """Evaluate the RTL (``ready``, sorted) and select the next commit.
+
+        With ``record`` it also returns every ``F(i,k)`` of the chosen
+        task by PE, for its decision record: the walk completes that
+        task's row, so the record lists the candidates the exhaustive
+        rules would see.  ``eas.walk_skips`` counts only what the
+        selection walk left unread, with or without ``record``.
+        """
+        self._hits = self._fresh = self._skips = 0
+        summaries = {task_name: self._walk(task_name) for task_name in ready}
+        chosen, outcome = self._select(summaries)
+        row: Dict[int, Evaluation] = {}
+        if record:
+            for _energy, pe_index in self._walk_keys[chosen.task]:
+                row[pe_index] = self._lookup(chosen.task, pe_index)
+        self._hit_counter.inc(self._hits)
+        self._eval_counter.inc(self._fresh)
+        self._skip_counter.inc(self._skips)
+        rtl_span.set_attribute("cache_hits", self._hits)
+        rtl_span.set_attribute("evaluations", self._fresh)
+        rtl_span.set_attribute("walk_skips", self._skips)
+        return chosen, outcome, row
 
     # -- main loop ----------------------------------------------------------------
 
@@ -236,6 +386,8 @@ class LevelBasedScheduler:
         self._placements = self.prefix.seed(schedule)
         remaining_preds = self.prefix.open_preds(self.ctg)
         ready = sorted(name for name, n in remaining_preds.items() if n == 0)
+        for task_name in ready:
+            self._enter_rtl(task_name)
 
         ins = self._ins
         rescue_counter = ins.metrics.counter("eas.rescues")
@@ -244,10 +396,7 @@ class LevelBasedScheduler:
         decided: List[TaskDecision] = []
 
         cache = self._cache
-        # bound once: CPython does not specialise method calls on a dict subclass
-        lookup = cache.get
-        total_hits = 0
-        total_invalidations = 0
+        total_hits = total_invalidations = 0
 
         with ins.tracer.span(
             "level_schedule",
@@ -257,32 +406,10 @@ class LevelBasedScheduler:
             pes=len(self.acg.pes),
         ) as level_span:
             while ready:
-                evaluations: Dict[str, Dict[int, Evaluation]] = {}
                 with ins.tracer.span("evaluate_rtl", ready=len(ready)) as rtl_span:
-                    hits = fresh = 0
-                    for task_name in ready:
-                        per_pe: Dict[int, Evaluation] = {}
-                        for pe_index in self._pes_for(task_name):
-                            key = (task_name, pe_index)
-                            evaluation = lookup(key)
-                            if evaluation is None:
-                                evaluation = self._evaluate(task_name, pe_index)
-                                if evaluation is None:
-                                    continue
-                                fresh += 1
-                                cache[key] = evaluation
-                            else:
-                                hits += 1
-                            per_pe[pe_index] = evaluation
-                        evaluations[task_name] = per_pe
-                    if hits:
-                        self._hit_counter.inc(hits)
-                        total_hits += hits
-                    rtl_span.set_attribute("cache_hits", hits)
-                    rtl_span.set_attribute("evaluations", fresh)
-
-                chosen_task, chosen_pe, outcome = self._select(evaluations)
-                chosen_eval = evaluations[chosen_task][chosen_pe]
+                    chosen_eval, outcome, row = self._choose(ready, rtl_span, record_decisions)
+                total_hits += self._hits
+                chosen_task, chosen_pe = chosen_eval.task, chosen_eval.pe
                 placement = commit(chosen_eval, self._tables, self._placements, schedule)
                 evicted = cache.invalidate(chosen_eval)
                 if evicted:
@@ -314,7 +441,7 @@ class LevelBasedScheduler:
                         chosen=chosen_eval.candidate(bd),
                         candidates=[
                             ev.candidate(bd)
-                            for pe_index, ev in sorted(evaluations[chosen_task].items())
+                            for pe_index, ev in sorted(row.items())
                             if pe_index != chosen_pe
                         ],
                     )
@@ -324,12 +451,14 @@ class LevelBasedScheduler:
                 # `ready` is kept sorted: delete by binary search, insert
                 # newly ready successors in order (no per-iteration sort).
                 del ready[bisect_left(ready, chosen_task)]
+                self._walk_keys.pop(chosen_task, None)
                 for succ in self.ctg.successors(chosen_task):
                     if succ not in remaining_preds:
                         continue  # prefix successor (recovery resurrect)
                     remaining_preds[succ] -= 1
                     if remaining_preds[succ] == 0:
                         insort(ready, succ)
+                        self._enter_rtl(succ)
 
             level_span.set_attribute("cache_hits", total_hits)
             level_span.set_attribute("cache_invalidations", total_invalidations)

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.comm import schedule_incoming_transactions, task_energy
 from repro.ctg.graph import CTG
 from repro.ctg.task import TaskCosts
 from repro.errors import UnroutableError
@@ -143,14 +143,13 @@ def probe(
     except UnroutableError:
         return None
     start = overlay.find_earliest(pe, max(drt, floor), cost.time)
-    comm_energy = sum(c.energy for c in comms)
     return Evaluation(
         task=task,
         pe=pe,
         start=start,
         finish=start + cost.time,
         drt=drt,
-        energy=cost.energy + comm_energy,
+        energy=task_energy(cost.energy, [c.energy for c in comms]),
         cost=cost,
         comms=comms,
         footprint=overlay.probed_resources(),

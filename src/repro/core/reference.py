@@ -2,10 +2,12 @@
 
 Hu & Marculescu's Step 2 restores the link and PE tables "every time a
 F(i,k) is calculated", and Step 3 rebuilds the schedule for every LTS/GTM
-candidate.  Three optimisations skip work the literal algorithm does —
+candidate.  Four optimisations skip work the literal algorithm does —
 the probe cache of Step 2 and the rebuild loop
-(:class:`repro.core.placement.ProbeCache`), the version-keyed
-path-table cache with its horizon fast path
+(:class:`repro.core.placement.ProbeCache`), Step 2's energy-ordered
+F(i,k) walk, which stops probing a ready task's PEs once the selection
+rules are decided (:class:`repro.core.eas.LevelBasedScheduler`), the
+version-keyed path-table cache with its horizon fast path
 (:mod:`repro.schedule.overlay`) and the incremental dirty-cone repair
 (:mod:`repro.core.increbuild`) — and each must be observationally
 invisible.  This module keeps the literal algorithm, built only from
@@ -14,7 +16,8 @@ benches can compare against it byte for byte:
 
 * :class:`LiteralTables` re-merges every route per probe;
 * :class:`ClearingProbeCache` forgets every probe on commit;
-* :class:`NaiveLevelScheduler` recomputes every F(i,k) each iteration;
+* :class:`NaiveLevelScheduler` recomputes every F(i,k) each iteration
+  and applies the selection rules to the whole table;
 * :class:`FullRebuilder` rebuilds every repair candidate from scratch,
   re-probing every eligible task at every step, and
   :func:`full_rebuild_repair` runs Step 3 on it;
@@ -28,11 +31,12 @@ Nothing outside ``tests/`` and ``benchmarks/`` imports it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.eas import EASConfig, LevelBasedScheduler
+from repro.core.eas import EASConfig, LevelBasedScheduler, _SelectionOutcome
 from repro.core.increbuild import IncrementalRebuilder
 from repro.core.placement import Evaluation, ProbeCache
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, rebuild_schedule
@@ -43,7 +47,7 @@ from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
 from repro.rng import RandomLike, make_rng
 from repro.schedule.overlay import ResourceId, ResourceTables, TentativeOverlay
 from repro.schedule.schedule import Schedule
-from repro.schedule.table import find_gap, merge_busy
+from repro.schedule.table import EPS, find_gap, merge_busy
 
 
 class LiteralOverlay(TentativeOverlay):
@@ -82,9 +86,72 @@ class ClearingProbeCache(ProbeCache):
 
 
 class NaiveLevelScheduler(LevelBasedScheduler):
-    """Step 2 recomputing every F(i,k) on every RTL iteration."""
+    """Step 2 as the paper states it, on the production probe and commit.
 
-    cache_type = ClearingProbeCache
+    Every RTL iteration probes every ready task on every available PE
+    afresh — no probe cache, no energy-ordered walk — and applies the
+    selection rules to the whole F(i,k) table.
+    """
+
+    def _enter_rtl(self, task_name: str) -> None:
+        pass  # no walk keys
+
+    def _choose(
+        self, ready: List[str], rtl_span, record: bool
+    ) -> Tuple[Evaluation, _SelectionOutcome, Dict[int, Evaluation]]:
+        evaluations: Dict[str, Dict[int, Evaluation]] = {}
+        for task_name in ready:
+            per_pe: Dict[int, Evaluation] = {}
+            for pe in self.acg.pes:
+                if self.acg.pe_available(pe.index):
+                    evaluation = self._probe(task_name, pe.index)
+                    if evaluation is not None:
+                        per_pe[pe.index] = evaluation
+            evaluations[task_name] = per_pe
+        fresh = sum(len(per_pe) for per_pe in evaluations.values())
+        self._eval_counter.inc(fresh)
+        rtl_span.set_attribute("evaluations", fresh)
+        chosen, outcome = self._select_literal(evaluations)
+        return chosen, outcome, evaluations[chosen.task]
+
+    def _select_literal(
+        self, evaluations: Dict[str, Dict[int, Evaluation]]
+    ) -> Tuple[Evaluation, _SelectionOutcome]:
+        """The paper's Step-2 selection rules over the full F(i,k) table."""
+        min_f: Dict[str, Evaluation] = {}
+        for task_name, per_pe in evaluations.items():
+            if not per_pe:
+                raise SchedulingError(f"task {task_name!r} has no feasible PE")
+            min_f[task_name] = min(
+                per_pe.values(), key=lambda ev: (ev.finish, ev.energy, ev.pe)
+            )
+
+        # Rule 3: violating tasks go first, fastest PE wins.
+        violations = [
+            (min_f[t].finish - self.budgets[t].budgeted_deadline, t)
+            for t in evaluations
+            if min_f[t].finish > self.budgets[t].budgeted_deadline + EPS
+        ]
+        if violations:
+            violations.sort(key=lambda item: (-item[0], item[1]))
+            return min_f[violations[0][1]], _SelectionOutcome(rescue=True)
+
+        # Rule 4: all tasks can meet their BD somewhere; maximise regret.
+        # Ties: tighter (smaller) BD first, then task name, for determinism.
+        best: Optional[Evaluation] = None
+        best_key: Tuple[float, float] = (-math.inf, -math.inf)
+        for task_name in sorted(evaluations):
+            bd = self.budgets[task_name].budgeted_deadline
+            feasible = [ev for ev in evaluations[task_name].values() if ev.finish <= bd + EPS]
+            feasible.sort(key=lambda ev: (ev.energy, ev.finish, ev.pe))
+            e1 = feasible[0]
+            delta = math.inf if len(feasible) == 1 else feasible[1].energy - e1.energy
+            key = (delta, -bd)
+            if best is None or key > best_key:
+                best = e1
+                best_key = key
+        assert best is not None
+        return best, _SelectionOutcome(regret=best_key[0])
 
 
 class FullRebuilder(IncrementalRebuilder):

@@ -473,8 +473,11 @@ def verify_decision_components(
     Replays the commit sequence on fresh resource tables (the naive,
     cache-free reference path) and, *before* each commit, re-evaluates
     the recorded candidates — chosen and beaten — with the same Fig. 3
-    machinery.  Returns one human-readable string per mismatching
-    component; an empty list certifies the captured breakdown exact.
+    machinery.  It also probes every available PE the record leaves
+    out: one that can run the task and is reachable from its senders
+    is a missing candidate.  Returns one human-readable string per
+    mismatching component or missing candidate; an empty list
+    certifies the captured breakdown exact and complete.
     """
     from repro.core.placement import commit, probe
     from repro.schedule.entries import TaskPlacement
@@ -516,6 +519,24 @@ def verify_decision_components(
                 mismatches.append(
                     f"{decision.task}@PE{candidate.pe}: hops captured "
                     f"{candidate.hops} != recomputed {expected.hops}"
+                )
+        listed = {candidate.pe for candidate in recorded}
+        listed.add(decision.pe)
+        for pe in acg.pes:
+            if pe.index in listed or not acg.pe_available(pe.index):
+                continue
+            missing = probe(
+                ctg,
+                acg,
+                decision.task,
+                pe.index,
+                tables,
+                placements,
+                contention_aware=contention_aware,
+            )
+            if missing is not None:
+                mismatches.append(
+                    f"{decision.task}@PE{pe.index}: feasible candidate missing from the record"
                 )
         # Commit the chosen placement exactly as the scheduler did.
         evaluation = probe(

@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro import obs
-from repro.arch.presets import hetero_mesh, mesh_3x3
+from repro.arch.presets import hetero_mesh, mesh_3x3, mesh_4x4
 from repro.core.eas import eas_schedule
 from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
@@ -74,6 +74,23 @@ class TestVerifyDecisionComponents:
         )
         mismatches = verify_decision_components(ctg, acg, decisions)
         assert any("energy" in m for m in mismatches)
+
+    def test_detects_a_truncated_candidate_list(self):
+        from dataclasses import replace
+
+        ctg = generate_category(1, 0, n_tasks=60)
+        acg = mesh_4x4()
+        schedule = _schedule(ctg, acg)
+        assert verify_decision_components(ctg, acg, schedule.provenance) == []
+        decisions = list(schedule.provenance)
+        index = len(decisions) // 2
+        victim = decisions[index]
+        dropped = victim.candidates[-1]
+        decisions[index] = replace(victim, candidates=victim.candidates[:-1])
+        mismatches = verify_decision_components(ctg, acg, decisions)
+        assert mismatches == [
+            f"{victim.task}@PE{dropped.pe}: feasible candidate missing from the record"
+        ]
 
 
 class TestChosenCandidateBreakdown:
