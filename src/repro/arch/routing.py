@@ -104,8 +104,8 @@ class ShortestPathRouting(RoutingAlgorithm):
     coordinate order, so the route per pair is unique and stable across
     Python versions and insertion orders — the determinism the
     scheduler's link tables require.  Used for the honeycomb (where
-    dimension-ordered routing is undefined) and as the fault-aware
-    fallback around link cuts.
+    dimension-ordered routing is undefined) and for the detours a
+    degraded platform takes around dead routers and cut links.
     """
 
     name = "shortest"

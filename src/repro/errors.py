@@ -26,8 +26,8 @@ class RoutingError(ArchitectureError):
 class UnroutableError(RoutingError):
     """A fault partition leaves no surviving route between two tiles.
 
-    Raised by the fault-aware routing fallback when every path between a
-    live pair of tiles crosses a dead router or a cut link — the clean
+    Raised by a degraded platform's route queries when every path between
+    a live pair of tiles crosses a dead router or a cut link — the clean
     signal the recovery engine turns into an *unsurvivable* verdict
     instead of a traceback.
     """

@@ -7,10 +7,10 @@ it is not.  It provides:
   (permanent PE death, permanent link cuts, transient link-fault
   windows) and a Monte Carlo plan generator;
 * :mod:`repro.faults.degraded` — a fault-masked view of the platform:
-  :class:`DegradedTopology` hides dead routers and cut links,
-  :class:`FaultAwareRouting` falls back from the base routing to a
-  deterministic shortest path around the damage, and
-  :class:`DegradedACG` rebinds the committed platform to both;
+  :class:`DegradedTopology` hides dead routers and cut links, and
+  :class:`DegradedACG` keeps every base route no fault touches and
+  detours only the pairs a fault cuts, along a deterministic shortest
+  path around the damage;
 * :mod:`repro.faults.recovery` — degraded-mode rescheduling: salvage the
   completed prefix of a committed schedule, re-run EAS plus
   search-and-repair on the surviving tasks over the degraded platform,
@@ -20,7 +20,7 @@ it is not.  It provides:
   output at any job count.
 """
 
-from repro.faults.degraded import DegradedACG, DegradedTopology, FaultAwareRouting
+from repro.faults.degraded import DegradedACG, DegradedTopology
 from repro.faults.plan import (
     FAULT_PLAN_SCHEMA_VERSION,
     FaultPlan,
@@ -45,7 +45,6 @@ __all__ = [
     "TransientFault",
     "generate_fault_plans",
     "DegradedTopology",
-    "FaultAwareRouting",
     "DegradedACG",
     "UnsurvivableFaultError",
     "RecoveryResult",

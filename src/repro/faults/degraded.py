@@ -1,6 +1,6 @@
 """Fault-masked views of the platform.
 
-Three layers, each a drop-in for its healthy counterpart:
+Two layers, each a drop-in for its healthy counterpart:
 
 * :class:`DegradedTopology` — the base topology minus dead tiles and cut
   channels.  A dead PE takes its **router** with it (the conservative
@@ -9,24 +9,23 @@ Three layers, each a drop-in for its healthy counterpart:
   channel for the whole recovery horizon, whatever their onset time —
   routing through a channel known to die later would just schedule the
   next failure.
-* :class:`FaultAwareRouting` — tries the base routing first (XY on
-  meshes); if the dimension-ordered path survives intact in the degraded
-  view it is kept, otherwise the router falls back to the deterministic
-  lexicographic shortest path *around* the damage.  When a partition
-  leaves no path at all it raises :class:`~repro.errors.UnroutableError`.
-* :class:`DegradedACG` — the committed platform re-routed over the
-  degraded topology.  The PE list keeps its original indices (mappings
-  and schedules stay meaningful); dead PEs are simply marked
-  unavailable, and any route query touching a dead or partitioned
-  endpoint raises :class:`~repro.errors.UnroutableError`.
+* :class:`DegradedACG` — the committed platform over the degraded
+  topology.  A live PE pair keeps the healthy ACG's own :class:`Route`
+  object when none of its links is dead; only the pairs a fault cuts are
+  detoured, along the deterministic lexicographic shortest path around
+  the damage.  The PE list keeps its original indices (mappings and
+  schedules stay meaningful); dead PEs are simply marked unavailable,
+  and any route query touching a dead or partitioned endpoint raises
+  :class:`~repro.errors.UnroutableError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
+from repro import obs
 from repro.arch.acg import ACG, Route
-from repro.arch.routing import RoutingAlgorithm, ShortestPathRouting
+from repro.arch.routing import ShortestPathRouting
 from repro.arch.topology import Coord, Topology
 from repro.errors import ArchitectureError, RoutingError, UnroutableError
 from repro.faults.plan import FaultPlan
@@ -65,63 +64,26 @@ class DegradedTopology(Topology):
                     continue
                 self._links[coord].append(neighbor)
 
-    def alive_path(self, path: List[Coord]) -> bool:
-        """Whether every tile and every step of ``path`` survives."""
-        if not all(self.has_tile(coord) for coord in path):
-            return False
-        for a, b in zip(path, path[1:]):
-            if b not in self._links[a]:
-                return False
-        return True
-
-
-class FaultAwareRouting(RoutingAlgorithm):
-    """Base routing when its path survives, shortest-path detour otherwise.
-
-    The fallback inherits :class:`ShortestPathRouting`'s documented
-    lexicographic tie-breaking, so degraded routes are a pure function
-    of (base routing, fault set) — the determinism the link tables and
-    the jobs-N sweep equivalence rely on.
-    """
-
-    name = "fault-aware"
-
-    def __init__(self, base: RoutingAlgorithm) -> None:
-        self.base = base
-        self._fallback = ShortestPathRouting()
-
-    def route(self, topology: Topology, src: Coord, dst: Coord) -> List[Coord]:
-        if not isinstance(topology, DegradedTopology):
-            raise RoutingError(
-                f"{self.name} routing requires a DegradedTopology, got {topology!r}"
-            )
-        if not topology.has_tile(src) or not topology.has_tile(dst):
-            raise UnroutableError(f"route endpoint {src}->{dst} is on a dead tile")
-        try:
-            path = self.base.route(topology.base, src, dst)
-        except RoutingError:
-            path = None
-        if path is not None and topology.alive_path(path):
-            return path
-        try:
-            return self._fallback.route(topology, src, dst)
-        except UnroutableError:
-            raise
-        except RoutingError as exc:
-            raise UnroutableError(
-                f"no surviving route from {src} to {dst}: faults partition the NoC"
-            ) from exc
-
 
 class DegradedACG(ACG):
     """The committed platform, re-routed around a fault plan.
 
-    PE indices, types, the energy model and the bandwidth are those of
-    ``base``; only reachability changes.  Routes between live PE pairs
-    are recomputed with :class:`FaultAwareRouting` over the
-    :class:`DegradedTopology`; pairs the faults disconnect simply have
+    PE indices, types, the routing algorithm, the energy model and the
+    bandwidth are those of ``base``; only reachability changes.  A live
+    pair whose base route crosses no dead link keeps that very
+    :class:`Route`: the base routing would pick the same path again, and
+    the path alone fixes the route's links, hops, energy and bandwidth.
+    Every other live pair is detoured along the
+    :class:`ShortestPathRouting` path over the :class:`DegradedTopology`,
+    whose lexicographic tie-breaking makes the detour a pure function of
+    (platform, fault set) — the determinism the link tables and the
+    jobs-N sweep equivalence rely on.  Pairs the faults disconnect have
     no route, and querying them (or any dead endpoint) raises
     :class:`UnroutableError`.
+
+    Raises:
+        ArchitectureError: the plan names a PE or a channel (cut or
+            transient) that the platform does not have.
     """
 
     def __init__(self, base: ACG, plan: FaultPlan) -> None:
@@ -135,11 +97,17 @@ class DegradedACG(ACG):
             base.pe(pe_index)  # range check
             dead_indices.append(pe_index)
         self.dead_pes: FrozenSet[int] = frozenset(dead_indices)
+        for fault in plan.link_faults + plan.transient_faults:
+            a, b = fault.src, fault.dst
+            if not base.topology.has_tile(a) or b not in base.topology.neighbors(a):
+                raise ArchitectureError(
+                    f"plan {plan.name!r}: channel {a}<->{b} is not a link of the platform"
+                )
         dead_tiles = {base.pe(i).position for i in self.dead_pes}
         self.topology = DegradedTopology(
             base.topology, dead_tiles=dead_tiles, cut_channels=plan.cut_channels()
         )
-        self.routing = FaultAwareRouting(base.routing)
+        self.routing = base.routing
         self.energy_model = base.energy_model
         self.link_bandwidth = base.link_bandwidth
         self.type_catalog = dict(base.type_catalog)
@@ -148,22 +116,37 @@ class DegradedACG(ACG):
         self._routes: Dict[Tuple[int, int], Route] = {}
         self._links = dict(base._links)
         self._unroutable: Dict[Tuple[int, int], str] = {}
+        #: live pairs whose base route a fault cut and that got a detour.
+        self.n_detoured = 0
         self._build_degraded_routes()
+        obs.get().metrics.counter("faults.detoured_routes").inc(self.n_detoured)
 
     def _build_degraded_routes(self) -> None:
+        # One definition of "dead": every base channel the degraded
+        # topology lacks (cut, or touching a dead router).
+        dead = {link.key for link in self.base_acg.topology.links()}
+        dead.difference_update(link.key for link in self.topology.links())
+        detour = ShortestPathRouting()
         alive = [pe for pe in self.pes if pe.index not in self.dead_pes]
         for src_pe in alive:
             for dst_pe in alive:
+                pair = (src_pe.index, dst_pe.index)
+                route = self.base_acg._routes[pair]
+                if dead.isdisjoint(route.link_keys):
+                    self._routes[pair] = route
+                    continue
                 try:
-                    path = self.routing.route(
-                        self.topology, src_pe.position, dst_pe.position
-                    )
-                except UnroutableError as exc:
+                    path = detour.route(self.topology, src_pe.position, dst_pe.position)
+                except RoutingError:
                     # A partition is a per-pair property, not a platform
                     # error: record it and let route() raise on access.
-                    self._unroutable[(src_pe.index, dst_pe.index)] = str(exc)
+                    self._unroutable[pair] = (
+                        f"no surviving route from {src_pe.position} to "
+                        f"{dst_pe.position}: faults partition the NoC"
+                    )
                     continue
-                self._routes[(src_pe.index, dst_pe.index)] = self._make_route(src_pe, dst_pe, path)
+                self._routes[pair] = self._make_route(src_pe, dst_pe, path)
+                self.n_detoured += 1
 
     # -- availability / route queries -----------------------------------------
 
@@ -202,6 +185,8 @@ class DegradedACG(ACG):
         if self.topology.cut_channels:
             channels = sorted({tuple(sorted(c)) for c in self.topology.cut_channels})
             lines.append(f"  cut channels: {channels}")
+        if self.n_detoured:
+            lines.append(f"  detoured PE pairs: {self.n_detoured}")
         if self._unroutable:
             lines.append(f"  partitioned PE pairs: {len(self._unroutable)}")
         return "\n".join(lines)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults.plan import FaultPlan, LinkFault, TransientFault
+from repro.obs.ledger import read_ledger
 
 
 BENCH = ["--system", "random", "--n-tasks", "20"]
@@ -68,6 +70,37 @@ class TestFaultsCommand:
     def test_inject_missing_plan_file(self, capsys):
         assert main(["faults", "inject", *BENCH, "--plan", "/nonexistent.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(name="bad-cut", link_faults=(LinkFault((0, 0), (1, 1), 1.0),)),
+            FaultPlan(
+                name="bad-transient",
+                transient_faults=(TransientFault((0, 0), (3, 3), 1.0, 2.0),),
+            ),
+        ],
+        ids=["cut", "transient"],
+    )
+    def test_inject_plan_with_missing_channel_fails(
+        self, plan, tmp_path, capsys, monkeypatch
+    ):
+        plan_path = tmp_path / "bad.json"
+        plan_path.write_text(plan.to_json())
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        assert main(["faults", "inject", *BENCH, "--plan", str(plan_path)]) == 1
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        fault = (plan.link_faults + plan.transient_faults)[0]
+        message = (
+            f"plan {plan.name!r}: channel {fault.src}<->{fault.dst} "
+            "is not a link of the platform"
+        )
+        assert captured.err == f"repro-noc: error: {message}\n"
+        terminal = read_ledger(ledger)[-1]
+        assert terminal["type"] == "run_failed"
+        assert terminal["error"] == f"ArchitectureError: {message}"
 
     def test_sweep_text_output(self, capsys):
         assert (
