@@ -12,7 +12,9 @@ via :class:`repro.obs.benchstore.BenchStore` — the persistent perf
 trajectory future optimisation PRs are measured against.  Set
 ``REPRO_BENCH_DIR`` to redirect the store (``off`` disables it), and
 pass ``--bench-check`` to fail any benchmark that runs >10 % slower
-than its stored median.
+than its stored median.  A/B benches time their two sides with
+:func:`warm_ab` (interleaved warm pairs, or one cold pass each for the
+smoke points).
 
 Scale: benchmarks default to 150-task random graphs (the paper uses
 ~500).  Set ``REPRO_FULL=1`` to run at full paper scale.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -65,6 +67,41 @@ def run_once(benchmark, fn):
     result = benchmark.pedantic(timed, rounds=1, iterations=1, warmup_rounds=0)
     _record(benchmark.name, timing.get("wall"), result)
     return result
+
+
+class WarmAB(NamedTuple):
+    """What :func:`warm_ab` measured of an A/B pair of callables."""
+
+    result_a: Any
+    result_b: Any
+    #: each side's best wall seconds over the timed pairs.
+    best_a: float
+    best_b: float
+
+    @property
+    def speedup(self) -> float:
+        """A's best time over B's."""
+        return self.best_a / self.best_b
+
+
+def warm_ab(run_a: Callable[[], Any], run_b: Callable[[], Any], pairs: int = 5) -> WarmAB:
+    """Time an A/B comparison as interleaved warm pairs.
+
+    One untimed pair warms both sides up; then ``pairs`` timed pairs
+    alternate which side goes first.  Each side keeps its best time and
+    its last call's result.  ``pairs=0`` is one cold, timed call per
+    side: smoke benches use it so the total wall :func:`run_once`
+    records stays the one pass per side their stored baselines measured.
+    """
+    sides = (run_a, run_b)
+    results = [run_a(), run_b()] if pairs else [None, None]
+    times: List[List[float]] = [[], []]
+    for pair in range(max(pairs, 1)):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            started = time.perf_counter()
+            results[side] = sides[side]()
+            times[side].append(time.perf_counter() - started)
+    return WarmAB(results[0], results[1], min(times[0]), min(times[1]))
 
 
 def _record(test_name: str, wall: Optional[float], result: Any) -> None:

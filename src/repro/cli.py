@@ -623,18 +623,25 @@ def _benchmark_spec(args) -> BenchmarkSpec:
 def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
     repair_starts = getattr(args, "repair_starts", 1)
     if repair_starts > 1:
-        # Multi-start portfolio (``main`` admits K > 1 for eas only):
-        # level-schedule once, then race K seeded LTS/GTM repair
-        # orderings (in parallel under --jobs) and keep the best
-        # feasible, lowest-energy result.
+        # Multi-start portfolio (``main`` admits K > 1 for eas only) as
+        # EAS's Step 3: race K seeded LTS/GTM repair orderings (in
+        # parallel under --jobs) and keep the best feasible,
+        # lowest-energy result.
+        from repro.core.eas import eas_schedule
         from repro.core.repair import multistart_search_and_repair
 
-        schedule = run_scheduler("eas-base", ctg, acg)
-        schedule, portfolio = multistart_search_and_repair(
-            schedule, starts=repair_starts, jobs=getattr(args, "jobs", None)
-        )
-        schedule.algorithm = "eas"
-        print(portfolio.describe(), file=sys.stderr)
+        portfolios = []
+
+        def portfolio_repair(base, config, prefix):
+            best, portfolio = multistart_search_and_repair(
+                base, starts=repair_starts, jobs=getattr(args, "jobs", None), config=config
+            )
+            portfolios.append(portfolio)
+            return best, portfolio
+
+        schedule = eas_schedule(ctg, acg, repair=portfolio_repair)
+        for portfolio in portfolios:
+            print(portfolio.describe(), file=sys.stderr)
     else:
         schedule = run_scheduler(args.algorithm, ctg, acg)
     if args.dvs:

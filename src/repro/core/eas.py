@@ -1,4 +1,5 @@
-"""EAS Step 2: level-based scheduling, plus the top-level EAS driver.
+"""EAS Step 2: level-based scheduling, plus :func:`run_eas`, the one place
+Steps 1-3 compose.
 
 The level-based scheduler repeatedly examines the **ready task list**
 (RTL — tasks whose predecessors are all scheduled).  For every
@@ -75,18 +76,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Type
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.core import repair as step3
 from repro.core.comm import in_sender_order, task_energy
 from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix
+from repro.core.repair import RepairConfig, RepairReport
 from repro.obs.decisions import TaskDecision
 from repro.core.slack import TaskBudget, WeightPolicy, compute_budgets, weight_var_product
 from repro.ctg.graph import CTG
-from repro.errors import SchedulingError, UnroutableError
+from repro.errors import NoFeasiblePEError, SchedulingError, UnroutableError
 from repro.schedule.entries import TaskPlacement
 from repro.schedule.schedule import Schedule
 from repro.schedule.table import EPS
@@ -287,7 +291,7 @@ class LevelBasedScheduler:
         """
         keys = self._walk_keys[task_name]
         if not keys:
-            raise SchedulingError(f"task {task_name!r} has no feasible PE")
+            raise NoFeasiblePEError(f"task {task_name!r} has no feasible PE")
         limit = self.budgets[task_name].budgeted_deadline + EPS
         lookup = self._lookup
         e1: Optional[Evaluation] = None
@@ -471,60 +475,72 @@ class LevelBasedScheduler:
         return schedule
 
 
-def eas_base_schedule(
+def run_eas(
     ctg: CTG,
     acg: ACG,
     config: Optional[EASConfig] = None,
-) -> Schedule:
+    prefix: FrozenPrefix = NO_PREFIX,
+    algorithm: Optional[str] = None,
+    level_class: Type[LevelBasedScheduler] = LevelBasedScheduler,
+    repair: Optional[Callable[..., Tuple[Schedule, RepairReport]]] = None,
+) -> Tuple[Schedule, Optional[RepairReport]]:
+    """Steps 1-3 of EAS from ``prefix``: the one place they compose.
+
+    Step 1 computes the slack budgets on ``acg``, Step 2 runs
+    ``level_class`` on top of ``prefix`` and, when ``config.repair`` is
+    on and a deadline is missed, Step 3 runs ``repair`` (default
+    :func:`repro.core.repair.search_and_repair`, looked up per call)
+    from the same prefix.  Repair only reorders and remaps, so the
+    repaired schedule keeps Step 2's decisions as its provenance.
+    Returns the schedule and Step 3's report (``None`` when it did not
+    run).
+
+    With ``algorithm`` unset this is EAS itself: Steps 1-2 run as the
+    ``eas_base`` phase, name the schedule ``eas-base`` and stamp their
+    wall time on it.  A named re-plan (degraded-mode recovery) is timed
+    by its caller.  The reference oracle swaps in its literal
+    ``level_class``, ``repair`` and tables.
+    """
+    cfg = config or EASConfig()
+    if algorithm is None:
+        phase = obs.timed_phase("eas_base", ctg=ctg.name)
+        name = "eas-base" if cfg.contention_aware else "eas-base-nocontention"
+    else:
+        phase, name = nullcontext(), algorithm
+    with phase as timing:
+        budgets = compute_budgets(
+            ctg, acg, weight_policy=cfg.weight_policy, include_comm=cfg.include_comm_in_slack
+        )
+        schedule = level_class(
+            ctg, acg, budgets, algorithm_name=name, contention_aware=cfg.contention_aware, prefix=prefix
+        ).run()
+    if timing is not None:
+        schedule.runtime_seconds = timing.seconds
+    if not (cfg.repair and schedule.deadline_misses()):
+        return schedule, None
+    repair = repair or step3.search_and_repair
+    repaired, report = repair(schedule, RepairConfig(max_rounds=cfg.max_repair_rounds), prefix=prefix)
+    repaired.provenance = schedule.provenance
+    return repaired, report
+
+
+def eas_base_schedule(ctg: CTG, acg: ACG, config: Optional[EASConfig] = None, **pieces) -> Schedule:
     """EAS without Step 3 (the paper's *EAS-base*).
 
     The result always satisfies the structural invariants but may miss
-    deadlines on tightly constrained inputs.
+    deadlines on tightly constrained inputs.  ``pieces`` go to
+    :func:`run_eas`.
     """
-    cfg = config or EASConfig()
-    with obs.timed_phase("eas_base", ctg=ctg.name) as timing:
-        budgets = compute_budgets(
-            ctg,
-            acg,
-            weight_policy=cfg.weight_policy,
-            include_comm=cfg.include_comm_in_slack,
-        )
-        schedule = LevelBasedScheduler(
-            ctg,
-            acg,
-            budgets,
-            algorithm_name="eas-base" if cfg.contention_aware else "eas-base-nocontention",
-            contention_aware=cfg.contention_aware,
-        ).run()
-    schedule.runtime_seconds = timing.seconds
-    return schedule
+    return run_eas(ctg, acg, replace(config or EASConfig(), repair=False), **pieces)[0]
 
 
-def eas_schedule(
-    ctg: CTG,
-    acg: ACG,
-    config: Optional[EASConfig] = None,
-) -> Schedule:
-    """The full EAS algorithm (Steps 1-3).
+def eas_schedule(ctg: CTG, acg: ACG, config: Optional[EASConfig] = None, **pieces) -> Schedule:
+    """The full EAS algorithm (Steps 1-3), as the ``eas`` phase.
 
-    Runs the level-based scheduler and, when the result misses deadlines
-    and ``config.repair`` is on, post-processes it with search-and-repair
-    (local task swapping + global task migration).
+    ``pieces`` go to :func:`run_eas`.
     """
-    from repro.core.repair import RepairConfig, search_and_repair
-
-    cfg = config or EASConfig()
     with obs.timed_phase("eas", ctg=ctg.name) as timing:
-        schedule = eas_base_schedule(ctg, acg, cfg)
-        if cfg.repair and schedule.deadline_misses():
-            repaired, _report = search_and_repair(
-                schedule,
-                RepairConfig(max_rounds=cfg.max_repair_rounds),
-            )
-            # Repair only reorders/remaps; the level-schedule decisions
-            # remain the provenance of the original placements.
-            repaired.provenance = schedule.provenance
-            schedule = repaired
+        schedule, _report = run_eas(ctg, acg, config, **pieces)
     schedule.algorithm = "eas"
     schedule.runtime_seconds = timing.seconds
     return schedule

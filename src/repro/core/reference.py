@@ -21,8 +21,10 @@ benches can compare against it byte for byte:
 * :class:`FullRebuilder` rebuilds every repair candidate from scratch,
   re-probing every eligible task at every step, and
   :func:`full_rebuild_repair` runs Step 3 on it;
-* :func:`reference_eas_base_schedule` / :func:`reference_eas_schedule`
-  compose them;
+* :func:`literal_pieces` hands the literal tables, Step 2 and Step 3
+  to :func:`repro.core.eas.run_eas`, the one composition of Steps 1-3,
+  and :func:`reference_eas_base_schedule` /
+  :func:`reference_eas_schedule` are the production wrappers on them;
 * :func:`random_schedule` is a uniform random feasible mapping — a
   statistical null and a schedule witness for the property tests.
 
@@ -36,14 +38,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
-from repro.core.eas import EASConfig, LevelBasedScheduler, _SelectionOutcome
+from repro.core.eas import EASConfig, LevelBasedScheduler, _SelectionOutcome, eas_base_schedule, eas_schedule
 from repro.core.increbuild import IncrementalRebuilder
 from repro.core.placement import Evaluation, ProbeCache
 from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, rebuild_schedule
 from repro.core.repair import RepairConfig, RepairReport, _repair
-from repro.core.slack import compute_budgets
 from repro.ctg.graph import CTG
-from repro.errors import InfeasibleOrderError, SchedulingError, UnroutableError
+from repro.errors import InfeasibleOrderError, NoFeasiblePEError, SchedulingError, UnroutableError
 from repro.rng import RandomLike, make_rng
 from repro.schedule.overlay import ResourceId, ResourceTables, TentativeOverlay
 from repro.schedule.schedule import Schedule
@@ -121,7 +122,7 @@ class NaiveLevelScheduler(LevelBasedScheduler):
         min_f: Dict[str, Evaluation] = {}
         for task_name, per_pe in evaluations.items():
             if not per_pe:
-                raise SchedulingError(f"task {task_name!r} has no feasible PE")
+                raise NoFeasiblePEError(f"task {task_name!r} has no feasible PE")
             min_f[task_name] = min(
                 per_pe.values(), key=lambda ev: (ev.finish, ev.energy, ev.pe)
             )
@@ -193,41 +194,23 @@ def full_rebuild_repair(
     return _repair(schedule, config, prefix, FullRebuilder)
 
 
-def reference_eas_base_schedule(
-    ctg: CTG, acg: ACG, config: Optional[EASConfig] = None
-) -> Schedule:
+def literal_pieces() -> Dict[str, object]:
+    """The :func:`repro.core.eas.run_eas` arguments that swap in the literal pieces."""
+    return {
+        "prefix": FrozenPrefix(tables=LiteralTables()),
+        "level_class": NaiveLevelScheduler,
+        "repair": full_rebuild_repair,
+    }
+
+
+def reference_eas_base_schedule(ctg: CTG, acg: ACG, config: Optional[EASConfig] = None) -> Schedule:
     """:func:`repro.core.eas.eas_base_schedule` on the literal pieces."""
-    cfg = config or EASConfig()
-    with obs.timed_phase("eas_base", ctg=ctg.name) as timing:
-        budgets = compute_budgets(
-            ctg, acg, weight_policy=cfg.weight_policy, include_comm=cfg.include_comm_in_slack
-        )
-        schedule = NaiveLevelScheduler(
-            ctg,
-            acg,
-            budgets,
-            algorithm_name="eas-base" if cfg.contention_aware else "eas-base-nocontention",
-            contention_aware=cfg.contention_aware,
-            prefix=FrozenPrefix(tables=LiteralTables()),
-        ).run()
-    schedule.runtime_seconds = timing.seconds
-    return schedule
+    return eas_base_schedule(ctg, acg, config, **literal_pieces())
 
 
 def reference_eas_schedule(ctg: CTG, acg: ACG, config: Optional[EASConfig] = None) -> Schedule:
     """:func:`repro.core.eas.eas_schedule` on the literal pieces."""
-    cfg = config or EASConfig()
-    with obs.timed_phase("eas", ctg=ctg.name) as timing:
-        schedule = reference_eas_base_schedule(ctg, acg, cfg)
-        if cfg.repair and schedule.deadline_misses():
-            repaired, _report = full_rebuild_repair(
-                schedule, RepairConfig(max_rounds=cfg.max_repair_rounds)
-            )
-            repaired.provenance = schedule.provenance
-            schedule = repaired
-    schedule.algorithm = "eas"
-    schedule.runtime_seconds = timing.seconds
-    return schedule
+    return eas_schedule(ctg, acg, config, **literal_pieces())
 
 
 def random_schedule(ctg: CTG, acg: ACG, seed: RandomLike = None) -> Schedule:

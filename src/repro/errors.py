@@ -51,6 +51,10 @@ class InfeasibleOrderError(SchedulingError):
     """A (mapping, per-PE order) pair has a cross-PE ordering deadlock."""
 
 
+class NoFeasiblePEError(SchedulingError):
+    """Level-based scheduling found no available, routable PE for a task."""
+
+
 class ScheduleValidationError(ReproError):
     """A produced schedule violates a structural invariant."""
 

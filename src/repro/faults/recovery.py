@@ -24,10 +24,13 @@ four steps:
    outage.
 
 3. **Re-plan** over the :class:`~repro.faults.degraded.DegradedACG`:
-   Step-1 budgets are recomputed on the degraded platform, the
-   level-based scheduler re-runs from the prefix, and search-and-repair
-   polishes the result on the incremental engine from the same prefix,
-   whose tasks no move may touch.
+   :func:`repro.core.eas.run_eas` runs EAS Steps 1-3 from the prefix
+   under the name ``recovery`` — Step-1 budgets on the degraded
+   platform, the level-based scheduler on top of the prefix, and
+   search-and-repair from the same prefix, whose tasks no move may
+   touch.  Recovery hands ``run_eas`` this module's
+   ``search_and_repair`` binding, and the repaired schedule keeps the
+   level scheduler's decision records like any EAS run.
 
 4. **Validate** (:func:`validate_recovery`).  The recovery schedule must
    pass the structural validators (completeness, PE and link
@@ -51,11 +54,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.core.eas import EASConfig, LevelBasedScheduler
+from repro.core.eas import EASConfig, run_eas
 from repro.core.rebuild import FrozenPrefix
-from repro.core.repair import RepairConfig, RepairReport, search_and_repair
-from repro.core.slack import compute_budgets
-from repro.errors import ScheduleValidationError, SchedulingError
+from repro.core.repair import RepairReport, search_and_repair
+from repro.errors import NoFeasiblePEError, ScheduleValidationError, SchedulingError
 from repro.faults.degraded import DegradedACG
 from repro.faults.plan import FaultPlan
 from repro.schedule.overlay import ResourceTables
@@ -271,35 +273,19 @@ def inject_and_recover(
                 )
 
         prefix = salvage_prefix(committed, salvaged, kept, plan)
-        budgets = compute_budgets(
-            ctg,
-            degraded,
-            weight_policy=cfg.weight_policy,
-            include_comm=cfg.include_comm_in_slack,
-        )
-        scheduler = LevelBasedScheduler(
-            ctg,
-            degraded,
-            budgets,
-            algorithm_name="recovery",
-            contention_aware=cfg.contention_aware,
-            prefix=prefix,
-        )
         try:
-            recovery = scheduler.run()
-        except SchedulingError as exc:
-            # "no feasible PE" here means every candidate was unroutable:
-            # the partition separates the task from its placed senders.
+            recovery, repair_report = run_eas(
+                ctg, degraded, cfg, prefix, algorithm="recovery", repair=search_and_repair
+            )
+        except NoFeasiblePEError as exc:
+            # After the capability check, Step 2 finding no feasible PE
+            # means every candidate was unroutable: the partition
+            # separates the task from its placed senders.  Any other
+            # scheduling error is a defect and propagates.
             ins.metrics.counter("faults.unsurvivable").inc()
             raise UnsurvivableFaultError(
                 f"plan {plan.name!r}: degraded platform is partitioned ({exc})"
             ) from exc
-
-        repair_report: Optional[RepairReport] = None
-        if cfg.repair and recovery.deadline_misses():
-            recovery, repair_report = search_and_repair(
-                recovery, RepairConfig(max_rounds=cfg.max_repair_rounds), prefix=prefix
-            )
 
         if validate:
             validate_recovery(recovery, committed, plan, degraded, salvaged, kept)

@@ -307,8 +307,8 @@ def _collect_run(records: Sequence[Mapping[str, Any]]) -> Dict[str, Dict[str, fl
         if kind in ("run_finished", "run_failed"):
             if isinstance(record.get("wall_seconds"), (int, float)):
                 phases["(total wall)"] = float(record["wall_seconds"])
-            # Counter snapshots are cumulative: the terminal one wins.
-            snapshot = record.get("counters")
+            # The terminal counter snapshot (``metrics``) is cumulative: it wins.
+            snapshot = record.get("metrics")
             if isinstance(snapshot, Mapping):
                 counters = {
                     str(key): float(value)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -116,6 +118,18 @@ class TestRepairStarts:
         assert "repair portfolio: 2 start(s)" in captured.err
         assert "Schedule[eas] of cat2-5" in captured.out
         assert "misses=0" in captured.out
+
+    def test_portfolio_is_eas_step3(self, tmp_path, capsys):
+        """The winner keeps Step 2's decisions and the ``eas`` phase's wall."""
+        saved, trace = tmp_path / "eas.json", tmp_path / "trace.jsonl"
+        argv = ["--algorithm", "eas", "--repair-starts", "2", "--save", str(saved), "--trace", str(trace)]
+        assert main(self.ARGV + argv) == 0
+        capsys.readouterr()
+        document = json.loads(saved.read_text())
+        assert len({d["task"] for d in document["provenance"]}) == 40
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        (eas,) = [r for r in spans if r.get("type") == "span" and r["name"] == "eas"]
+        assert document["runtime_seconds"] == pytest.approx(eas["duration"], rel=0.01)
 
     def test_eas_base_rejects_k_above_one(self, capsys):
         assert main(self.ARGV + ["--algorithm", "eas-base"]) == 0

@@ -24,6 +24,7 @@ from repro.obs.diff import (
     format_diff,
     run_delta,
 )
+from repro.obs.ledger import RunLedger
 
 
 def _pair(n_tasks=35, index=1):
@@ -172,14 +173,17 @@ class TestRenderers:
 
     def test_run_delta_section(self):
         _, _, a, b = _pair()
-        records_a = [
-            {"type": "phase", "name": "cell", "tag": "x", "runtime_seconds": 1.0},
-            {"type": "run_finished", "wall_seconds": 2.0, "counters": {"eas.evaluations": 10}},
-        ]
-        records_b = [
-            {"type": "phase", "name": "cell", "tag": "x", "runtime_seconds": 1.5},
-            {"type": "run_finished", "wall_seconds": 3.0, "counters": {"eas.evaluations": 14}},
-        ]
+
+        def ledgered(cell_wall, wall, evaluations):
+            # The records the CLI writes: a cell phase, then the terminal
+            # record with the counter snapshot under ``metrics``.
+            ledger = RunLedger(None)
+            ledger.phase("cell", tag="x", runtime_seconds=cell_wall)
+            ledger.run_finished(wall_seconds=wall, metrics={"eas.evaluations": evaluations})
+            return ledger.buffered
+
+        records_a = ledgered(1.0, 2.0, 10)
+        records_b = ledgered(1.5, 3.0, 14)
         delta = run_delta("r1", records_a, "r2", records_b)
         assert delta.phase_walls["x"] == [1.0, 1.5]
         assert delta.phase_walls["(total wall)"] == [2.0, 3.0]

@@ -230,3 +230,14 @@ class TestCli:
         assert main(["report", "--format", "json", "--bench-dir", str(tmp_path)]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["runs"]["total"] == 0
+
+    def test_last_run_delta_carries_counters(self, tmp_path, monkeypatch, capsys):
+        """Two ledgered runs of one command: the report diffs their counters."""
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "runs.jsonl"))
+        for _ in range(2):
+            assert main(["schedule", "--system", "encoder"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--format", "json", "--bench-dir", str(tmp_path)]) == 0
+        delta = json.loads(capsys.readouterr().out)["run_delta"]
+        evaluations = delta["counters"]["eas.evaluations"]
+        assert evaluations[0] == evaluations[1] > 0
