@@ -149,6 +149,8 @@ class IncrementalRebuilder:
         self._memo_counter = metrics.counter("repair.memo_skips")
         self._candidate_counter = metrics.counter("repair.incremental_candidates")
         self._probe_counter = metrics.counter("repair.frontier_probes")
+        self._deadlock_counter = metrics.counter("repair.deadlock_rejects")
+        self._unroutable_counter = metrics.counter("repair.unroutable_rejects")
 
     # -- incumbent bookkeeping ------------------------------------------------
 
@@ -362,7 +364,9 @@ class IncrementalRebuilder:
                     mapping, orders, frontier, next_slot, remaining, placed,
                     placements, tables, bound, incumbent_metric,
                 )
-        except (InfeasibleOrderError, UnroutableError):
+        except (InfeasibleOrderError, UnroutableError) as exc:
+            deadlock = isinstance(exc, InfeasibleOrderError)
+            (self._deadlock_counter if deadlock else self._unroutable_counter).inc()
             self._memo.add(signature)
             return None
         if schedule is None:  # aborted at the frontier or mid-replay

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro import obs
 from repro.core.comm import incoming_comm_energy, outgoing_comm_energy
 from repro.core.increbuild import IncrementalRebuilder
-from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, miss_metric, rebuild_schedule
+from repro.core.rebuild import NO_PREFIX, FrozenPrefix, MissMetric, miss_metric
 from repro.errors import RoutingError
 from repro.schedule.schedule import Schedule
 
@@ -119,18 +120,11 @@ def _repair(
     literal full rebuild per candidate.
     """
     cfg = config or RepairConfig()
+    incumbent = _Incumbent(schedule, engine_class, prefix)
     report = RepairReport()
-    current = schedule
-    metric = miss_metric(current)
-    report.initial_misses = metric[0]
-    report.initial_energy = current.total_energy()
-
-    mapping = dict(current.mapping())
-    orders = {pe: list(tasks) for pe, tasks in current.pe_order().items()}
+    report.initial_misses = incumbent.metric[0]
+    report.initial_energy = schedule.total_energy()
     rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    engine = engine_class(
-        current.ctg, current.acg, mapping, orders, algorithm=current.algorithm, prefix=prefix
-    )
     # Destination rankings per task, valid until a migration is accepted.
     destinations: Dict[str, List[int]] = {}
 
@@ -139,25 +133,69 @@ def _repair(
     with ins.tracer.span(
         "search_and_repair", ctg=schedule.ctg.name, initial_misses=report.initial_misses
     ) as span:
-        while metric[0] > 0 and report.rounds < cfg.max_rounds:
+        while incumbent.metric[0] > 0 and report.rounds < cfg.max_rounds:
             report.rounds += 1
             round_counter.inc()
-            current, mapping, orders, metric, lts_improved = _lts_pass(
-                current, mapping, orders, metric, report, engine, rng
-            )
-            if metric[0] == 0:
+            lts_improved = _lts_pass(incumbent, report, rng)
+            if incumbent.metric[0] == 0:
                 break
-            current, mapping, orders, metric, gtm_improved = _gtm_pass(
-                current, mapping, orders, metric, report, cfg, engine, destinations, rng
-            )
+            gtm_improved = _gtm_pass(incumbent, report, cfg, destinations, rng)
             if not lts_improved and not gtm_improved:
                 break  # fixed point: no move helps
         span.set_attribute("rounds", report.rounds)
-        span.set_attribute("final_misses", metric[0])
+        span.set_attribute("final_misses", incumbent.metric[0])
 
-    report.final_misses = metric[0]
-    report.final_energy = current.total_energy()
-    return current, report
+    report.final_misses = incumbent.metric[0]
+    report.final_energy = incumbent.schedule.total_energy()
+    return incumbent.schedule, report
+
+
+class _Incumbent:
+    """The repair loop's current schedule, its mapping, orders and miss metric.
+
+    :meth:`accept` is Fig. 4's accept/reject box for both move kinds:
+    the only place the four values change.
+    """
+
+    def __init__(
+        self,
+        schedule: Schedule,
+        engine_class: Type[IncrementalRebuilder],
+        prefix: FrozenPrefix,
+    ) -> None:
+        self.schedule = schedule
+        self.mapping: Dict[str, int] = dict(schedule.mapping())
+        self.orders: Dict[int, List[str]] = {
+            pe: list(tasks) for pe, tasks in schedule.pe_order().items()
+        }
+        self.metric: MissMetric = miss_metric(schedule)
+        self.engine = engine_class(
+            schedule.ctg, schedule.acg, self.mapping, self.orders,
+            algorithm=schedule.algorithm, prefix=prefix,
+        )
+        self.frozen = prefix.tasks
+
+    def accept(
+        self, mapping: Dict[str, int], orders: Dict[int, List[str]], kind: str, **event
+    ) -> bool:
+        """Adopt the candidate iff its rebuild strictly lowers the miss metric.
+
+        ``kind`` (``"lts"`` or ``"gtm"``) names the ``repair.<kind>_moves``
+        counter and the ``repair.<kind>_accept`` event, which carries
+        ``event`` plus the new miss count.
+        """
+        rebuilt = self.engine.evaluate(mapping, orders, self.metric)
+        if rebuilt is None:
+            return False
+        metric = miss_metric(rebuilt)
+        if not metric < self.metric:
+            return False
+        self.engine.promote()
+        self.schedule, self.mapping, self.orders, self.metric = rebuilt, mapping, orders, metric
+        ins = obs.get()
+        ins.metrics.counter(f"repair.{kind}_moves").inc()
+        ins.tracer.event(f"repair.{kind}_accept", **event, misses=metric[0])
+        return True
 
 
 # -- multi-start portfolio ------------------------------------------------------
@@ -191,10 +229,6 @@ class PortfolioReport:
     def winner_outcome(self) -> StartOutcome:
         return self.outcomes[self.winner]
 
-    @property
-    def winner_report(self) -> RepairReport:
-        return self.winner_outcome.report
-
     def describe(self) -> str:
         w = self.winner_outcome
         seed = "paper-order" if w.seed is None else f"seed {w.seed}"
@@ -205,39 +239,6 @@ class PortfolioReport:
         )
 
 
-@dataclass(frozen=True)
-class _StartPayload:
-    """Picklable description of one portfolio start (shared-nothing)."""
-
-    ctg: object
-    acg: object
-    mapping: Dict[str, int]
-    orders: Dict[int, List[str]]
-    algorithm: str
-    config: RepairConfig
-    start: int
-
-
-def _portfolio_start(payload: "_StartPayload") -> Dict[str, object]:
-    """Worker entry: rebuild the base schedule, repair it, ship the outcome."""
-    schedule = rebuild_schedule(
-        payload.ctg, payload.acg, payload.mapping, payload.orders,
-        algorithm=payload.algorithm,
-    )
-    repaired, report = search_and_repair(schedule, payload.config)
-    metric = miss_metric(repaired)
-    return {
-        "start": payload.start,
-        "seed": payload.config.seed,
-        "mapping": repaired.mapping(),
-        "orders": repaired.pe_order(),
-        "misses": metric[0],
-        "tardiness": metric[1],
-        "energy": repaired.total_energy(),
-        "report": report,
-    }
-
-
 def multistart_search_and_repair(
     schedule: Schedule,
     starts: int = 4,
@@ -245,114 +246,73 @@ def multistart_search_and_repair(
     config: Optional[RepairConfig] = None,
     base_seed: int = 0,
 ) -> Tuple[Schedule, PortfolioReport]:
-    """Run ``starts`` seeded repair portfolios and keep the best schedule.
+    """Run ``starts`` seeded repairs of ``schedule`` and keep the best result.
 
-    Start 0 always uses the paper-literal deterministic orderings
-    (``seed=None``), so the portfolio can never do worse than plain
-    :func:`search_and_repair`; starts ``k >= 1`` jitter the criticality
-    and destination rankings with seed ``base_seed + k``.  ``jobs`` > 1
-    fans the starts out over the shared-nothing process pool.  The
-    winner is the first deadline-feasible, lowest-energy schedule
-    (ties: fewer misses, lower tardiness, lower start index — fully
-    deterministic for fixed seeds regardless of worker count).
+    Every start runs :func:`search_and_repair` on ``schedule`` itself.
+    Start 0 uses the paper-literal deterministic orderings
+    (``seed=None``), so it *is* plain repair and the portfolio can never
+    do worse; starts ``k >= 1`` jitter the criticality and destination
+    rankings with seed ``base_seed + k``.  ``jobs`` > 1 fans the starts
+    out over the shared-nothing process pool, which ships the schedule
+    to each worker and the repaired schedule back.  The winner is the
+    first deadline-feasible, lowest-energy schedule (ties: fewer misses,
+    lower tardiness, lower start index — fully deterministic for fixed
+    seeds regardless of worker count).  A schedule that misses no
+    deadline gets one in-process start, which returns it unchanged.
     """
     from repro.parallel.pool import pool_map, resolve_jobs
 
     cfg = config or RepairConfig()
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if not schedule.deadline_misses():
-        # Nothing to repair: the portfolio is a no-op, as search_and_repair is.
-        report = RepairReport()
-        report.initial_energy = report.final_energy = schedule.total_energy()
-        outcome = StartOutcome(
-            start=0, seed=None, misses=0, tardiness=0.0,
-            energy=schedule.total_energy(), report=report,
-        )
-        return schedule, PortfolioReport(outcomes=[outcome], winner=0, jobs=1)
-
-    mapping = dict(schedule.mapping())
-    orders = {pe: list(tasks) for pe, tasks in schedule.pe_order().items()}
-    payloads = [
-        _StartPayload(
-            ctg=schedule.ctg,
-            acg=schedule.acg,
-            mapping=mapping,
-            orders=orders,
-            algorithm=schedule.algorithm,
-            config=replace(cfg, seed=None if k == 0 else base_seed + k),
-            start=k,
-        )
-        for k in range(starts)
-    ]
-    jobs = resolve_jobs(jobs)
+    if schedule.deadline_misses():
+        jobs = resolve_jobs(jobs)
+    else:
+        starts = jobs = 1  # nothing to repair: one no-op start, in-process
+    configs = [replace(cfg, seed=None if k == 0 else base_seed + k) for k in range(starts)]
     ins = obs.get()
     ins.metrics.counter("repair.portfolio_starts").inc(starts)
-    raw = pool_map(_portfolio_start, payloads, jobs=jobs, label="repair_portfolio")
-
-    outcomes = [
-        StartOutcome(
-            start=result["start"],
-            seed=result["seed"],
-            misses=result["misses"],
-            tardiness=result["tardiness"],
-            energy=result["energy"],
-            report=result["report"],
-        )
-        for result in raw
-    ]
-    winner = min(
-        range(len(outcomes)),
-        key=lambda i: (
-            outcomes[i].misses,
-            outcomes[i].tardiness,
-            outcomes[i].energy,
-            outcomes[i].start,
-        ),
+    results = pool_map(
+        partial(search_and_repair, schedule), configs, jobs=jobs, label="repair_portfolio"
     )
-    portfolio = PortfolioReport(outcomes=outcomes, winner=winner, jobs=jobs)
+
+    outcomes = []
+    for k, (repaired, report) in enumerate(results):
+        misses, tardiness = miss_metric(repaired)
+        outcomes.append(
+            StartOutcome(k, configs[k].seed, misses, tardiness, repaired.total_energy(), report)
+        )
+    winner = min(
+        range(starts),
+        key=lambda i: (outcomes[i].misses, outcomes[i].tardiness, outcomes[i].energy, i),
+    )
     ins.tracer.event(
         "repair.portfolio_winner",
-        start=outcomes[winner].start,
+        start=winner,
         misses=outcomes[winner].misses,
         energy=outcomes[winner].energy,
     )
-    # Rebuild the winner locally: rebuild is deterministic in
-    # (mapping, orders), so the parent-side schedule is exactly the
-    # worker's, whatever process produced it.
-    best = rebuild_schedule(
-        schedule.ctg, schedule.acg,
-        raw[winner]["mapping"], raw[winner]["orders"],
-        algorithm=schedule.algorithm,
-    )
-    best.runtime_seconds = schedule.runtime_seconds
-    return best, portfolio
+    return results[winner][0], PortfolioReport(outcomes=outcomes, winner=winner, jobs=jobs)
 
 
 # -- local task swapping -------------------------------------------------------
 
 
 def _lts_pass(
-    schedule: Schedule,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    metric: MissMetric,
-    report: RepairReport,
-    engine: IncrementalRebuilder,
-    rng: Optional[random.Random] = None,
-) -> Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]:
+    incumbent: _Incumbent, report: RepairReport, rng: Optional[random.Random] = None
+) -> bool:
     """One LTS sweep: try to pull every critical task earlier on its PE."""
     improved_any = False
-    frozen = engine.prefix.tasks
+    frozen = incumbent.frozen
     progress = True
-    while progress and metric[0] > 0:
+    while progress and incumbent.metric[0] > 0:
         progress = False
-        critical = critical_tasks(schedule)
-        for task in _jittered(_criticality_order(schedule, critical), rng):
+        critical = critical_tasks(incumbent.schedule)
+        for task in _jittered(_criticality_order(incumbent.schedule, critical), rng):
             if task in frozen:
                 continue
-            pe = mapping[task]
-            order = orders[pe]
+            pe = incumbent.mapping[task]
+            order = incumbent.orders[pe]
             idx = order.index(task)
             # Try swapping with non-critical tasks scheduled earlier,
             # nearest first (smallest perturbation first).
@@ -366,49 +326,30 @@ def _lts_pass(
                     candidate_order[j],
                     candidate_order[idx],
                 )
-                candidate_orders = dict(orders)
+                candidate_orders = dict(incumbent.orders)
                 candidate_orders[pe] = candidate_order
-                rebuilt = engine.evaluate(mapping, candidate_orders, metric)
-                if rebuilt is None:
-                    continue
-                candidate_metric = miss_metric(rebuilt)
-                if candidate_metric < metric:
-                    engine.promote()
-                    orders[pe] = candidate_order
-                    schedule = rebuilt
-                    metric = candidate_metric
+                if incumbent.accept(
+                    incumbent.mapping, candidate_orders, "lts", task=task, swapped_with=other, pe=pe
+                ):
                     report.swaps_accepted += 1
-                    ins = obs.get()
-                    ins.metrics.counter("repair.lts_moves").inc()
-                    ins.tracer.event(
-                        "repair.lts_accept",
-                        task=task,
-                        swapped_with=other,
-                        pe=pe,
-                        misses=candidate_metric[0],
-                    )
                     improved_any = True
                     progress = True
                     break  # re-derive criticality from the new schedule
             if progress:
                 break
-    return schedule, mapping, orders, metric, improved_any
+    return improved_any
 
 
 # -- global task migration ------------------------------------------------------
 
 
 def _gtm_pass(
-    schedule: Schedule,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    metric: MissMetric,
+    incumbent: _Incumbent,
     report: RepairReport,
     cfg: RepairConfig,
-    engine: IncrementalRebuilder,
     destinations: Dict[str, List[int]],
     rng: Optional[random.Random] = None,
-) -> Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]:
+) -> bool:
     """Attempt one accepted migration (Fig. 4 returns to LTS after it).
 
     Two sweeps over the candidate space, each bounded by
@@ -427,11 +368,11 @@ def _gtm_pass(
     ``destinations`` caches the energy rankings, which depend only on
     (task, mapping); an accepted migration clears it.
     """
-    frozen = engine.prefix.tasks
+    schedule, mapping = incumbent.schedule, incumbent.mapping
     critical = [
         task
         for task in _jittered(_criticality_order(schedule, critical_tasks(schedule)), rng)
-        if task not in frozen
+        if task not in incumbent.frozen
     ]
 
     def ranked(task: str) -> List[int]:
@@ -444,33 +385,24 @@ def _gtm_pass(
     )
     relief_sweep = _load_relief_candidates(schedule, mapping, critical)
     for candidates in (energy_sweep, relief_sweep):
-        result = _try_migrations(
-            schedule, mapping, orders, metric, report, cfg, engine, candidates
-        )
-        if result is not None:
+        if _try_migrations(incumbent, report, cfg, candidates):
             destinations.clear()
-            return result
-    return schedule, mapping, orders, metric, False
+            return True
+    return False
 
 
 def _try_migrations(
-    schedule: Schedule,
-    mapping: Dict[str, int],
-    orders: Dict[int, List[str]],
-    metric: MissMetric,
-    report: RepairReport,
-    cfg: RepairConfig,
-    engine: IncrementalRebuilder,
-    candidates,
-) -> Optional[Tuple[Schedule, Dict[str, int], Dict[int, List[str]], MissMetric, bool]]:
-    """Try candidate (task, dest) migrations; return on first acceptance."""
+    incumbent: _Incumbent, report: RepairReport, cfg: RepairConfig, candidates
+) -> bool:
+    """Try candidate (task, dest) migrations; stop at the first acceptance."""
+    schedule, mapping, orders = incumbent.schedule, incumbent.mapping, incumbent.orders
     attempts = 0
     for task, dest_pe in candidates:
         source_pe = mapping[task]
         if dest_pe == source_pe:
             continue
         if attempts >= cfg.max_migrations_per_round:
-            return None
+            return False
         attempts += 1
         report.migrations_tried += 1
         candidate_mapping = dict(mapping)
@@ -478,24 +410,12 @@ def _try_migrations(
         candidate_orders = {pe: list(names) for pe, names in orders.items()}
         candidate_orders[source_pe].remove(task)
         _insert_by_start(candidate_orders.setdefault(dest_pe, []), task, schedule)
-        rebuilt = engine.evaluate(candidate_mapping, candidate_orders, metric)
-        if rebuilt is None:
-            continue
-        candidate_metric = miss_metric(rebuilt)
-        if candidate_metric < metric:
-            engine.promote()
+        if incumbent.accept(
+            candidate_mapping, candidate_orders, "gtm", task=task, src_pe=source_pe, dst_pe=dest_pe
+        ):
             report.migrations_accepted += 1
-            ins = obs.get()
-            ins.metrics.counter("repair.gtm_moves").inc()
-            ins.tracer.event(
-                "repair.gtm_accept",
-                task=task,
-                src_pe=source_pe,
-                dst_pe=dest_pe,
-                misses=candidate_metric[0],
-            )
-            return rebuilt, candidate_mapping, candidate_orders, candidate_metric, True
-    return None
+            return True
+    return False
 
 
 def _load_relief_candidates(

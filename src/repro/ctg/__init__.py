@@ -11,7 +11,6 @@ from repro.ctg.analysis import (
     critical_path_length,
     effective_deadlines,
     longest_mean_path_into,
-    longest_mean_path_from,
 )
 from repro.ctg.generator import GeneratorConfig, TaskTypeLibrary, generate_ctg, generate_category
 from repro.ctg.multimedia import (
@@ -41,6 +40,5 @@ __all__ = [
     "effective_deadlines",
     "generate_category",
     "generate_ctg",
-    "longest_mean_path_from",
     "longest_mean_path_into",
 ]

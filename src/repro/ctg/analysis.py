@@ -8,7 +8,7 @@ arithmetic, exactly as the paper's slack-budgeting step does with ``M_t``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from repro.ctg.graph import CTG
 
@@ -18,39 +18,15 @@ def mean_exec_times(ctg: CTG, pe_types: Sequence[str]) -> Dict[str, float]:
     return {t.name: t.stats_over(pe_types).mean_time for t in ctg.tasks()}
 
 
-def longest_mean_path_into(
-    ctg: CTG,
-    values: Mapping[str, float],
-    restrict: Optional[set] = None,
-) -> Dict[str, float]:
+def longest_mean_path_into(ctg: CTG, values: Mapping[str, float]) -> Dict[str, float]:
     """Longest value-sum over paths from any source up to and including each task.
 
     ``values`` gives the per-task path contribution (e.g. mean execution
-    time).  When ``restrict`` is given, only tasks in that set participate
-    (used to confine the DP to the ancestor cone of one deadline task).
+    time).
     """
     result: Dict[str, float] = {}
     for name in ctg.topological_order():
-        if restrict is not None and name not in restrict:
-            continue
-        preds = [p for p in ctg.predecessors(name) if restrict is None or p in restrict]
-        best = max((result[p] for p in preds), default=0.0)
-        result[name] = best + values[name]
-    return result
-
-
-def longest_mean_path_from(
-    ctg: CTG,
-    values: Mapping[str, float],
-    restrict: Optional[set] = None,
-) -> Dict[str, float]:
-    """Longest value-sum over paths from each task (inclusive) to any sink."""
-    result: Dict[str, float] = {}
-    for name in reversed(ctg.topological_order()):
-        if restrict is not None and name not in restrict:
-            continue
-        succs = [s for s in ctg.successors(name) if restrict is None or s in restrict]
-        best = max((result[s] for s in succs), default=0.0)
+        best = max((result[p] for p in ctg.predecessors(name)), default=0.0)
         result[name] = best + values[name]
     return result
 
@@ -62,19 +38,14 @@ def critical_path_length(ctg: CTG, pe_types: Sequence[str]) -> float:
     return max(into.values()) if into else 0.0
 
 
-def effective_deadlines(
-    ctg: CTG,
-    pe_types: Sequence[str],
-    slack_per_hop: float = 0.0,
-) -> Dict[str, float]:
+def effective_deadlines(ctg: CTG, pe_types: Sequence[str]) -> Dict[str, float]:
     """Deadline propagation: give interior tasks an inherited deadline.
 
     A task with no specified deadline inherits
     ``min over successors j of (d_eff(j) - M_j)`` — it must finish early
     enough for each successor's mean execution to still meet that
     successor's effective deadline.  Tasks from which no deadline is
-    reachable keep ``inf``.  ``slack_per_hop`` subtracts an extra margin
-    per dependency edge (a pessimism knob for EDF variants).
+    reachable keep ``inf``.
     """
     means = mean_exec_times(ctg, pe_types)
     eff: Dict[str, float] = {}
@@ -82,7 +53,7 @@ def effective_deadlines(
         own = ctg.task(name).deadline
         inherited = math.inf
         for succ in ctg.successors(name):
-            candidate = eff[succ] - means[succ] - slack_per_hop
+            candidate = eff[succ] - means[succ]
             inherited = min(inherited, candidate)
         eff[name] = min(own, inherited)
     return eff

@@ -6,7 +6,7 @@ activated per run:
 * :class:`Tracer` — nested ``span()`` context managers recording wall
   time, monotonic start and attributes, plus point ``event()``s; the
   default :data:`NULL_TRACER` makes uninstrumented calls ~free.
-* :class:`MetricsRegistry` — named counters / gauges / histograms with
+* :class:`MetricsRegistry` — named counters / gauges with
   snapshot, in-place reset, and associative merge for cross-run
   aggregation.  The default bundle keeps metrics live (they are cheap).
 * :class:`DecisionLog` — structured provenance of every task commit
@@ -48,7 +48,7 @@ from repro.obs.diff import ScheduleDiff, diff_schedules, format_diff
 from repro.obs.explain import ExplainReport, critical_path, explain_schedule, format_explain
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.ledger import RUN_LEDGER_SCHEMA_VERSION, RunLedger, prune_ledger, read_ledger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.report import build_report, format_report
 from repro.obs.timeline import chrome_trace
 from repro.obs.tracer import NULL_TRACER, Event, NullTracer, Span, Tracer
@@ -64,7 +64,6 @@ __all__ = [
     "ExplainReport",
     "Gauge",
     "Heartbeat",
-    "Histogram",
     "Instrumentation",
     "MetricsRegistry",
     "NULL_TRACER",

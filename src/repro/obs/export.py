@@ -10,7 +10,6 @@ The JSONL trace is one JSON object per line, each carrying a ``type``:
              ``start, finish, energy, candidates`` (losing PEs)
 ``counter``  final counter totals, one line per counter
 ``gauge``    final gauge values (only gauges that were written)
-``histogram`` ``count / sum / min / max`` per histogram
 ========== ==================================================================
 
 Non-finite floats are serialised as the strings ``"inf"`` / ``"-inf"`` /
@@ -47,7 +46,7 @@ def trace_records(
     The order is deterministic: ``meta`` first, spans sorted by wall
     start (close order puts children before parents, which interleaves
     unpredictably under refactors), events by time, decisions in commit
-    order, then counters / gauges / histograms sorted by name.
+    order, then counters / gauges sorted by name.
     """
     yield {"type": "meta", "schema_version": TRACE_SCHEMA_VERSION, **(meta or {})}
     for span in sorted(
@@ -76,15 +75,6 @@ def trace_records(
         yield {"type": "counter", "name": name, "value": value}
     for name, value in sorted(snapshot["gauges"].items()):
         yield {"type": "gauge", "name": name, "value": _jsonable_value(value)}
-    for name, stats in sorted(snapshot["histograms"].items()):
-        yield {
-            "type": "histogram",
-            "name": name,
-            "count": stats["count"],
-            "sum": stats["sum"],
-            "min": _jsonable_value(stats["min"]),
-            "max": _jsonable_value(stats["max"]),
-        }
 
 
 def write_trace(

@@ -1,13 +1,12 @@
-"""A registry of named counters, gauges and histograms.
+"""A registry of named counters and gauges.
 
 Counters are monotonically increasing totals (``eas.evaluations``),
-gauges hold a last-written value, histograms accumulate count / sum /
-min / max of observations.  The registry supports :meth:`snapshot` (a
-plain-dict view), :meth:`reset` (zero in place, keeping instrument
+gauges hold a last-written value.  The registry supports :meth:`snapshot`
+(a plain-dict view), :meth:`reset` (zero in place, keeping instrument
 identity so cached references stay live), and :meth:`merge` so evalx can
-aggregate metrics across benchmark runs.  Counter and histogram merging
-is associative and commutative; gauge merging is last-writer-wins
-(the operand with updates overrides).
+aggregate metrics across benchmark runs.  Counter merging is associative
+and commutative; gauge merging is last-writer-wins (the operand with
+updates overrides).
 
 Instruments are plain attribute-bumping objects — incrementing a
 counter is one method call and one float add, cheap enough to leave on
@@ -16,7 +15,6 @@ in uninstrumented runs.
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
 
@@ -54,41 +52,12 @@ class Gauge:
         return f"Gauge({self.name}={self.value:g})"
 
 
-class Histogram:
-    """Count / sum / min / max of a stream of observations."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}: n={self.count}, mean={self.mean:g})"
-
-
 class MetricsRegistry:
     """Named instruments, created lazily on first access."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # -- access -------------------------------------------------------------
 
@@ -106,13 +75,6 @@ class MetricsRegistry:
             self._gauges[name] = instrument
         return instrument
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = Histogram(name)
-            self._histograms[name] = instrument
-        return instrument
-
     # -- views --------------------------------------------------------------
 
     def counter_values(self) -> Dict[str, float]:
@@ -124,15 +86,6 @@ class MetricsRegistry:
         return {
             "counters": {name: c.value for name, c in self._counters.items()},
             "gauges": {name: g.value for name, g in self._gauges.items() if g.updates},
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min if h.count else None,
-                    "max": h.max if h.count else None,
-                }
-                for name, h in self._histograms.items()
-            },
         }
 
     # -- lifecycle ----------------------------------------------------------
@@ -144,11 +97,6 @@ class MetricsRegistry:
         for gauge in self._gauges.values():
             gauge.value = 0.0
             gauge.updates = 0
-        for histogram in self._histograms.values():
-            histogram.count = 0
-            histogram.total = 0.0
-            histogram.min = math.inf
-            histogram.max = -math.inf
 
     def copy(self) -> "MetricsRegistry":
         clone = MetricsRegistry()
@@ -158,9 +106,8 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry (in place); returns self.
 
-        Counters add and histograms combine — both associative and
-        commutative, so merging per-run registries in any grouping gives
-        the same aggregate.  A gauge is overwritten only when ``other``
+        Counters add — associative and commutative, so merging per-run
+        registries in any grouping gives the same aggregate.  A gauge is overwritten only when ``other``
         actually wrote it.
         """
         for name, src in other._counters.items():
@@ -170,12 +117,4 @@ class MetricsRegistry:
                 dst = self.gauge(name)
                 dst.value = src.value
                 dst.updates += src.updates
-        for name, src in other._histograms.items():
-            dst = self.histogram(name)
-            dst.count += src.count
-            dst.total += src.total
-            if src.min < dst.min:
-                dst.min = src.min
-            if src.max > dst.max:
-                dst.max = src.max
         return self

@@ -1,7 +1,5 @@
 """Tests for the metrics registry: instruments, snapshot, reset, merge."""
 
-import math
-
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -30,28 +28,12 @@ class TestInstruments:
         assert gauge.value == 7
         assert gauge.updates == 2
 
-    def test_histogram_stats(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("span.ms")
-        for value in (2.0, 8.0, 5.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.total == 15.0
-        assert histogram.min == 2.0
-        assert histogram.max == 8.0
-        assert histogram.mean == 5.0
-
-
 class TestSnapshotReset:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(4)
         registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(2.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c": 4.0}
-        assert snapshot["gauges"] == {"g": 1.5}
-        assert snapshot["histograms"]["h"] == {"count": 1, "sum": 2.0, "min": 2.0, "max": 2.0}
+        assert registry.snapshot() == {"counters": {"c": 4.0}, "gauges": {"g": 1.5}}
 
     def test_unset_gauges_excluded_from_snapshot(self):
         registry = MetricsRegistry()
@@ -89,23 +71,6 @@ class TestMerge:
         right = _registry(parts[0]).merge(bc)
         assert left.counter_values() == right.counter_values()
 
-    def test_histogram_merge_is_associative(self):
-        def histo(values):
-            registry = MetricsRegistry()
-            for value in values:
-                registry.histogram("h").observe(value)
-            return registry
-
-        a, b, c = [1.0, 9.0], [4.0], [0.5, 2.0]
-        left = histo(a).merge(histo(b))
-        left.merge(histo(c))
-        right = histo(a).merge(histo(b).merge(histo(c)))
-        assert left.snapshot()["histograms"] == right.snapshot()["histograms"]
-        merged = left.histogram("h")
-        assert merged.count == 5
-        assert merged.min == 0.5
-        assert merged.max == 9.0
-
     def test_gauge_merge_takes_written_operand(self):
         a = MetricsRegistry()
         a.gauge("g").set(1)
@@ -125,48 +90,18 @@ class TestMerge:
         assert a.counter_values() == {"x": 5.0}
         assert clone.counter_values() == {"x": 6.0}
 
-    def test_merge_empty_histogram_keeps_min_max_sane(self):
-        a = MetricsRegistry()
-        a.histogram("h").observe(3.0)
-        b = MetricsRegistry()
-        b.histogram("h")  # no observations
-        a.merge(b)
-        assert a.histogram("h").min == 3.0
-        assert a.histogram("h").max == 3.0
-        assert math.isinf(MetricsRegistry().histogram("fresh").min)
-
-    def test_merge_nonempty_histogram_into_empty(self):
-        a = MetricsRegistry()
-        a.histogram("h")  # exists, zero observations
-        b = MetricsRegistry()
-        b.histogram("h").observe(2.0)
-        b.histogram("h").observe(6.0)
-        a.merge(b)
-        merged = a.histogram("h")
-        assert (merged.count, merged.total, merged.min, merged.max) == (2, 8.0, 2.0, 6.0)
-        assert merged.mean == 4.0
-
     def test_merge_disjoint_instrument_sets(self):
         a = _registry({"eas.evaluations": 3})
-        a.histogram("eas.span_ms").observe(1.0)
         b = _registry({"edf.evaluations": 5})
         b.gauge("jobs.workers").set(4)
         a.merge(b)
         assert a.counter_values() == {"eas.evaluations": 3.0, "edf.evaluations": 5.0}
         assert a.gauge("jobs.workers").value == 4
-        assert a.histogram("eas.span_ms").count == 1
 
-    def test_merge_is_commutative_on_counters_and_histograms(self):
-        def build(counters, observations):
-            registry = _registry(counters)
-            for value in observations:
-                registry.histogram("h").observe(value)
-            return registry
-
-        ab = build({"x": 1}, [3.0]).merge(build({"x": 2, "y": 4}, [1.0, 7.0]))
-        ba = build({"x": 2, "y": 4}, [1.0, 7.0]).merge(build({"x": 1}, [3.0]))
+    def test_merge_is_commutative_on_counters(self):
+        ab = _registry({"x": 1}).merge(_registry({"x": 2, "y": 4}))
+        ba = _registry({"x": 2, "y": 4}).merge(_registry({"x": 1}))
         assert ab.counter_values() == ba.counter_values()
-        assert ab.snapshot()["histograms"] == ba.snapshot()["histograms"]
 
     def test_merge_after_reset(self):
         # The pool's per-phase pattern: reset the parent registry, then
@@ -175,20 +110,12 @@ class TestMerge:
         parent = _registry({"eas.evaluations": 99})
         cached = parent.counter("eas.evaluations")
         parent.gauge("jobs.workers").set(8)
-        parent.histogram("h").observe(50.0)
         parent.reset()
         worker = _registry({"eas.evaluations": 7})
-        worker.histogram("h").observe(2.0)
         parent.merge(worker)
         assert parent.counter_values() == {"eas.evaluations": 7.0}
         assert cached.value == 7.0
         assert parent.snapshot()["gauges"] == {}  # reset cleared the write
-        assert parent.snapshot()["histograms"]["h"] == {
-            "count": 1,
-            "sum": 2.0,
-            "min": 2.0,
-            "max": 2.0,
-        }
 
     def test_merge_pickled_roundtrip_registry(self):
         # Worker registries travel home through pickle; merging the
@@ -197,7 +124,6 @@ class TestMerge:
 
         worker = _registry({"eas.evaluations": 11})
         worker.gauge("jobs.workers").set(2)
-        worker.histogram("h").observe(4.5)
         clone = pickle.loads(pickle.dumps(worker))
         direct = MetricsRegistry().merge(worker)
         via_pickle = MetricsRegistry().merge(clone)

@@ -13,9 +13,10 @@ import pytest
 
 from repro import obs
 from repro.core.eas import EASConfig, eas_base_schedule
-from repro.core.repair import multistart_search_and_repair, search_and_repair
+from repro.core.repair import RepairConfig, multistart_search_and_repair, search_and_repair
 from repro.evalx.experiments import run_fig5, run_msb_table
 from repro.evalx.reporting import format_table
+from repro.schedule.serialization import schedule_to_json
 
 
 def _strip_runtimes(rows):
@@ -121,6 +122,58 @@ class TestMultistartRepair:
         # The uniform weights changed the EAS mapping, so the config
         # really reached the schedulers on both sides.
         assert pooled[0].energies["eas"] != default[0].energies["eas"]
+
+
+class TestPortfolioRepairsItsBase:
+    """Every start repairs the schedule it is handed, not a rebuild of it."""
+
+    def _ci_base(self):
+        """The CLI portfolio case: ``schedule --system random --category 2 --index 5
+        --n-tasks 40 --repair-starts 3``, whose level schedule misses one deadline."""
+        from repro.evalx.experiments import paper_benchmark
+
+        ctg, acg = paper_benchmark("random", "foreman", 2, 5, 40).build()
+        base = eas_base_schedule(ctg, acg)
+        assert len(base.deadline_misses()) == 1
+        return base
+
+    def test_start_zero_is_plain_repair_and_seed_one_wins(self):
+        base = self._ci_base()
+        plain, plain_report = search_and_repair(base)
+        seeded = schedule_to_json(search_and_repair(base, RepairConfig(seed=1))[0])
+        for jobs in (1, 2):
+            best, portfolio = multistart_search_and_repair(base, starts=3, jobs=jobs)
+            start0 = portfolio.outcomes[0]
+            assert (start0.misses, start0.tardiness, start0.energy, repr(start0.report)) == (
+                len(plain.deadline_misses()),
+                plain.total_tardiness(),
+                plain.total_energy(),
+                repr(plain_report),
+            )
+            assert portfolio.winner == 1
+            assert portfolio.winner_outcome.report.initial_misses == 1
+            assert schedule_to_json(best) == seeded
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_accepted_move_returns_the_base(self, jobs):
+        """a -> b on one PE, b due before it can finish: no move helps."""
+        from repro.arch.acg import ACG
+        from repro.arch.topology import Mesh2D
+        from repro.core.rebuild import rebuild_schedule
+        from repro.ctg.graph import CTG
+
+        from tests.conftest import uniform_task
+
+        ctg = CTG(name="hopeless")
+        ctg.add_task(uniform_task("a", 10, 1))
+        ctg.add_task(uniform_task("b", 10, 1, deadline=15.0))
+        ctg.connect("a", "b", volume=100)
+        acg = ACG(Mesh2D(2, 2), pe_types=["cpu", "dsp", "arm", "risc"])
+        base = rebuild_schedule(ctg, acg, {"a": 0, "b": 0}, {0: ["a", "b"]})
+        assert base.deadline_misses() == ["b"]
+        best, portfolio = multistart_search_and_repair(base, starts=3, jobs=jobs)
+        assert all(o.report.rounds == 1 and o.misses == 1 for o in portfolio.outcomes)
+        assert schedule_to_json(best) == schedule_to_json(base)
 
 
 class TestPortfolioEnvelope:

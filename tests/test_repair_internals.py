@@ -1,9 +1,11 @@
-"""Unit tests for search-and-repair internals (ordering, candidates)."""
+"""Unit tests for search-and-repair internals (ordering, candidates, reject counters)."""
 
 
+from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.topology import Mesh2D
-from repro.core.rebuild import rebuild_schedule
+from repro.core.increbuild import IncrementalRebuilder
+from repro.core.rebuild import miss_metric, rebuild_schedule
 from repro.core.repair import (
     _criticality_order,
     _destinations_by_energy,
@@ -147,3 +149,24 @@ class TestLoadReliefCandidates:
             _load_relief_candidates(schedule, schedule.mapping(), critical)
         )
         assert {task for task, _dest in candidates} == set(critical)
+
+
+class TestRejectCounters:
+    def test_deadlocking_swap_counts_a_deadlock_reject(self):
+        """a -> b on one PE: the ``["b", "a"]`` swap can never run ``b``."""
+        ctg = CTG()
+        ctg.add_task(uniform_task("a", 10, 1))
+        ctg.add_task(uniform_task("b", 10, 1, deadline=5.0))
+        ctg.connect("a", "b", volume=100)
+        acg = acg4()
+        mapping = {"a": 0, "b": 0}
+        orders = {0: ["a", "b"]}
+        base = rebuild_schedule(ctg, acg, mapping, orders)
+        bundle = obs.Instrumentation.disabled()
+        with obs.activate(bundle):
+            engine = IncrementalRebuilder(ctg, acg, mapping, orders)
+            assert engine.evaluate(mapping, {0: ["b", "a"]}, miss_metric(base)) is None
+        counters = bundle.metrics.counter_values()
+        assert counters["repair.deadlock_rejects"] == 1
+        assert counters["repair.unroutable_rejects"] == 0
+        assert counters["repair.incremental_aborts"] == 0
