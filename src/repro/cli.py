@@ -1038,7 +1038,8 @@ def _handle_faults_help(args) -> int:
 
 def _handle_faults_inject(args) -> int:
     from repro.faults.plan import FaultPlan, generate_fault_plans
-    from repro.faults.recovery import inject_and_recover
+    from repro.faults.recovery import UnsurvivableFaultError
+    from repro.faults.sweep import run_fault_plan
     from repro.schedule.serialization import schedule_to_json
     from repro.sim.wormhole import validate_transaction_abstraction
 
@@ -1055,7 +1056,9 @@ def _handle_faults_inject(args) -> int:
             horizon=committed.makespan(),
             kinds=(args.kind,),
         )[0]
-    result = inject_and_recover(committed, plan)
+    outcome, result = run_fault_plan(committed, plan)
+    if result is None:
+        raise UnsurvivableFaultError(outcome.reason)
     print(result.describe())
     deltas = result.utilization_deltas()
     print(

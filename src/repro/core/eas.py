@@ -103,8 +103,6 @@ class EASConfig:
     Attributes:
         weight_policy: Step-1 slack weight function (paper default:
             ``VAR_e * VAR_r``).
-        include_comm_in_slack: include mean input-transfer delay in the
-            Step-1 path lengths (paper default: off).
         repair: run Step 3 (search-and-repair) when the level-based
             schedule misses deadlines.
         max_repair_rounds: safety bound on LTS/GTM alternations.
@@ -117,7 +115,6 @@ class EASConfig:
     """
 
     weight_policy: WeightPolicy = weight_var_product
-    include_comm_in_slack: bool = False
     repair: bool = True
     max_repair_rounds: int = 64
     contention_aware: bool = True
@@ -508,9 +505,7 @@ def run_eas(
     else:
         phase, name = nullcontext(), algorithm
     with phase as timing:
-        budgets = compute_budgets(
-            ctg, acg, weight_policy=cfg.weight_policy, include_comm=cfg.include_comm_in_slack
-        )
+        budgets = compute_budgets(ctg, acg, weight_policy=cfg.weight_policy)
         schedule = level_class(
             ctg, acg, budgets, algorithm_name=name, contention_aware=cfg.contention_aware, prefix=prefix
         ).run()

@@ -83,7 +83,6 @@ def compute_budgets(
     ctg: CTG,
     acg: ACG,
     weight_policy: WeightPolicy = weight_var_product,
-    include_comm: bool = False,
 ) -> Dict[str, TaskBudget]:
     """Compute the budgeted deadline of every task.
 
@@ -93,10 +92,6 @@ def compute_budgets(
             statistics).
         weight_policy: maps :class:`TaskStats` to the slack weight
             ``W_t``; defaults to the paper's variance product.
-        include_comm: when True, each task's path contribution also
-            includes the mean delay of its largest incoming transfer — a
-            pessimism knob; the paper's example budgets execution time
-            only (the default).
 
     Returns:
         task name -> :class:`TaskBudget`; tasks from which no deadline is
@@ -104,7 +99,7 @@ def compute_budgets(
     """
     ins = obs.get()
     with ins.tracer.span("slack_budgeting", ctg=ctg.name, tasks=ctg.n_tasks) as span:
-        budgets = _compute_budgets_impl(ctg, acg, weight_policy, include_comm)
+        budgets = _compute_budgets_impl(ctg, acg, weight_policy)
         ins.metrics.counter("slack.budgets_computed").inc(len(budgets))
         span.set_attribute("deadline_tasks", len(ctg.deadline_tasks()))
         return budgets
@@ -114,7 +109,6 @@ def _compute_budgets_impl(
     ctg: CTG,
     acg: ACG,
     weight_policy: WeightPolicy,
-    include_comm: bool,
 ) -> Dict[str, TaskBudget]:
     pe_types = acg.pe_type_names()
     stats: Dict[str, TaskStats] = {}
@@ -128,16 +122,6 @@ def _compute_budgets_impl(
         if weight[task.name] < 0:
             raise SchedulingError(f"weight policy returned negative weight for {task.name!r}")
 
-    path_value = dict(mean_time)
-    if include_comm:
-        for name in ctg.task_names():
-            in_edges = ctg.in_edges(name)
-            if in_edges:
-                worst = max(
-                    ctg_edge.volume / acg.link_bandwidth for ctg_edge in in_edges
-                )
-                path_value[name] = path_value[name] + worst
-
     topo = ctg.topological_order()
     budgets: Dict[str, float] = {name: math.inf for name in topo}
 
@@ -145,10 +129,10 @@ def _compute_budgets_impl(
         deadline = ctg.task(deadline_task).deadline
         cone = ctg.ancestors(deadline_task)
         cone.add(deadline_task)
-        up_m, up_w = _paired_forward(ctg, topo, cone, path_value, weight)
-        down_m, down_w = _paired_backward(ctg, topo, cone, path_value, weight)
+        up_m, up_w = _paired_forward(ctg, topo, cone, mean_time, weight)
+        down_m, down_w = _paired_backward(ctg, topo, cone, mean_time, weight)
         for name in cone:
-            total_m = up_m[name] + down_m[name] - path_value[name]
+            total_m = up_m[name] + down_m[name] - mean_time[name]
             total_w = up_w[name] + down_w[name] - weight[name]
             slack = deadline - total_m
             if total_w > 0:

@@ -146,10 +146,6 @@ class CTG:
     def descendants(self, name: str) -> set:
         return nx.descendants(self._graph, name)
 
-    def subgraph_view(self) -> nx.DiGraph:
-        """Read-only view of the underlying dependency structure."""
-        return self._graph.copy(as_view=True)
-
     # -- aggregate properties ----------------------------------------------
 
     def total_volume(self) -> float:
@@ -195,9 +191,11 @@ class CTG:
     def with_scaled_deadlines(self, factor: float, name: Optional[str] = None) -> "CTG":
         """Copy of the CTG with every finite deadline multiplied by ``factor``.
 
-        ``factor < 1`` tightens deadlines (used by the Fig. 7 performance
-        sweep, where raising the required frame rate by ``r`` divides every
-        deadline by ``r``).
+        ``factor < 1`` tightens deadlines.  This is the one deadline-scaling
+        transform: :class:`~repro.parallel.spec.BenchmarkSpec` applies it
+        for a non-unit ``deadline_scale`` (the Fig. 7 sweep, where raising
+        the required frame rate by ``r`` divides every deadline by ``r``,
+        and the TXT-RT guaranteed-miss preset).
         """
         if factor <= 0:
             raise CTGError(f"deadline scale factor must be positive, got {factor}")

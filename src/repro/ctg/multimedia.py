@@ -206,7 +206,6 @@ def _build(
     stages,
     edges,
     deadlines: Dict[str, float],
-    deadline_scale: float,
 ) -> CTG:
     """Assemble one benchmark CTG with clip-dependent profiling."""
     motion = _motion_factor(clip)
@@ -215,14 +214,11 @@ def _build(
     for stage_name, base_time, kind, power, motion_scaled in stages:
         time = base_time * (motion if motion_scaled else 1.0)
         time *= jitter_rng.uniform(0.95, 1.05)  # per-clip profile variation
-        deadline = deadlines.get(stage_name, math.inf)
-        if math.isfinite(deadline):
-            deadline *= deadline_scale
         ctg.add_task(
             Task(
                 name=stage_name,
                 costs=_make_costs(time, kind, power),
-                deadline=deadline,
+                deadline=deadlines.get(stage_name, math.inf),
                 task_type=kind,
             )
         )
@@ -232,23 +228,18 @@ def _build(
     return ctg
 
 
-def av_encoder_ctg(clip: str = "foreman", deadline_scale: float = 1.0) -> CTG:
-    """The 24-task MP3/H.263 A/V **encoder** benchmark (Table 1 system).
-
-    ``deadline_scale < 1`` tightens the frame periods (e.g. Fig. 7's
-    "unified performance ratio" ``r`` corresponds to ``1/r``).
-    """
+def av_encoder_ctg(clip: str = "foreman") -> CTG:
+    """The 24-task MP3/H.263 A/V **encoder** benchmark (Table 1 system)."""
     return _build(
         "av-enc",
         clip,
         _H263_ENCODER_STAGES + _MP3_ENCODER_STAGES,
         _H263_ENCODER_EDGES + _MP3_ENCODER_EDGES,
         _ENCODER_DEADLINES,
-        deadline_scale,
     )
 
 
-def av_decoder_ctg(clip: str = "foreman", deadline_scale: float = 1.0) -> CTG:
+def av_decoder_ctg(clip: str = "foreman") -> CTG:
     """The 16-task MP3/H.263 A/V **decoder** benchmark (Table 2 system)."""
     return _build(
         "av-dec",
@@ -256,24 +247,17 @@ def av_decoder_ctg(clip: str = "foreman", deadline_scale: float = 1.0) -> CTG:
         _H263_DECODER_STAGES + _MP3_DECODER_STAGES,
         _H263_DECODER_EDGES + _MP3_DECODER_EDGES,
         _DECODER_DEADLINES,
-        deadline_scale,
     )
 
 
-def av_integrated_ctg(
-    clip: str = "foreman",
-    encoder_deadline_scale: float = 1.0,
-    decoder_deadline_scale: float = 1.0,
-) -> CTG:
+def av_integrated_ctg(clip: str = "foreman") -> CTG:
     """The 40-task integrated encoder+decoder system (Table 3 / Fig. 7).
 
     The two pipelines are independent subgraphs sharing the platform —
     the contention between them is what makes the 3x3 mapping
-    interesting.  Separate deadline scales let the Fig. 7 sweep raise the
-    encoding and decoding rates by the same unified ratio.
+    interesting.  Fig. 7 divides both frame periods by the same unified
+    ratio through the benchmark recipe (:mod:`repro.parallel.spec`).
     """
-    encoder = av_encoder_ctg(clip, deadline_scale=encoder_deadline_scale)
-    decoder = av_decoder_ctg(clip, deadline_scale=decoder_deadline_scale)
-    merged = encoder.merged_with(decoder)
+    merged = av_encoder_ctg(clip).merged_with(av_decoder_ctg(clip))
     merged.name = f"av-integrated-{clip}"
     return merged

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.arch.presets import mesh_3x3
 from repro.core.eas import EASConfig, eas_base_schedule
 from repro.core.repair import RepairReport, search_and_repair
-from repro.ctg.multimedia import CLIP_NAMES, av_integrated_ctg
+from repro.ctg.multimedia import CLIP_NAMES
 from repro.obs.decisions import DecisionLog
 from repro.parallel.pool import pool_map
 from repro.parallel.spec import (
@@ -39,7 +38,6 @@ from repro.parallel.spec import (
     RunSpec,
     execute_spec,
     paper_benchmark,
-    run_scheduler,
 )
 from repro.schedule.schedule import Schedule
 
@@ -180,33 +178,21 @@ def run_fig7(
     decoding rate by ``r`` — i.e. divides every deadline by ``r`` — and
     the schedule energy is recorded per scheduler.  A ``float('nan')``
     entry marks a point where a scheduler could not meet the deadlines
-    even after repair.
+    even after repair.  The (ratio x scheduler) grid is pooled like every
+    other grid, with the worker count taken from ``REPRO_JOBS``.
     """
-    series: Dict[str, List[float]] = {name: [] for name in schedulers}
-    for ratio in ratios:
-        ctg = av_integrated_ctg(
-            clip,
-            encoder_deadline_scale=1.0 / ratio,
-            decoder_deadline_scale=1.0 / ratio,
+    specs = [
+        RunSpec(
+            scheduler=name,
+            benchmark=paper_benchmark("integrated", clip=clip, deadline_scale=1.0 / ratio),
+            tag=f"fig7[{ratio:g}]:{name}",
         )
-        acg = mesh_3x3()
-        ledger = obs.get().ledger
-        for name in schedulers:
-            schedule = run_scheduler(name, ctg, acg)
-            energy = schedule.total_energy()
-            if schedule.deadline_misses():
-                energy = float("nan")
-            series[name].append(energy)
-            if ledger is not None:
-                ledger.phase(
-                    "cell",
-                    tag=f"fig7[{ratio:g}]:{name}",
-                    scheduler=name,
-                    benchmark=ctg.name,
-                    runtime_seconds=schedule.runtime_seconds,
-                    energy=schedule.total_energy(),
-                    misses=len(schedule.deadline_misses()),
-                )
+        for ratio in ratios
+        for name in schedulers
+    ]
+    series: Dict[str, List[float]] = {name: [] for name in schedulers}
+    for result in pool_map(execute_spec, specs):
+        series[result.scheduler].append(float("nan") if result.misses else result.energy)
     return FigureSeries(
         x_label="unified performance ratio",
         x_values=list(ratios),
@@ -241,10 +227,12 @@ def run_repair_runtime(
     rows: List[ExperimentRow] = []
     for index in range(n_benchmarks):
         ctg, acg = paper_benchmark(
-            "random", category=category, index=index, n_tasks=n_tasks
+            "random",
+            category=category,
+            index=index,
+            n_tasks=n_tasks,
+            deadline_scale=deadline_scale,
         ).build()
-        if deadline_scale != 1.0:
-            ctg = ctg.with_scaled_deadlines(deadline_scale)
         base = eas_base_schedule(ctg, acg)
         if not base.deadline_misses():
             continue

@@ -27,9 +27,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.eas import EASConfig
 from repro.faults.plan import FAULT_KINDS, FaultPlan, generate_fault_plans
-from repro.faults.recovery import UnsurvivableFaultError, inject_and_recover
+from repro.faults.recovery import RecoveryResult, UnsurvivableFaultError, inject_and_recover
 from repro.parallel.pool import pool_map
 from repro.parallel.spec import BenchmarkSpec, run_scheduler
+from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_from_dict, schedule_to_dict
 
 
@@ -42,14 +43,12 @@ class FaultRunSpec:
     plan_doc: Dict[str, Any]
     schedule_doc: Dict[str, Any]
     eas_config: Optional[EASConfig] = None
-    tag: str = ""
 
 
 @dataclass
 class FaultRunResult:
     """Deterministic per-plan outcome (no wall times in report fields)."""
 
-    tag: str
     plan_name: str
     kind: str
     fault_time: float
@@ -66,21 +65,22 @@ class FaultRunResult:
     makespan_delta: float = 0.0
 
 
-def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
-    """Worker entry: rebuild, inject, recover, summarize.
+def run_fault_plan(
+    committed: Schedule, plan: FaultPlan, eas_config: Optional[EASConfig] = None
+) -> Tuple[FaultRunResult, Optional[RecoveryResult]]:
+    """Inject ``plan``, recover, summarize and ledger one ``fault_plan`` record.
 
-    Module-level so the pool pickles it by reference; equally valid
-    in-process on the serial path.  An unsurvivable fault is a *result*
-    (``recovered=False`` with the reason), not a worker crash.
+    Every injection goes through here — each ``faults sweep`` worker and
+    ``faults inject`` — so every injection leaves exactly one record,
+    tagged with the plan name.  An unsurvivable fault is a *result*
+    (``recovered=False`` with the reason, and no recovery), not an
+    exception.
     """
-    ctg, acg = spec.benchmark.build()
-    committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
-    plan = FaultPlan.from_dict(spec.plan_doc)
     try:
-        recovery = inject_and_recover(committed, plan, spec.eas_config)
+        recovery: Optional[RecoveryResult] = inject_and_recover(committed, plan, eas_config)
     except UnsurvivableFaultError as exc:
+        recovery = None
         result = FaultRunResult(
-            tag=spec.tag,
             plan_name=plan.name,
             kind=plan.kind,
             fault_time=plan.fault_time,
@@ -91,7 +91,6 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
         )
     else:
         result = FaultRunResult(
-            tag=spec.tag,
             plan_name=plan.name,
             kind=plan.kind,
             fault_time=recovery.fault_time,
@@ -110,7 +109,7 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
     if ledger is not None:
         ledger.phase(
             "fault_plan",
-            tag=spec.tag,
+            tag=plan.name,
             plan=plan.name,
             kind=plan.kind,
             fault_time=result.fault_time,
@@ -125,7 +124,18 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
             energy_delta=result.energy_delta,
             pid=os.getpid(),
         )
-    return result
+    return result, recovery
+
+
+def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
+    """Worker entry: rebuild the committed run and :func:`run_fault_plan`.
+
+    Module-level so the pool pickles it by reference; equally valid
+    in-process on the serial path.
+    """
+    ctg, acg = spec.benchmark.build()
+    committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
+    return run_fault_plan(committed, FaultPlan.from_dict(spec.plan_doc), spec.eas_config)[0]
 
 
 @dataclass
@@ -276,7 +286,6 @@ def run_fault_sweep(
                 plan_doc=plan.to_dict(),
                 schedule_doc=schedule_doc,
                 eas_config=eas_config,
-                tag=plan.name,
             )
             for plan in plans
         ]

@@ -34,7 +34,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 #: bump when the run-record layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
@@ -243,19 +243,13 @@ class BenchStore:
         stay comparable (excluding them would silently disarm every
         pre-existing gate).
         """
-        walls = sorted(
+        return median(
             run["wall_seconds"]
             for run in self.load(name)
             if isinstance(run.get("wall_seconds"), (int, float))
             and math.isfinite(run["wall_seconds"])
             and cpu_comparable(run, cpu_count)
         )
-        if not walls:
-            return None
-        mid = len(walls) // 2
-        if len(walls) % 2:
-            return walls[mid]
-        return 0.5 * (walls[mid - 1] + walls[mid])
 
     def check(
         self,
@@ -275,6 +269,17 @@ class BenchStore:
             median_seconds=self.median_wall(name, cpu_count=cpu_count),
             threshold=threshold,
         )
+
+
+def median(values: Iterable[float]) -> Optional[float]:
+    """The median of ``values``; None when there are none."""
+    ordered = sorted(values)
+    if not ordered:
+        return None
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def cpu_comparable(run: Dict[str, Any], cpu_count: Optional[int]) -> bool:

@@ -26,7 +26,13 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.benchstore import DEFAULT_THRESHOLD, BenchStore, cpu_comparable
+from repro.obs.benchstore import (
+    DEFAULT_THRESHOLD,
+    BenchStore,
+    RegressionCheck,
+    cpu_comparable,
+    median,
+)
 from repro.obs.diff import run_delta
 from repro.obs.ledger import group_runs, iter_failures, ledger_size_bytes, read_ledger
 
@@ -108,35 +114,28 @@ def _bench_trends(store: BenchStore, threshold: float) -> List[Dict[str, Any]]:
         last = runs[-1]
         cpu = last.get("cpu_count")
         cohort = [run for run in runs[:-1] if cpu_comparable(run, cpu)]
-        walls = sorted(run["wall_seconds"] for run in cohort)
-        median = _median(walls)
-        last_wall = last["wall_seconds"]
-        delta_pct = 100.0 * (last_wall / median - 1.0) if median else None
+        check = RegressionCheck(
+            name=name,
+            wall_seconds=last["wall_seconds"],
+            median_seconds=median(run["wall_seconds"] for run in cohort),
+            threshold=threshold,
+        )
         rows.append(
             {
                 "benchmark": name,
                 "runs": len(runs),
                 "cpu_count": cpu,
                 "ignored_runs": len(runs) - 1 - len(cohort),
-                "median_wall_seconds": median,
-                "last_wall_seconds": last_wall,
+                "median_wall_seconds": check.median_seconds,
+                "last_wall_seconds": check.wall_seconds,
                 "last_git_rev": last.get("git_rev", "unknown"),
-                "delta_pct": round(delta_pct, 2) if delta_pct is not None else None,
-                "regressed": bool(
-                    median is not None and last_wall > median * (1.0 + threshold)
+                "delta_pct": (
+                    round(100.0 * (check.ratio - 1.0), 2) if check.median_seconds else None
                 ),
+                "regressed": check.regressed,
             }
         )
     return rows
-
-
-def _median(values: List[float]) -> Optional[float]:
-    if not values:
-        return None
-    mid = len(values) // 2
-    if len(values) % 2:
-        return values[mid]
-    return 0.5 * (values[mid - 1] + values[mid])
 
 
 def _slow_phases(records: List[Dict[str, Any]], limit: int) -> List[Dict[str, Any]]:

@@ -79,7 +79,9 @@ class BenchmarkSpec:
     ``kind="msb"`` names a multimedia system + clip.  The ACG comes from
     a preset name plus an explicit shuffle seed; with no preset an MSB
     takes its system's preset from :data:`MSB_SYSTEMS` and a random
-    benchmark the 4x4 mesh.
+    benchmark the 4x4 mesh.  ``deadline_scale`` multiplies every finite
+    deadline of either kind (:meth:`CTG.with_scaled_deadlines`, which
+    names the result ``<ctg>@x<factor>``); 1.0 leaves the CTG as built.
     """
 
     kind: str  # "random" | "msb"
@@ -93,6 +95,7 @@ class BenchmarkSpec:
     # msb fields
     system: str = "encoder"
     clip: str = "foreman"
+    deadline_scale: float = 1.0
 
     def build(self) -> Tuple[CTG, ACG]:
         """Construct the benchmark from seeds (called inside the worker).
@@ -120,6 +123,8 @@ class BenchmarkSpec:
             preset_name = preset_name or msb_preset
         else:
             raise InvalidArgumentError(f"unknown benchmark kind {self.kind!r}")
+        if self.deadline_scale != 1.0:
+            ctg = ctg.with_scaled_deadlines(self.deadline_scale)
         try:
             preset = ACG_PRESETS[preset_name or "mesh_4x4"]
         except KeyError:
@@ -151,6 +156,7 @@ def paper_benchmark(
     category: int = 1,
     index: int = 0,
     n_tasks: int = 150,
+    deadline_scale: float = 1.0,
 ) -> BenchmarkSpec:
     """The paper's Sec. 6 benchmark named by ``system``.
 
@@ -158,6 +164,8 @@ def paper_benchmark(
     suite (:func:`generate_category`) on the 4x4 heterogeneous mesh
     shuffled with seed ``100 + index``; an :data:`MSB_SYSTEMS` name is
     that multimedia system's CTG for ``clip`` on its preset mesh.
+    ``deadline_scale`` < 1 tightens every deadline by that factor (Fig. 7
+    passes ``1/r`` for its performance ratio ``r``).
     """
     if system == "random":
         return BenchmarkSpec(
@@ -167,13 +175,18 @@ def paper_benchmark(
             category=category,
             index=index,
             n_tasks=n_tasks,
+            deadline_scale=deadline_scale,
         )
     if system not in MSB_SYSTEMS:
         raise InvalidArgumentError(
             f"unknown system {system!r}; known: {['random', *sorted(MSB_SYSTEMS)]}"
         )
     return BenchmarkSpec(
-        kind="msb", acg_preset=MSB_SYSTEMS[system][1], system=system, clip=clip
+        kind="msb",
+        acg_preset=MSB_SYSTEMS[system][1],
+        system=system,
+        clip=clip,
+        deadline_scale=deadline_scale,
     )
 
 

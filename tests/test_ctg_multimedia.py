@@ -14,6 +14,7 @@ from repro.ctg.multimedia import (
 )
 from repro.ctg.analysis import critical_path_length
 from repro.errors import CTGError
+from repro.parallel.spec import paper_benchmark
 
 PE_TYPES = ["cpu", "dsp", "arm", "risc"]
 
@@ -103,17 +104,10 @@ class TestClips:
 
 
 class TestDeadlineScaling:
-    def test_scale_tightens(self):
-        base = av_encoder_ctg("foreman")
-        tight = av_encoder_ctg("foreman", deadline_scale=0.5)
-        assert tight.task("vsink").deadline == base.task("vsink").deadline * 0.5
-
-    def test_integrated_split_scales(self):
-        ctg = av_integrated_ctg(
-            "foreman", encoder_deadline_scale=0.5, decoder_deadline_scale=0.25
-        )
+    def test_recipe_scales_both_pipelines(self):
+        ctg, _ = paper_benchmark("integrated", deadline_scale=0.5).build()
         assert ctg.task("vsink").deadline == ENCODER_PERIOD_US * 0.5
-        assert ctg.task("ddisp").deadline == DECODER_PERIOD_US * 0.25
+        assert ctg.task("ddisp").deadline == DECODER_PERIOD_US * 0.5
 
     def test_dsp_affinity_in_costs(self):
         """dsp-kernel stages must run fastest on the DSP tile class."""

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.evalx.experiments import (
     ExperimentRow,
     FigureSeries,
@@ -15,6 +16,8 @@ from repro.evalx.experiments import (
     run_repair_runtime,
 )
 from repro.evalx.reporting import format_figure, format_table
+from repro.obs.ledger import RunLedger, read_ledger
+from repro.parallel.pool import JOBS_ENV_VAR
 
 
 class TestRandomCategoryRunner:
@@ -79,6 +82,39 @@ class TestFig7Runner:
         eas = figure.series["eas"]
         if not any(math.isnan(v) for v in eas):
             assert eas[1] >= eas[0] - 1e-6
+
+
+class TestFig7Grid:
+    """Fig. 7 runs on the pooled grid engine like every other paper grid."""
+
+    @staticmethod
+    def _points(figure):
+        # NaN != NaN, so compare the miss positions explicitly.
+        return {
+            name: [None if math.isnan(v) else v for v in values]
+            for name, values in figure.series.items()
+        }
+
+    def test_series_identical_across_jobs(self, monkeypatch):
+        points = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv(JOBS_ENV_VAR, jobs)
+            points.append(self._points(run_fig7(ratios=(1.0, 1.3, 1.6))))
+        assert points[0] == points[1]
+
+    def test_cells_ledger_their_deadline_scale(self, tmp_path):
+        ratios = (1.0, 1.6)
+        bundle = obs.Instrumentation.disabled()
+        bundle.ledger = RunLedger(tmp_path / "ledger.jsonl")
+        with obs.activate(bundle):
+            figure = run_fig7(ratios=ratios)
+        cells = [r for r in read_ledger(bundle.ledger.path) if r["name"] == "cell"]
+        grid = [(i, r, name) for i, r in enumerate(ratios) for name in ("eas", "edf")]
+        assert [c["tag"] for c in cells] == [f"fig7[{r:g}]:{name}" for _, r, name in grid]
+        for (i, ratio, name), cell in zip(grid, cells):
+            assert cell["spec"]["deadline_scale"] == 1.0 / ratio
+            value = figure.series[name][i]
+            assert (math.isnan(value) and cell["misses"]) or value == cell["energy"]
 
 
 class TestRepairRuntimeRunner:

@@ -220,3 +220,58 @@ class TestLedgerAndReport:
         surv = doc["survivability"]
         assert surv["plans"] == 3
         assert set(surv["by_kind"]) <= {"pe", "link", "transient"}
+
+    @staticmethod
+    def _fault_plan_records(ledger):
+        return [
+            r
+            for r in read_ledger(ledger)
+            if r.get("type") == "phase" and r.get("name") == "fault_plan"
+        ]
+
+    def test_inject_ledgers_its_plan(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        assert (
+            main(["faults", "inject", *BENCH, "--kind", "pe", "--ledger", str(ledger)])
+            == 0
+        )
+        out = capsys.readouterr().out
+        (record,) = self._fault_plan_records(ledger)
+        assert out.startswith(f"fault: {record['plan']}: ")
+        assert record["tag"] == record["plan"]
+        assert record["kind"] == "pe"
+        verdict = "SURVIVED" if record["survived"] else "DEGRADED"
+        assert f"verdict  : {verdict}" in out
+        assert (
+            main(
+                ["report", "--format", "json", "--ledger", str(ledger),
+                 "--bench-dir", str(tmp_path)]
+            )
+            == 0
+        )
+        surv = json.loads(capsys.readouterr().out)["survivability"]
+        assert surv["plans"] == 1
+        assert surv["survived"] == int(record["survived"])
+
+    def test_unsurvivable_inject_ledgers_and_fails(self, tmp_path, capsys, monkeypatch):
+        from repro.faults import sweep
+        from repro.faults.recovery import UnsurvivableFaultError
+
+        def no_recovery(committed, plan, config=None):
+            raise UnsurvivableFaultError(f"plan {plan.name!r}: no live host")
+
+        monkeypatch.setattr(sweep, "inject_and_recover", no_recovery)
+        ledger = tmp_path / "ledger.jsonl"
+        assert (
+            main(["faults", "inject", *BENCH, "--kind", "pe", "--ledger", str(ledger)])
+            == 1
+        )
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        (record,) = self._fault_plan_records(ledger)
+        message = f"plan {record['plan']!r}: no live host"
+        assert captured.err == f"repro-noc: error: {message}\n"
+        assert record["recovered"] is False
+        assert record["survived"] is False
+        assert record["reason"] == message
+        assert read_ledger(ledger)[-1]["type"] == "run_failed"

@@ -90,7 +90,6 @@ class TestWorkerProtocol:
             scheduler="eas",
             plan_doc=plan.to_dict(),
             schedule_doc=schedule_to_dict(committed),
-            tag=plan.name,
         )
         clone = pickle.loads(pickle.dumps(spec))
         result = execute_fault_spec(clone)
@@ -124,7 +123,6 @@ class TestWorkerProtocol:
             scheduler="eas",
             plan_doc=plan.to_dict(),
             schedule_doc=schedule_to_dict(committed),
-            tag=plan.name,
         )
         result = execute_fault_spec(spec)
         # Either outcome is legal; what matters is no exception escaped

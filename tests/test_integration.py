@@ -147,9 +147,3 @@ class TestAblationHooks:
             paper.mapping() != uniform.mapping()
             or paper.total_energy() == uniform.total_energy()
         )
-
-    def test_include_comm_in_slack_runs(self):
-        ctg = generate_category(2, 2, n_tasks=40)
-        acg = mesh_4x4(shuffle_seed=102)
-        schedule = eas_base_schedule(ctg, acg, EASConfig(include_comm_in_slack=True))
-        schedule.validate_structure()
