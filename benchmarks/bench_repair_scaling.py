@@ -3,10 +3,11 @@
 Every Step-3 candidate move used to cost a full ``rebuild_schedule``
 (all tasks list-scheduled, all transactions replayed from empty tables).
 The incremental engine (``src/repro/core/increbuild.py``) shares the
-incumbent's clean commit prefix, replays only the dirty cone, aborts
-candidates that provably cannot win, and memoizes rejected move
-signatures.  This bench runs whole repair loops both ways — the
-full-rebuild oracle ``repro.core.reference.full_rebuild_repair`` and
+incumbent's clean commit prefix, replays only the dirty cone, rejects
+deadlocking candidates and candidates whose admissible metric bound
+cannot win before any replay, aborts replays that provably cannot win,
+and memoizes rejected move signatures.  This bench runs whole repair
+loops both ways — the full-rebuild oracle ``repro.core.reference.full_rebuild_repair`` and
 ``search_and_repair`` — on the repair-heavy category-2 / mesh_5x5
 presets, asserts the two modes are
 bit-identical (schedule serialization and ``RepairReport``), and records
@@ -30,6 +31,9 @@ Gates (CI runs ``test_repair`` under ``--bench-check``):
   never waived;
 * incremental probes per commit must stay <= ``MAX_PROBES_PER_COMMIT``
   (2.0) — never waived;
+* the pre-replay filters must fire: ``repair.bound_rejects`` plus
+  ``repair.deadlock_rejects`` must be > 0 at every point — never waived,
+  so a filter that silently stops rejecting fails the build;
 * repair wall time must improve >= ``MIN_WALL_SPEEDUP`` (2x) — waived on
   single-CPU hosts, where timing is too noisy to gate.
 """
@@ -108,6 +112,12 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
         "frontier_probes": inc_metrics.counter("repair.frontier_probes").value,
         "probes_per_commit": round(probes_per_commit, 2),
         "aborts": inc_metrics.counter("repair.incremental_aborts").value,
+        "bound_rejects": inc_metrics.counter("repair.bound_rejects").value,
+        "deadlock_rejects": inc_metrics.counter("repair.deadlock_rejects").value,
+        **{
+            f"replayed_{outcome}": inc_metrics.counter(f"repair.replayed_tasks.{outcome}").value
+            for outcome in ("deadlock", "abort", "completed")
+        },
         "memo_skips": inc_metrics.counter("repair.memo_skips").value,
         "wall_full_s": round(full_wall, 4),
         "wall_incremental_s": round(inc_wall, 4),
@@ -126,7 +136,10 @@ def _describe(points: Dict[str, Dict[str, Any]]) -> str:
             f"(x{p['replay_ratio']:.2f}), wall {p['wall_full_s']:.2f} -> "
             f"{p['wall_incremental_s']:.2f} s (x{p['wall_speedup']:.2f}), "
             f"{p['probes_per_commit']:.2f} probes/commit, "
-            f"{p['aborts']:.0f} aborts, {p['memo_skips']:.0f} memo skips"
+            f"{p['aborts']:.0f} aborts ({p['bound_rejects']:.0f} by the bound before any replay), "
+            f"{p['deadlock_rejects']:.0f} deadlock rejects, {p['memo_skips']:.0f} memo skips; "
+            f"replayed commits deadlock/abort/completed {p['replayed_deadlock']:.0f}/"
+            f"{p['replayed_abort']:.0f}/{p['replayed_completed']:.0f}"
         )
     return "\n".join(lines)
 
@@ -140,6 +153,9 @@ def _check_count_gates(point: Dict[str, Any]) -> None:
     assert point["probes_per_commit"] <= MAX_PROBES_PER_COMMIT, (
         f"{point['probes_per_commit']} incremental probes per commit above "
         f"{MAX_PROBES_PER_COMMIT} ceiling"
+    )
+    assert point["bound_rejects"] + point["deadlock_rejects"] > 0, (
+        "no candidate was rejected before its replay: the pre-replay filters stopped firing"
     )
 
 

@@ -30,41 +30,53 @@ move against the *delta* it induces instead:
    common case, since repair targets late critical tasks — cost almost
    nothing.
 
-3. **Dirty-cone replay.**  From the frontier the engine resumes the
-   very list-scheduling loop ``rebuild_schedule`` runs
-   (:func:`~repro.core.rebuild.commit_steps`, with a fresh probe cache
-   for the new tables), so the result is
-   float-exact identical to a from-scratch rebuild — the equivalence
-   ``tests/test_increbuild.py`` byte-compares via serialization v2 for
-   every evaluation of whole repair runs.
-
-4. **Early-abort bounding.**  Misses and tardiness only grow as more
-   tasks are committed, so the running ``(misses, tardiness)`` over the
-   committed prefix+cone is a lower bound on the candidate's final
-   metric.  The moment the bound stops being strictly better than the
-   incumbent's metric, the candidate provably cannot be accepted and
+3. **Dirty-cone replay with early abort.**  From the frontier the
+   engine resumes the very list-scheduling loop ``rebuild_schedule``
+   runs (:func:`~repro.core.rebuild.commit_steps`, with a fresh probe
+   cache for the new tables), so the result is float-exact identical to
+   a from-scratch rebuild — the equivalence ``tests/test_increbuild.py``
+   byte-compares via serialization v2 for every evaluation of whole
+   repair runs.  Misses and tardiness only grow as more tasks are
+   committed, so the running ``(misses, tardiness)`` over the committed
+   prefix+cone is a lower bound on the candidate's final metric; the
+   moment it stops being strictly better than the incumbent's metric
    the replay stops.
 
-5. **Rejected-move memoization.**  Candidates are keyed by their
+4. **Rejected-move memoization.**  Candidates are keyed by their
    ``(mapping-delta, order-delta)`` against the incumbent; a candidate
    rejected once is never re-rebuilt against the same incumbent (the
    GTM relief sweep re-proposes many energy-sweep candidates
    verbatim).  The memo is cleared whenever a move is accepted.
 
+5. **Exact pre-replay filters.**  Most candidates are rejected, and two
+   checks reject many of those without replaying anything.  Before the
+   frontier walk, an *order-cycle check* finds the candidates whose
+   orders deadlock: the replay gets stuck exactly when the open tasks'
+   CTG edges plus the candidate's consecutive PE-order edges contain a
+   cycle, and every such cycle passes through an order edge that runs
+   backwards in the incumbent's commit order, so a depth-first search
+   from those edges over the commit-index window they span decides it.
+   Before any table is forked — at the first frontier-walk step that
+   needs a probe, or at the frontier — an *admissible miss-metric
+   bound* adds to the committed prefix's exact partial metric one term
+   per open task, from a finish time no rebuild can undercut
+   (precedence and transfer durations only); a candidate whose bound
+   cannot beat the incumbent is rejected.
+
 Given a :class:`~repro.core.rebuild.FrozenPrefix` (degraded-mode
 recovery), every rebuild the engine stands for starts from it: the trace
 covers only the open tasks, the tables start from the prefix tables, and
-the bounds start at the prefix's own ``(misses, tardiness)``.
+the bounds start at the prefix's own ``(misses, tardiness)`` and floor.
 
 Soundness arguments are spelled out in DESIGN.md ("Incremental repair
-correctness"); :func:`repro.core.reference.full_rebuild_repair` keeps
+engine"); :func:`repro.core.reference.full_rebuild_repair` keeps
 the paper-literal full rebuild per candidate as the reference oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -90,6 +102,21 @@ from repro.schedule.table import EPS
 MoveSignature = Tuple[
     Tuple[Tuple[str, int], ...], Tuple[Tuple[int, Tuple[str, ...]], ...]
 ]
+
+
+#: The rebuild state after the shared trace prefix: ``(frontier, next_slot,
+#: remaining_preds, placed, placements, tables)``.
+FrontierState = Tuple[
+    int, Dict[int, int], Dict[str, int], Set[str], Dict[str, TaskPlacement], ResourceTables
+]
+
+#: Relative rounding margin on the tardiness half of the miss-metric bound.  The
+#: bound and ``Schedule.total_tardiness`` add non-negative terms in
+#: different orders, and a float sum of ``n`` such terms lies within a
+#: relative ``(n - 1) * 2**-53`` of its exact value; two sums plus the
+#: margin's own product stay far below 1e-9 for any schedule under a
+#: million tasks.
+TARDINESS_MARGIN = 1e-9
 
 
 def _tally(ctg: CTG, metric: MissMetric, placement: TaskPlacement) -> MissMetric:
@@ -130,6 +157,23 @@ class IncrementalRebuilder:
         #: open predecessors of each open task, before any commit.
         self._in_degree: Dict[str, int] = prefix.open_preds(ctg)
         self._task_names: List[str] = list(self._in_degree)
+        open_tasks = self._in_degree
+        #: open successors, (sender, volume) pairs and finite deadlines of
+        #: each open task: the CTG bookkeeping of the pre-replay filters.
+        self._successors: Dict[str, Tuple[str, ...]] = {
+            name: tuple(succ for succ in ctg.successors(name) if succ in open_tasks)
+            for name in open_tasks
+        }
+        self._senders: Dict[str, Tuple[Tuple[str, float], ...]] = {
+            name: tuple((edge.src, edge.volume) for edge in ctg.in_edges(name))
+            for name in open_tasks
+        }
+        self._deadlines: Dict[str, float] = {}
+        for name in open_tasks:
+            deadline = ctg.task(name).deadline
+            if math.isfinite(deadline):
+                self._deadlines[name] = deadline
+        self._exec_times: Dict[Tuple[str, int], float] = {}
         self._prefix_metric: MissMetric = (0, 0.0)
         for placement in prefix.placements:
             self._prefix_metric = _tally(ctg, self._prefix_metric, placement)
@@ -140,10 +184,18 @@ class IncrementalRebuilder:
         self._trace: Optional[List[CommitStep]] = None
         self._final_tables: Optional[ResourceTables] = None
         self._cum_bound: List[MissMetric] = []
+        #: each open task's step in the incumbent trace, and its successor
+        #: in the incumbent's PE order.
+        self._commit_index: Dict[str, int] = {}
+        self._next_on_pe: Dict[str, str] = {}
         self._memo: Set[MoveSignature] = set()
         self._last: Optional[Tuple[Dict[str, int], Dict[int, List[str]], List[CommitStep], ResourceTables]] = None
         metrics = obs.get().metrics
         self._replayed_counter = metrics.counter("repair.replayed_tasks")
+        self._replayed_by_outcome = {
+            outcome: metrics.counter(f"repair.replayed_tasks.{outcome}")
+            for outcome in ("deadlock", "abort", "completed")
+        }
         self._prefix_counter = metrics.counter("repair.prefix_reused_tasks")
         self._abort_counter = metrics.counter("repair.incremental_aborts")
         self._memo_counter = metrics.counter("repair.memo_skips")
@@ -151,6 +203,7 @@ class IncrementalRebuilder:
         self._probe_counter = metrics.counter("repair.frontier_probes")
         self._deadlock_counter = metrics.counter("repair.deadlock_rejects")
         self._unroutable_counter = metrics.counter("repair.unroutable_rejects")
+        self._bound_counter = metrics.counter("repair.bound_rejects")
 
     # -- incumbent bookkeeping ------------------------------------------------
 
@@ -185,6 +238,12 @@ class IncrementalRebuilder:
         self._trace = trace
         self._final_tables = tables
         self._cum_bound = self._bounds_of(trace)
+        self._commit_index = {step.task: k for k, step in enumerate(trace)}
+        self._next_on_pe = {
+            name: following
+            for names in self._orders0.values()
+            for name, following in zip(names, names[1:])
+        }
         self._memo.clear()
         self._last = None
 
@@ -233,7 +292,8 @@ class IncrementalRebuilder:
         orders1: Mapping[int, Sequence[str]],
         changed_pes: Set[int],
         moved: Set[str],
-    ) -> Tuple[int, Dict[int, int], Dict[str, int], Set[str], Dict[str, object], ResourceTables]:
+        incumbent_metric: MissMetric,
+    ) -> Optional[FrontierState]:
         """Longest trace prefix the candidate's rebuild provably shares.
 
         Walks the incumbent trace with precedence/order bookkeeping.  At
@@ -253,18 +313,22 @@ class IncrementalRebuilder:
 
         Returns the full rebuild state at the frontier:
         ``(frontier, next_slot, remaining_preds, placed, placements,
-        tables)``.
+        tables)``, or ``None`` when the candidate cannot beat
+        ``incumbent_metric``.  That bound is checked once, before any
+        table is forked: at the first step whose decision needs a probe,
+        or at the frontier when none does.  The candidate shares every
+        trace step before either point, so both are sound.
         """
         trace = self._trace
         orders0 = self._orders0
         remaining = dict(self._in_degree)
         placed: Set[str] = set()
-        placements: Dict[str, object] = {p.task: p for p in self.prefix.placements}
+        placements: Dict[str, TaskPlacement] = {p.task: p for p in self.prefix.placements}
         floor = self.prefix.floor
         idx: Dict[int, int] = {pe: 0 for pe in orders0}
         for pe in orders1:
             idx.setdefault(pe, 0)
-        successors = self.ctg.successors
+        successors = self._successors
         tables: Optional[ResourceTables] = None
 
         def next_eligible(order: Sequence[str], slot: int) -> Optional[str]:
@@ -291,7 +355,9 @@ class IncrementalRebuilder:
                         divergent.append(n1)
                 if divergent:
                     if tables is None:
-                        tables = self._materialize(k)
+                        tables = self._tables_unless_beaten(k, mapping1, placements, incumbent_metric)
+                        if tables is None:
+                            return None
                     key_k = (step.placement.start, step.placement.finish, chosen)
                     for name in divergent:
                         evaluation = probe_mapped(
@@ -307,15 +373,166 @@ class IncrementalRebuilder:
             placed.add(chosen)
             placements[chosen] = step.placement
             idx[step.pe] += 1
-            for succ in successors(chosen):
-                if succ in remaining:  # a prefix task may follow an open one
-                    remaining[succ] -= 1
+            for succ in successors[chosen]:
+                remaining[succ] -= 1
             if tables is not None:
                 # Keep the materialized tables in step with the prefix.
                 tables.fill((step.placement,), step.comms)
         if tables is None:
-            tables = self._materialize(frontier)
+            tables = self._tables_unless_beaten(frontier, mapping1, placements, incumbent_metric)
+            if tables is None:
+                return None
         return frontier, idx, remaining, placed, placements, tables
+
+    def _tables_unless_beaten(
+        self,
+        k: int,
+        mapping1: Mapping[str, int],
+        placements: Mapping[str, TaskPlacement],
+        incumbent_metric: MissMetric,
+    ) -> Optional[ResourceTables]:
+        """The tables after ``k`` shared steps, or ``None`` if the bound rejects."""
+        if self._cannot_win(k, mapping1, placements, incumbent_metric):
+            return None
+        return self._materialize(k)
+
+    def _deadlocks(self, orders1: Mapping[int, Sequence[str]], changed_pes: Set[int]) -> bool:
+        """Whether the candidate's replay would raise ``InfeasibleOrderError``.
+
+        The replay gets stuck exactly when the open tasks' CTG edges plus
+        the candidate's consecutive PE-order edges contain a cycle (a
+        task is eligible when it is next on its PE and its predecessors
+        are placed, so elimination stalls only on a cycle).  Every edge
+        the incumbent's rebuild honoured runs forward in its commit
+        index, so a cycle needs an order edge ``a -> b`` of a changed PE
+        with ``index[a] > index[b]``, and each of its nodes lies between
+        the least such ``b`` and the greatest such ``a``: a depth-first
+        search from the ``b``s over that window decides it, with
+        bookkeeping only.
+        """
+        index = self._commit_index
+        next1: Dict[str, Optional[str]] = {}
+        roots: List[str] = []
+        low, high = len(index), -1
+        for pe in changed_pes:
+            order = orders1.get(pe, ())
+            for name, following in zip(order, order[1:]):
+                next1[name] = following
+                if index[name] > index[following]:
+                    roots.append(following)
+                    low = min(low, index[following])
+                    high = max(high, index[name])
+            if order:
+                next1[order[-1]] = None
+        if not roots:
+            return False
+        successors, next0 = self._successors, self._next_on_pe
+
+        def children(name: str):
+            following = next1[name] if name in next1 else next0.get(name)
+            succ = successors[name]
+            return iter(succ if following is None else succ + (following,))
+
+        on_path: Set[str] = set()
+        done: Set[str] = set()
+        for root in roots:
+            if root in done:
+                continue
+            on_path.add(root)
+            stack = [(root, children(root))]
+            while stack:
+                name, pending = stack[-1]
+                for child in pending:
+                    if child in on_path:
+                        return True
+                    if child not in done and low <= index[child] <= high:
+                        on_path.add(child)
+                        stack.append((child, children(child)))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(name)
+                    done.add(name)
+        return False
+
+    def _finish_bounds(
+        self, frontier: int, mapping1: Mapping[str, int], placements: Mapping[str, TaskPlacement]
+    ) -> Iterator[Tuple[str, float]]:
+        """``(task, finish bound)`` of each open task at ``frontier``, in trace order.
+
+        A task's bound is the latest of the floor and, over its senders,
+        the sender's finish (its bound if still open) raised to the floor
+        plus the transfer's duration, plus its execution time on its
+        mapped PE.  No rebuild finishes the task earlier: a transfer
+        starts at or after ``max(sender.finish, floor)``, the gap
+        searches never return a time before the one asked for, and IEEE
+        ``+`` and ``max`` are monotone.  PE-order edges are not used: a
+        gap-filled task may start before its predecessor in the PE order.
+        The incumbent trace lists the open tasks in a topological order.
+        """
+        acg = self.acg
+        floor = self.prefix.floor
+        senders, exec_times = self._senders, self._exec_times
+        bounds: Dict[str, float] = {}
+        for step in self._trace[frontier:]:
+            name = step.task
+            pe = mapping1[name]
+            ready = floor
+            for src, volume in senders[name]:
+                sent = bounds.get(src)
+                if sent is None:
+                    sender = placements[src]
+                    sent, src_pe = sender.finish, sender.pe
+                else:
+                    src_pe = mapping1[src]
+                try:
+                    duration = acg.comm_duration(volume, src_pe, pe)
+                except UnroutableError:
+                    # Dropping the transfer keeps the bound low; the probe
+                    # that needs the route raises the rejection itself.
+                    continue
+                arrival = (sent if sent > floor else floor) + duration
+                if arrival > ready:
+                    ready = arrival
+            exec_time = exec_times.get((name, pe))
+            if exec_time is None:
+                cost = self.ctg.task(name).cost_on(acg.pe(pe).type_name)
+                # An infeasible PE is the replay's SchedulingError to raise.
+                exec_time = exec_times[name, pe] = cost.time if cost.feasible else 0.0
+            finish = bounds[name] = ready + exec_time
+            yield name, finish
+
+    def _cannot_win(
+        self,
+        frontier: int,
+        mapping1: Mapping[str, int],
+        placements: Mapping[str, TaskPlacement],
+        incumbent_metric: MissMetric,
+    ) -> bool:
+        """Whether no rebuild from ``frontier`` can beat ``incumbent_metric``.
+
+        Tallies :meth:`_finish_bounds` onto the committed prefix's exact
+        partial metric as :func:`_tally` adds.  Misses are compared
+        exactly (a bound past a deadline means a miss) and stop the walk
+        once they exceed the incumbent's; tardiness is compared with
+        :data:`TARDINESS_MARGIN` of slack, since this float sum runs in
+        another order than the candidate's ``Schedule.total_tardiness``.
+        """
+        misses, tardiness = bound = self._cum_bound[frontier]
+        if not bound < incumbent_metric:
+            return True
+        deadlines = self._deadlines
+        for name, finish in self._finish_bounds(frontier, mapping1, placements):
+            deadline = deadlines.get(name)
+            if deadline is not None:
+                if finish > deadline + EPS:
+                    misses += 1
+                    if misses > incumbent_metric[0]:
+                        return True
+                tardiness += max(0.0, finish - deadline)
+        if misses < incumbent_metric[0]:
+            return False
+        return tardiness * (1.0 - TARDINESS_MARGIN) >= incumbent_metric[1]
 
     def _materialize(self, frontier: int) -> ResourceTables:
         """Fork the incumbent tables and undo the dirty cone's reservations."""
@@ -350,29 +567,27 @@ class IncrementalRebuilder:
             return None
         self._ensure_incumbent()
 
-        moved = {task for task, _pe in signature[0]}
         changed_pes = {pe for pe, _names in signature[1]}
-        schedule = None
+        if self._deadlocks(orders, changed_pes):
+            return self._reject(signature, self._deadlock_counter)
+        moved = {task for task, _pe in signature[0]}
         try:
-            frontier, next_slot, remaining, placed, placements, tables = self._frontier(
-                mapping, orders, changed_pes, moved
-            )
+            state = self._frontier(mapping, orders, changed_pes, moved, incumbent_metric)
+            if state is None:
+                self._bound_counter.inc()
+                return self._reject(signature, self._abort_counter)
+            frontier, next_slot, remaining, placed, placements, tables = state
             self._prefix_counter.inc(frontier)
-            bound = self._cum_bound[frontier]
-            if bound < incumbent_metric:
-                schedule, trace, tables = self._replay(
-                    mapping, orders, frontier, next_slot, remaining, placed,
-                    placements, tables, bound, incumbent_metric,
-                )
-        except (InfeasibleOrderError, UnroutableError) as exc:
-            deadlock = isinstance(exc, InfeasibleOrderError)
-            (self._deadlock_counter if deadlock else self._unroutable_counter).inc()
-            self._memo.add(signature)
-            return None
-        if schedule is None:  # aborted at the frontier or mid-replay
-            self._abort_counter.inc()
-            self._memo.add(signature)
-            return None
+            schedule, trace, tables = self._replay(
+                mapping, orders, frontier, next_slot, remaining, placed,
+                placements, tables, incumbent_metric,
+            )
+        except InfeasibleOrderError:
+            return self._reject(signature, self._deadlock_counter)
+        except UnroutableError:
+            return self._reject(signature, self._unroutable_counter)
+        if schedule is None:  # aborted mid-replay
+            return self._reject(signature, self._abort_counter)
 
         if miss_metric(schedule) < incumbent_metric:
             self._last = (
@@ -385,6 +600,12 @@ class IncrementalRebuilder:
             self._memo.add(signature)
         return schedule
 
+    def _reject(self, signature: MoveSignature, counter) -> None:
+        """Count and memoize one rejected candidate."""
+        counter.inc()
+        self._memo.add(signature)
+        return None
+
     def _replay(
         self,
         mapping: Mapping[str, int],
@@ -393,12 +614,19 @@ class IncrementalRebuilder:
         next_slot: Dict[int, int],
         remaining_preds: Dict[str, int],
         placed: Set[str],
-        placements: Dict[str, object],
+        placements: Dict[str, TaskPlacement],
         tables: ResourceTables,
-        bound: MissMetric,
         incumbent_metric: MissMetric,
     ) -> Tuple[Optional[Schedule], List[CommitStep], ResourceTables]:
-        """Replay the dirty cone through the shared list-scheduling loop."""
+        """Replay the dirty cone through the shared list-scheduling loop.
+
+        Counts the replayed commits in ``repair.replayed_tasks`` and under
+        how the replay ended: ``.completed``, ``.abort`` (the running
+        metric stopped beating the incumbent) or ``.deadlock``
+        (:func:`~repro.core.rebuild.commit_steps` raised; the pre-replay
+        filters already reject every deadlocking or unroutable candidate,
+        so this one stays at 0).
+        """
         ctg = self.ctg
         shared = self._trace[:frontier]
         schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
@@ -408,7 +636,7 @@ class IncrementalRebuilder:
             for comm in step.comms:
                 schedule.place_comm(comm)
         trace = list(shared)
-        metric = bound
+        metric = self._cum_bound[frontier]
         steps = commit_steps(
             ctg,
             self.acg,
@@ -423,12 +651,17 @@ class IncrementalRebuilder:
             schedule,
             self.prefix.floor,
         )
+        outcome = "deadlock"
         try:
             for step in steps:
                 trace.append(step)
                 metric = _tally(ctg, metric, step.placement)
                 if not metric < incumbent_metric:
+                    outcome = "abort"
                     return None, trace, tables
+            outcome = "completed"
+            return schedule, trace, tables
         finally:
-            self._replayed_counter.inc(len(trace) - frontier)
-        return schedule, trace, tables
+            replayed = len(trace) - frontier
+            self._replayed_counter.inc(replayed)
+            self._replayed_by_outcome[outcome].inc(replayed)

@@ -108,7 +108,12 @@ class Schedule:
         return sorted(misses)
 
     def total_tardiness(self) -> float:
-        """Sum of (finish - deadline) over missing tasks; 0 when feasible."""
+        """Sum of ``max(0, finish - deadline)`` over every finite-deadline task.
+
+        Added in placement order.  Overruns of at most ``EPS``, which
+        :meth:`deadline_misses` does not count as misses, still add here,
+        so a schedule without misses can have positive tardiness.
+        """
         tardiness = 0.0
         for name, placement in self.task_placements.items():
             deadline = self.ctg.task(name).deadline

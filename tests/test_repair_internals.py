@@ -1,5 +1,6 @@
 """Unit tests for search-and-repair internals (ordering, candidates, reject counters)."""
 
+from unittest import mock
 
 from repro import obs
 from repro.arch.acg import ACG
@@ -165,8 +166,47 @@ class TestRejectCounters:
         bundle = obs.Instrumentation.disabled()
         with obs.activate(bundle):
             engine = IncrementalRebuilder(ctg, acg, mapping, orders)
-            assert engine.evaluate(mapping, {0: ["b", "a"]}, miss_metric(base)) is None
+            with mock.patch.object(IncrementalRebuilder, "_materialize") as materialize:
+                assert engine.evaluate(mapping, {0: ["b", "a"]}, miss_metric(base)) is None
         counters = bundle.metrics.counter_values()
         assert counters["repair.deadlock_rejects"] == 1
         assert counters["repair.unroutable_rejects"] == 0
         assert counters["repair.incremental_aborts"] == 0
+        # The order-cycle check rejects it before any replay or fork.
+        assert counters["repair.replayed_tasks"] == 0
+        materialize.assert_not_called()
+
+    def test_slow_migration_counts_a_bound_reject(self):
+        """Moving ``c`` two hops from its producer cannot finish it sooner.
+
+        ``a -> c`` share PE0 and ``c`` misses its deadline; on PE3 the
+        transfer alone pushes ``c``'s finish bound past the incumbent's
+        tardiness, so the bound rejects the move without a replay.
+        """
+        ctg = CTG()
+        ctg.add_task(uniform_task("a", 10, 1))
+        ctg.add_task(uniform_task("b", 10, 1))
+        ctg.add_task(uniform_task("c", 10, 1, deadline=15.0))
+        ctg.connect("a", "c", volume=10_000)
+        acg = acg4()
+        mapping = {"a": 0, "b": 1, "c": 0}
+        orders = {0: ["a", "c"], 1: ["b"], 2: [], 3: []}
+        base = rebuild_schedule(ctg, acg, mapping, orders)
+        incumbent = miss_metric(base)
+        assert incumbent == (1, 5.0)
+        candidate_map = {"a": 0, "b": 1, "c": 3}
+        candidate_orders = {0: ["a"], 1: ["b"], 2: [], 3: ["c"]}
+        full = rebuild_schedule(ctg, acg, candidate_map, candidate_orders)
+        assert not miss_metric(full) < incumbent
+        bundle = obs.Instrumentation.disabled()
+        with obs.activate(bundle):
+            engine = IncrementalRebuilder(ctg, acg, mapping, orders)
+            with mock.patch.object(IncrementalRebuilder, "_materialize") as materialize:
+                assert engine.evaluate(candidate_map, candidate_orders, incumbent) is None
+        counters = bundle.metrics.counter_values()
+        assert counters["repair.bound_rejects"] == 1
+        assert counters["repair.incremental_aborts"] == 1
+        assert counters["repair.deadlock_rejects"] == 0
+        assert counters["repair.replayed_tasks"] == 0
+        assert counters["repair.frontier_probes"] == 0
+        materialize.assert_not_called()
