@@ -1,16 +1,22 @@
 """The Communication Task Graph container.
 
-:class:`CTG` wraps a :class:`networkx.DiGraph` with the task/edge records
-from :mod:`repro.ctg.task`, enforces acyclicity, and offers the query
-surface the schedulers need (predecessors, successors, topological order,
-in/out edges with volumes).
+:class:`CTG` holds the task/edge records from :mod:`repro.ctg.task` in
+plain per-task adjacency lists (in edge-insertion order), enforces
+acyclicity on every insert, and offers the query surface the schedulers
+need (predecessors, successors, topological order, in/out edges with
+volumes).
+
+An insert is checked by one DFS over the tasks the new arc's head
+reaches, looking for its tail; nothing else is walked.  The topological
+order is the generation-by-generation Kahn order: sources in
+task-insertion order, then each generation's children released in
+edge-insertion order.  Schedules depend on that order, so it is pinned
+by digest in the test suite.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.ctg.task import CommEdge, Task
 from repro.errors import CTGError
@@ -21,9 +27,14 @@ class CTG:
 
     def __init__(self, name: str = "ctg") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
         self._edges: Dict[Tuple[str, str], CommEdge] = {}
+        # Per-task adjacency, each list in edge-insertion order: neighbour
+        # names for the walks, arcs for the volume-aware readers.
+        self._preds: Dict[str, List[str]] = {}
+        self._succs: Dict[str, List[str]] = {}
+        self._in: Dict[str, List[CommEdge]] = {}
+        self._out: Dict[str, List[CommEdge]] = {}
         self._topo_cache: Optional[List[str]] = None
 
     # -- construction ------------------------------------------------------
@@ -32,24 +43,31 @@ class CTG:
         if task.name in self._tasks:
             raise CTGError(f"duplicate task {task.name!r}")
         self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        for adjacency in (self._preds, self._succs, self._in, self._out):
+            adjacency[task.name] = []
         self._invalidate()
         return task
 
     def add_edge(self, edge: CommEdge) -> CommEdge:
+        """Insert an arc; a rejected arc leaves the graph exactly as it was."""
         for endpoint in (edge.src, edge.dst):
             if endpoint not in self._tasks:
                 raise CTGError(f"edge references unknown task {endpoint!r}")
-        key = (edge.src, edge.dst)
-        if key in self._edges:
+        if (edge.src, edge.dst) in self._edges:
             raise CTGError(f"duplicate edge {edge.src}->{edge.dst}")
-        self._graph.add_edge(edge.src, edge.dst)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(edge.src, edge.dst)
+        if edge.src == edge.dst or edge.src in self._reach(edge.dst, self._succs):
             raise CTGError(f"edge {edge.src}->{edge.dst} would create a cycle")
-        self._edges[key] = edge
-        self._invalidate()
+        self._link(edge)
         return edge
+
+    def _link(self, edge: CommEdge) -> None:
+        """Store an arc already known to be new and to keep the graph acyclic."""
+        self._edges[(edge.src, edge.dst)] = edge
+        self._succs[edge.src].append(edge.dst)
+        self._preds[edge.dst].append(edge.src)
+        self._out[edge.src].append(edge)
+        self._in[edge.dst].append(edge)
+        self._invalidate()
 
     def connect(self, src: str, dst: str, volume: float = 0.0) -> CommEdge:
         """Shorthand for :meth:`add_edge`."""
@@ -101,32 +119,51 @@ class CTG:
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._edges
 
+    # The adjacency readers return fresh copies of the stored lists, so no
+    # caller can mutate the graph through them.
+
     def predecessors(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
+        try:
+            return self._preds[name][:]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def successors(self, name: str) -> List[str]:
-        return list(self._graph.successors(name))
+        try:
+            return self._succs[name][:]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def in_edges(self, name: str) -> List[CommEdge]:
         """Incoming arcs of ``name`` — its receiving transactions (LCT)."""
-        return [self._edges[(p, name)] for p in self._graph.predecessors(name)]
+        try:
+            return self._in[name][:]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def out_edges(self, name: str) -> List[CommEdge]:
-        return [self._edges[(name, s)] for s in self._graph.successors(name)]
+        try:
+            return self._out[name][:]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def in_degree(self, name: str) -> int:
-        return self._graph.in_degree(name)
+        return len(self.predecessors(name))
 
     def out_degree(self, name: str) -> int:
-        return self._graph.out_degree(name)
+        return len(self.successors(name))
 
     def sources(self) -> List[str]:
         """Tasks with no predecessors (application entry points)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, preds in self._preds.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Tasks with no successors."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [n for n, succs in self._succs.items() if not succs]
+
+    @staticmethod
+    def _unknown(name: str) -> CTGError:
+        return CTGError(f"unknown task {name!r}")
 
     def deadline_tasks(self) -> List[str]:
         """Tasks with a designer-specified (finite) deadline."""
@@ -135,16 +172,47 @@ class CTG:
     # -- orders and reachability --------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """A cached topological order of all tasks."""
+        """A cached topological order of all tasks.
+
+        Kahn's algorithm one generation at a time: generation 0 is the
+        sources in task-insertion order; each task of a generation, in
+        order, releases the children whose last incoming arc it was, in
+        edge-insertion order, into the next generation.
+        """
         if self._topo_cache is None:
-            self._topo_cache = list(nx.topological_sort(self._graph))
+            pending = {n: len(preds) for n, preds in self._preds.items() if preds}
+            generation = self.sources()
+            order: List[str] = []
+            while generation:
+                order.extend(generation)
+                released = []
+                for name in generation:
+                    for child in self._succs[name]:
+                        pending[child] -= 1
+                        if not pending[child]:
+                            released.append(child)
+                generation = released
+            self._topo_cache = order
         return list(self._topo_cache)
 
     def ancestors(self, name: str) -> set:
-        return nx.ancestors(self._graph, name)
+        return self._reach(name, self._preds)
 
     def descendants(self, name: str) -> set:
-        return nx.descendants(self._graph, name)
+        return self._reach(name, self._succs)
+
+    def _reach(self, name: str, adjacency: Dict[str, List[str]]) -> set:
+        """Every task reachable from ``name`` (excluded) along ``adjacency``."""
+        if name not in adjacency:
+            raise self._unknown(name)
+        seen: set = set()
+        stack = [name]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     # -- aggregate properties ----------------------------------------------
 
@@ -181,11 +249,14 @@ class CTG:
     # -- transforms ----------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "CTG":
+        """An independent copy: fresh tasks, the same (immutable) arcs."""
         clone = CTG(name=name or self.name)
-        for task in self._tasks.values():
-            clone.add_task(task.copy())
-        for edge in self._edges.values():
-            clone.add_edge(CommEdge(src=edge.src, dst=edge.dst, volume=edge.volume))
+        clone._tasks = {n: task.copy() for n, task in self._tasks.items()}
+        clone._edges = dict(self._edges)
+        clone._preds = {n: preds[:] for n, preds in self._preds.items()}
+        clone._succs = {n: succs[:] for n, succs in self._succs.items()}
+        clone._in = {n: arcs[:] for n, arcs in self._in.items()}
+        clone._out = {n: arcs[:] for n, arcs in self._out.items()}
         return clone
 
     def with_scaled_deadlines(self, factor: float, name: Optional[str] = None) -> "CTG":
@@ -213,8 +284,9 @@ class CTG:
                 renamed = task.copy()
                 renamed.name = prefix + task.name
                 merged.add_task(renamed)
+            # A disjoint union of DAGs is a DAG: no per-arc cycle check.
             for edge in src_ctg.edges():
-                merged.add_edge(
+                merged._link(
                     CommEdge(src=prefix + edge.src, dst=prefix + edge.dst, volume=edge.volume)
                 )
         return merged

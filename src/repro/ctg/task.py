@@ -70,8 +70,8 @@ class Task:
     task_type: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CTGError("task name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise CTGError(f"task name must be a non-empty string, got {self.name!r}")
         if self.deadline <= 0:
             raise CTGError(f"task {self.name!r}: deadline must be positive, got {self.deadline}")
         if not isinstance(self.costs, dict):

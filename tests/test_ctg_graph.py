@@ -1,9 +1,12 @@
 """Tests for the CTG container: construction, queries, transforms."""
 
+import hashlib
 
 import pytest
 
+from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
+from repro.ctg.multimedia import av_integrated_ctg
 from repro.ctg.task import Task, TaskCosts
 from repro.errors import CTGError
 
@@ -161,3 +164,46 @@ class TestTransforms:
         assert not any(
             e.src.startswith("l_") != e.dst.startswith("l_") for e in merged.edges()
         )
+
+
+def _order_digest(ctg):
+    return hashlib.sha256("\n".join(ctg.topological_order()).encode()).hexdigest()
+
+
+class TestPinnedOrder:
+    """The topological order feeds every scheduler's tie-breaks, so it is
+    pinned by digest.  These digests were recorded from the order
+    ``networkx.topological_sort`` 3.6.1 gave before the graph core stopped
+    using networkx; the stored-adjacency Kahn must keep reproducing them.
+    """
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: generate_category(1, 0, n_tasks=160),
+                "5927a753b874b7e1e4c1bd23bcb73178d2361d49aeb33ac99d20b97c4cf8a204",
+            ),
+            (
+                lambda: generate_category(1, 1, n_tasks=160),
+                "1eb34b7b02b3ab0a232480a0819641c3be7a9d1574df1aaabecf541e59d14b3a",
+            ),
+            (
+                lambda: generate_category(1, 2, n_tasks=160),
+                "15c866d9e53824c05cc1966a24e74189aa83d1b84b0728b9dc811a135d2d6f8f",
+            ),
+            (
+                lambda: generate_category(2, 0, n_tasks=500),
+                "0a6076940359a03e553fcc15445c6585cd7e3e252359f9b994d3b05e6eb6126b",
+            ),
+            (
+                lambda: av_integrated_ctg("foreman"),
+                "7e223c753f61007a6602e79a4e9534cc700c123edf63dd325003951afeba3a4f",
+            ),
+        ],
+        ids=["cat1-0-160", "cat1-1-160", "cat1-2-160", "cat2-0-500", "av-integrated-foreman"],
+    )
+    def test_topological_order_digest(self, build, digest):
+        ctg = build()
+        assert _order_digest(ctg) == digest
+        assert _order_digest(ctg.copy()) == digest

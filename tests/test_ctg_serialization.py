@@ -1,5 +1,6 @@
 """Tests for CTG JSON serialisation."""
 
+import json
 import math
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.ctg.generator import GeneratorConfig, generate_ctg
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.ctg.serialization import ctg_from_dict, ctg_from_json, ctg_to_dict, ctg_to_json
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
 
 
 class TestRoundTrip:
@@ -69,3 +70,40 @@ class TestErrors:
         }
         with pytest.raises(SerializationError):
             ctg_from_dict(data)
+
+
+def _document(tasks=("a", "b", "c"), edges=()):
+    return {
+        "format": "repro-ctg",
+        "version": 1,
+        "name": "boundary",
+        "tasks": [
+            {"name": name, "deadline": None, "costs": {"cpu": {"time": 1.0, "energy": 1.0}}}
+            for name in tasks
+        ],
+        "edges": [{"src": src, "dst": dst, "volume": 1.0} for src, dst in edges],
+    }
+
+
+class TestBoundary:
+    """Structurally bad documents end in a typed error, never in a CTG."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _document(edges=[("a", "b"), ("b", "c"), ("c", "a")]),
+            _document(edges=[("a", "a")]),
+            _document(edges=[("a", "zz")]),
+            _document(edges=[("a", "b"), ("a", "b")]),
+            _document(tasks=("a", "b", "a")),
+            _document(tasks=("a", 7)),
+        ],
+        ids=["cycle", "self-loop", "unknown-task", "duplicate-edge", "duplicate-task", "non-string-name"],
+    )
+    def test_rejected_with_a_typed_error(self, data):
+        with pytest.raises(ReproError):
+            ctg_from_json(json.dumps(data))
+
+    def test_well_formed_document_loads(self):
+        ctg = ctg_from_json(json.dumps(_document(edges=[("a", "b"), ("b", "c"), ("a", "c")])))
+        assert ctg.topological_order() == ["a", "b", "c"]
