@@ -19,28 +19,30 @@ move against the *delta* it induces instead:
    is pure precedence/order bookkeeping — and only the changed PEs have
    to be inspected per step.
 
-2. **Clean-prefix fork.**  The state at the frontier is materialised by
-   :meth:`~repro.schedule.overlay.ResourceTables.fork`-ing the
-   incumbent's committed tables copy-on-write and *undoing* the
-   reservations of the post-frontier commits (the dirty cone), via
+2. **One table set walked along the trace.**  The engine keeps a
+   single set of resource tables per incumbent, holding the first
+   ``k`` steps of its trace plus the commits of the last replay.  The
+   state at a frontier is reached by *undoing* that replay and the
+   trace steps past the frontier (the dirty cone), via
    :meth:`~repro.schedule.table.ScheduleTable.truncate_from` when they
    form the tail of a resource's busy list and exact-match releases
-   otherwise.  Undo work is proportional to the dirty cone, not the
-   prefix, so small perturbations near the end of the schedule — the
-   common case, since repair targets late critical tasks — cost almost
-   nothing.
+   otherwise, or by filling in the steps up to it.  Work is proportional
+   to the distance between consecutive frontiers, not to the prefix, so
+   small perturbations near the end of the schedule — the common case,
+   since repair targets late critical tasks — cost almost nothing.
 
 3. **Dirty-cone replay with early abort.**  From the frontier the
    engine resumes the very list-scheduling loop ``rebuild_schedule``
    runs (:func:`~repro.core.rebuild.commit_steps`, with a fresh probe
-   cache for the new tables), so the result is float-exact identical to
+   cache), so the result is float-exact identical to
    a from-scratch rebuild — the equivalence ``tests/test_increbuild.py``
    byte-compares via serialization v2 for every evaluation of whole
    repair runs.  Misses and tardiness only grow as more tasks are
    committed, so the running ``(misses, tardiness)`` over the committed
    prefix+cone is a lower bound on the candidate's final metric; the
    moment it stops being strictly better than the incumbent's metric
-   the replay stops.
+   the replay stops.  Only a completed replay builds a
+   :class:`~repro.schedule.schedule.Schedule`.
 
 4. **Rejected-move memoization.**  Candidates are keyed by their
    ``(mapping-delta, order-delta)`` against the incumbent; a candidate
@@ -56,7 +58,7 @@ move against the *delta* it induces instead:
    cycle, and every such cycle passes through an order edge that runs
    backwards in the incumbent's commit order, so a depth-first search
    from those edges over the commit-index window they span decides it.
-   Before any table is forked — at the first frontier-walk step that
+   Before any table moves — at the first frontier-walk step that
    needs a probe, or at the frontier — an *admissible miss-metric
    bound* adds to the committed prefix's exact partial metric one term
    per open task, from a finish time no rebuild can undercut
@@ -105,10 +107,8 @@ MoveSignature = Tuple[
 
 
 #: The rebuild state after the shared trace prefix: ``(frontier, next_slot,
-#: remaining_preds, placed, placements, tables)``.
-FrontierState = Tuple[
-    int, Dict[int, int], Dict[str, int], Set[str], Dict[str, TaskPlacement], ResourceTables
-]
+#: remaining_preds, placed, placements)``.
+FrontierState = Tuple[int, Dict[int, int], Dict[str, int], Set[str], Dict[str, TaskPlacement]]
 
 #: Relative rounding margin on the tardiness half of the miss-metric bound.  The
 #: bound and ``Schedule.total_tardiness`` add non-negative terms in
@@ -182,14 +182,18 @@ class IncrementalRebuilder:
             pe: list(names) for pe, names in prefix.open_orders(orders).items()
         }
         self._trace: Optional[List[CommitStep]] = None
-        self._final_tables: Optional[ResourceTables] = None
+        #: the table set: the first ``_at`` incumbent trace steps plus
+        #: ``_extra``, the commits of the last replay.
+        self._tables: Optional[ResourceTables] = None
+        self._at = 0
+        self._extra: List[CommitStep] = []
         self._cum_bound: List[MissMetric] = []
         #: each open task's step in the incumbent trace, and its successor
         #: in the incumbent's PE order.
         self._commit_index: Dict[str, int] = {}
         self._next_on_pe: Dict[str, str] = {}
         self._memo: Set[MoveSignature] = set()
-        self._last: Optional[Tuple[Dict[str, int], Dict[int, List[str]], List[CommitStep], ResourceTables]] = None
+        self._last: Optional[Tuple[Dict[str, int], Dict[int, List[str]], List[CommitStep]]] = None
         metrics = obs.get().metrics
         self._replayed_counter = metrics.counter("repair.replayed_tasks")
         self._replayed_by_outcome = {
@@ -220,23 +224,18 @@ class IncrementalRebuilder:
             self.ctg, self.acg, self._mapping0, self._orders0,
             algorithm=self.algorithm, prefix=self.prefix,
         )
-        tables = self.prefix.start_tables()
-        tables.fill(
-            [step.placement for step in trace], [comm for step in trace for comm in step.comms]
-        )
-        self._adopt(self._mapping0, self._orders0, trace, tables)
+        self._tables = self.prefix.start_tables()
+        self._adopt(self._mapping0, self._orders0, trace)
 
     def _adopt(
         self,
         mapping: Mapping[str, int],
         orders: Mapping[int, Sequence[str]],
         trace: List[CommitStep],
-        tables: ResourceTables,
     ) -> None:
         self._mapping0 = dict(mapping)
         self._orders0 = {pe: list(names) for pe, names in orders.items()}
         self._trace = trace
-        self._final_tables = tables
         self._cum_bound = self._bounds_of(trace)
         self._commit_index = {step.task: k for k, step in enumerate(trace)}
         self._next_on_pe = {
@@ -264,7 +263,10 @@ class IncrementalRebuilder:
     def promote(self) -> None:
         """Adopt the last accepted candidate as the new incumbent."""
         assert self._last is not None, "promote() without a winning evaluate()"
-        self._adopt(*self._last)
+        mapping, orders, trace = self._last
+        # The tables hold the shared prefix plus the winner's replay: its trace.
+        self._at, self._extra = len(trace), []
+        self._adopt(mapping, orders, trace)
 
     # -- candidate evaluation -------------------------------------------------
 
@@ -311,13 +313,15 @@ class IncrementalRebuilder:
         *wins* a probe (or to its own incumbent commit), which is what
         makes the dirty cone small.
 
-        Returns the full rebuild state at the frontier:
-        ``(frontier, next_slot, remaining_preds, placed, placements,
-        tables)``, or ``None`` when the candidate cannot beat
-        ``incumbent_metric``.  That bound is checked once, before any
-        table is forked: at the first step whose decision needs a probe,
-        or at the frontier when none does.  The candidate shares every
-        trace step before either point, so both are sound.
+        The table set follows the walk through :meth:`_materialize`
+        only where a probe needs it, and ends at the frontier.  Returns
+        the rest of the rebuild state there: ``(frontier, next_slot,
+        remaining_preds, placed, placements)``, or ``None`` when the
+        candidate cannot beat ``incumbent_metric``.  That bound is
+        checked once, before the table set moves: at the first step
+        whose decision needs a probe, or at the frontier when none does.
+        The candidate shares every trace step before either point, so
+        both are sound.
         """
         trace = self._trace
         orders0 = self._orders0
@@ -329,7 +333,8 @@ class IncrementalRebuilder:
         for pe in orders1:
             idx.setdefault(pe, 0)
         successors = self._successors
-        tables: Optional[ResourceTables] = None
+        tables = self._tables
+        bounded = False
 
         def next_eligible(order: Sequence[str], slot: int) -> Optional[str]:
             if slot < len(order):
@@ -354,10 +359,11 @@ class IncrementalRebuilder:
                     if n1 is not None and n1 != next_eligible(orders0.get(pe, ()), slot):
                         divergent.append(n1)
                 if divergent:
-                    if tables is None:
-                        tables = self._tables_unless_beaten(k, mapping1, placements, incumbent_metric)
-                        if tables is None:
+                    if not bounded:
+                        if self._cannot_win(k, mapping1, placements, incumbent_metric):
                             return None
+                        bounded = True
+                    self._materialize(k)
                     key_k = (step.placement.start, step.placement.finish, chosen)
                     for name in divergent:
                         evaluation = probe_mapped(
@@ -375,26 +381,10 @@ class IncrementalRebuilder:
             idx[step.pe] += 1
             for succ in successors[chosen]:
                 remaining[succ] -= 1
-            if tables is not None:
-                # Keep the materialized tables in step with the prefix.
-                tables.fill((step.placement,), step.comms)
-        if tables is None:
-            tables = self._tables_unless_beaten(frontier, mapping1, placements, incumbent_metric)
-            if tables is None:
-                return None
-        return frontier, idx, remaining, placed, placements, tables
-
-    def _tables_unless_beaten(
-        self,
-        k: int,
-        mapping1: Mapping[str, int],
-        placements: Mapping[str, TaskPlacement],
-        incumbent_metric: MissMetric,
-    ) -> Optional[ResourceTables]:
-        """The tables after ``k`` shared steps, or ``None`` if the bound rejects."""
-        if self._cannot_win(k, mapping1, placements, incumbent_metric):
+        if not bounded and self._cannot_win(frontier, mapping1, placements, incumbent_metric):
             return None
-        return self._materialize(k)
+        self._materialize(frontier)
+        return frontier, idx, remaining, placed, placements
 
     def _deadlocks(self, orders1: Mapping[int, Sequence[str]], changed_pes: Set[int]) -> bool:
         """Whether the candidate's replay would raise ``InfeasibleOrderError``.
@@ -534,12 +524,24 @@ class IncrementalRebuilder:
             return False
         return tardiness * (1.0 - TARDINESS_MARGIN) >= incumbent_metric[1]
 
-    def _materialize(self, frontier: int) -> ResourceTables:
-        """Fork the incumbent tables and undo the dirty cone's reservations."""
-        tables = self._final_tables.fork()
-        cone = self._trace[frontier:]
-        tables.undo([step.placement for step in cone], [comm for step in cone for comm in step.comms])
-        return tables
+    def _materialize(self, k: int) -> None:
+        """Move the table set to hold exactly the first ``k`` incumbent trace steps.
+
+        Undoes the last replay's commits and any steps past ``k``, or
+        fills in the steps up to ``k``.
+        """
+        trace, tables = self._trace, self._tables
+        cone = self._extra + trace[k:self._at]
+        if cone:
+            tables.undo(
+                [step.placement for step in cone], [comm for step in cone for comm in step.comms]
+            )
+        ahead = trace[self._at:k]
+        if ahead:
+            tables.fill(
+                [step.placement for step in ahead], [comm for step in ahead for comm in step.comms]
+            )
+        self._at, self._extra = k, []
 
     def evaluate(
         self,
@@ -576,11 +578,11 @@ class IncrementalRebuilder:
             if state is None:
                 self._bound_counter.inc()
                 return self._reject(signature, self._abort_counter)
-            frontier, next_slot, remaining, placed, placements, tables = state
+            frontier, next_slot, remaining, placed, placements = state
             self._prefix_counter.inc(frontier)
-            schedule, trace, tables = self._replay(
+            schedule, trace = self._replay(
                 mapping, orders, frontier, next_slot, remaining, placed,
-                placements, tables, incumbent_metric,
+                placements, incumbent_metric,
             )
         except InfeasibleOrderError:
             return self._reject(signature, self._deadlock_counter)
@@ -594,7 +596,6 @@ class IncrementalRebuilder:
                 dict(mapping),
                 {pe: list(names) for pe, names in orders.items()},
                 trace,
-                tables,
             )
         else:
             self._memo.add(signature)
@@ -615,10 +616,14 @@ class IncrementalRebuilder:
         remaining_preds: Dict[str, int],
         placed: Set[str],
         placements: Dict[str, TaskPlacement],
-        tables: ResourceTables,
         incumbent_metric: MissMetric,
-    ) -> Tuple[Optional[Schedule], List[CommitStep], ResourceTables]:
+    ) -> Tuple[Optional[Schedule], List[CommitStep]]:
         """Replay the dirty cone through the shared list-scheduling loop.
+
+        Commits onto the table set, which must hold the first
+        ``frontier`` trace steps, and leaves the commits in ``_extra``
+        however the replay ends.  Returns the candidate's schedule and
+        trace, or ``(None, [])`` when the replay aborts.
 
         Counts the replayed commits in ``repair.replayed_tasks`` and under
         how the replay ended: ``.completed``, ``.abort`` (the running
@@ -628,14 +633,7 @@ class IncrementalRebuilder:
         so this one stays at 0).
         """
         ctg = self.ctg
-        shared = self._trace[:frontier]
-        schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
-        self.prefix.seed(schedule)
-        for step in shared:
-            schedule.place_task(step.placement)
-            for comm in step.comms:
-                schedule.place_comm(comm)
-        trace = list(shared)
+        replayed: List[CommitStep] = []
         metric = self._cum_bound[frontier]
         steps = commit_steps(
             ctg,
@@ -646,22 +644,28 @@ class IncrementalRebuilder:
             remaining_preds,
             {name for name in self._task_names if name not in placed},
             placements,
-            tables,
+            self._tables,
             ProbeCache(),
-            schedule,
-            self.prefix.floor,
+            floor=self.prefix.floor,
         )
         outcome = "deadlock"
         try:
             for step in steps:
-                trace.append(step)
+                replayed.append(step)
                 metric = _tally(ctg, metric, step.placement)
                 if not metric < incumbent_metric:
                     outcome = "abort"
-                    return None, trace, tables
+                    return None, []
             outcome = "completed"
-            return schedule, trace, tables
         finally:
-            replayed = len(trace) - frontier
-            self._replayed_counter.inc(replayed)
-            self._replayed_by_outcome[outcome].inc(replayed)
+            self._extra = replayed
+            self._replayed_counter.inc(len(replayed))
+            self._replayed_by_outcome[outcome].inc(len(replayed))
+        trace = self._trace[:frontier] + replayed
+        schedule = Schedule(ctg, self.acg, algorithm=self.algorithm)
+        self.prefix.seed(schedule)
+        for step in trace:
+            schedule.place_task(step.placement)
+            for comm in step.comms:
+                schedule.place_comm(comm)
+        return schedule, trace

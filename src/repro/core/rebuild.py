@@ -77,7 +77,7 @@ class FrozenPrefix:
 
     def start_tables(self) -> ResourceTables:
         """Private tables to schedule the open tasks on."""
-        return ResourceTables() if self.tables is None else self.tables.fork()
+        return ResourceTables() if self.tables is None else self.tables.copy()
 
     def seed(self, schedule: Schedule) -> Dict[str, TaskPlacement]:
         """Place the prefix into ``schedule``; returns its placements by task."""
@@ -223,7 +223,7 @@ def commit_steps(
     placements: Dict[str, TaskPlacement],
     tables: ResourceTables,
     cache: ProbeCache,
-    schedule: Schedule,
+    schedule: Optional[Schedule] = None,
     floor: float = 0.0,
 ) -> Iterator[CommitStep]:
     """List-schedule ``unplaced`` and yield each commit as it happens.
@@ -236,6 +236,7 @@ def commit_steps(
     the last commit made eligible.  ``cache`` must hold no probe made on
     other tables.  The state arguments are advanced in place; a caller
     may stop iterating at any step and keep the state reached so far.
+    Each commit is placed into ``schedule`` unless it is ``None``.
     ``floor`` bounds all new work from below (a :class:`FrozenPrefix`
     floor).
 

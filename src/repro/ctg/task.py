@@ -39,8 +39,9 @@ class TaskCosts:
     energy: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise CTGError(f"negative execution time {self.time}")
+        # Infinite time marks an infeasible PE type; NaN is no time at all.
+        if not self.time >= 0:
+            raise CTGError(f"invalid execution time {self.time}")
         if self.energy < 0 or not math.isfinite(self.energy):
             raise CTGError(f"invalid execution energy {self.energy}")
 
@@ -72,7 +73,8 @@ class Task:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise CTGError(f"task name must be a non-empty string, got {self.name!r}")
-        if self.deadline <= 0:
+        # Infinity means no deadline; NaN would silently mean the same.
+        if not self.deadline > 0:
             raise CTGError(f"task {self.name!r}: deadline must be positive, got {self.deadline}")
         if not isinstance(self.costs, dict):
             self.costs = dict(self.costs)

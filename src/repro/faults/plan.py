@@ -21,6 +21,7 @@ worker processes and what ``repro-noc faults inject --plan`` reads back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,16 +77,28 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for fault in self.pe_faults:
-            if fault.time < 0:
-                raise SerializationError(f"plan {self.name!r}: negative PE fault time")
+            # bool is an int subclass, but `true` names no PE; and a
+            # negative index would wrap around the platform's PE list.
+            if type(fault.pe) is not int or fault.pe < 0:
+                raise SerializationError(
+                    f"plan {self.name!r}: PE index must be a non-negative integer, got {fault.pe!r}"
+                )
+            self._check_time("PE fault time", fault.time)
         for fault in self.link_faults:
-            if fault.time < 0:
-                raise SerializationError(f"plan {self.name!r}: negative link fault time")
+            self._check_time("link fault time", fault.time)
         for fault in self.transient_faults:
-            if fault.start < 0 or fault.end <= fault.start:
+            self._check_time("transient start", fault.start)
+            self._check_time("transient end", fault.end)
+            if fault.end <= fault.start:
                 raise SerializationError(
                     f"plan {self.name!r}: transient window [{fault.start}, {fault.end}) is empty"
                 )
+
+    def _check_time(self, what: str, time: float) -> None:
+        if not (math.isfinite(time) and time >= 0):
+            raise SerializationError(
+                f"plan {self.name!r}: {what} must be finite and non-negative, got {time}"
+            )
 
     # -- queries ---------------------------------------------------------------
 
@@ -177,7 +190,7 @@ class FaultPlan:
                 name=str(data["name"]),
                 seed=data.get("seed"),
                 pe_faults=tuple(
-                    PEFault(pe=int(f["pe"]), time=float(f["time"]))
+                    PEFault(pe=f["pe"], time=float(f["time"]))
                     for f in data.get("pe_faults", [])
                 ),
                 link_faults=tuple(

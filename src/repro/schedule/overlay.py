@@ -66,13 +66,6 @@ class ResourceTables:
     :attr:`Link.key <repro.arch.topology.Link.key>`, a plain int, so the
     hot path never hashes a ``Link`` dataclass.
 
-    :meth:`fork` produces a copy-on-write clone: both sides keep sharing
-    the per-resource :class:`ScheduleTable` objects until one of them
-    mutates a resource, at which point that table alone is copied.  The
-    incremental repair engine forks the incumbent's committed state once
-    per candidate move, so a candidate that only perturbs a handful of
-    resources pays for copying exactly those tables.
-
     Probes go through the version-keyed path-table cache plus horizon
     fast path; :class:`repro.core.reference.LiteralTables` is the
     recompute-every-merge oracle they must agree with bit for bit.
@@ -80,9 +73,6 @@ class ResourceTables:
 
     def __init__(self) -> None:
         self._tables: Dict[ResourceId, ScheduleTable] = {}
-        #: resources whose table object is shared with a fork; mutate
-        #: through :meth:`_mutable` only.
-        self._shared: Set[ResourceId] = set()
         #: route tuple -> (per-link version tuple, merged committed busy
         #: list).  Entries' lists are never mutated after insertion.
         self._path_cache: Dict[
@@ -102,20 +92,11 @@ class ResourceTables:
         self.local_transfers = metrics.counter("comm.local_transfers")
 
     def table(self, resource: ResourceId) -> ScheduleTable:
-        """Read access to one resource's table (do not mutate the result)."""
+        """One resource's table, created empty on first use."""
         tbl = self._tables.get(resource)
         if tbl is None:
             tbl = ScheduleTable()
             self._tables[resource] = tbl
-        return tbl
-
-    def _mutable(self, resource: ResourceId) -> ScheduleTable:
-        """The resource's table, privately owned (copied if fork-shared)."""
-        tbl = self.table(resource)
-        if resource in self._shared:
-            tbl = tbl.copy()
-            self._tables[resource] = tbl
-            self._shared.discard(resource)
         return tbl
 
     def busy(self, resource: ResourceId) -> List[Interval]:
@@ -169,14 +150,14 @@ class ResourceTables:
         return merged
 
     def reserve(self, resource: ResourceId, start: float, end: float) -> None:
-        self._mutable(resource).reserve(start, end)
+        self.table(resource).reserve(start, end)
 
     def release(self, resource: ResourceId, start: float, end: float) -> None:
-        self._mutable(resource).release(start, end)
+        self.table(resource).release(start, end)
 
     def truncate_from(self, resource: ResourceId, start: float) -> int:
         """Bulk-drop the resource's reservations beginning at/after ``start``."""
-        return self._mutable(resource).truncate_from(start)
+        return self.table(resource).truncate_from(start)
 
     def fill(
         self, placements: Iterable["TaskPlacement"], comms: Iterable["CommPlacement"]
@@ -213,31 +194,16 @@ class ResourceTables:
         return list(self._tables)
 
     def copy(self) -> "ResourceTables":
-        clone = self._bare_clone()
-        clone._tables = {k: v.copy() for k, v in self._tables.items()}
-        return clone
-
-    def fork(self) -> "ResourceTables":
-        """A copy-on-write clone sharing every table until first mutation."""
-        clone = self._bare_clone()
-        clone._tables = dict(self._tables)
-        clone._shared = set(self._tables)
-        # The parent must stop mutating shared tables in place too.
-        self._shared = set(self._tables)
-        return clone
-
-    def _bare_clone(self) -> "ResourceTables":
-        """A clone shell of the same class sharing counters and valid cache entries.
+        """An independent clone of the same class, with the counters and path cache.
 
         Sharing the counter objects skips a registry round-trip per
-        clone; copying the path cache keeps routes warm across repair
-        forks.  Entries stay sound in both lineages because a table
-        copy preserves its version and every mutation bumps it — per
-        lineage, versions are strictly monotone (see DESIGN.md).
+        clone; copying the path cache keeps its routes warm.  Entries
+        stay sound in both lineages because a table copy preserves its
+        version and every mutation bumps it — per lineage, versions are
+        strictly monotone (see DESIGN.md).
         """
         clone = type(self).__new__(type(self))
-        clone._tables = {}
-        clone._shared = set()
+        clone._tables = {k: v.copy() for k, v in self._tables.items()}
         clone._path_cache = dict(self._path_cache)
         clone._path_hits = self._path_hits
         clone._path_misses = self._path_misses
@@ -246,6 +212,11 @@ class ResourceTables:
         clone.link_probes = self.link_probes
         clone.local_transfers = self.local_transfers
         return clone
+
+    def fork(self) -> "ResourceTables":
+        # Kept under this name because benchmarks/e2e/trace.py traces it
+        # for its ``overlay.fork`` layer.
+        return self.copy()
 
     def overlay(self) -> "TentativeOverlay":
         """A fresh what-if layer over the committed state."""

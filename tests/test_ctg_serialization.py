@@ -72,13 +72,13 @@ class TestErrors:
             ctg_from_dict(data)
 
 
-def _document(tasks=("a", "b", "c"), edges=()):
+def _document(tasks=("a", "b", "c"), edges=(), deadline=None, time=1.0):
     return {
         "format": "repro-ctg",
         "version": 1,
         "name": "boundary",
         "tasks": [
-            {"name": name, "deadline": None, "costs": {"cpu": {"time": 1.0, "energy": 1.0}}}
+            {"name": name, "deadline": deadline, "costs": {"cpu": {"time": time, "energy": 1.0}}}
             for name in tasks
         ],
         "edges": [{"src": src, "dst": dst, "volume": 1.0} for src, dst in edges],
@@ -97,12 +97,23 @@ class TestBoundary:
             _document(edges=[("a", "b"), ("a", "b")]),
             _document(tasks=("a", "b", "a")),
             _document(tasks=("a", 7)),
+            _document(deadline=math.nan),
+            _document(time=math.nan),
         ],
-        ids=["cycle", "self-loop", "unknown-task", "duplicate-edge", "duplicate-task", "non-string-name"],
+        ids=[
+            "cycle", "self-loop", "unknown-task", "duplicate-edge", "duplicate-task",
+            "non-string-name", "nan-deadline", "nan-time",
+        ],
     )
     def test_rejected_with_a_typed_error(self, data):
         with pytest.raises(ReproError):
             ctg_from_json(json.dumps(data))
+
+    def test_infinite_deadline_and_time_stay_legal(self):
+        """Infinity means no deadline, and an infeasible PE type."""
+        task = ctg_from_json(json.dumps(_document(deadline=math.inf, time=math.inf))).task("a")
+        assert math.isinf(task.deadline)
+        assert not task.cost_on("cpu").feasible
 
     def test_well_formed_document_loads(self):
         ctg = ctg_from_json(json.dumps(_document(edges=[("a", "b"), ("b", "c"), ("a", "c")])))

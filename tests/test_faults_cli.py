@@ -102,6 +102,25 @@ class TestFaultsCommand:
         assert terminal["type"] == "run_failed"
         assert terminal["error"] == f"ArchitectureError: {message}"
 
+    @pytest.mark.parametrize(
+        "fault",
+        ['{"pe": 3, "time": NaN}', '{"pe": 3, "time": Infinity}',
+         '{"pe": 3.7, "time": 1.0}', '{"pe": "3", "time": 1.0}', '{"pe": true, "time": 1.0}',
+         '{"pe": -1, "time": 1.0}'],
+        ids=["nan-time", "inf-time", "fractional-pe", "string-pe", "bool-pe", "negative-pe"],
+    )
+    def test_inject_malformed_plan_fails_in_one_line(self, fault, tmp_path, capsys):
+        plan_path = tmp_path / "bad.json"
+        plan_path.write_text(
+            '{"format": "repro-fault-plan", "version": 1, "name": "bad", '
+            f'"pe_faults": [{fault}]}}'
+        )
+        assert main(["faults", "inject", *BENCH, "--plan", str(plan_path)]) == 1
+        captured = capsys.readouterr()
+        assert "SURVIVED" not in captured.out and "verdict" not in captured.out
+        assert captured.err.startswith("repro-noc: error: plan 'bad': ")
+        assert captured.err.count("\n") == 1
+
     def test_sweep_text_output(self, capsys):
         assert (
             main(["faults", "sweep", *BENCH, "--plans", "3", "--fault-seed", "1"])

@@ -1,5 +1,7 @@
 """Tests for the fault-plan model and the seeded Monte Carlo generator."""
 
+import math
+
 import pytest
 
 from repro.arch.presets import mesh_3x3
@@ -49,6 +51,19 @@ class TestFaultPlanModel:
             FaultPlan(name="bad", pe_faults=(PEFault(pe=0, time=-1.0),))
         with pytest.raises(SerializationError):
             FaultPlan(name="bad", link_faults=(LinkFault((0, 0), (0, 1), -0.5),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["pe", "link", "start", "end"])
+    def test_non_finite_times_rejected(self, field, bad):
+        with pytest.raises(SerializationError, match="finite"):
+            if field == "pe":
+                FaultPlan(name="bad", pe_faults=(PEFault(pe=0, time=bad),))
+            elif field == "link":
+                FaultPlan(name="bad", link_faults=(LinkFault((0, 0), (0, 1), bad),))
+            elif field == "start":
+                FaultPlan(name="bad", transient_faults=(TransientFault((0, 0), (0, 1), bad, 5.0),))
+            else:
+                FaultPlan(name="bad", transient_faults=(TransientFault((0, 0), (0, 1), 1.0, bad),))
 
     def test_empty_transient_window_rejected(self):
         with pytest.raises(SerializationError):
@@ -107,6 +122,15 @@ class TestSerialization:
         doc = full_plan().to_dict()
         doc["pe_faults"] = [{"pe": "nope"}]
         with pytest.raises(SerializationError):
+            FaultPlan.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "pe", [3.7, 3.0, "3", True, -1], ids=["fraction", "float", "string", "bool", "negative"]
+    )
+    def test_non_integer_pe_rejected(self, pe):
+        doc = full_plan().to_dict()
+        doc["pe_faults"] = [{"pe": pe, "time": 1.0}]
+        with pytest.raises(SerializationError, match="PE index must be a non-negative integer"):
             FaultPlan.from_dict(doc)
 
     def test_invalid_json_rejected(self):

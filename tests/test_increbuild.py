@@ -201,6 +201,91 @@ class TestEquivalenceCorpus:
         assert checked_engine["evaluations"] == evaluations
 
 
+def _assert_tables_hold(engine, steps):
+    """The engine's table set equals fresh prefix tables filled with ``steps``."""
+    fresh = engine.prefix.start_tables()
+    fresh.fill([step.placement for step in steps], [comm for step in steps for comm in step.comms])
+    tables = engine._tables
+    for resource in set(tables.resources()) | set(fresh.resources()):
+        assert tables.busy(resource) == fresh.busy(resource), resource
+
+
+@pytest.fixture
+def walked_engine(monkeypatch):
+    """Walk the table set to every trace step after each ``evaluate`` and ``promote``.
+
+    At rest the tables must hold the first ``_at`` trace steps plus the
+    last replay's commits.  Then ``_materialize(k)`` for each ``k`` in
+    ``[0, len(trace)]``, in shuffled order so the set moves both ways,
+    must leave exactly the first ``k`` steps.  The rest state is put
+    back afterwards, since ``promote`` relies on it.  Returns a dict
+    counting the checked calls and those whose prefix tables held
+    reservations.
+    """
+    rng = random.Random(11)
+    checked = {"evaluate": 0, "promote": 0, "prefixed": 0}
+
+    def walk(engine, call):
+        if engine._trace is None:
+            return
+        trace, at, extra = engine._trace, engine._at, list(engine._extra)
+        _assert_tables_hold(engine, trace[:at] + extra)
+        ks = list(range(len(trace) + 1))
+        rng.shuffle(ks)
+        for k in ks:
+            engine._materialize(k)
+            _assert_tables_hold(engine, trace[:k])
+        engine._materialize(at)
+        engine._tables.fill(
+            [step.placement for step in extra], [comm for step in extra for comm in step.comms]
+        )
+        engine._extra = extra
+        checked[call] += 1
+        prefix_tables = engine.prefix.tables
+        if prefix_tables is not None and any(prefix_tables.busy(r) for r in prefix_tables.resources()):
+            checked["prefixed"] += 1
+
+    evaluate, promote = IncrementalRebuilder.evaluate, IncrementalRebuilder.promote
+
+    def walked_evaluate(self, mapping, orders, incumbent_metric):
+        result = evaluate(self, mapping, orders, incumbent_metric)
+        walk(self, "evaluate")
+        return result
+
+    def walked_promote(self):
+        promote(self)
+        walk(self, "promote")
+
+    monkeypatch.setattr(IncrementalRebuilder, "evaluate", walked_evaluate)
+    monkeypatch.setattr(IncrementalRebuilder, "promote", walked_promote)
+    return checked
+
+
+class TestTableSet:
+    """The one table set always holds a trace prefix plus the last replay."""
+
+    def test_healthy_repair_walks(self, walked_engine):
+        acg = mesh3x3()
+        for index in (1, 2):
+            ctg = tightened(2, index, n_tasks=20, factor=0.5)
+            base = eas_schedule(ctg, acg, EASConfig(repair=False))
+            search_and_repair(base, RepairConfig(max_rounds=3, max_migrations_per_round=32))
+        assert walked_engine["evaluate"] > 0
+        assert walked_engine["promote"] > 0
+
+    def test_recovery_repair_with_transient_outages_walks(self, walked_engine):
+        acg = mesh3x3()
+        for index in range(2):
+            ctg = tightened(2, index, n_tasks=20, factor=0.65)
+            committed = eas_schedule(ctg, acg)
+            plans = generate_fault_plans(
+                acg, 2, seed=index, horizon=committed.makespan(), kinds=("transient",)
+            )
+            for plan in plans:
+                inject_and_recover(committed, plan, EASConfig(max_repair_rounds=3))
+        assert walked_engine["prefixed"] > 0
+
+
 class TestEngineBehaviour:
     def _two_pe_fixture(self):
         """a -> c on PE0/PE1, b independent on PE0."""

@@ -182,7 +182,7 @@ class TestFork:
         assert base.busy("link") == [(0, 5), (10, 15)]
 
     def test_overlay_commit_respects_fork(self):
-        """TentativeOverlay.commit routes through copy-on-write."""
+        """TentativeOverlay.commit writes only the tables it was taken from."""
         base = ResourceTables()
         base.reserve(1, 0, 10)
         clone = base.fork()
