@@ -16,13 +16,12 @@ guarding its wall time against the stored median.
 """
 
 import os
-import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.evalx.experiments import ExperimentRow, run_fig5, run_fig6
 from repro.evalx.reporting import format_table
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, warm_ab
 
 #: required Fig 5+6 grid speedup at jobs=8 (only gated with >= MIN_CPUS).
 MIN_SPEEDUP = 2.5
@@ -36,12 +35,6 @@ def _grid(jobs: int, n_benchmarks: int, n_tasks) -> List[ExperimentRow]:
     return run_fig5(n_benchmarks=n_benchmarks, n_tasks=n_tasks, jobs=jobs) + run_fig6(
         n_benchmarks=n_benchmarks, n_tasks=n_tasks, jobs=jobs
     )
-
-
-def _timed_grid(jobs: int, n_benchmarks: int, n_tasks) -> Tuple[List[ExperimentRow], float]:
-    started = time.perf_counter()
-    rows = _grid(jobs, n_benchmarks, n_tasks)
-    return rows, time.perf_counter() - started
 
 
 def assert_rows_equal(serial: List[ExperimentRow], pooled: List[ExperimentRow]) -> None:
@@ -58,8 +51,12 @@ def assert_rows_equal(serial: List[ExperimentRow], pooled: List[ExperimentRow]) 
 
 
 def _sweep(n_benchmarks: int, n_tasks, jobs: int) -> Dict[str, Any]:
-    serial_rows, serial_wall = _timed_grid(1, n_benchmarks, n_tasks)
-    pooled_rows, pooled_wall = _timed_grid(jobs, n_benchmarks, n_tasks)
+    ab = warm_ab(
+        lambda: _grid(1, n_benchmarks, n_tasks),
+        lambda: _grid(jobs, n_benchmarks, n_tasks),
+        pairs=0,
+    )
+    serial_rows, pooled_rows = ab.result_a, ab.result_b
     assert_rows_equal(serial_rows, pooled_rows)
     energy = sum(row.energies["eas"] for row in serial_rows)
     misses = sum(row.misses["eas"] for row in serial_rows)
@@ -67,9 +64,9 @@ def _sweep(n_benchmarks: int, n_tasks, jobs: int) -> Dict[str, Any]:
         "jobs": jobs,
         "cpus": os.cpu_count(),
         "rows": len(serial_rows),
-        "serial_wall_s": round(serial_wall, 4),
-        "parallel_wall_s": round(pooled_wall, 4),
-        "speedup": round(serial_wall / pooled_wall, 3),
+        "serial_wall_s": round(ab.best_a, 4),
+        "parallel_wall_s": round(ab.best_b, 4),
+        "speedup": round(ab.speedup, 3),
         "identical": True,  # assert_rows_equal passed
         "energy_nJ": energy,
         "misses": misses,

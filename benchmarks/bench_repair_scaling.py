@@ -39,7 +39,6 @@ Gates (CI runs ``test_repair`` under ``--bench-check``):
 """
 
 import os
-import time
 from typing import Any, Dict
 
 from repro import obs
@@ -50,7 +49,7 @@ from repro.core.repair import search_and_repair
 from repro.ctg.generator import generate_category
 from repro.schedule.serialization import schedule_to_json
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, warm_ab
 
 #: (label, benchmark index, task count, deadline tightening factor).
 #: Factors chosen so EAS-base reliably misses and repair has real work.
@@ -67,13 +66,11 @@ MIN_WALL_SPEEDUP = 2.0
 
 
 def _run_repair(base, repair):
-    """One full repair loop; returns (json, report, wall, metrics)."""
+    """One full repair loop; returns (schedule, report, metrics)."""
     bundle = obs.Instrumentation.disabled()
     with obs.activate(bundle):
-        started = time.perf_counter()
         repaired, report = repair(base)
-        wall = time.perf_counter() - started
-    return schedule_to_json(repaired), report, wall, bundle.metrics
+    return repaired, report, bundle.metrics
 
 
 def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
@@ -84,11 +81,17 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
     base = eas_schedule(ctg, acg, EASConfig(repair=False))
     assert base.deadline_misses(), "preset must miss, or repair has nothing to do"
 
-    full_json, full_report, full_wall, full_metrics = _run_repair(base, full_rebuild_repair)
-    inc_json, inc_report, inc_wall, inc_metrics = _run_repair(base, search_and_repair)
+    ab = warm_ab(
+        lambda: _run_repair(base, full_rebuild_repair),
+        lambda: _run_repair(base, search_and_repair),
+        pairs=0,
+    )
+    (full, full_report, full_metrics), (inc, inc_report, inc_metrics) = ab.result_a, ab.result_b
 
     # Exactness before speed: both modes must agree bit-for-bit.
-    assert inc_json == full_json, "incremental repair diverged from full rebuild"
+    assert schedule_to_json(inc) == schedule_to_json(full), (
+        "incremental repair diverged from full rebuild"
+    )
     assert repr(inc_report) == repr(full_report), "RepairReport diverged between modes"
 
     candidates = full_report.swaps_tried + full_report.migrations_tried
@@ -119,9 +122,9 @@ def _repair_point(index: int, n_tasks: int, factor: float) -> Dict[str, Any]:
             for outcome in ("deadlock", "abort", "completed")
         },
         "memo_skips": inc_metrics.counter("repair.memo_skips").value,
-        "wall_full_s": round(full_wall, 4),
-        "wall_incremental_s": round(inc_wall, 4),
-        "wall_speedup": round(full_wall / inc_wall, 2),
+        "wall_full_s": round(ab.best_a, 4),
+        "wall_incremental_s": round(ab.best_b, 4),
+        "wall_speedup": round(ab.speedup, 2),
         "misses": full_report.final_misses,
     }
 

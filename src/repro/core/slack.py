@@ -9,24 +9,27 @@ proportionally to their weights, giving each task a **budgeted deadline
 by.  High-weight tasks (whose PE choice matters most) receive more slack
 and therefore more placement freedom.
 
-Generalisation to DAGs (the paper shows only a chain): for every deadline
-task ``t_d`` we run a longest-mean-path DP over the ancestor cone of
-``t_d``.  The binding path through a task ``i`` is the max-mean prefix
-into ``i`` joined with the max-mean suffix from ``i`` to ``t_d``; the
-slack of *that* path is distributed along it by weight, and ``BD(i)`` is
-the prefix sum at ``i``.  The final budget is the minimum over all
-deadline tasks reachable from ``i``.  On a chain this reduces exactly to
-the paper's Fig. 2 example.
+Generalisation to DAGs (the paper shows only a chain): one
+longest-mean-path DP runs forward over the whole CTG, and one runs
+backward over the ancestor cone of each deadline task ``t_d``.  The
+binding path through a task ``i`` is the max-mean prefix into ``i``
+joined with the max-mean suffix from ``i`` to ``t_d``; the slack of
+*that* path is distributed along it by weight, and ``BD(i)`` is the
+prefix sum at ``i``.  The budget is the minimum over all deadline tasks
+reachable from ``i``, made edge-consistent by
+:func:`repro.ctg.analysis.propagate_deadlines`.  On a chain this reduces
+exactly to the paper's Fig. 2 example.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.arch.acg import ACG
+from repro.ctg.analysis import propagate_deadlines
 from repro.ctg.graph import CTG
 from repro.ctg.task import TaskStats
 from repro.errors import SchedulingError
@@ -125,12 +128,16 @@ def _compute_budgets_impl(
     topo = ctg.topological_order()
     budgets: Dict[str, float] = {name: math.inf for name in topo}
 
+    # Every predecessor of a cone member is in the cone, so the prefix DP
+    # restricted to any deadline task's ancestor cone equals this one.
+    up_m, up_w = _paired_longest(topo, ctg.predecessors, mean_time, weight)
     for deadline_task in ctg.deadline_tasks():
         deadline = ctg.task(deadline_task).deadline
         cone = ctg.ancestors(deadline_task)
         cone.add(deadline_task)
-        up_m, up_w = _paired_forward(ctg, topo, cone, mean_time, weight)
-        down_m, down_w = _paired_backward(ctg, topo, cone, mean_time, weight)
+        down_m, down_w = _paired_longest(
+            [name for name in reversed(topo) if name in cone], ctg.successors, mean_time, weight
+        )
         for name in cone:
             total_m = up_m[name] + down_m[name] - mean_time[name]
             total_w = up_w[name] + down_w[name] - weight[name]
@@ -146,17 +153,11 @@ def _compute_budgets_impl(
             if bd < budgets[name]:
                 budgets[name] = bd
 
-    # Final consistency pass: a task must finish early enough for every
-    # successor to still complete within its own budget, i.e.
-    # ``BD(i) <= BD(j) - M_j`` along every edge.  The per-deadline DP can
-    # violate this on DAGs where the max-mean path into a task carries a
-    # different weight mass than its successor's (the chain case is
-    # always consistent, so the paper's example is unaffected).
-    for name in reversed(topo):
-        for succ in ctg.successors(name):
-            candidate = budgets[succ] - mean_time[succ]
-            if candidate < budgets[name]:
-                budgets[name] = candidate
+    # Final consistency pass, ``BD(i) <= BD(j) - M_j`` on every edge: the
+    # per-deadline DP can violate it where the max-mean path into a task
+    # carries a different weight mass than its successor's (never on a
+    # chain, so the paper's example is unaffected).
+    propagate_deadlines(ctg, budgets, mean_time)
 
     return {
         name: TaskBudget(
@@ -170,59 +171,30 @@ def _compute_budgets_impl(
     }
 
 
-def _paired_forward(
-    ctg: CTG,
-    topo: Sequence[str],
-    cone: set,
+def _paired_longest(
+    order: Sequence[str],
+    neighbours: Callable[[str], List[str]],
     value: Dict[str, float],
     weight: Dict[str, float],
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Longest-value prefix DP carrying the weight sum of the argmax path.
+    """Longest value-sum DP carrying the weight sum of the argmax path.
 
-    ``up_m[i]`` is the largest value-sum over paths from any source to
-    ``i`` inclusive (within the cone); ``up_w[i]`` is the weight-sum along
-    that same path (ties broken toward larger weight-sum, so slack shares
-    stay well defined).
+    Visits ``order`` (topological or reversed) and extends each task's
+    best path over its already-visited ``neighbours``; others are ignored.
+    ``best_m[i]`` is the largest value-sum over those paths ending at ``i``
+    inclusive, ``best_w[i]`` the weight-sum along that same path (ties go
+    to the larger weight-sum, so slack shares stay well defined).
     """
-    up_m: Dict[str, float] = {}
-    up_w: Dict[str, float] = {}
-    for name in topo:
-        if name not in cone:
-            continue
-        best_m = 0.0
-        best_w = 0.0
-        for pred in ctg.predecessors(name):
-            if pred not in cone:
-                continue
-            cand_m, cand_w = up_m[pred], up_w[pred]
-            if cand_m > best_m or (cand_m == best_m and cand_w > best_w):
-                best_m, best_w = cand_m, cand_w
-        up_m[name] = best_m + value[name]
-        up_w[name] = best_w + weight[name]
-    return up_m, up_w
-
-
-def _paired_backward(
-    ctg: CTG,
-    topo: Sequence[str],
-    cone: set,
-    value: Dict[str, float],
-    weight: Dict[str, float],
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Mirror of :func:`_paired_forward` toward the deadline task."""
-    down_m: Dict[str, float] = {}
-    down_w: Dict[str, float] = {}
-    for name in reversed(list(topo)):
-        if name not in cone:
-            continue
-        best_m = 0.0
-        best_w = 0.0
-        for succ in ctg.successors(name):
-            if succ not in cone:
-                continue
-            cand_m, cand_w = down_m[succ], down_w[succ]
-            if cand_m > best_m or (cand_m == best_m and cand_w > best_w):
-                best_m, best_w = cand_m, cand_w
-        down_m[name] = best_m + value[name]
-        down_w[name] = best_w + weight[name]
-    return down_m, down_w
+    best_m: Dict[str, float] = {}
+    best_w: Dict[str, float] = {}
+    for name in order:
+        path_m = 0.0
+        path_w = 0.0
+        for other in neighbours(name):
+            if other in best_m:
+                cand_m, cand_w = best_m[other], best_w[other]
+                if cand_m > path_m or (cand_m == path_m and cand_w > path_w):
+                    path_m, path_w = cand_m, cand_w
+        best_m[name] = path_m + value[name]
+        best_w[name] = path_w + weight[name]
+    return best_m, best_w

@@ -7,7 +7,6 @@ arithmetic, exactly as the paper's slack-budgeting step does with ``M_t``.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Sequence
 
 from repro.ctg.graph import CTG
@@ -38,22 +37,25 @@ def critical_path_length(ctg: CTG, pe_types: Sequence[str]) -> float:
     return max(into.values()) if into else 0.0
 
 
-def effective_deadlines(ctg: CTG, pe_types: Sequence[str]) -> Dict[str, float]:
-    """Deadline propagation: give interior tasks an inherited deadline.
+def propagate_deadlines(
+    ctg: CTG, deadlines: Dict[str, float], means: Mapping[str, float]
+) -> Dict[str, float]:
+    """Tighten ``deadlines`` in place so ``d(i) <= d(j) - M_j`` on every edge.
 
-    A task with no specified deadline inherits
-    ``min over successors j of (d_eff(j) - M_j)`` — it must finish early
-    enough for each successor's mean execution to still meet that
-    successor's effective deadline.  Tasks from which no deadline is
-    reachable keep ``inf``.
+    One reverse-topological pass of ``d(i) = min(d(i), d(j) - M_j)`` in
+    successor order: each successor's mean execution must still meet its
+    deadline.  Returns ``deadlines``.
     """
-    means = mean_exec_times(ctg, pe_types)
-    eff: Dict[str, float] = {}
     for name in reversed(ctg.topological_order()):
-        own = ctg.task(name).deadline
-        inherited = math.inf
         for succ in ctg.successors(name):
-            candidate = eff[succ] - means[succ]
-            inherited = min(inherited, candidate)
-        eff[name] = min(own, inherited)
-    return eff
+            candidate = deadlines[succ] - means[succ]
+            if candidate < deadlines[name]:
+                deadlines[name] = candidate
+    return deadlines
+
+
+def effective_deadlines(ctg: CTG, pe_types: Sequence[str]) -> Dict[str, float]:
+    """Each task's own deadline (``inf`` if it has none), tightened by
+    :func:`propagate_deadlines`: interior tasks inherit their successors'."""
+    own = {t.name: t.deadline for t in ctg.tasks()}
+    return propagate_deadlines(ctg, own, mean_exec_times(ctg, pe_types))

@@ -95,9 +95,10 @@ class FaultPlan:
                 )
 
     def _check_time(self, what: str, time: float) -> None:
-        if not (math.isfinite(time) and time >= 0):
+        # bool is an int subclass, but `true` is no time; nor is "5".
+        if type(time) not in (int, float) or not (math.isfinite(time) and time >= 0):
             raise SerializationError(
-                f"plan {self.name!r}: {what} must be finite and non-negative, got {time}"
+                f"plan {self.name!r}: {what} must be a finite non-negative number, got {time!r}"
             )
 
     # -- queries ---------------------------------------------------------------
@@ -190,12 +191,12 @@ class FaultPlan:
                 name=str(data["name"]),
                 seed=data.get("seed"),
                 pe_faults=tuple(
-                    PEFault(pe=f["pe"], time=float(f["time"]))
+                    PEFault(pe=f["pe"], time=f["time"])
                     for f in data.get("pe_faults", [])
                 ),
                 link_faults=tuple(
                     LinkFault(
-                        src=tuple(f["src"]), dst=tuple(f["dst"]), time=float(f["time"])
+                        src=tuple(f["src"]), dst=tuple(f["dst"]), time=f["time"]
                     )
                     for f in data.get("link_faults", [])
                 ),
@@ -203,13 +204,13 @@ class FaultPlan:
                     TransientFault(
                         src=tuple(f["src"]),
                         dst=tuple(f["dst"]),
-                        start=float(f["start"]),
-                        end=float(f["end"]),
+                        start=f["start"],
+                        end=f["end"],
                     )
                     for f in data.get("transient_faults", [])
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed fault plan: {exc}") from exc
 
     def to_json(self) -> str:

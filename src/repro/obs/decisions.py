@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.errors import SerializationError
+
 #: bump when the decision record layout changes incompatibly.
 #: v2: per-candidate F(i,k) component breakdown (start, drt, energy
 #: split, hops, slack) plus the winner's breakdown in ``chosen``.
@@ -74,6 +76,7 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Candidate":
+        require_object(data, "decision candidate")
         hops = data.get("hops")
         return cls(
             pe=int(data["pe"]),
@@ -134,6 +137,7 @@ class TaskDecision:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TaskDecision":
+        require_object(data, "decision record")
         chosen = data.get("chosen")
         return cls(
             task=str(data["task"]),
@@ -198,6 +202,12 @@ def _jsonable(value: Optional[float]):
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
     return value
+
+
+def require_object(value: Any, what: str) -> None:
+    """Reject a deserialised record that is not a JSON object."""
+    if not isinstance(value, dict):
+        raise SerializationError(f"{what} must be a JSON object, got {type(value).__name__}")
 
 
 def _from_jsonable(value: Any) -> Optional[float]:

@@ -16,8 +16,8 @@ from typing import Any, Dict
 from repro.arch.acg import ACG
 from repro.arch.topology import Link
 from repro.ctg.graph import CTG
-from repro.errors import ArchitectureError, SerializationError
-from repro.obs.decisions import TaskDecision
+from repro.errors import ArchitectureError, ScheduleValidationError, SerializationError
+from repro.obs.decisions import TaskDecision, require_object
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.schedule import Schedule
 
@@ -81,9 +81,11 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
 
     Raises:
         SerializationError: malformed document or mismatched CTG/ACG
-            (wrong name, wrong platform size, unknown tasks, link
-            coordinates that are negative, out of range or not integers).
+            (wrong name, wrong platform size, unknown tasks, PE indices
+            outside ``0..n_pes-1``, link coordinates that are negative,
+            out of range or not integers).
     """
+    require_object(data, "schedule document")
     try:
         if data.get("format") != "repro-schedule":
             raise SerializationError(
@@ -102,26 +104,28 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
         schedule = Schedule(ctg, acg, algorithm=data.get("algorithm", ""))
         schedule.runtime_seconds = float(data.get("runtime_seconds", 0.0))
         for entry in data["tasks"]:
+            require_object(entry, "task entry")
             if entry["task"] not in ctg:
                 raise SerializationError(f"schedule places unknown task {entry['task']!r}")
             schedule.place_task(
                 TaskPlacement(
                     task=entry["task"],
-                    pe=int(entry["pe"]),
+                    pe=_pe_index(entry["pe"], acg),
                     start=float(entry["start"]),
                     finish=float(entry["finish"]),
                     energy=float(entry["energy"]),
                 )
             )
         for entry in data["comms"]:
+            require_object(entry, "comm entry")
             links = tuple(Link(tuple(src), tuple(dst)) for src, dst in entry["links"])
             schedule.place_comm(
                 CommPlacement(
                     src_task=entry["src_task"],
                     dst_task=entry["dst_task"],
                     volume=float(entry["volume"]),
-                    src_pe=int(entry["src_pe"]),
-                    dst_pe=int(entry["dst_pe"]),
+                    src_pe=_pe_index(entry["src_pe"], acg),
+                    dst_pe=_pe_index(entry["dst_pe"], acg),
                     start=float(entry["start"]),
                     finish=float(entry["finish"]),
                     links=links,
@@ -134,8 +138,18 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
         return schedule
     except SerializationError:
         raise
-    except (ArchitectureError, KeyError, TypeError, ValueError) as exc:
+    except (  # ScheduleValidationError: a task or transaction placed twice
+        ArchitectureError, KeyError, OverflowError, ScheduleValidationError, TypeError, ValueError
+    ) as exc:
         raise SerializationError(f"malformed schedule document: {exc}") from exc
+
+
+def _pe_index(value: Any, acg: ACG) -> int:
+    """A placement's PE index, checked here because ``ACG.pe`` wraps negatives."""
+    index = int(value)
+    if not 0 <= index < acg.n_pes:
+        raise SerializationError(f"PE index {index} out of range 0..{acg.n_pes - 1}")
+    return index
 
 
 def schedule_to_json(schedule: Schedule, indent: int = 2) -> str:

@@ -106,8 +106,9 @@ class TestFaultsCommand:
         "fault",
         ['{"pe": 3, "time": NaN}', '{"pe": 3, "time": Infinity}',
          '{"pe": 3.7, "time": 1.0}', '{"pe": "3", "time": 1.0}', '{"pe": true, "time": 1.0}',
-         '{"pe": -1, "time": 1.0}'],
-        ids=["nan-time", "inf-time", "fractional-pe", "string-pe", "bool-pe", "negative-pe"],
+         '{"pe": -1, "time": 1.0}', '{"pe": 3, "time": true}', '{"pe": 3, "time": "5"}'],
+        ids=["nan-time", "inf-time", "fractional-pe", "string-pe", "bool-pe", "negative-pe",
+             "bool-time", "string-time"],
     )
     def test_inject_malformed_plan_fails_in_one_line(self, fault, tmp_path, capsys):
         plan_path = tmp_path / "bad.json"

@@ -133,6 +133,27 @@ class TestSerialization:
         with pytest.raises(SerializationError, match="PE index must be a non-negative integer"):
             FaultPlan.from_dict(doc)
 
+    @pytest.mark.parametrize("bad", [True, "5"], ids=["bool", "string"])
+    @pytest.mark.parametrize("field", ["pe", "link", "start", "end"])
+    def test_non_number_times_rejected(self, field, bad):
+        doc = full_plan().to_dict()
+        if field == "pe":
+            doc["pe_faults"][0]["time"] = bad
+        elif field == "link":
+            doc["link_faults"][0]["time"] = bad
+        else:
+            doc["transient_faults"][0][field] = bad
+        with pytest.raises(SerializationError, match="must be a finite non-negative number"):
+            FaultPlan.from_dict(doc)
+
+    def test_integer_times_accepted(self):
+        doc = full_plan().to_dict()
+        doc["pe_faults"] = [{"pe": 2, "time": 10}]
+        doc["transient_faults"][0].update(start=5, end=6)
+        plan = FaultPlan.from_dict(doc)
+        assert plan.pe_faults[0].time == 10.0
+        assert (plan.transient_faults[0].start, plan.transient_faults[0].end) == (5.0, 6.0)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(SerializationError):
             FaultPlan.from_json("{not json")
