@@ -12,7 +12,7 @@ from typing import Any, Dict
 
 from repro.ctg.graph import CTG
 from repro.ctg.task import CommEdge, Task, TaskCosts
-from repro.errors import SerializationError
+from repro.jsondoc import document, parse
 
 FORMAT_VERSION = 1
 
@@ -44,34 +44,21 @@ def ctg_to_dict(ctg: CTG) -> Dict[str, Any]:
 
 def ctg_from_dict(data: Dict[str, Any]) -> CTG:
     """Inverse of :func:`ctg_to_dict`."""
-    try:
-        if data.get("format") != "repro-ctg":
-            raise SerializationError(f"not a repro-ctg document: format={data.get('format')!r}")
-        if data.get("version") != FORMAT_VERSION:
-            raise SerializationError(f"unsupported version {data.get('version')!r}")
-        ctg = CTG(name=data["name"])
-        for entry in data["tasks"]:
-            deadline = entry.get("deadline")
+    with document(data, "repro-ctg", (FORMAT_VERSION,)) as doc:
+        ctg = CTG(name=doc.name("name"))
+        for entry in doc.entries("tasks"):
+            name, costs = entry.name("name"), entry.members("costs")
             ctg.add_task(
                 Task(
-                    name=entry["name"],
-                    costs={
-                        pe_type: TaskCosts(time=c["time"], energy=c["energy"])
-                        for pe_type, c in entry["costs"].items()
-                    },
-                    deadline=math.inf if deadline is None else float(deadline),
-                    task_type=entry.get("task_type"),
+                    name=name,
+                    costs={pe_type: TaskCosts(c.number("time"), c.number("energy")) for pe_type, c in costs},
+                    deadline=entry.number("deadline", math.inf),
+                    task_type=entry.name("task_type", None),
                 )
             )
-        for entry in data["edges"]:
-            ctg.add_edge(
-                CommEdge(src=entry["src"], dst=entry["dst"], volume=float(entry["volume"]))
-            )
+        for entry in doc.entries("edges"):
+            ctg.add_edge(CommEdge(entry.name("src"), entry.name("dst"), entry.number("volume")))
         return ctg
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed CTG document: {exc}") from exc
 
 
 def ctg_to_json(ctg: CTG, indent: int = 2) -> str:
@@ -79,8 +66,4 @@ def ctg_to_json(ctg: CTG, indent: int = 2) -> str:
 
 
 def ctg_from_json(text: str) -> CTG:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    return ctg_from_dict(data)
+    return ctg_from_dict(parse(text))

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch.acg import ACG
 from repro.arch.topology import Coord, Link
 from repro.errors import InvalidArgumentError, SerializationError
+from repro.jsondoc import Fields, document, parse
 from repro.rng import make_rng
 
 #: Version of the JSON fault-plan document.  Bump on any change to the
@@ -36,6 +37,8 @@ FAULT_PLAN_SCHEMA_VERSION = 1
 
 #: Kind tags, also the CLI vocabulary of ``--kind`` / plan generation.
 FAULT_KINDS = ("pe", "link", "transient")
+
+_TIME = "a finite non-negative number"  # every fault time and transient bound
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for fault in self.pe_faults:
-            # bool is an int subclass, but `true` names no PE; and a
-            # negative index would wrap around the platform's PE list.
-            if type(fault.pe) is not int or fault.pe < 0:
-                raise SerializationError(
-                    f"plan {self.name!r}: PE index must be a non-negative integer, got {fault.pe!r}"
-                )
             self._check_time("PE fault time", fault.time)
         for fault in self.link_faults:
             self._check_time("link fault time", fault.time)
@@ -95,11 +92,8 @@ class FaultPlan:
                 )
 
     def _check_time(self, what: str, time: float) -> None:
-        # bool is an int subclass, but `true` is no time; nor is "5".
-        if type(time) not in (int, float) or not (math.isfinite(time) and time >= 0):
-            raise SerializationError(
-                f"plan {self.name!r}: {what} must be a finite non-negative number, got {time!r}"
-            )
+        if not (math.isfinite(time) and time >= 0):
+            raise SerializationError(f"plan {self.name!r}: {what} must be {_TIME}, got {time!r}")
 
     # -- queries ---------------------------------------------------------------
 
@@ -177,52 +171,41 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise SerializationError(f"fault plan must be an object, got {type(data).__name__}")
-        if data.get("format") != "repro-fault-plan":
-            raise SerializationError(f"not a fault-plan document: format={data.get('format')!r}")
-        if data.get("version") != FAULT_PLAN_SCHEMA_VERSION:
-            raise SerializationError(
-                f"unsupported fault-plan version {data.get('version')!r} "
-                f"(this build reads version {FAULT_PLAN_SCHEMA_VERSION})"
-            )
-        try:
+        with document(data, "repro-fault-plan", (FAULT_PLAN_SCHEMA_VERSION,)) as root:
+            name = root.name("name")
+            doc = Fields(data, f"plan {name!r}")  # names the plan in every field error
             return cls(
-                name=str(data["name"]),
-                seed=data.get("seed"),
+                name=name,
+                seed=doc.integer("seed", None),
                 pe_faults=tuple(
-                    PEFault(pe=f["pe"], time=f["time"])
-                    for f in data.get("pe_faults", [])
+                    PEFault(f.index("pe", label="PE index"), _time(f, "time", "PE fault time"))
+                    for f in doc.entries("pe_faults", [])
                 ),
                 link_faults=tuple(
-                    LinkFault(
-                        src=tuple(f["src"]), dst=tuple(f["dst"]), time=f["time"]
-                    )
-                    for f in data.get("link_faults", [])
+                    LinkFault(f.coord("src"), f.coord("dst"), _time(f, "time", "link fault time"))
+                    for f in doc.entries("link_faults", [])
                 ),
                 transient_faults=tuple(
                     TransientFault(
-                        src=tuple(f["src"]),
-                        dst=tuple(f["dst"]),
-                        start=f["start"],
-                        end=f["end"],
+                        src=f.coord("src"),
+                        dst=f.coord("dst"),
+                        start=_time(f, "start", "transient start"),
+                        end=_time(f, "end", "transient end"),
                     )
-                    for f in data.get("transient_faults", [])
+                    for f in doc.entries("transient_faults", [])
                 ),
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SerializationError(f"malformed fault plan: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"fault plan is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(parse(text))
+
+
+def _time(fields: Fields, key: str, what: str) -> float:
+    return fields.number(key, label=what, expect=_TIME)
 
 
 def _physical_channels(acg: ACG) -> List[Tuple[Coord, Coord]]:

@@ -28,10 +28,10 @@ candidate lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.errors import SerializationError
+from repro.jsondoc import Fields, scalar
 
 #: bump when the decision record layout changes incompatibly.
 #: v2: per-candidate F(i,k) component breakdown (start, drt, energy
@@ -62,33 +62,14 @@ class Candidate:
     slack: Optional[float] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "pe": self.pe,
-            "finish": _jsonable(self.finish),
-            "energy": _jsonable(self.energy),
-            "start": _jsonable(self.start),
-            "drt": _jsonable(self.drt),
-            "compute_energy": _jsonable(self.compute_energy),
-            "comm_energy": _jsonable(self.comm_energy),
-            "hops": self.hops,
-            "slack": _jsonable(self.slack),
-        }
+        return {f.name: scalar(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Candidate":
-        require_object(data, "decision candidate")
-        hops = data.get("hops")
-        return cls(
-            pe=int(data["pe"]),
-            finish=_from_jsonable(data.get("finish")),
-            energy=_from_jsonable(data.get("energy")),
-            start=_from_jsonable(data.get("start")),
-            drt=_from_jsonable(data.get("drt")),
-            compute_energy=_from_jsonable(data.get("compute_energy")),
-            comm_energy=_from_jsonable(data.get("comm_energy")),
-            hops=int(hops) if hops is not None else None,
-            slack=_from_jsonable(data.get("slack")),
-        )
+        record = Fields(data, "decision candidate")
+        pe, hops = record.index("pe", label="PE index"), record.index("hops", None)
+        numbers = [f.name for f in fields(cls) if f.name not in ("pe", "hops")]
+        return cls(pe, hops=hops, **{key: record.number(key, None, nonfinite=True) for key in numbers})
 
 
 @dataclass
@@ -126,31 +107,31 @@ class TaskDecision:
             "pe": self.pe,
             "algorithm": self.algorithm,
             "rescue": self.rescue,
-            "regret": _jsonable(self.regret),
+            "regret": scalar(self.regret),
             "start": self.start,
             "finish": self.finish,
             "energy": self.energy,
-            "bd": _jsonable(self.bd),
+            "bd": scalar(self.bd),
             "chosen": self.chosen.to_dict() if self.chosen is not None else None,
             "candidates": [c.to_dict() for c in self.candidates],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TaskDecision":
-        require_object(data, "decision record")
-        chosen = data.get("chosen")
+        record = Fields(data, "decision record")
+        chosen = record.data.get("chosen")
         return cls(
-            task=str(data["task"]),
-            pe=int(data["pe"]),
-            algorithm=str(data.get("algorithm", "")),
-            rescue=bool(data.get("rescue", False)),
-            regret=_from_jsonable(data.get("regret")),
-            start=float(data.get("start", 0.0)),
-            finish=float(data.get("finish", 0.0)),
-            energy=float(data.get("energy", 0.0)),
-            bd=_from_jsonable(data.get("bd")),
+            task=record.name("task"),
+            pe=record.index("pe", label="PE index"),
+            algorithm=record.name("algorithm", ""),
+            rescue=record.flag("rescue", False),
+            regret=record.number("regret", None, nonfinite=True),
+            start=record.number("start", 0.0),
+            finish=record.number("finish", 0.0),
+            energy=record.number("energy", 0.0),
+            bd=record.number("bd", None, nonfinite=True),
             chosen=Candidate.from_dict(chosen) if chosen is not None else None,
-            candidates=[Candidate.from_dict(c) for c in data.get("candidates", [])],
+            candidates=[Candidate.from_dict(c) for c in record.array("candidates", [])],
         )
 
     def describe(self) -> str:
@@ -193,27 +174,3 @@ class DecisionLog:
 
     def clear(self) -> None:
         self.records.clear()
-
-
-def _jsonable(value: Optional[float]):
-    """Map non-finite floats to strings so json.dumps emits valid JSON."""
-    if value is None:
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-    return value
-
-
-def require_object(value: Any, what: str) -> None:
-    """Reject a deserialised record that is not a JSON object."""
-    if not isinstance(value, dict):
-        raise SerializationError(f"{what} must be a JSON object, got {type(value).__name__}")
-
-
-def _from_jsonable(value: Any) -> Optional[float]:
-    """Inverse of :func:`_jsonable` for deserialised decision records."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return float(value)  # "inf" / "-inf" / "nan" parse directly
-    return float(value)

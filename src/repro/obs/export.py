@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import sys
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from repro.jsondoc import scalar, scalar_attrs
 from repro.obs.context import Instrumentation
 
 #: bump when the line schema changes incompatibly.
@@ -59,14 +59,14 @@ def trace_records(
             "start": span.start_wall,
             "duration": span.duration,
             "status": span.status,
-            "attrs": _jsonable_attrs(span.attrs),
+            "attrs": scalar_attrs(span.attrs),
         }
     for event in sorted(instrumentation.tracer.events, key=lambda e: (e.time, e.name)):
         yield {
             "type": "event",
             "name": event.name,
             "time": event.time,
-            "attrs": _jsonable_attrs(event.attrs),
+            "attrs": scalar_attrs(event.attrs),
         }
     for decision in instrumentation.decisions:
         yield {"type": "decision", **decision.to_dict()}
@@ -74,7 +74,7 @@ def trace_records(
     for name, value in sorted(snapshot["counters"].items()):
         yield {"type": "counter", "name": name, "value": value}
     for name, value in sorted(snapshot["gauges"].items()):
-        yield {"type": "gauge", "name": name, "value": _jsonable_value(value)}
+        yield {"type": "gauge", "name": name, "value": scalar(value)}
 
 
 def write_trace(
@@ -169,17 +169,3 @@ def format_profile(instrumentation: Instrumentation) -> str:
     else:
         lines.append("  (no decisions recorded)")
     return "\n".join(lines)
-
-
-def _jsonable_value(value: Any) -> Any:
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return "nan"
-        return "inf" if value > 0 else "-inf"
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
-def _jsonable_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
-    return {key: _jsonable_value(value) for key, value in attrs.items()}

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.export import _jsonable_attrs
+from repro.jsondoc import scalar_attrs
 from repro.obs.tracer import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,7 +180,7 @@ def tracer_timeline_events(tracer: Union[Tracer, NullTracer]) -> List[Dict[str, 
                 "dur": span.duration * _SECONDS_TO_US,
                 "pid": PID_SCHEDULER,
                 "tid": 0,
-                "args": _jsonable_attrs({"status": span.status, **span.attrs}),
+                "args": scalar_attrs({"status": span.status, **span.attrs}),
             }
         )
     for event in sorted(trace_events, key=lambda e: (e.time, e.name)):
@@ -193,7 +193,7 @@ def tracer_timeline_events(tracer: Union[Tracer, NullTracer]) -> List[Dict[str, 
                 "ts": (event.time - epoch) * _SECONDS_TO_US,
                 "pid": PID_SCHEDULER,
                 "tid": 0,
-                "args": _jsonable_attrs(event.attrs),
+                "args": scalar_attrs(event.attrs),
             }
         )
     return events

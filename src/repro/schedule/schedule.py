@@ -170,11 +170,7 @@ class Schedule:
         6. placements use the routes/durations/energies the ACG defines;
         7. every specified deadline is met.
         """
-        self._validate_completeness()
-        self._validate_pe_exclusivity()
-        self._validate_link_exclusivity()
-        self._validate_dependencies()
-        self._validate_against_acg()
+        self.validate_structure()
         misses = self.deadline_misses()
         if misses:
             raise ScheduleValidationError(f"deadline misses: {misses}")
@@ -185,9 +181,7 @@ class Schedule:
         Used for EAS-base results, which are structurally sound schedules
         that may still miss deadlines (the paper's Sec. 6.1 observation).
         """
-        self._validate_completeness()
-        self._validate_pe_exclusivity()
-        self._validate_link_exclusivity()
+        self.validate_consistency()
         self._validate_dependencies()
         self._validate_against_acg()
 

@@ -16,8 +16,9 @@ from typing import Any, Dict
 from repro.arch.acg import ACG
 from repro.arch.topology import Link
 from repro.ctg.graph import CTG
-from repro.errors import ArchitectureError, ScheduleValidationError, SerializationError
-from repro.obs.decisions import TaskDecision, require_object
+from repro.errors import SerializationError
+from repro.jsondoc import as_coord, as_pair, document, parse
+from repro.obs.decisions import TaskDecision
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.schedule import Schedule
 
@@ -74,82 +75,49 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
 def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
     """Rebuild a schedule object against its CTG and platform.
 
-    Link coordinates must be integers in the range :attr:`Link.key`
-    encodes, so a loaded link never aliases another resource id.  As
-    everywhere in the document, a JSON boolean reads as the integer 0
-    or 1 and names the same link those would.
-
     Raises:
-        SerializationError: malformed document or mismatched CTG/ACG
-            (wrong name, wrong platform size, unknown tasks, PE indices
-            outside ``0..n_pes-1``, link coordinates that are negative,
-            out of range or not integers).
+        SerializationError: a document :mod:`repro.jsondoc` rejects, a PE index
+            outside ``0..n_pes-1``, or another CTG, platform size or task set.
     """
-    require_object(data, "schedule document")
-    try:
-        if data.get("format") != "repro-schedule":
-            raise SerializationError(
-                f"not a repro-schedule document: format={data.get('format')!r}"
-            )
-        if data.get("version") not in _READABLE_VERSIONS:
-            raise SerializationError(f"unsupported version {data.get('version')!r}")
-        if data["ctg"] != ctg.name:
-            raise SerializationError(
-                f"schedule was computed for CTG {data['ctg']!r}, got {ctg.name!r}"
-            )
-        if data["n_pes"] != acg.n_pes:
-            raise SerializationError(
-                f"schedule targets a {data['n_pes']}-PE platform, got {acg.n_pes}"
-            )
-        schedule = Schedule(ctg, acg, algorithm=data.get("algorithm", ""))
-        schedule.runtime_seconds = float(data.get("runtime_seconds", 0.0))
-        for entry in data["tasks"]:
-            require_object(entry, "task entry")
-            if entry["task"] not in ctg:
-                raise SerializationError(f"schedule places unknown task {entry['task']!r}")
+    with document(data, "repro-schedule", _READABLE_VERSIONS) as doc:
+        name, n_pes = doc.name("ctg"), doc.index("n_pes")
+        if name != ctg.name:
+            raise SerializationError(f"schedule was computed for CTG {name!r}, got {ctg.name!r}")
+        if n_pes != acg.n_pes:
+            raise SerializationError(f"schedule targets a {n_pes}-PE platform, got {acg.n_pes}")
+        schedule = Schedule(ctg, acg, algorithm=doc.name("algorithm", ""))
+        schedule.runtime_seconds = doc.number("runtime_seconds", 0.0)
+        for entry in doc.entries("tasks"):
+            task = entry.name("task")
+            if task not in ctg:
+                raise SerializationError(f"schedule places unknown task {task!r}")
             schedule.place_task(
                 TaskPlacement(
-                    task=entry["task"],
-                    pe=_pe_index(entry["pe"], acg),
-                    start=float(entry["start"]),
-                    finish=float(entry["finish"]),
-                    energy=float(entry["energy"]),
+                    task=task,
+                    pe=entry.index("pe", label="PE index", limit=n_pes),
+                    start=entry.number("start"),
+                    finish=entry.number("finish"),
+                    energy=entry.number("energy"),
                 )
             )
-        for entry in data["comms"]:
-            require_object(entry, "comm entry")
-            links = tuple(Link(tuple(src), tuple(dst)) for src, dst in entry["links"])
+        for entry in doc.entries("comms"):
+            label = f"{entry.what}: link"
+            links = tuple(Link(*as_pair(hop, label, as_coord)) for hop in entry.array("links"))
             schedule.place_comm(
                 CommPlacement(
-                    src_task=entry["src_task"],
-                    dst_task=entry["dst_task"],
-                    volume=float(entry["volume"]),
-                    src_pe=_pe_index(entry["src_pe"], acg),
-                    dst_pe=_pe_index(entry["dst_pe"], acg),
-                    start=float(entry["start"]),
-                    finish=float(entry["finish"]),
+                    src_task=entry.name("src_task"),
+                    dst_task=entry.name("dst_task"),
+                    volume=entry.number("volume"),
+                    src_pe=entry.index("src_pe", label="PE index", limit=n_pes),
+                    dst_pe=entry.index("dst_pe", label="PE index", limit=n_pes),
+                    start=entry.number("start"),
+                    finish=entry.number("finish"),
                     links=links,
-                    energy=float(entry["energy"]),
+                    energy=entry.number("energy"),
                 )
             )
-        schedule.provenance = [
-            TaskDecision.from_dict(entry) for entry in data.get("provenance", [])
-        ]
+        schedule.provenance = [TaskDecision.from_dict(d) for d in doc.array("provenance", [])]
         return schedule
-    except SerializationError:
-        raise
-    except (  # ScheduleValidationError: a task or transaction placed twice
-        ArchitectureError, KeyError, OverflowError, ScheduleValidationError, TypeError, ValueError
-    ) as exc:
-        raise SerializationError(f"malformed schedule document: {exc}") from exc
-
-
-def _pe_index(value: Any, acg: ACG) -> int:
-    """A placement's PE index, checked here because ``ACG.pe`` wraps negatives."""
-    index = int(value)
-    if not 0 <= index < acg.n_pes:
-        raise SerializationError(f"PE index {index} out of range 0..{acg.n_pes - 1}")
-    return index
 
 
 def schedule_to_json(schedule: Schedule, indent: int = 2) -> str:
@@ -157,8 +125,4 @@ def schedule_to_json(schedule: Schedule, indent: int = 2) -> str:
 
 
 def schedule_from_json(text: str, ctg: CTG, acg: ACG) -> Schedule:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    return schedule_from_dict(data, ctg, acg)
+    return schedule_from_dict(parse(text), ctg, acg)

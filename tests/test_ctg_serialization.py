@@ -4,11 +4,13 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.ctg.generator import GeneratorConfig, generate_ctg
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.ctg.serialization import ctg_from_dict, ctg_from_json, ctg_to_dict, ctg_to_json
 from repro.errors import ReproError, SerializationError
+from tests.document_fuzz import edited, variants
 
 
 class TestRoundTrip:
@@ -118,3 +120,52 @@ class TestBoundary:
     def test_well_formed_document_loads(self):
         ctg = ctg_from_json(json.dumps(_document(edges=[("a", "b"), ("b", "c"), ("a", "c")])))
         assert ctg.topological_order() == ["a", "b", "c"]
+
+
+class TestTypedFields:
+    """Values of the wrong JSON type raise instead of being coerced."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("tasks", 0, "costs", "cpu", "time"), True),
+            (("tasks", 0, "deadline"), "5"),
+            (("edges", 0, "volume"), True),
+        ],
+        ids=["bool-time", "string-deadline", "bool-volume"],
+    )
+    def test_non_number_rejected(self, path, value):
+        document = edited(_document(edges=[("a", "b")], deadline=5.0), (path, "set", value))
+        with pytest.raises(SerializationError, match="must be a number"):
+            ctg_from_dict(document)
+
+    def test_null_deadline_and_integer_costs_read_as_floats(self):
+        task = ctg_from_dict(_document(time=3)).task("a")
+        assert math.isinf(task.deadline)
+        assert type(task.cost_on("cpu").time) is float
+
+
+# -- generated variants of a saved CTG document ----------------------------------
+
+CTG_DOCUMENT = ctg_to_dict(av_encoder_ctg("foreman"))
+FIRST_COST = ("tasks", 0, "costs", next(iter(CTG_DOCUMENT["tasks"][0]["costs"])), "time")
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(variants(CTG_DOCUMENT, (1,)))
+    @example(edited(CTG_DOCUMENT, (FIRST_COST, "set", True)))
+    def test_variant_loads_typed_or_raises_serialization_error(self, document):
+        try:
+            ctg = ctg_from_dict(document)
+        except SerializationError:
+            return
+        assert type(ctg.name) is str
+        for task in ctg.tasks():
+            assert type(task.name) is str and type(task.deadline) is float
+            assert type(task.task_type) in (str, type(None))
+            for pe_type, cost in task.costs.items():
+                assert type(pe_type) is str
+                assert type(cost.time) is float and type(cost.energy) is float
+        for edge in ctg.edges():
+            assert type(edge.src) is str and type(edge.dst) is str and type(edge.volume) is float

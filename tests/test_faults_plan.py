@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.arch.presets import mesh_3x3
 from repro.arch.topology import Link
@@ -16,6 +17,7 @@ from repro.faults.plan import (
     TransientFault,
     generate_fault_plans,
 )
+from tests.document_fuzz import variants
 
 
 def full_plan():
@@ -204,3 +206,28 @@ class TestGenerator:
     def test_generated_plans_serialize(self):
         for plan in generate_fault_plans(mesh_3x3(), 9, seed=3, horizon=40.0):
             assert FaultPlan.from_json(plan.to_json()) == plan
+
+
+# -- generated variants of a saved fault-plan document ---------------------------
+
+PLAN_DOCUMENT = full_plan().to_dict()
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(variants(PLAN_DOCUMENT, (FAULT_PLAN_SCHEMA_VERSION,), ("pe",)))
+    def test_variant_loads_typed_or_raises_serialization_error(self, document):
+        try:
+            plan = FaultPlan.from_dict(document)
+        except SerializationError:
+            return
+        assert type(plan.name) is str and type(plan.seed) in (int, type(None))
+        for fault in plan.pe_faults:
+            assert type(fault.pe) is int and fault.pe >= 0 and type(fault.time) is float
+        for fault in plan.link_faults + plan.transient_faults:
+            for coord in (fault.src, fault.dst):
+                assert type(coord) is tuple and [type(c) for c in coord] == [int, int]
+        for fault in plan.link_faults:
+            assert type(fault.time) is float
+        for fault in plan.transient_faults:
+            assert type(fault.start) is float and type(fault.end) is float

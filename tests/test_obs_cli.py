@@ -208,7 +208,7 @@ BAD_INPUT_COMMANDS = {
     "faults-inject-non-plan": (
         ["faults", "inject", "--plan", "{tmp}/not-a-plan.json"],
         "SerializationError",
-        "fault plan must be an object, got list",
+        "repro-fault-plan document must be a JSON object, got list",
     ),
     "faults-sweep-unknown-kind": (
         ["faults", "sweep", "--kinds", "bogus", "--plans", "2"],

@@ -1,16 +1,18 @@
 """Tests for schedule JSON serialisation."""
 
-import copy
+import dataclasses
+import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.arch.presets import mesh_2x2, mesh_3x3
 from repro.core.eas import eas_schedule
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.errors import SerializationError
+from repro.obs.decisions import Candidate, TaskDecision
 from repro.schedule.serialization import (
     schedule_from_dict,
     schedule_from_json,
@@ -18,6 +20,7 @@ from repro.schedule.serialization import (
     schedule_to_json,
 )
 from repro.sim.replay import simulate_schedule
+from tests.document_fuzz import edited, variants
 
 
 @pytest.fixture
@@ -140,95 +143,67 @@ def _v2_document():
 V2_DOCUMENT = _v2_document()
 
 
-def _nodes(value, path=()):
-    yield path, value
-    if isinstance(value, dict):
-        for key, child in value.items():
-            yield from _nodes(child, path + (key,))
-    elif isinstance(value, list):
-        for index, child in enumerate(value):
-            yield from _nodes(child, path + (index,))
-
-
-def _at(document, path):
-    for step in path:
-        document = document[step]
-    return document
-
-
-DICT_PATHS = [p for p, v in _nodes(V2_DOCUMENT) if isinstance(v, dict) and v]
-LIST_PATHS = [p for p, v in _nodes(V2_DOCUMENT) if isinstance(v, list) and v]
-PE_PATHS = [
-    p
-    for p, _v in _nodes(V2_DOCUMENT)
-    if p[:1] in (("tasks",), ("comms",)) and p[-1:] in (("pe",), ("src_pe",), ("dst_pe",))
-]
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-non_objects = json_values.filter(lambda v: not isinstance(v, dict))
-
-
-@st.composite
-def mutations(draw):
-    """One edit ``(path, action, value)`` of the saved document."""
-    kind = draw(st.sampled_from(["drop", "swap", "truncate", "entry", "pe", "version", "root"]))
-    if kind in ("drop", "swap"):
-        parent = draw(st.sampled_from(DICT_PATHS))
-        key = draw(st.sampled_from(sorted(_at(V2_DOCUMENT, parent))))
-        if kind == "drop":
-            return parent + (key,), "drop", None
-        old = _at(V2_DOCUMENT, parent + (key,))
-        return parent + (key,), "set", draw(json_values.filter(lambda v: type(v) is not type(old)))
-    if kind in ("truncate", "entry"):
-        path = draw(st.sampled_from(LIST_PATHS))
-        length = len(_at(V2_DOCUMENT, path))
-        index = draw(st.integers(0, length - 1))
-        if kind == "truncate":
-            return path, "truncate", index
-        return path + (index,), "set", draw(non_objects)
-    if kind == "pe":
-        pe = draw(st.integers(max_value=-1) | st.integers(min_value=V2_PAIR[1].n_pes))
-        return draw(st.sampled_from(PE_PATHS)), "set", pe
-    if kind == "version":
-        version = draw(st.integers().filter(lambda v: v not in (1, 2)) | json_values)
-        return ("version",), "set", version
-    return (), "set", draw(non_objects)
-
-
-def _apply(document, path, action, value):
-    """The document after one edit; a path an earlier edit removed is skipped."""
-    if not path:
-        return value
-    try:
-        parent = _at(document, path[:-1])
-        if action == "truncate":
-            del _at(document, path)[value:]
-        elif action == "drop":
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
-    except (IndexError, KeyError, TypeError):
-        pass
-    return document
-
-
 class TestGeneratedDocuments:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(st.lists(mutations(), min_size=1, max_size=3))
-    def test_variant_loads_in_range_or_raises_serialization_error(self, edits):
-        document = copy.deepcopy(V2_DOCUMENT)
-        for edit in edits:
-            document = _apply(document, *edit)
+    @given(variants(V2_DOCUMENT, (1, 2), ("pe", "src_pe", "dst_pe"), V2_PAIR[1].n_pes))
+    def test_variant_loads_in_range_or_raises_serialization_error(self, document):
         ctg, acg = V2_PAIR
         try:
             schedule = schedule_from_dict(document, ctg, acg)
         except SerializationError:
             return
+        assert type(schedule.runtime_seconds) is float and type(schedule.algorithm) is str
         for placement in schedule.task_placements.values():
-            assert 0 <= placement.pe < acg.n_pes
+            assert type(placement.pe) is int and 0 <= placement.pe < acg.n_pes
+            assert {type(placement.start), type(placement.finish), type(placement.energy)} == {float}
         for comm in schedule.comm_placements.values():
-            assert 0 <= comm.src_pe < acg.n_pes and 0 <= comm.dst_pe < acg.n_pes
+            assert type(comm.src_pe) is int and 0 <= comm.src_pe < acg.n_pes
+            assert type(comm.dst_pe) is int and 0 <= comm.dst_pe < acg.n_pes
+            assert {type(comm.volume), type(comm.start), type(comm.finish), type(comm.energy)} == {float}
+            assert all(type(c) is int for link in comm.links for c in link.src + link.dst)
+        for decision in schedule.provenance:
+            assert type(decision.task) is str and type(decision.pe) is int
+            assert type(decision.rescue) is bool and type(decision.algorithm) is str
+            assert {type(decision.start), type(decision.finish), type(decision.energy)} == {float}
+            assert type(decision.regret) in (float, type(None)) and type(decision.bd) in (float, type(None))
+            for candidate in decision.candidates + ([decision.chosen] if decision.chosen else []):
+                assert type(candidate.pe) is int and type(candidate.hops) in (int, type(None))
+                for field in dataclasses.fields(candidate):
+                    if field.name not in ("pe", "hops"):
+                        assert type(getattr(candidate, field.name)) in (float, type(None))
+
+
+class TestTypedFields:
+    """Values of the wrong JSON type raise instead of being coerced."""
+
+    @pytest.mark.parametrize("pe", [2.9, "2", True], ids=["fraction", "string", "bool"])
+    @pytest.mark.parametrize("path", [("tasks", 0, "pe"), ("comms", 0, "src_pe"), ("comms", 0, "dst_pe")])
+    def test_non_integer_pe_rejected(self, path, pe):
+        document = edited(V2_DOCUMENT, (path, "set", pe))
+        with pytest.raises(SerializationError, match="PE index must be a non-negative integer"):
+            schedule_from_dict(document, *V2_PAIR)
+
+    def test_string_rescue_flag_rejected(self):
+        document = edited(V2_DOCUMENT, (("provenance", 0, "rescue"), "set", "false"))
+        with pytest.raises(SerializationError, match="'rescue' must be a JSON boolean"):
+            schedule_from_dict(document, *V2_PAIR)
+
+    def test_fractional_hop_count_rejected(self):
+        document = edited(V2_DOCUMENT, (("provenance", 0, "candidates", 0, "hops"), "set", 2.7))
+        with pytest.raises(SerializationError, match="'hops' must be a non-negative integer"):
+            schedule_from_dict(document, *V2_PAIR)
+
+    @pytest.mark.parametrize("coordinate", [True, 1.0, -1, 1024], ids=["bool", "float", "negative", "far"])
+    def test_link_coordinate_must_be_an_encodable_integer(self, coordinate):
+        path = next(("comms", i, "links", 0, 0, 0) for i, c in enumerate(V2_DOCUMENT["comms"]) if c["links"])
+        with pytest.raises(SerializationError, match="link"):
+            schedule_from_dict(edited(V2_DOCUMENT, (path, "set", coordinate)), *V2_PAIR)
+
+    def test_non_finite_decision_fields_round_trip(self):
+        decision = TaskDecision(
+            task="t", pe=1, algorithm="eas-base", regret=math.inf, bd=-math.inf,
+            chosen=Candidate(pe=1, slack=math.nan),
+        )
+        restored = TaskDecision.from_dict(json.loads(json.dumps(decision.to_dict(), allow_nan=False)))
+        assert restored.regret == math.inf and restored.bd == -math.inf
+        assert math.isnan(restored.chosen.slack)
