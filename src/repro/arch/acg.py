@@ -153,9 +153,6 @@ class ACG:
         """One type name per PE instance — the cost-array axis of the paper."""
         return [pe.type_name for pe in self.pes]
 
-    def pes_of_type(self, type_name: str) -> List[PE]:
-        return [pe for pe in self.pes if pe.type_name == type_name]
-
     def pe_available(self, index: int) -> bool:
         """Whether ``index`` may receive new work.
 
@@ -202,10 +199,6 @@ class ACG:
         if route.is_local or volume_bits == 0:
             return 0.0
         return volume_bits / route.bandwidth
-
-    def hop_count(self, src: int, dst: int) -> int:
-        """Routers traversed from ``src`` to ``dst`` (1 for local)."""
-        return self.route(src, dst).n_hops
 
     def all_links(self) -> List[Link]:
         return self.topology.links()

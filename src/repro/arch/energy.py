@@ -54,7 +54,3 @@ class BitEnergyModel:
         if n_hops == 1:
             return 0.0
         return n_hops * self.e_sbit + (n_hops - 1) * self.e_lbit
-
-    def transaction_energy(self, volume_bits: float, n_hops: int) -> float:
-        """Total network energy of moving ``volume_bits`` over the route."""
-        return volume_bits * self.energy_per_bit(n_hops)

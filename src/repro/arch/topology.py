@@ -164,10 +164,6 @@ class Torus2D(Mesh2D):
             for c in range(cols):
                 self._add_bidirectional((0, c), (rows - 1, c))
 
-    def ring_distance(self, a: int, b: int, size: int) -> int:
-        d = abs(a - b)
-        return min(d, size - d)
-
 
 class HoneycombTopology(Topology):
     """A small honeycomb (hexagonal) arrangement, as in Hemani et al. [3].

@@ -93,7 +93,7 @@ class Evaluation:
         ``slack`` is the margin left against the budgeted deadline
         ``bd``; schedulers without budgets pass none.
         """
-        comm_energy = sum(c.energy for c in self.comms)
+        comm_energy = sum((c.energy for c in self.comms), 0.0)
         return Candidate(
             pe=self.pe,
             finish=self.finish,

@@ -63,10 +63,6 @@ class RepairReport:
     initial_energy: float = 0.0
     final_energy: float = 0.0
 
-    @property
-    def fixed_all(self) -> bool:
-        return self.final_misses == 0
-
     def __repr__(self) -> str:
         return (
             f"RepairReport(rounds={self.rounds}, swaps={self.swaps_accepted}/"
@@ -244,7 +240,6 @@ def multistart_search_and_repair(
     starts: int = 4,
     jobs: Optional[int] = None,
     config: Optional[RepairConfig] = None,
-    base_seed: int = 0,
 ) -> Tuple[Schedule, PortfolioReport]:
     """Run ``starts`` seeded repairs of ``schedule`` and keep the best result.
 
@@ -252,7 +247,7 @@ def multistart_search_and_repair(
     Start 0 uses the paper-literal deterministic orderings
     (``seed=None``), so it *is* plain repair and the portfolio can never
     do worse; starts ``k >= 1`` jitter the criticality and destination
-    rankings with seed ``base_seed + k``.  ``jobs`` > 1 fans the starts
+    rankings with seed ``k``.  ``jobs`` > 1 fans the starts
     out over the shared-nothing process pool, which ships the schedule
     to each worker and the repaired schedule back.  The winner is the
     first deadline-feasible, lowest-energy schedule (ties: fewer misses,
@@ -269,7 +264,7 @@ def multistart_search_and_repair(
         jobs = resolve_jobs(jobs)
     else:
         starts = jobs = 1  # nothing to repair: one no-op start, in-process
-    configs = [replace(cfg, seed=None if k == 0 else base_seed + k) for k in range(starts)]
+    configs = [replace(cfg, seed=None if k == 0 else k) for k in range(starts)]
     ins = obs.get()
     ins.metrics.counter("repair.portfolio_starts").inc(starts)
     results = pool_map(

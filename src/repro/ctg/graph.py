@@ -116,9 +116,6 @@ class CTG:
     def edges(self) -> List[CommEdge]:
         return list(self._edges.values())
 
-    def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._edges
-
     # The adjacency readers return fresh copies of the stored lists, so no
     # caller can mutate the graph through them.
 
@@ -149,9 +146,6 @@ class CTG:
 
     def in_degree(self, name: str) -> int:
         return len(self.predecessors(name))
-
-    def out_degree(self, name: str) -> int:
-        return len(self.successors(name))
 
     def sources(self) -> List[str]:
         """Tasks with no predecessors (application entry points)."""
@@ -215,9 +209,6 @@ class CTG:
         return seen
 
     # -- aggregate properties ----------------------------------------------
-
-    def total_volume(self) -> float:
-        return sum(e.volume for e in self._edges.values())
 
     def feasible_on(self, pe_types: Iterable[str]) -> bool:
         """Whether every task can run on at least one of ``pe_types``."""

@@ -61,8 +61,8 @@ def ctg_from_dict(data: Dict[str, Any]) -> CTG:
         return ctg
 
 
-def ctg_to_json(ctg: CTG, indent: int = 2) -> str:
-    return json.dumps(ctg_to_dict(ctg), indent=indent, sort_keys=True)
+def ctg_to_json(ctg: CTG) -> str:
+    return json.dumps(ctg_to_dict(ctg), indent=2, sort_keys=True)
 
 
 def ctg_from_json(text: str) -> CTG:

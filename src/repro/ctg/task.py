@@ -88,9 +88,6 @@ class Task:
         except KeyError:
             return TaskCosts(time=INFEASIBLE, energy=0.0)
 
-    def time_on(self, pe_type: str) -> float:
-        return self.cost_on(pe_type).time
-
     def energy_on(self, pe_type: str) -> float:
         return self.cost_on(pe_type).energy
 
@@ -167,10 +164,6 @@ class CommEdge:
             raise CTGError(f"self-dependency on task {self.src!r}")
         if self.volume < 0 or not math.isfinite(self.volume):
             raise CTGError(f"invalid communication volume {self.volume} on {self.src}->{self.dst}")
-
-    @property
-    def is_control_only(self) -> bool:
-        return self.volume == 0.0
 
 
 def _mean(values) -> float:

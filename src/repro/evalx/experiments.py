@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.eas import EASConfig, eas_base_schedule
+from repro.core.eas import eas_base_schedule
 from repro.core.repair import RepairReport, search_and_repair
 from repro.ctg.multimedia import CLIP_NAMES
 from repro.obs.decisions import DecisionLog
@@ -89,14 +89,12 @@ def run_random_category(
     n_tasks: Optional[int] = None,
     schedulers: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    eas_config: Optional[EASConfig] = None,
     jobs: Optional[int] = None,
 ) -> List[ExperimentRow]:
     """The Sec. 6.1 experiment for one category of random benchmarks.
 
     Compares ``eas-base`` (no repair), ``eas`` (with repair) and ``edf``
     on a 4x4 heterogeneous mesh, exactly the paper's setup.
-    ``eas_config`` overrides the EAS knobs (e.g. ``repair=False``).
     ``jobs`` > 1 fans the (benchmark x scheduler) grid out over a process
     pool (``None``/``0`` defers to ``REPRO_JOBS``; 1 runs it in-process);
     rows come back in grid order with identical contents either way.
@@ -107,7 +105,6 @@ def run_random_category(
         RunSpec(
             scheduler=name,
             benchmark=paper_benchmark("random", category=category, index=index, n_tasks=n_tasks),
-            eas_config=eas_config,
             tag=f"cat{category}[{index}]:{name}",
         )
         for index in range(n_benchmarks)

@@ -98,10 +98,6 @@ class FaultPlan:
     # -- queries ---------------------------------------------------------------
 
     @property
-    def is_empty(self) -> bool:
-        return not (self.pe_faults or self.link_faults or self.transient_faults)
-
-    @property
     def fault_time(self) -> float:
         """Earliest moment anything breaks (transients count from window start).
 

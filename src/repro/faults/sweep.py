@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.eas import EASConfig
 from repro.faults.plan import FAULT_KINDS, FaultPlan, generate_fault_plans
 from repro.faults.recovery import RecoveryResult, UnsurvivableFaultError, inject_and_recover
 from repro.parallel.pool import pool_map
@@ -39,10 +38,8 @@ class FaultRunSpec:
     """One pooled fault injection: plan + committed schedule, as documents."""
 
     benchmark: BenchmarkSpec
-    scheduler: str
     plan_doc: Dict[str, Any]
     schedule_doc: Dict[str, Any]
-    eas_config: Optional[EASConfig] = None
 
 
 @dataclass
@@ -66,7 +63,7 @@ class FaultRunResult:
 
 
 def run_fault_plan(
-    committed: Schedule, plan: FaultPlan, eas_config: Optional[EASConfig] = None
+    committed: Schedule, plan: FaultPlan
 ) -> Tuple[FaultRunResult, Optional[RecoveryResult]]:
     """Inject ``plan``, recover, summarize and ledger one ``fault_plan`` record.
 
@@ -77,7 +74,7 @@ def run_fault_plan(
     exception.
     """
     try:
-        recovery: Optional[RecoveryResult] = inject_and_recover(committed, plan, eas_config)
+        recovery: Optional[RecoveryResult] = inject_and_recover(committed, plan)
     except UnsurvivableFaultError as exc:
         recovery = None
         result = FaultRunResult(
@@ -135,7 +132,7 @@ def execute_fault_spec(spec: FaultRunSpec) -> FaultRunResult:
     """
     ctg, acg = spec.benchmark.build()
     committed = schedule_from_dict(spec.schedule_doc, ctg, acg)
-    return run_fault_plan(committed, FaultPlan.from_dict(spec.plan_doc), spec.eas_config)[0]
+    return run_fault_plan(committed, FaultPlan.from_dict(spec.plan_doc))[0]
 
 
 @dataclass
@@ -255,7 +252,6 @@ class FaultSweepReport:
 def run_fault_sweep(
     benchmark: BenchmarkSpec,
     scheduler: str = "eas",
-    eas_config: Optional[EASConfig] = None,
     n_plans: int = 20,
     seed: int = 0,
     kinds: Sequence[str] = FAULT_KINDS,
@@ -266,14 +262,14 @@ def run_fault_sweep(
     The committed schedule and every plan travel to workers as JSON-safe
     documents; results come back in plan order and their telemetry is
     folded in that order, so the report is a pure function of
-    ``(benchmark, scheduler, eas_config, n_plans, seed, kinds)`` —
+    ``(benchmark, scheduler, n_plans, seed, kinds)`` —
     independent of ``jobs``.
     """
     with obs.get().tracer.span(
         "faults.sweep", n_plans=n_plans, seed=seed, scheduler=scheduler
     ):
         ctg, acg = benchmark.build()
-        committed = run_scheduler(scheduler, ctg, acg, eas_config)
+        committed = run_scheduler(scheduler, ctg, acg)
         committed.validate_structure()
         plans = generate_fault_plans(
             acg, n_plans, seed=seed, horizon=committed.makespan(), kinds=kinds
@@ -282,10 +278,8 @@ def run_fault_sweep(
         specs = [
             FaultRunSpec(
                 benchmark=benchmark,
-                scheduler=scheduler,
                 plan_doc=plan.to_dict(),
                 schedule_doc=schedule_doc,
-                eas_config=eas_config,
             )
             for plan in plans
         ]

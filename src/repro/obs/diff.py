@@ -45,6 +45,9 @@ DIFF_SCHEMA_VERSION = 1
 #: start/finish shifts below this are treated as "did not move".
 MOVE_TOLERANCE = 1e-9
 
+#: moved tasks listed by the text and markdown formats.
+MAX_LISTED_MOVES = 40
+
 
 @dataclass(frozen=True)
 class TaskMove:
@@ -357,7 +360,6 @@ def format_diff(
     diff: ScheduleDiff,
     fmt: str = "text",
     runs: Optional[RunDelta] = None,
-    max_moves: int = 40,
 ) -> str:
     """Render a :class:`ScheduleDiff` (+ optional ledger delta)."""
     if fmt == "json":
@@ -402,7 +404,7 @@ def format_diff(
         lines.append("")
         lines.append("| task | placement | start | dE (nJ) | cause |")
         lines.append("|---|---|---|---|---|")
-        for move in diff.moves[:max_moves]:
+        for move in diff.moves[:MAX_LISTED_MOVES]:
             what = (
                 f"PE{move.pe_a} -> PE{move.pe_b}"
                 if move.moved_pe
@@ -414,10 +416,10 @@ def format_diff(
                 f"| {move.energy_delta:+.2f} | {cause} |"
             )
     else:
-        for move in diff.moves[:max_moves]:
+        for move in diff.moves[:MAX_LISTED_MOVES]:
             lines.append("  " + move.describe())
-    if len(diff.moves) > max_moves:
-        lines.append(f"  ... {len(diff.moves) - max_moves} more")
+    if len(diff.moves) > MAX_LISTED_MOVES:
+        lines.append(f"  ... {len(diff.moves) - MAX_LISTED_MOVES} more")
     lines.append("")
 
     if diff.energy_by_task:

@@ -53,6 +53,9 @@ EXPLAIN_SCHEMA_VERSION = 1
 #: mismatch tolerance of the independent F(i,k) recompute.
 VERIFY_TOLERANCE = 1e-9
 
+#: tasks explained when no ``focus`` is given.
+MAX_EXPLAINED_TASKS = 8
+
 
 # -- critical path ---------------------------------------------------------------
 
@@ -397,13 +400,12 @@ def format_explain(report: ExplainReport, fmt: str = "text") -> str:
 def explain_schedule(
     schedule: "Schedule",
     focus: Optional[str] = None,
-    max_tasks: int = 8,
 ) -> ExplainReport:
     """Build the explanation report for ``schedule``.
 
     ``focus`` restricts the per-task section to one task (and anchors
-    the critical path at it); otherwise the ``max_tasks`` tightest-slack
-    deadline tasks are explained, critical-path tasks first.
+    the critical path at it); otherwise the :data:`MAX_EXPLAINED_TASKS`
+    tightest-slack deadline tasks are explained, critical-path tasks first.
     """
     if focus is not None and focus not in schedule.task_placements:
         raise UnknownTaskError(f"task {focus!r} is not scheduled")
@@ -428,7 +430,7 @@ def explain_schedule(
                 name,
             ),
         )
-        wanted = list(dict.fromkeys(on_path + deadline_tasks))[:max_tasks]
+        wanted = list(dict.fromkeys(on_path + deadline_tasks))[:MAX_EXPLAINED_TASKS]
 
     explanations = []
     for name in wanted:
@@ -466,7 +468,6 @@ def verify_decision_components(
     acg: "ACG",
     decisions: List[TaskDecision],
     contention_aware: bool = True,
-    tolerance: float = VERIFY_TOLERANCE,
 ) -> List[str]:
     """Recompute every decision's F(i,k) components from scratch.
 
@@ -510,7 +511,7 @@ def verify_decision_components(
                 if captured is None:
                     continue
                 value = getattr(expected, key)
-                if abs(captured - value) > tolerance:
+                if abs(captured - value) > VERIFY_TOLERANCE:
                     mismatches.append(
                         f"{decision.task}@PE{candidate.pe}: {key} captured "
                         f"{captured!r} != recomputed {value!r}"
@@ -552,7 +553,7 @@ def verify_decision_components(
             mismatches.append(f"{decision.task}: committed to an infeasible PE{decision.pe}")
             return mismatches
         start = commit(evaluation, tables, placements, None).start
-        if abs(start - decision.start) > tolerance:
+        if abs(start - decision.start) > VERIFY_TOLERANCE:
             mismatches.append(
                 f"{decision.task}: committed start {decision.start!r} != "
                 f"replayed {start!r}"

@@ -12,7 +12,7 @@ the *parent* process that, once per interval,
 * appends a ``heartbeat`` record to the active run ledger, so a hung
   run's last ledger line shows exactly how far it got, and
 * watches for stalls: when no cell completes within the stall window
-  (``REPRO_STALL_SECS``, default 10x the interval, at least 30 s) it
+  (10x the interval, at least 30 s, unless the monitor is given one) it
   escalates the line to a warning and flags the ledger record —
   the first sign of a wedged worker pool or a pathological cell.
 
@@ -36,9 +36,6 @@ from repro.obs import context as obs_context
 
 #: environment override for the heartbeat interval in seconds.
 HEARTBEAT_ENV_VAR = "REPRO_HEARTBEAT"
-
-#: environment override for the watchdog stall window in seconds.
-STALL_ENV_VAR = "REPRO_STALL_SECS"
 
 #: floor for the default stall window.
 MIN_STALL_SECONDS = 30.0
@@ -70,18 +67,6 @@ def resolve_interval(override: Optional[float] = None) -> Optional[float]:
     return value if value and value > 0 else None
 
 
-def _default_stall_window(interval: float) -> float:
-    raw = os.environ.get(STALL_ENV_VAR, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return max(MIN_STALL_SECONDS, 10.0 * interval)
-
-
 class Heartbeat:
     """The monitor: a context manager owning one daemon thread.
 
@@ -103,7 +88,7 @@ class Heartbeat:
         self.ledger = ledger
         self.stream = stream if stream is not None else sys.stderr
         self.stall_window = (
-            stall_window if stall_window is not None else _default_stall_window(self.interval)
+            stall_window if stall_window is not None else max(MIN_STALL_SECONDS, 10.0 * self.interval)
         )
         self._clock = clock
         self._lock = threading.Lock()

@@ -41,7 +41,6 @@ home, and the parent appends them in deterministic item order via
 from __future__ import annotations
 
 import atexit
-import io
 import json
 import os
 import socket
@@ -317,30 +316,42 @@ def ledger_size_bytes(path: Union[str, Path]) -> int:
         return 0
 
 
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not JSON")
+
+
 def read_ledger(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Every parseable record of ``path``, in file order.
 
     Torn or corrupt lines (a writer killed mid-append, disk-full
-    truncation) are skipped, not fatal — a postmortem tool must read
-    exactly the ledgers crashes leave behind.
+    truncation, bytes that are not UTF-8, a ``NaN`` the writer never
+    emits) are skipped, not fatal — a postmortem tool must read exactly
+    the ledgers crashes leave behind.
     """
     records: List[Dict[str, Any]] = []
     try:
-        handle: io.TextIOBase = open(path, "r")
+        handle = open(path, "rb")
     except OSError:
         return records
     with handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
+            except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError too
                 continue
             if isinstance(record, dict) and "type" in record:
                 records.append(record)
     return records
+
+
+def typed_field(record: Dict[str, Any], key: str, types: Any, default: Any) -> Any:
+    """``record[key]`` if it has one of the JSON ``types``, else ``default``.
+
+    The readers' policy for a field of the wrong type: skip it, as
+    :func:`read_ledger` skips a corrupt line.
+    """
+    value = record.get(key, default)
+    return value if isinstance(value, types) else default
 
 
 def group_runs(records: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
@@ -353,7 +364,7 @@ def group_runs(records: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
     runs: Dict[str, Dict[str, Any]] = {}
     for record in records:
         run = runs.setdefault(
-            record.get("run_id", "?"),
+            typed_field(record, "run_id", str, "?"),
             {"started": None, "phases": [], "heartbeats": [], "terminal": None},
         )
         kind = record.get("type")
@@ -378,9 +389,9 @@ def iter_failures(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
         started = run["started"] or {}
         yield {
             "run_id": run_id,
-            "t": terminal.get("t"),
-            "command": started.get("command", "?"),
-            "argv": started.get("argv", []),
-            "error": terminal.get("error") or terminal.get("reason", ""),
-            "traceback": terminal.get("traceback", ""),
+            "t": typed_field(terminal, "t", (int, float), None),
+            "command": typed_field(started, "command", str, "?"),
+            "argv": typed_field(started, "argv", list, []),
+            "error": typed_field(terminal, "error", str, "") or typed_field(terminal, "reason", str, ""),
+            "traceback": typed_field(terminal, "traceback", str, ""),
         }

@@ -34,7 +34,7 @@ from repro.obs.benchstore import (
     median,
 )
 from repro.obs.diff import run_delta
-from repro.obs.ledger import group_runs, iter_failures, ledger_size_bytes, read_ledger
+from repro.obs.ledger import group_runs, iter_failures, ledger_size_bytes, read_ledger, typed_field
 
 #: how many failures / phases / cells a bounded section keeps.
 DEFAULT_LIMIT = 10
@@ -139,18 +139,22 @@ def _bench_trends(store: BenchStore, threshold: float) -> List[Dict[str, Any]]:
 
 
 def _slow_phases(records: List[Dict[str, Any]], limit: int) -> List[Dict[str, Any]]:
-    """Span self-times from every run's ``run_finished.top_phases``."""
+    """Span self-times from every run's ``run_finished.top_phases``.
+
+    Like :func:`~repro.obs.ledger.read_ledger`, a field of the wrong
+    JSON type is skipped: a corrupt ledger still yields a report.
+    """
     totals: Dict[str, Dict[str, float]] = {}
     for record in records:
         if record.get("type") not in ("run_finished", "run_failed"):
             continue
-        for phase in record.get("top_phases") or []:
-            name = phase.get("name")
+        for phase in typed_field(record, "top_phases", list, []):
+            name = typed_field(phase, "name", str, "") if isinstance(phase, dict) else ""
             if not name:
                 continue
             bucket = totals.setdefault(name, {"count": 0, "self_seconds": 0.0})
-            bucket["count"] += phase.get("count", 1)
-            bucket["self_seconds"] += phase.get("self_seconds", 0.0)
+            bucket["count"] += typed_field(phase, "count", (int, float), 1)
+            bucket["self_seconds"] += typed_field(phase, "self_seconds", (int, float), 0.0)
     ranked = sorted(totals.items(), key=lambda item: -item[1]["self_seconds"])
     return [
         {"name": name, "count": int(stats["count"]), "self_seconds": stats["self_seconds"]}
@@ -195,9 +199,7 @@ def _survivability(records: List[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     survived = sum(1 for row in rows if row.get("survived"))
     by_kind: Dict[str, Dict[str, int]] = {}
     for row in rows:
-        bucket = by_kind.setdefault(
-            row.get("kind", "?"), {"plans": 0, "survived": 0}
-        )
+        bucket = by_kind.setdefault(typed_field(row, "kind", str, "?"), {"plans": 0, "survived": 0})
         bucket["plans"] += 1
         bucket["survived"] += 1 if row.get("survived") else 0
     deltas = [
@@ -265,7 +267,7 @@ def _cache_rates(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     for record in records:
         if record.get("type") not in ("run_finished", "run_failed"):
             continue
-        for name, value in (record.get("metrics") or {}).items():
+        for name, value in typed_field(record, "metrics", dict, {}).items():
             if isinstance(value, (int, float)):
                 totals[name] = totals.get(name, 0.0) + value
     rows: List[Dict[str, Any]] = []
@@ -514,6 +516,7 @@ def _format_markdown(report: Dict[str, Any]) -> str:
 
 
 def _stamp(t: Optional[float]) -> str:
-    if not t:
+    try:
+        return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(t)) if t else "?"
+    except (OverflowError, OSError, ValueError):  # a timestamp no clock can show
         return "?"
-    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(t))

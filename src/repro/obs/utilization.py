@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.slack import TaskBudget
     from repro.schedule.schedule import Schedule
 
+#: deadline tasks listed by the text report's slack audit, tightest first.
+MAX_SLACK_ROWS = 12
+
 
 @dataclass
 class PEUsage:
@@ -50,10 +53,6 @@ class PEUsage:
     compute_energy: float = 0.0
     local_comm_energy: float = 0.0
     utilization: float = 0.0  # busy / makespan
-
-    @property
-    def idle_fraction(self) -> float:
-        return 1.0 - self.utilization
 
 
 @dataclass
@@ -184,7 +183,7 @@ class UtilizationReport:
             ],
         }
 
-    def format_text(self, max_slack_rows: int = 12) -> str:
+    def format_text(self) -> str:
         """The human-readable report (``inspect --format text``)."""
         lines = [
             f"Resource report: {self.benchmark} [{self.algorithm}] "
@@ -230,7 +229,7 @@ class UtilizationReport:
         lines.append("")
         lines.append("== slack audit (deadline tasks) ==")
         if self.slack:
-            shown = sorted(self.slack, key=lambda row: row.slack_remaining)[:max_slack_rows]
+            shown = sorted(self.slack, key=lambda row: row.slack_remaining)[:MAX_SLACK_ROWS]
             for row in shown:
                 bd = (
                     f" BD {row.budgeted_deadline:g}"

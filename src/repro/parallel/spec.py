@@ -3,8 +3,8 @@
 A worker process never receives live scheduler state.  It receives a
 *spec* — a picklable description of how to **construct** the run from
 explicit seeds (generator category/index, ACG preset name + shuffle
-seed, scheduler id, :class:`~repro.core.eas.EASConfig`) — builds the
-benchmark from those seeds, runs the scheduler, and returns a
+seed, scheduler id) — builds the benchmark from those seeds, runs the
+scheduler with its default configuration, and returns a
 :class:`RunResult` of schedule summary numbers.  The grids run it as
 ``pool_map(execute_spec, specs, jobs=N)``: the pool's worker envelope
 supplies the fresh observability bundle and ships its metrics, trace,
@@ -31,7 +31,7 @@ from repro import obs
 from repro.arch.acg import ACG
 from repro.arch.presets import mesh_2x2, mesh_3x3, mesh_4x4, mesh_5x5, mesh_6x6
 from repro.baselines.edf import edf_schedule
-from repro.core.eas import EASConfig, eas_base_schedule, eas_schedule
+from repro.core.eas import eas_base_schedule, eas_schedule
 from repro.ctg.generator import generate_category
 from repro.ctg.graph import CTG
 from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg, av_integrated_ctg
@@ -57,14 +57,12 @@ MSB_SYSTEMS = {
 }
 
 
-def run_scheduler(
-    name: str, ctg: CTG, acg: ACG, eas_config: Optional[EASConfig] = None
-) -> Schedule:
+def run_scheduler(name: str, ctg: CTG, acg: ACG) -> Schedule:
     """The canonical scheduler dispatch shared by evalx and the pool."""
     if name == "eas":
-        return eas_schedule(ctg, acg, eas_config)
+        return eas_schedule(ctg, acg)
     if name == "eas-base":
-        return eas_base_schedule(ctg, acg, eas_config)
+        return eas_base_schedule(ctg, acg)
     if name == "edf":
         return edf_schedule(ctg, acg)
     raise InvalidArgumentError(f"unknown scheduler {name!r}")
@@ -138,13 +136,6 @@ class BenchmarkSpec:
         _last_build = (self, (ctg, acg))
         return ctg, acg
 
-    @property
-    def row_name(self) -> str:
-        """The table row label evalx uses (clip name for MSB tables)."""
-        if self.kind == "msb":
-            return self.clip
-        return f"cat{self.category}-{self.index}"
-
 
 #: the most recent :meth:`BenchmarkSpec.build` — (spec, (ctg, acg)).
 _last_build: Optional[Tuple[BenchmarkSpec, Tuple[CTG, ACG]]] = None
@@ -196,7 +187,6 @@ class RunSpec:
 
     scheduler: str
     benchmark: BenchmarkSpec
-    eas_config: Optional[EASConfig] = None
     #: grid-cell identifier, for labels and error reports.
     tag: str = ""
     #: ship the full committed schedule back as a serialized document
@@ -244,7 +234,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     """
     ins = obs.get()
     ctg, acg = spec.benchmark.build()
-    schedule = run_scheduler(spec.scheduler, ctg, acg, spec.eas_config)
+    schedule = run_scheduler(spec.scheduler, ctg, acg)
     schedule.validate_structure()
     headline_counters = ins.metrics.counter_values()
     report = analyze_schedule(schedule)

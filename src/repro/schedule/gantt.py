@@ -12,18 +12,19 @@ from repro.schedule.schedule import Schedule
 
 #: Default rendering width in character cells.
 DEFAULT_WIDTH = 72
+#: Link rows shown under ``include_links``: the busiest ones.
+MAX_LINK_ROWS = 12
 
 
 def render_gantt(
     schedule: Schedule,
     width: int = DEFAULT_WIDTH,
     include_links: bool = False,
-    max_link_rows: int = 12,
 ) -> str:
     """Render the schedule as an ASCII Gantt chart.
 
     Each PE gets a row; occupied cells show the first letter of the task
-    occupying them.  With ``include_links`` the busiest links get rows
+    occupying them.  With ``include_links`` the :data:`MAX_LINK_ROWS` busiest links get rows
     too, marked with ``#`` for occupied cells.
     """
     span = schedule.makespan()
@@ -49,7 +50,7 @@ def render_gantt(
 
     if include_links:
         usage = schedule.link_utilization()
-        busiest = sorted(usage, key=lambda l: usage[l], reverse=True)[:max_link_rows]
+        busiest = sorted(usage, key=lambda l: usage[l], reverse=True)[:MAX_LINK_ROWS]
         for link in busiest:
             cells = [" "] * width
             for placement in schedule.comm_placements.values():

@@ -36,7 +36,7 @@ class Schedule:
         self.runtime_seconds: float = 0.0
         #: decision provenance (one record per task commit) attached by
         #: schedulers when the active decision log records; empty
-        #: otherwise.  Not serialized — export it via repro.obs.export.
+        #: otherwise.  A v2 schedule document embeds it.
         self.provenance: List["TaskDecision"] = []
 
     # -- construction ------------------------------------------------------

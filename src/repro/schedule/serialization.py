@@ -120,8 +120,8 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
         return schedule
 
 
-def schedule_to_json(schedule: Schedule, indent: int = 2) -> str:
-    return json.dumps(schedule_to_dict(schedule), indent=indent, sort_keys=True)
+def schedule_to_json(schedule: Schedule) -> str:
+    return json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)
 
 
 def schedule_from_json(text: str, ctg: CTG, acg: ACG) -> Schedule:

@@ -30,6 +30,13 @@ TYPE_COLORS: Dict[str, str] = {
 _FALLBACK_COLOR = "#999999"
 _COMM_COLOR = "#bbbbbb"
 _DEADLINE_COLOR = "#cc0000"
+#: Gantt geometry: document width and lane height in pixels, and the
+#: number of (busiest) link lanes drawn under ``include_links``.
+_GANTT_WIDTH = 960
+_LANE_HEIGHT = 26
+_MAX_LINK_LANES = 10
+#: Platform view: edge length of one tile in pixels.
+_TILE_SIZE = 110
 
 
 def _color_for(pe_type: str) -> str:
@@ -40,20 +47,14 @@ def _esc(text: str) -> str:
     return html.escape(str(text), quote=True)
 
 
-def render_schedule_svg(
-    schedule: Schedule,
-    width: int = 960,
-    lane_height: int = 26,
-    include_links: bool = True,
-    max_link_lanes: int = 10,
-) -> str:
+def render_schedule_svg(schedule: Schedule, include_links: bool = True) -> str:
     """Gantt chart of the schedule as an SVG document string."""
     span = schedule.makespan()
     if span <= 0:
         span = 1.0
     margin_left = 130
     margin_top = 30
-    scale = (width - margin_left - 20) / span
+    scale = (_GANTT_WIDTH - margin_left - 20) / span
 
     lanes: List[Tuple[str, List[Tuple[float, float, str, str]]]] = []
     for pe in schedule.acg.pes:
@@ -66,7 +67,7 @@ def render_schedule_svg(
 
     if include_links:
         usage = schedule.link_utilization()
-        busiest = sorted(usage, key=lambda l: usage[l], reverse=True)[:max_link_lanes]
+        busiest = sorted(usage, key=lambda l: usage[l], reverse=True)[:_MAX_LINK_LANES]
         for link in busiest:
             boxes = [
                 (c.start, c.finish, _COMM_COLOR, f"{c.src_task}->{c.dst_task}")
@@ -75,9 +76,9 @@ def render_schedule_svg(
             ]
             lanes.append((f"{link.src}->{link.dst}", boxes))
 
-    height = margin_top + lane_height * len(lanes) + 40
+    height = margin_top + _LANE_HEIGHT * len(lanes) + 40
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_GANTT_WIDTH}" height="{height}" '
         f'font-family="monospace" font-size="11">',
         f'<text x="{margin_left}" y="16" font-size="13">'
         f"{_esc(schedule.ctg.name)} [{_esc(schedule.algorithm)}] — "
@@ -85,20 +86,20 @@ def render_schedule_svg(
     ]
 
     for row, (label, boxes) in enumerate(lanes):
-        y = margin_top + row * lane_height
+        y = margin_top + row * _LANE_HEIGHT
         parts.append(
-            f'<text x="4" y="{y + lane_height - 9}" fill="#333">{_esc(label)}</text>'
+            f'<text x="4" y="{y + _LANE_HEIGHT - 9}" fill="#333">{_esc(label)}</text>'
         )
         parts.append(
-            f'<line x1="{margin_left}" y1="{y + lane_height - 3}" '
-            f'x2="{width - 20}" y2="{y + lane_height - 3}" stroke="#eee"/>'
+            f'<line x1="{margin_left}" y1="{y + _LANE_HEIGHT - 3}" '
+            f'x2="{_GANTT_WIDTH - 20}" y2="{y + _LANE_HEIGHT - 3}" stroke="#eee"/>'
         )
         for start, finish, color, label_text in boxes:
             x = margin_left + start * scale
             w = max(1.0, (finish - start) * scale)
             parts.append(
                 f'<rect x="{x:.1f}" y="{y + 3}" width="{w:.1f}" '
-                f'height="{lane_height - 8}" fill="{color}" stroke="#444" '
+                f'height="{_LANE_HEIGHT - 8}" fill="{color}" stroke="#444" '
                 f'stroke-width="0.5"><title>{_esc(label_text)} '
                 f"[{start:.1f}, {finish:.1f})</title></rect>"
             )
@@ -124,11 +125,7 @@ def render_schedule_svg(
     return "\n".join(parts)
 
 
-def render_platform_svg(
-    schedule: Optional[Schedule] = None,
-    acg=None,
-    tile_size: int = 110,
-) -> str:
+def render_platform_svg(schedule: Optional[Schedule] = None, acg=None) -> str:
     """Tile-grid view of a platform, optionally annotated with a mapping.
 
     Pass either a schedule (platform + mapping + traffic) or a bare ACG
@@ -143,15 +140,15 @@ def render_platform_svg(
     max_row = max(r for r, _c in coords)
     max_col = max(c for _r, c in coords)
     pad = 30
-    width = pad * 2 + (max_col + 1) * tile_size
-    height = pad * 2 + (max_row + 1) * tile_size
+    width = pad * 2 + (max_col + 1) * _TILE_SIZE
+    height = pad * 2 + (max_row + 1) * _TILE_SIZE
 
     def tile_origin(position) -> Tuple[float, float]:
         row, col = position
         # Row 0 at the bottom, matching the paper's Fig. 1 labels.
         return (
-            pad + col * tile_size,
-            pad + (max_row - row) * tile_size,
+            pad + col * _TILE_SIZE,
+            pad + (max_row - row) * _TILE_SIZE,
         )
 
     parts = [
@@ -165,8 +162,8 @@ def render_platform_svg(
     for link in acg.all_links():
         x1, y1 = tile_origin(link.src)
         x2, y2 = tile_origin(link.dst)
-        cx1, cy1 = x1 + tile_size / 2, y1 + tile_size / 2
-        cx2, cy2 = x2 + tile_size / 2, y2 + tile_size / 2
+        cx1, cy1 = x1 + _TILE_SIZE / 2, y1 + _TILE_SIZE / 2
+        cx2, cy2 = x2 + _TILE_SIZE / 2, y2 + _TILE_SIZE / 2
         load = usage.get(link, 0.0) / max_usage if max_usage else 0.0
         stroke_width = 1.0 + 5.0 * load
         parts.append(
@@ -181,7 +178,7 @@ def render_platform_svg(
 
     for pe in acg.pes:
         x, y = tile_origin(pe.position)
-        inner = tile_size - 16
+        inner = _TILE_SIZE - 16
         parts.append(
             f'<rect x="{x + 8}" y="{y + 8}" width="{inner}" height="{inner}" '
             f'fill="{_color_for(pe.type_name)}" fill-opacity="0.25" '

@@ -42,12 +42,6 @@ class SimulationReport:
     def total_energy(self) -> float:
         return self.computation_energy + self.communication_energy
 
-    def pe_utilization(self) -> Dict[int, float]:
-        """Busy fraction per PE over the makespan."""
-        if self.makespan <= 0:
-            return {pe: 0.0 for pe in self.pe_busy_time}
-        return {pe: busy / self.makespan for pe, busy in self.pe_busy_time.items()}
-
 
 def simulate_schedule(schedule: Schedule) -> SimulationReport:
     """Replay ``schedule`` event by event; raise on inconsistency.

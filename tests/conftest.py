@@ -24,7 +24,6 @@ def _no_ambient_flight_recorder(monkeypatch):
     """
     monkeypatch.setenv("REPRO_LEDGER", "off")
     monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
-    monkeypatch.delenv("REPRO_STALL_SECS", raising=False)
 
 
 class _WallSampler(Heartbeat):

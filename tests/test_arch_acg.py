@@ -35,12 +35,6 @@ class TestConstruction:
         acg = small_acg()
         assert acg.pe_type_names() == ["cpu", "dsp", "arm", "risc"]
 
-    def test_pes_of_type(self):
-        acg = mesh_4x4()
-        cpus = acg.pes_of_type("cpu")
-        assert len(cpus) == 4  # 16 tiles / 4-type cycle
-        assert all(pe.type_name == "cpu" for pe in cpus)
-
     def test_unknown_lookups(self):
         acg = small_acg()
         with pytest.raises(ArchitectureError):
@@ -83,7 +77,7 @@ class TestRoutes:
         for src in acg.pes:
             for dst in acg.pes:
                 expected = mesh.manhattan(src.position, dst.position) + 1
-                assert acg.hop_count(src.index, dst.index) == expected
+                assert acg.route(src.index, dst.index).n_hops == expected
 
 
 class TestEnergyAndBandwidth:
@@ -134,9 +128,6 @@ class TestUnknownPairQueries:
 
     def test_comm_duration(self):
         self._raises(lambda acg: acg.comm_duration(1000, 0, 99))
-
-    def test_hop_count(self):
-        self._raises(lambda acg: acg.hop_count(0, 99))
 
 
 class TestPresets:

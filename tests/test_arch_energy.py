@@ -33,12 +33,6 @@ class TestEnergyPerBit:
 
 
 class TestTransactionEnergy:
-    def test_linear_in_volume(self):
-        model = BitEnergyModel(e_sbit=2.0, e_lbit=1.0)
-        per_bit = model.energy_per_bit(3)
-        assert model.transaction_energy(1000, 3) == pytest.approx(1000 * per_bit)
-        assert model.transaction_energy(0, 3) == 0.0
-
     def test_difference_between_distances_is_sbit_plus_lbit(self):
         # Adding one hop adds exactly E_sbit + E_lbit per bit (Eq. 1).
         model = BitEnergyModel(e_sbit=0.7, e_lbit=0.3)

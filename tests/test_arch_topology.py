@@ -59,11 +59,6 @@ class TestTorus2D:
         degrees = {len(torus.neighbors(c)) for c in torus.coords()}
         assert degrees == {4}
 
-    def test_ring_distance(self):
-        torus = Torus2D(5, 5)
-        assert torus.ring_distance(0, 4, 5) == 1
-        assert torus.ring_distance(0, 2, 5) == 2
-
 
 class TestHoneycomb:
     def test_degree_at_most_three(self):

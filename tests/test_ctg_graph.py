@@ -52,7 +52,7 @@ class TestConstruction:
         with pytest.raises(CTGError):
             ctg.connect("d", "a")
         assert ctg.n_edges == 4
-        assert not ctg.has_edge("d", "a")
+        assert "a" not in ctg.successors("d")
 
 
 class TestQueries:
@@ -61,7 +61,6 @@ class TestQueries:
         assert sorted(ctg.predecessors("d")) == ["b", "c"]
         assert sorted(ctg.successors("a")) == ["b", "c"]
         assert ctg.in_degree("d") == 2
-        assert ctg.out_degree("a") == 2
 
     def test_in_out_edges(self):
         ctg = small_ctg()
@@ -101,9 +100,6 @@ class TestQueries:
         assert ctg.deadline_tasks() == []
         ctg.task("d").deadline = 100.0
         assert ctg.deadline_tasks() == ["d"]
-
-    def test_total_volume(self):
-        assert small_ctg().total_volume() == 1000
 
     def test_unknown_lookups_raise(self):
         ctg = small_ctg()

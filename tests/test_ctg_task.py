@@ -31,12 +31,12 @@ class TestTaskCosts:
 class TestTask:
     def test_cost_lookup(self):
         task = Task(name="t", costs={"dsp": TaskCosts(10, 20)})
-        assert task.time_on("dsp") == 10
+        assert task.cost_on("dsp").time == 10
         assert task.energy_on("dsp") == 20
 
     def test_unknown_type_is_infeasible(self):
         task = Task(name="t", costs={"dsp": TaskCosts(10, 20)})
-        assert task.time_on("cpu") == math.inf
+        assert task.cost_on("cpu").time == math.inf
         assert not task.cost_on("cpu").feasible
 
     def test_feasible_types(self):
@@ -104,10 +104,7 @@ class TestTaskStats:
 class TestCommEdge:
     def test_valid(self):
         edge = CommEdge(src="a", dst="b", volume=100.0)
-        assert not edge.is_control_only
-
-    def test_control_only(self):
-        assert CommEdge(src="a", dst="b").is_control_only
+        assert edge.volume == 100.0
 
     def test_self_loop_rejected(self):
         with pytest.raises(CTGError):

@@ -37,7 +37,6 @@ class TestFaultPlanModel:
     def test_empty_plan_has_no_fault_time(self):
         with pytest.raises(SerializationError):
             FaultPlan(name="empty").fault_time
-        assert FaultPlan(name="empty").is_empty
 
     def test_kind_precedence(self):
         assert full_plan().kind == "pe"

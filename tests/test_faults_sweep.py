@@ -87,7 +87,6 @@ class TestWorkerProtocol:
         )[0]
         spec = FaultRunSpec(
             benchmark=small_benchmark,
-            scheduler="eas",
             plan_doc=plan.to_dict(),
             schedule_doc=schedule_to_dict(committed),
         )
@@ -120,7 +119,6 @@ class TestWorkerProtocol:
         plan = FaultPlan(name="pe0", pe_faults=(PEFault(pe=0, time=0.0),))
         spec = FaultRunSpec(
             benchmark=bench,
-            scheduler="eas",
             plan_doc=plan.to_dict(),
             schedule_doc=schedule_to_dict(committed),
         )

@@ -132,7 +132,6 @@ class TestDeterminism:
                     kind="random", category=2, index=1, n_tasks=30,
                     acg_preset="mesh_3x3", shuffle_seed=101,
                 ),
-                eas_config=EASConfig(),
                 tag="a",
             ),
             RunSpec(

@@ -110,6 +110,23 @@ class TestCrashSafety:
         records = read_ledger(ledger_path)
         assert [r["type"] for r in records] == ["run_started", "phase"]
 
+    def test_non_utf8_line_is_skipped(self, ledger_path):
+        ledger = RunLedger(ledger_path)
+        ledger.run_started(command="x")
+        with open(ledger_path, "ab") as handle:
+            handle.write(b'{"type":"phase","name":"\xc3\n')  # a lone UTF-8 lead byte
+        ledger.phase("cell", tag="ok")
+        records = read_ledger(ledger_path)
+        assert [r["type"] for r in records] == ["run_started", "phase"]
+        assert records[1]["tag"] == "ok"
+
+    def test_non_finite_constant_line_is_skipped(self, ledger_path):
+        ledger = RunLedger(ledger_path)
+        ledger.run_started(command="x")
+        with open(ledger_path, "a") as handle:
+            handle.write('{"type": "run_finished", "wall_seconds": NaN}\n')
+        assert [r["type"] for r in read_ledger(ledger_path)] == ["run_started"]
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_ledger(tmp_path / "nope.jsonl") == []
 

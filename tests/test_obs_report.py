@@ -3,11 +3,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.cli import main
 from repro.obs.benchstore import BenchRun, BenchStore
 from repro.obs.ledger import RunLedger
 from repro.obs.report import build_report, format_report
+from tests.document_fuzz import variants
 
 
 @pytest.fixture
@@ -158,10 +160,72 @@ class TestLedgerSections:
         ]
         assert "rebuild probe      hits 40" in format_report(report, "text")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("top_phases", "oops"),
+            ("top_phases", [1, {"name": "eas", "count": "2"}]),
+            ("top_phases", [{"name": "eas", "self_seconds": None}]),
+            ("metrics", [1]),
+            ("metrics", "oops"),
+        ],
+    )
+    def test_wrongly_typed_terminal_fields_are_skipped(self, tmp_path, ledger_path, field, value):
+        ledger = RunLedger(ledger_path, run_id="run-odd")
+        ledger.run_started(command="table1", argv=["table1"])
+        ledger.run_finished(status=0, wall_seconds=0.2, **{field: value})
+        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+        assert [p["name"] for p in report["slow_phases"]] == ["eas", "grid"]
+        assert report["slow_phases"][0]["self_seconds"] == 0.5
+        assert report["runs"]["finished"] == 2
+        for fmt in ("text", "markdown", "json"):
+            format_report(report, fmt)
+
     def test_no_ledger_sections_without_path(self, tmp_path):
         report = build_report(bench_dir=tmp_path, ledger_path=None)
         assert report["failures"] == []
         assert report["runs"]["total"] == 0
+
+
+#: a ledger holding each record kind the report reads, as ``read_ledger`` returns it,
+#: wrapped in the document shape ``tests/document_fuzz.py`` edits.
+LEDGER = {
+    "version": 1,
+    "records": [
+        {"type": "run_started", "run_id": "r1", "t": 1.7e9, "command": "table1", "argv": ["table1"]},
+        {"type": "phase", "run_id": "r1", "name": "cell", "tag": "c", "scheduler": "eas",
+         "benchmark": "b", "runtime_seconds": 0.5},
+        {"type": "phase", "run_id": "r1", "name": "fault_plan", "tag": "p", "kind": "pe",
+         "recovered": True, "survived": True, "energy_delta": 1.0},
+        {"type": "heartbeat", "run_id": "r1", "elapsed": 1.0},
+        {"type": "run_finished", "run_id": "r1", "t": 1.7e9, "wall_seconds": 0.7,
+         "top_phases": [{"name": "eas", "count": 1, "self_seconds": 0.2}],
+         "metrics": {"eas.cache_hits": 3, "eas.evaluations": 4}},
+        {"type": "run_started", "run_id": "r2", "command": "table1", "argv": ["table1"]},
+        {"type": "run_finished", "run_id": "r2", "wall_seconds": 0.6, "metrics": {"eas.cache_hits": 3}},
+        {"type": "run_started", "run_id": "r3", "command": "schedule", "argv": ["schedule"]},
+        {"type": "run_failed", "run_id": "r3", "t": 1.7e9, "error": "RuntimeError: x",
+         "traceback": "Traceback\nRuntimeError: x"},
+    ],
+}
+
+
+class TestGeneratedLedgers:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(variants(LEDGER, (1,)))
+    def test_every_variant_yields_a_report(self, tmp_path, document):
+        records = document.get("records") if isinstance(document, dict) else None
+        lines = [json.dumps(record) + "\n" for record in records] if isinstance(records, list) else []
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("".join(lines))
+        report = build_report(bench_dir=tmp_path, ledger_path=path)
+        json.loads(format_report(report, "json"))
+        format_report(report, "text")
+        format_report(report, "markdown")
 
 
 class TestRendering:

@@ -31,7 +31,6 @@ class TestPEUsage:
             )
             assert usage.busy == pytest.approx(expected)
             assert usage.utilization == pytest.approx(expected / report.makespan)
-            assert usage.idle_fraction == pytest.approx(1.0 - usage.utilization)
 
     def test_task_counts_cover_all_tasks(self, cat1):
         schedule, report = cat1

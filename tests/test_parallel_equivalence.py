@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.core.eas import EASConfig, eas_base_schedule
+from repro.core.eas import eas_base_schedule
 from repro.core.repair import RepairConfig, multistart_search_and_repair, search_and_repair
 from repro.evalx.experiments import run_fig5, run_msb_table
 from repro.evalx.reporting import format_table
@@ -109,19 +109,6 @@ class TestMultistartRepair:
         repaired, report = search_and_repair(base, RepairConfig(seed=7))
         assert len(repaired.deadline_misses()) <= len(base.deadline_misses())
         assert report.rounds >= 1
-
-    def test_eval_config_roundtrip_through_pool(self):
-        """A non-default EASConfig travels with the spec into the workers."""
-        from repro.core.slack import weight_uniform
-
-        config = EASConfig(weight_policy=weight_uniform)
-        serial = run_fig5(n_benchmarks=1, n_tasks=25, jobs=1, eas_config=config)
-        pooled = run_fig5(n_benchmarks=1, n_tasks=25, jobs=2, eas_config=config)
-        default = run_fig5(n_benchmarks=1, n_tasks=25, jobs=1)
-        assert _strip_runtimes(serial) == _strip_runtimes(pooled)
-        # The uniform weights changed the EAS mapping, so the config
-        # really reached the schedulers on both sides.
-        assert pooled[0].energies["eas"] != default[0].energies["eas"]
 
 
 class TestPortfolioRepairsItsBase:

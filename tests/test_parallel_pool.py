@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.core.eas import EASConfig
 from repro.obs.ledger import RunLedger, read_ledger
 from repro.parallel.pool import JOBS_ENV_VAR, _Envelope, pool_map, resolve_jobs
 from repro.parallel.spec import (
@@ -68,7 +67,6 @@ class TestBenchmarkSpec:
         spec = BenchmarkSpec(kind="msb", system="encoder", clip="akiyo", acg_preset="mesh_2x2")
         ctg, acg = spec.build()
         assert len(acg.pes) == 4
-        assert spec.row_name == "akiyo"
 
     def test_msb_without_preset_uses_its_system_mesh(self):
         ctg, acg = BenchmarkSpec(kind="msb", system="integrated", clip="foreman").build()
@@ -78,7 +76,6 @@ class TestBenchmarkSpec:
     def test_paper_benchmark_recipe(self):
         random_spec = paper_benchmark("random", category=2, index=3, n_tasks=25)
         assert (random_spec.acg_preset, random_spec.shuffle_seed) == ("mesh_4x4", 103)
-        assert random_spec.row_name == "cat2-3"
         for system, n_pes in (("encoder", 4), ("decoder", 4), ("integrated", 9)):
             spec = paper_benchmark(system, clip="akiyo")
             assert spec.acg_preset == MSB_SYSTEMS[system][1]
@@ -106,7 +103,6 @@ class TestBenchmarkSpec:
         spec = RunSpec(
             scheduler="eas",
             benchmark=BenchmarkSpec(kind="random", index=1, n_tasks=20),
-            eas_config=EASConfig(repair=False),
             tag="cell",
         )
         clone = pickle.loads(pickle.dumps(spec))

@@ -56,6 +56,16 @@ class TestRoundTrip:
         restored = schedule_from_json(schedule_to_json(schedule), ctg, acg)
         assert restored.runtime_seconds == schedule.runtime_seconds
 
+    def test_recorded_schedule_resaves_byte_identical(self):
+        # The encoder's source tasks have no input transaction, so their
+        # candidates carry a zero comm energy that must stay a float.
+        ctg, acg = av_encoder_ctg("foreman"), mesh_2x2()
+        with obs.activate(obs.Instrumentation.enabled()):
+            schedule = eas_schedule(ctg, acg)
+        saved = schedule_to_json(schedule)
+        assert schedule.provenance and '"comm_energy": 0.0' in saved
+        assert schedule_to_json(schedule_from_json(saved, ctg, acg)) == saved
+
 
 class TestMismatchDetection:
     def test_wrong_ctg_rejected(self, encoder_schedule):
