@@ -12,11 +12,10 @@ This bench runs Steps 1-2 of EAS on the default tables and on
 ``repro.core.reference``'s ``LiteralTables`` for category-1 presets over
 mesh_5x5 and mesh_6x6 (which meet every deadline, so Step 3 never
 runs), asserts the two modes
-produce bit-identical schedules, and records the interval-merge work
-(``comm.merge_intervals`` — total intervals fed through ``merge_busy``)
-into ``BENCH_commsched.json``.
+produce bit-identical schedules, and reports the interval-merge work
+(``comm.merge_intervals`` — total intervals fed through ``merge_busy``).
 
-Gates (CI runs ``test_commsched_smoke`` under ``--bench-check``):
+Gates (CI runs ``test_commsched_smoke``):
 
 * merged-interval work must drop >= ``MIN_MERGE_RATIO`` (2x) — a
   deterministic operation count, never waived;
@@ -160,7 +159,7 @@ def test_commsched_smoke(benchmark, show):
 
     def experiment():
         label, mesh, index, n_tasks = SMOKE_POINT
-        # One cold pass per side: the wall --bench-check gates.
+        # One cold pass per side keeps the smoke point quick.
         point = _commsched_point(mesh, index, n_tasks, pairs=0)
         show(_describe({label: point}))
         assert point["merge_ratio"] >= MIN_MERGE_RATIO

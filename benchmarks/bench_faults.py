@@ -2,10 +2,9 @@
 
 A committed EAS schedule is hit with a seeded Monte Carlo corpus of
 fault plans (PE deaths, link cuts, transient link windows) and rerun
-through degraded-mode recovery.  The bench records how long the whole
-inject-and-recover campaign takes and what fraction of plans the
-recovery schedule survives (no new deadline misses), so regressions in
-either recovery speed or recovery quality show up in ``--bench-check``.
+through degraded-mode recovery.  The bench times the whole
+inject-and-recover campaign and reports what fraction of plans the
+recovery schedule survives (no new deadline misses).
 """
 
 from benchmarks.conftest import run_once

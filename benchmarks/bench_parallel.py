@@ -3,16 +3,15 @@
 ``test_parallel`` regenerates the full Fig 5 + Fig 6 grid (10 random
 graphs x 3 schedulers x 2 categories, default 150-task scale) twice —
 ``jobs=1`` (the same spec grid run in-process) and ``jobs=8`` — asserts
-the two produce identical rows, and records both wall times plus the speedup
-into ``BENCH_parallel.json`` via the benchstore.  On machines exposing
->= 4 CPUs the speedup must clear :data:`MIN_SPEEDUP`; on smaller boxes
-(CI containers are often 1-2 cores, where a process pool can only
-timeshare) the number is recorded but not gated, so the benchmark stays
-honest instead of failing on hardware that cannot show parallelism.
+the two produce identical rows, and reports both wall times plus the
+speedup.  On machines exposing >= 4 CPUs the speedup must clear
+:data:`MIN_SPEEDUP`; on smaller boxes (CI containers are often 1-2
+cores, where a process pool can only timeshare) the number is reported
+but not gated, so the benchmark stays honest instead of failing on
+hardware that cannot show parallelism.
 
 ``test_parallel_smoke`` is the CI point: a 2-benchmark, 2-worker grid
-whose serial/pooled equality always gates, with ``--bench-check``
-guarding its wall time against the stored median.
+whose serial/pooled equality always gates.
 """
 
 import os

@@ -10,8 +10,8 @@ and memoizes rejected move signatures.  This bench runs whole repair
 loops both ways — the full-rebuild oracle ``repro.core.reference.full_rebuild_repair`` and
 ``search_and_repair`` — on the repair-heavy category-2 / mesh_5x5
 presets, asserts the two modes are
-bit-identical (schedule serialization and ``RepairReport``), and records
-the reduction trajectory into ``BENCH_repair.json``.
+bit-identical (schedule serialization and ``RepairReport``), and reports
+the reduction trajectory.
 
 Accounting: a full-mode candidate replays every task
 (``rebuild.tasks_scheduled``); the incremental mode's replayed work is
@@ -25,7 +25,7 @@ the probe cache of ``rebuild.commit_steps`` re-probes only the tasks a
 commit may have moved, where a cacheless loop probes every eligible task
 at every step.
 
-Gates (CI runs ``test_repair`` under ``--bench-check``):
+Gates (CI runs ``test_repair``):
 
 * replayed tasks per candidate must drop >= ``MIN_REPLAY_RATIO`` (3x) —
   never waived;

@@ -290,27 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="trend & postmortem report from BENCH_* histories and the run ledger",
+        help="postmortem report from the run ledger",
     )
     p.add_argument(
         "--format",
         default="text",
         choices=["text", "markdown", "json"],
         help="output rendering (json is machine-parseable)",
-    )
-    p.add_argument(
-        "--bench-dir",
-        metavar="DIR",
-        default=None,
-        help="directory holding BENCH_*.json histories "
-        "(default: REPRO_BENCH_DIR env, else the repository root)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="regression flag threshold as a fraction "
-        "(default 0.10, the --bench-check gate)",
     )
     p.add_argument(
         "--limit",
@@ -324,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="rotate the run ledger first: keep only the last N runs "
-        "(atomic rewrite under the benchstore lockfile)",
+        "(atomic rewrite under the ledger's lockfile)",
     )
     p.set_defaults(handler=_handle_report)
 
@@ -765,7 +751,6 @@ def _handle_optimal(args) -> int:
 
 
 def _handle_report(args) -> int:
-    from repro.obs.benchstore import DEFAULT_THRESHOLD
     from repro.obs.report import build_report, format_report
 
     ledger_path = resolve_ledger_path(getattr(args, "ledger", None))
@@ -787,9 +772,7 @@ def _handle_report(args) -> int:
         )
     active = obs.get().ledger
     report = build_report(
-        bench_dir=args.bench_dir,
         ledger_path=ledger_path,
-        threshold=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD,
         limit=args.limit,
         exclude_run_id=active.run_id if active is not None else None,
     )
@@ -901,6 +884,32 @@ def _resolve_diff_endpoint(token: str, args):
 
 #: the flags a diff endpoint (spec string or ledger params) can override.
 _ENDPOINT_KEYS = ("algorithm", "system", "clip", "category", "index", "n_tasks")
+#: the integer-valued ones; the rest are names.
+_INT_ENDPOINT_KEYS = ("category", "index", "n_tasks")
+
+
+def _ledger_endpoint_params(run_id: str, started: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``_ENDPOINT_KEYS`` of a ``run_started`` record's ``params``, typed.
+
+    A missing or ``null`` key keeps the flag's value; a wrongly typed
+    one, or ``params`` that is not a JSON object, is a :class:`LedgerError`.
+    """
+    from repro import jsondoc
+
+    raw = started.get("params")
+    try:
+        params = jsondoc.Fields({} if raw is None else raw, f"run {run_id!r} params")
+        if "algorithm" not in params.data:
+            raise LedgerError(
+                f"run {run_id!r} (command {started.get('command')!r}) does not describe "
+                "a single schedule; diff `schedule`/`inspect`/`explain` runs"
+            )
+        return {
+            key: (params.integer if key in _INT_ENDPOINT_KEYS else params.name)(key, None)
+            for key in _ENDPOINT_KEYS
+        }
+    except SerializationError as exc:
+        raise LedgerError(str(exc)) from exc
 
 
 def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = None):
@@ -920,7 +929,7 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
                     f"diff endpoint {token!r}: expected key=value, got {part!r}"
                 )
             key, value = (s.strip() for s in part.split("=", 1))
-            if key in ("category", "index", "n_tasks"):
+            if key in _INT_ENDPOINT_KEYS:
                 try:
                     fields[key] = int(value)
                 except ValueError as exc:
@@ -964,12 +973,7 @@ def _handle_diff(args) -> int:
             )
             if started is None:
                 raise LedgerError(f"run {value!r} has no run_started record in the ledger")
-            params = started.get("params") or {}
-            if "algorithm" not in params:
-                raise LedgerError(
-                    f"run {value!r} (command {started.get('command')!r}) does not describe "
-                    "a single schedule; diff `schedule`/`inspect`/`explain` runs"
-                )
+            params = _ledger_endpoint_params(value, started)
             run_ids[position] = value
             endpoints.append(("spec", _parse_endpoint_spec("", args, params=params)))
         else:

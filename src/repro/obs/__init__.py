@@ -25,7 +25,6 @@ Typical use::
 """
 
 from repro.obs import (
-    benchstore,
     diff,
     explain,
     export,
@@ -35,7 +34,6 @@ from repro.obs import (
     timeline,
     utilization,
 )
-from repro.obs.benchstore import BenchRun, BenchStore, RegressionCheck
 from repro.obs.context import (
     Instrumentation,
     PhaseTiming,
@@ -55,8 +53,6 @@ from repro.obs.tracer import NULL_TRACER, Event, NullTracer, Span, Tracer
 from repro.obs.utilization import UtilizationReport, analyze_schedule
 
 __all__ = [
-    "BenchRun",
-    "BenchStore",
     "Candidate",
     "Counter",
     "DecisionLog",
@@ -70,7 +66,6 @@ __all__ = [
     "NullTracer",
     "PhaseTiming",
     "RUN_LEDGER_SCHEMA_VERSION",
-    "RegressionCheck",
     "RunLedger",
     "ScheduleDiff",
     "Span",
@@ -79,7 +74,6 @@ __all__ = [
     "UtilizationReport",
     "activate",
     "analyze_schedule",
-    "benchstore",
     "build_report",
     "chrome_trace",
     "critical_path",

@@ -3,7 +3,7 @@
 Turns a committed :class:`~repro.schedule.schedule.Schedule` (plus its
 schema-v2 decision provenance, when recorded) into an attribution
 report answering the two triage questions a regressed Table-1/2 row or
-a changed ``--bench-check`` verdict raises:
+a changed schedule digest in the end-to-end benchmark raises:
 
 * **"why PE k for task i"** — the Step-2 selection rule that fired
   (rescue / forced / max-regret), the winning F(i,k) component

@@ -22,14 +22,14 @@ and ``t`` (Unix time):
 =============== ============================================================
 
 Durability model: every record is appended, flushed and fsync'd
-immediately under the cross-process lockfile shared with
-:mod:`repro.obs.benchstore`, so concurrent CLI invocations and pooled
-workers interleave whole lines, never fragments — and a run that is
-SIGKILLed mid-grid still leaves its ``run_started`` and every completed
-``phase`` on disk.  The terminal record is written from the CLI's
-``finally`` path (``SchedulingError`` and ordinary crashes) with an
-``atexit`` fallback that marks still-open runs as failed, so *some*
-terminal record exists for anything short of a hard kill.
+immediately under a cross-process lockfile (:func:`exclusive_lock`),
+so concurrent CLI invocations and pooled workers interleave whole
+lines, never fragments — and a run that is SIGKILLed mid-grid still
+leaves its ``run_started`` and every completed ``phase`` on disk.  The
+terminal record is written from the CLI's ``finally`` path
+(``SchedulingError`` and ordinary crashes) with an ``atexit`` fallback
+that marks still-open runs as failed, so *some* terminal record exists
+for anything short of a hard kill.
 
 Worker processes never write the file: the worker envelope of
 :func:`repro.parallel.pool.pool_map` gives each pooled item a buffered
@@ -44,14 +44,15 @@ import atexit
 import json
 import os
 import socket
+import subprocess
 import sys
 import traceback as traceback_module
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import LedgerError
-from repro.obs.benchstore import current_git_rev, exclusive_lock
 
 #: bump when the record layout changes incompatibly.
 RUN_LEDGER_SCHEMA_VERSION = 1
@@ -65,6 +66,70 @@ LEDGER_ENV_VAR = "REPRO_LEDGER"
 #: how many traceback characters a ``run_failed`` record retains.
 MAX_TRACEBACK_CHARS = 8000
 
+#: how long :func:`exclusive_lock` waits for a concurrent writer before
+#: giving up; a lock twice this old is treated as stale and broken.
+LOCK_TIMEOUT_SECONDS = 10.0
+
+
+@contextmanager
+def exclusive_lock(path: Path, timeout: float = LOCK_TIMEOUT_SECONDS) -> Iterator[None]:
+    """Hold ``path``'s sibling lockfile for the duration of the block.
+
+    The cross-process mutual-exclusion primitive of every ledger append
+    and rewrite: an ``O_CREAT | O_EXCL`` lockfile next to ``path``.
+    Waits up to ``timeout`` for a live writer; a lock older than
+    ``2 * timeout`` is treated as leaked by a dead process and broken.
+    """
+    lock_path = path.with_suffix(path.suffix + ".lock")
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            try:
+                if time.time() - lock_path.stat().st_mtime > 2 * timeout:
+                    lock_path.unlink()  # stale lock from a dead writer
+                    continue
+            except OSError:
+                continue  # holder released (or broke) it; retry at once
+            if time.monotonic() >= deadline:
+                raise TimeoutError(f"lock {lock_path} still held after {timeout:.0f}s")
+            time.sleep(0.002)
+    try:
+        os.write(fd, f"{os.getpid()}\n".encode())
+        os.close(fd)
+        yield
+    finally:
+        try:
+            lock_path.unlink()
+        except OSError:
+            pass
+
+
+_GIT_REV_CACHE: Dict[str, str] = {}
+
+
+def current_git_rev(cwd: Union[str, Path, None] = None) -> str:
+    """Short git revision of ``cwd``'s repository, or ``"unknown"``."""
+    key = str(cwd or ".")
+    cached = _GIT_REV_CACHE.get(key)
+    if cached is not None:
+        return cached
+    try:
+        rev = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=str(cwd) if cwd else None,
+            capture_output=True,
+            text=True,
+            timeout=5,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        rev = "unknown"
+    _GIT_REV_CACHE[key] = rev or "unknown"
+    return _GIT_REV_CACHE[key]
+
 
 def new_run_id() -> str:
     """A unique, sortable run identifier: ``<ms-hex>-<pid>-<random>``."""
@@ -72,7 +137,7 @@ def new_run_id() -> str:
 
 
 def default_ledger_path() -> Path:
-    """The repository-root ledger file (next to the ``BENCH_*.json``)."""
+    """The repository-root ledger file."""
     return Path(__file__).resolve().parents[3] / LEDGER_FILENAME
 
 

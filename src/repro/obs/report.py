@@ -1,17 +1,8 @@
-"""The trend & postmortem reporter behind ``repro-noc report``.
+"""The postmortem reporter behind ``repro-noc report``.
 
-Synthesizes the two durable telemetry stores — every ``BENCH_<name>.json``
-benchmark history and the ``RUN_LEDGER.jsonl`` flight recorder — into
-one report (text, markdown or JSON):
+Synthesizes the ``RUN_LEDGER.jsonl`` flight recorder into one report
+(text, markdown or JSON):
 
-* **per-benchmark trend** — stored run count, median wall time, the
-  latest run's wall time and its delta against the median, flagged as a
-  regression with the same threshold ``--bench-check`` gates on.
-  Comparisons are CPU-cohorted: only stored runs whose ``cpu_count``
-  matches the latest run's enter the median (legacy records without one
-  are wildcards), so a 1-CPU container's wall times never pollute a
-  many-core host's trend — the skipped cross-host records are counted
-  in ``ignored_runs``.
 * **recent failures** — ``run_failed`` ledger records joined with their
   run's command/argv, traceback included (most recent first).
 * **slowest phases** — tracer span self-times from the ``top_phases``
@@ -26,13 +17,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.benchstore import (
-    DEFAULT_THRESHOLD,
-    BenchStore,
-    RegressionCheck,
-    cpu_comparable,
-    median,
-)
 from repro.obs.diff import run_delta
 from repro.obs.ledger import group_runs, iter_failures, ledger_size_bytes, read_ledger, typed_field
 
@@ -44,26 +28,19 @@ LEDGER_WARN_BYTES = 5 * 1024 * 1024
 
 
 def build_report(
-    bench_dir: Union[str, Path, None] = None,
     ledger_path: Union[str, Path, None] = None,
-    threshold: float = DEFAULT_THRESHOLD,
     limit: int = DEFAULT_LIMIT,
     exclude_run_id: Optional[str] = None,
 ) -> Dict[str, Any]:
     """The full report as a JSON-ready dict.
 
-    ``bench_dir`` defaults to the repository root (the
-    :class:`BenchStore` default); ``ledger_path`` of None skips the
-    ledger sections.  ``exclude_run_id`` drops the reporting run itself
-    from the run statistics (it is open while the report is built).
+    ``ledger_path`` of None skips the ledger sections.
+    ``exclude_run_id`` drops the reporting run itself from the run
+    statistics (it is open while the report is built).
     """
-    store = BenchStore(bench_dir) if bench_dir is not None else BenchStore.from_env()
     report: Dict[str, Any] = {
         "generated_at": time.time(),
-        "threshold": threshold,
-        "bench_dir": str(store.root) if store is not None else None,
         "ledger": str(ledger_path) if ledger_path is not None else None,
-        "benchmarks": _bench_trends(store, threshold) if store is not None else [],
         "failures": [],
         "slow_phases": [],
         "slow_cells": [],
@@ -74,9 +51,6 @@ def build_report(
         "ledger_warning": None,
         "run_delta": None,
     }
-    report["regressions"] = [
-        row["benchmark"] for row in report["benchmarks"] if row["regressed"]
-    ]
     if ledger_path is not None:
         records = read_ledger(ledger_path)
         failures = [f for f in iter_failures(records) if f["run_id"] != exclude_run_id]
@@ -98,44 +72,6 @@ def build_report(
 
 
 # -- section builders -----------------------------------------------------------
-
-
-def _bench_trends(store: BenchStore, threshold: float) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for path in sorted(store.root.glob("BENCH_*.json")):
-        name = path.name[len("BENCH_") : -len(".json")]
-        runs = [
-            run
-            for run in store.load(name)
-            if isinstance(run.get("wall_seconds"), (int, float))
-        ]
-        if not runs:
-            continue
-        last = runs[-1]
-        cpu = last.get("cpu_count")
-        cohort = [run for run in runs[:-1] if cpu_comparable(run, cpu)]
-        check = RegressionCheck(
-            name=name,
-            wall_seconds=last["wall_seconds"],
-            median_seconds=median(run["wall_seconds"] for run in cohort),
-            threshold=threshold,
-        )
-        rows.append(
-            {
-                "benchmark": name,
-                "runs": len(runs),
-                "cpu_count": cpu,
-                "ignored_runs": len(runs) - 1 - len(cohort),
-                "median_wall_seconds": check.median_seconds,
-                "last_wall_seconds": check.wall_seconds,
-                "last_git_rev": last.get("git_rev", "unknown"),
-                "delta_pct": (
-                    round(100.0 * (check.ratio - 1.0), 2) if check.median_seconds else None
-                ),
-                "regressed": check.regressed,
-            }
-        )
-    return rows
 
 
 def _slow_phases(records: List[Dict[str, Any]], limit: int) -> List[Dict[str, Any]]:
@@ -319,38 +255,9 @@ def format_report(report: Dict[str, Any], fmt: str = "text") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _trend_cells(row: Dict[str, Any]) -> List[str]:
-    median = row["median_wall_seconds"]
-    delta = row["delta_pct"]
-    return [
-        row["benchmark"],
-        str(row["runs"]),
-        f"{median * 1e3:.1f}" if median is not None else "-",
-        f"{row['last_wall_seconds'] * 1e3:.1f}",
-        f"{delta:+.1f}%" if delta is not None else "-",
-        "REGRESSION" if row["regressed"] else "ok",
-        str(row["ignored_runs"]),
-    ]
-
-
-_TREND_HEADER = ["benchmark", "runs", "median ms", "last ms", "delta", "verdict", "x-cpu"]
-
-
 def _format_text(report: Dict[str, Any]) -> str:
-    lines = ["== benchmark trends =="]
-    rows = report["benchmarks"]
-    if rows:
-        table = [_TREND_HEADER] + [_trend_cells(row) for row in rows]
-        widths = [max(len(r[i]) for r in table) for i in range(len(_TREND_HEADER))]
-        for r in table:
-            lines.append("  " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths)))
-    else:
-        lines.append("  (no benchmark histories found)")
-    if report["regressions"]:
-        lines.append(f"  flagged: {', '.join(report['regressions'])}")
-
     stats = report["runs"]
-    lines.append("== runs ==")
+    lines = ["== runs =="]
     lines.append(
         f"  {stats['total']} ledgered ({stats['finished']} finished, "
         f"{stats['failed']} failed, {stats['open']} open)"
@@ -444,16 +351,7 @@ def _delta_lines(delta: Dict[str, Any]) -> List[str]:
 
 
 def _format_markdown(report: Dict[str, Any]) -> str:
-    lines = ["# repro-noc run report", "", "## Benchmark trends", ""]
-    rows = report["benchmarks"]
-    if rows:
-        lines.append("| " + " | ".join(_TREND_HEADER) + " |")
-        lines.append("|" + "---|" * len(_TREND_HEADER))
-        for row in rows:
-            lines.append("| " + " | ".join(_trend_cells(row)) + " |")
-    else:
-        lines.append("_no benchmark histories found_")
-    lines += ["", "## Runs", ""]
+    lines = ["# repro-noc run report", "", "## Runs", ""]
     stats = report["runs"]
     lines.append(
         f"{stats['total']} ledgered — {stats['finished']} finished, "

@@ -35,7 +35,7 @@ oracle these economies are tested against.
 
 Counters: ``comm.path_cache_hits`` / ``comm.path_cache_misses``,
 ``comm.horizon_fast_path``, and ``comm.merge_intervals`` (total intervals
-fed through merges — the work metric ``BENCH_commsched.json`` gates on).
+fed through merges — the work metric ``bench_commsched`` gates on).
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ class ScheduleTable:
         table (``reserve``/``release``/``truncate_from`` invalidate it).
         This is the hot read path — ``find_gap``/``merge_busy`` over
         every link of a route per F(i,k) probe; copying here measurably
-        dominates the communication scheduler (see BENCH_commsched).
+        dominates the communication scheduler (see ``bench_commsched``).
         """
         return self._busy
 

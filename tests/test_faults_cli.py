@@ -214,7 +214,7 @@ class TestLedgerAndReport:
             r for r in records if r.get("type") == "phase" and r.get("name") == "fault_plan"
         ]
         assert len(fault_rows) == 3
-        assert main(["report", "--ledger", str(ledger), "--bench-dir", str(tmp_path)]) == 0
+        assert main(["report", "--ledger", str(ledger)]) == 0
         out = capsys.readouterr().out
         assert "fault survivability" in out
         assert "3 plans injected" in out
@@ -231,8 +231,7 @@ class TestLedgerAndReport:
         capsys.readouterr()
         assert (
             main(
-                ["report", "--format", "json", "--ledger", str(ledger),
-                 "--bench-dir", str(tmp_path)]
+                ["report", "--format", "json", "--ledger", str(ledger)]
             )
             == 0
         )
@@ -264,8 +263,7 @@ class TestLedgerAndReport:
         assert f"verdict  : {verdict}" in out
         assert (
             main(
-                ["report", "--format", "json", "--ledger", str(ledger),
-                 "--bench-dir", str(tmp_path)]
+                ["report", "--format", "json", "--ledger", str(ledger)]
             )
             == 0
         )

@@ -9,10 +9,14 @@ classify into root-cause vs cascade along graph edges.
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import obs
+from repro import errors, obs
 from repro.arch.presets import mesh_3x3, mesh_4x4
 from repro.baselines.edf import edf_schedule
 from repro.core.eas import EASConfig, eas_schedule
@@ -24,7 +28,7 @@ from repro.obs.diff import (
     format_diff,
     run_delta,
 )
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RunLedger, read_ledger
 
 
 def _pair(n_tasks=35, index=1):
@@ -238,3 +242,85 @@ class TestCliEndpoints:
         assert status == 0
         document = json.loads(capsys.readouterr().out)
         assert document["moves"]
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"algorithm": "eas", "n_tasks": "x"}, ": 'n_tasks' must be an integer, got 'x'"),
+            ({"algorithm": "eas", "n_tasks": [3]}, ": 'n_tasks' must be an integer, got [3]"),
+            ({"algorithm": "eas", "index": "3"}, ": 'index' must be an integer, got '3'"),
+            ({"algorithm": "eas", "system": 7}, ": 'system' must be a string, got 7"),
+            ("algorithm", " must be a JSON object, got str"),
+        ],
+    )
+    def test_wrongly_typed_ledger_params_are_one_line_errors(
+        self, tmp_path, monkeypatch, capsys, params, message
+    ):
+        """A ``run:<id>`` endpoint reads its recorded params typed."""
+        from repro.cli import main
+
+        ledger = tmp_path / "ledger.jsonl"
+        started = {"type": "run_started", "run_id": "r1", "command": "schedule", "params": params}
+        ledger.write_text(json.dumps(started) + "\n")
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        argv = ["diff", "run:r1", "algorithm=edf", "--system", "random", "--n-tasks", "10"]
+        assert main(argv) == 1
+        expected = f"run 'r1' params{message}"
+        assert capsys.readouterr().err == f"repro-noc: error: {expected}\n"
+        terminal = read_ledger(ledger)[-1]
+        assert terminal["type"] == "run_failed"
+        assert terminal["error"] == f"LedgerError: {expected}"
+
+
+#: endpoint values: the known names, a few wrong ones and free text.
+_SPEC_VALUES = {
+    "algorithm": ["eas", "edf", "eas-base", "bogus"],
+    "system": ["random", "encoder", "decoder", "bogus"],
+    "clip": ["akiyo", "foreman", "nope"],
+}
+_spec_part = st.one_of(
+    st.tuples(
+        st.sampled_from(["category", "index", "n_tasks"]),
+        st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4)),
+    ),
+    st.sampled_from(sorted(_SPEC_VALUES)).flatmap(
+        lambda key: st.tuples(
+            st.just(key), st.one_of(st.sampled_from(_SPEC_VALUES[key]), st.text(max_size=4))
+        )
+    ),
+    st.tuples(st.text(alphabet="acfn_xyz ", max_size=6), st.text(max_size=3)),
+).map("=".join)
+#: ``key=value,...`` tokens, with parts that lack the ``=`` mixed in.
+_spec_tokens = (
+    st.lists(st.one_of(_spec_part, st.text(max_size=4)), max_size=4)
+    .map(",".join)
+    .filter(lambda token: not token.startswith("-") and not Path(token).exists())
+)
+
+
+class TestInlineSpecFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(a=_spec_tokens, b=_spec_tokens)
+    def test_spec_tokens_run_or_fail_in_one_line(self, a, b, monkeypatch, capsys):
+        """Every inline spec either diffs or is one typed ``ReproError`` line."""
+        from repro.cli import main
+
+        capsys.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            ledger = Path(tmp) / "ledger.jsonl"
+            monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+            status = main(["diff", a, b, "--system", "random", "--n-tasks", "6"])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if status == 0:
+                return
+            assert status == 1
+            assert err.count("\n") == 1 and err.startswith("repro-noc: error: ")
+            terminal = read_ledger(ledger)[-1]
+            assert terminal["type"] == "run_failed"
+            error_class = getattr(errors, terminal["error"].split(":")[0])
+            assert issubclass(error_class, errors.ReproError)

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.obs.ledger import (
     RUN_LEDGER_SCHEMA_VERSION,
     RunLedger,
+    current_git_rev,
     group_runs,
     iter_failures,
     ledger_size_bytes,
@@ -319,6 +320,15 @@ class TestPathResolution:
         path = resolve_ledger_path()
         assert path.name == "RUN_LEDGER.jsonl"
         assert (path.parent / "pyproject.toml").exists()
+
+
+class TestEnvironment:
+    def test_git_rev_resolves_in_repo(self):
+        rev = current_git_rev()
+        assert rev  # "unknown" outside a repo, a short hash inside
+
+    def test_git_rev_unknown_outside_repo(self, tmp_path):
+        assert current_git_rev(tmp_path / "nowhere") == "unknown"
 
 
 class TestCliIntegration:

@@ -1,4 +1,4 @@
-"""Tests for the trend & postmortem reporter (obs.report + CLI)."""
+"""Tests for the postmortem reporter (obs.report + CLI)."""
 
 import json
 
@@ -6,87 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cli import main
-from repro.obs.benchstore import BenchRun, BenchStore
 from repro.obs.ledger import RunLedger
 from repro.obs.report import build_report, format_report
 from tests.document_fuzz import variants
-
-
-@pytest.fixture
-def store(tmp_path):
-    return BenchStore(tmp_path)
-
-
-def seed_history(store, name="fig5", walls=(1.0, 1.0, 1.0, 1.0), cpu_count=4, **kwargs):
-    for wall in walls:
-        store.append(
-            BenchRun(name=name, wall_seconds=wall, cpu_count=cpu_count, **kwargs)
-        )
-
-
-def strip_cpu_counts(path):
-    """Rewrite a history file as if recorded before the cpu_count field."""
-    document = json.loads(path.read_text())
-    for run in document["runs"]:
-        run.pop("cpu_count", None)
-        run.pop("jobs", None)
-    path.write_text(json.dumps(document))
-
-
-class TestBenchTrends:
-    def test_healthy_history_is_not_flagged(self, store, tmp_path):
-        seed_history(store, walls=(1.0, 1.02, 0.98, 1.01))
-        report = build_report(bench_dir=tmp_path, threshold=0.10)
-        (row,) = report["benchmarks"]
-        assert row["benchmark"] == "fig5"
-        assert row["runs"] == 4
-        assert row["regressed"] is False
-        assert report["regressions"] == []
-
-    def test_outlier_last_run_is_flagged(self, store, tmp_path):
-        """Acceptance: a +25% wall-time outlier trips the 10% threshold."""
-        seed_history(store, walls=(1.0, 1.0, 1.0, 1.25))
-        report = build_report(bench_dir=tmp_path, threshold=0.10)
-        (row,) = report["benchmarks"]
-        assert row["regressed"] is True
-        assert row["delta_pct"] == 25.0
-        assert report["regressions"] == ["fig5"]
-
-    def test_cross_cpu_runs_are_ignored(self, store, tmp_path):
-        """Acceptance: 1-CPU container walls never pollute a 4-CPU cohort."""
-        # Slow container runs first, then fast 4-CPU history, then a last
-        # 4-CPU run that would look *fast* against the container medians
-        # but is +25% against its own cohort.
-        seed_history(store, walls=(10.0, 10.0, 10.0), cpu_count=1)
-        seed_history(store, walls=(1.0, 1.0, 1.0, 1.25), cpu_count=4)
-        report = build_report(bench_dir=tmp_path, threshold=0.10)
-        (row,) = report["benchmarks"]
-        assert row["cpu_count"] == 4
-        assert row["ignored_runs"] == 3
-        assert row["median_wall_seconds"] == 1.0
-        assert row["regressed"] is True
-
-    def test_legacy_records_without_cpu_count_are_wildcards(self, store, tmp_path):
-        seed_history(store, walls=(1.0, 1.0), cpu_count=3)
-        strip_cpu_counts(store.path_for("fig5"))  # pre-schema records
-        seed_history(store, walls=(1.0, 1.25), cpu_count=4)
-        report = build_report(bench_dir=tmp_path, threshold=0.10)
-        (row,) = report["benchmarks"]
-        assert row["ignored_runs"] == 0
-        assert row["regressed"] is True
-
-    def test_single_run_has_no_median(self, store, tmp_path):
-        seed_history(store, walls=(1.0,))
-        (row,) = build_report(bench_dir=tmp_path)["benchmarks"]
-        assert row["median_wall_seconds"] is None
-        assert row["delta_pct"] is None
-        assert row["regressed"] is False
-
-    def test_multiple_benchmarks_sorted_by_name(self, store, tmp_path):
-        seed_history(store, name="table1", walls=(1.0, 1.0))
-        seed_history(store, name="fig5", walls=(1.0, 1.0))
-        names = [row["benchmark"] for row in build_report(bench_dir=tmp_path)["benchmarks"]]
-        assert names == ["fig5", "table1"]
 
 
 @pytest.fixture
@@ -116,32 +38,30 @@ def ledger_path(tmp_path):
 
 
 class TestLedgerSections:
-    def test_failures_joined_with_command(self, tmp_path, ledger_path):
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_failures_joined_with_command(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         (failure,) = report["failures"]
         assert failure["run_id"] == "run-bad"
         assert failure["command"] == "schedule"
         assert "no feasible PE" in failure["error"]
         assert "Traceback" in failure["traceback"]
 
-    def test_run_stats(self, tmp_path, ledger_path):
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_run_stats(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         assert report["runs"] == {"total": 2, "finished": 1, "failed": 1, "open": 0}
 
-    def test_exclude_run_id_drops_the_reporting_run(self, tmp_path, ledger_path):
-        report = build_report(
-            bench_dir=tmp_path, ledger_path=ledger_path, exclude_run_id="run-bad"
-        )
+    def test_exclude_run_id_drops_the_reporting_run(self, ledger_path):
+        report = build_report(ledger_path=ledger_path, exclude_run_id="run-bad")
         assert report["runs"]["total"] == 1
         assert report["failures"] == []
 
-    def test_slow_phases_aggregate_self_time(self, tmp_path, ledger_path):
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_slow_phases_aggregate_self_time(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         assert [p["name"] for p in report["slow_phases"]] == ["eas", "grid"]
         assert report["slow_phases"][0]["self_seconds"] == 0.5
 
-    def test_slow_cells_ranked_by_runtime(self, tmp_path, ledger_path):
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_slow_cells_ranked_by_runtime(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         tags = [c["tag"] for c in report["slow_cells"]]
         assert tags == ["encoder[akiyo]:eas", "encoder[akiyo]:edf"]
 
@@ -154,7 +74,7 @@ class TestLedgerSections:
                 status=0,
                 metrics={"rebuild.probe_hits": hits, "rebuild.probes": probes},
             )
-        report = build_report(bench_dir=tmp_path, ledger_path=path)
+        report = build_report(ledger_path=path)
         assert report["caches"] == [
             {"cache": "rebuild probe", "hits": 40, "misses": 20, "hit_rate_pct": 66.7}
         ]
@@ -170,19 +90,19 @@ class TestLedgerSections:
             ("metrics", "oops"),
         ],
     )
-    def test_wrongly_typed_terminal_fields_are_skipped(self, tmp_path, ledger_path, field, value):
+    def test_wrongly_typed_terminal_fields_are_skipped(self, ledger_path, field, value):
         ledger = RunLedger(ledger_path, run_id="run-odd")
         ledger.run_started(command="table1", argv=["table1"])
         ledger.run_finished(status=0, wall_seconds=0.2, **{field: value})
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+        report = build_report(ledger_path=ledger_path)
         assert [p["name"] for p in report["slow_phases"]] == ["eas", "grid"]
         assert report["slow_phases"][0]["self_seconds"] == 0.5
         assert report["runs"]["finished"] == 2
         for fmt in ("text", "markdown", "json"):
             format_report(report, fmt)
 
-    def test_no_ledger_sections_without_path(self, tmp_path):
-        report = build_report(bench_dir=tmp_path, ledger_path=None)
+    def test_no_ledger_sections_without_path(self):
+        report = build_report(ledger_path=None)
         assert report["failures"] == []
         assert report["runs"]["total"] == 0
 
@@ -222,76 +142,65 @@ class TestGeneratedLedgers:
         lines = [json.dumps(record) + "\n" for record in records] if isinstance(records, list) else []
         path = tmp_path / "ledger.jsonl"
         path.write_text("".join(lines))
-        report = build_report(bench_dir=tmp_path, ledger_path=path)
+        report = build_report(ledger_path=path)
         json.loads(format_report(report, "json"))
         format_report(report, "text")
         format_report(report, "markdown")
 
 
 class TestRendering:
-    def test_text_sections(self, store, tmp_path, ledger_path):
-        seed_history(store, walls=(1.0, 1.0, 1.25))
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_text_sections(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         text = format_report(report, "text")
-        assert "== benchmark trends ==" in text
-        assert "REGRESSION" in text
-        assert "flagged: fig5" in text
+        assert text.startswith("== runs ==")
         assert "== recent failures ==" in text
         assert "no feasible PE" in text
         assert "== slowest phases (self time) ==" in text
 
-    def test_markdown_tables(self, store, tmp_path, ledger_path):
-        seed_history(store, walls=(1.0, 1.0))
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_markdown_tables(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         md = format_report(report, "markdown")
-        assert md.startswith("# repro-noc run report")
-        assert "| benchmark | runs |" in md
+        assert md.startswith("# repro-noc run report\n\n## Runs\n")
+        assert "| phase | count | self ms |" in md
         assert "**schedule** — RuntimeError: no feasible PE" in md
 
-    def test_json_round_trips(self, store, tmp_path, ledger_path):
-        seed_history(store, walls=(1.0, 1.0))
-        report = build_report(bench_dir=tmp_path, ledger_path=ledger_path)
+    def test_json_round_trips(self, ledger_path):
+        report = build_report(ledger_path=ledger_path)
         parsed = json.loads(format_report(report, "json"))
         assert parsed["runs"]["failed"] == 1
 
-    def test_unknown_format_raises(self, tmp_path):
+    def test_unknown_format_raises(self):
         with pytest.raises(ValueError, match="unknown report format"):
-            format_report(build_report(bench_dir=tmp_path), "yaml")
+            format_report(build_report(), "yaml")
 
 
 class TestCli:
-    def test_report_json_parses(self, store, tmp_path, ledger_path, monkeypatch, capsys):
+    def test_report_json_parses(self, ledger_path, monkeypatch, capsys):
         """Acceptance: ``repro-noc report --format json`` emits valid JSON."""
-        seed_history(store, walls=(1.0, 1.0, 1.3))
         monkeypatch.setenv("REPRO_LEDGER", str(ledger_path))
-        assert (
-            main(["report", "--format", "json", "--bench-dir", str(tmp_path)]) == 0
-        )
+        assert main(["report", "--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
-        assert parsed["regressions"] == ["fig5"]
         assert parsed["runs"]["failed"] == 1
 
-    def test_report_text_default(self, store, tmp_path, monkeypatch, capsys):
-        seed_history(store, walls=(1.0, 1.0))
-        assert main(["report", "--bench-dir", str(tmp_path)]) == 0
+    def test_report_text_default(self, ledger_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger_path))
+        assert main(["report"]) == 0
         out = capsys.readouterr().out
-        assert "== benchmark trends ==" in out
-        assert "fig5" in out
+        assert out.startswith("== runs ==")
+        assert "no feasible PE" in out
 
-    def test_report_threshold_flag(self, store, tmp_path, monkeypatch, capsys):
-        seed_history(store, walls=(1.0, 1.0, 1.08))
-        assert (
-            main(["report", "--format", "json", "--bench-dir", str(tmp_path),
-                  "--threshold", "0.05"]) == 0
-        )
-        parsed = json.loads(capsys.readouterr().out)
-        assert parsed["regressions"] == ["fig5"]
+    def test_report_threshold_flag(self, capsys):
+        """The trend section is gone, and with it its two flags."""
+        for flag in (["--threshold", "0.05"], ["--bench-dir", "."]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["report", *flag])
+            assert exit_info.value.code == 2
 
-    def test_reporting_run_not_counted_as_open(self, store, tmp_path, monkeypatch, capsys):
+    def test_reporting_run_not_counted_as_open(self, tmp_path, monkeypatch, capsys):
         """The report run flight-records itself but excludes itself."""
         ledger = tmp_path / "self.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(ledger))
-        assert main(["report", "--format", "json", "--bench-dir", str(tmp_path)]) == 0
+        assert main(["report", "--format", "json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["runs"]["total"] == 0
 
@@ -301,7 +210,7 @@ class TestCli:
         for _ in range(2):
             assert main(["schedule", "--system", "encoder"]) == 0
         capsys.readouterr()
-        assert main(["report", "--format", "json", "--bench-dir", str(tmp_path)]) == 0
+        assert main(["report", "--format", "json"]) == 0
         delta = json.loads(capsys.readouterr().out)["run_delta"]
         evaluations = delta["counters"]["eas.evaluations"]
         assert evaluations[0] == evaluations[1] > 0
