@@ -49,3 +49,7 @@ def test_faults(benchmark, show):
     for kind, row in result["by_kind"].items():
         lines.append(f"  {kind:>9}: {row['survived']}/{row['plans']} survived")
     show("\n".join(lines))
+    # Every seeded plan recovers and keeps its deadlines.
+    assert result["recovered"] == N_PLANS
+    assert result["survived"] == N_PLANS
+    assert result["by_kind"] == {kind: {"plans": 4, "survived": 4} for kind in ("pe", "link", "transient")}

@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 from repro.arch.acg import ACG
 from repro.ctg.graph import CTG
-from repro.errors import ScheduleValidationError
+from repro.errors import CTGError, ScheduleValidationError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.table import EPS, ScheduleTable
 
@@ -162,13 +162,19 @@ class Schedule:
 
         Checks performed:
 
-        1. every task and every edge has exactly one placement;
-        2. task placements on one PE do not overlap (Definition 4);
-        3. transactions sharing a link do not overlap (Definition 3);
-        4. a transaction starts at or after its sender finishes;
-        5. a task starts at or after all its receiving transactions end;
-        6. placements use the routes/durations/energies the ACG defines;
-        7. every specified deadline is met.
+        1. every task and every edge has exactly one placement, and no
+           transaction is placed for a pair of tasks that shares no edge;
+        2. each transaction carries its edge's volume from its sender's
+           PE to its receiver's PE, over links that form a contiguous
+           tile path between their tiles, at the Eq. 2 energy for
+           ``len(links) + 1`` routers (within a relative 1e-9);
+        3. task placements on one PE do not overlap (Definition 4);
+        4. transactions sharing a link do not overlap (Definition 3);
+        5. a transaction starts at or after its sender finishes;
+        6. a task starts at or after all its receiving transactions end;
+        7. placements use the routes and durations the ACG defines, and
+           each task's energy is its cost-table entry;
+        8. every specified deadline is met.
         """
         self.validate_structure()
         misses = self.deadline_misses()
@@ -186,7 +192,8 @@ class Schedule:
         self._validate_against_acg()
 
     def validate_consistency(self) -> None:
-        """Completeness plus PE and link exclusivity only.
+        """Completeness, transaction endpoints, paths and energies, plus PE
+        and link exclusivity (checks 1-4 of :meth:`validate`).
 
         The subset of :meth:`validate_structure` that holds for *any*
         well-formed schedule regardless of which platform view produced
@@ -198,6 +205,7 @@ class Schedule:
         regime-split dependency and route checks on top.
         """
         self._validate_completeness()
+        self._validate_transactions()
         self._validate_pe_exclusivity()
         self._validate_link_exclusivity()
 
@@ -208,6 +216,44 @@ class Schedule:
         for edge in self.ctg.edges():
             if (edge.src, edge.dst) not in self.comm_placements:
                 raise ScheduleValidationError(f"transaction {edge.src}->{edge.dst} is unscheduled")
+
+    def _validate_transactions(self) -> None:
+        """Check 2 of :meth:`validate`; runs after completeness, so both tasks are placed."""
+        energy_per_bit = self.acg.energy_model.energy_per_bit
+        tiles = {pe.index: pe.position for pe in self.acg.pes}
+        for (src, dst), comm in self.comm_placements.items():
+            try:
+                edge = self.ctg.edge(src, dst)
+            except CTGError:
+                raise ScheduleValidationError(f"transaction {src}->{dst} is not a CTG edge") from None
+            if comm.volume != edge.volume:
+                raise ScheduleValidationError(
+                    f"transaction {src}->{dst} volume {comm.volume} != edge volume {edge.volume}"
+                )
+            # A recovery schedule keeps the delivered input of a salvaged
+            # receiver even when its sender reruns elsewhere: that transfer
+            # ended before the rerun started, from the sender's first PE.
+            sender = self.task_placements[src]
+            if comm.dst_pe != self.task_placements[dst].pe or (
+                comm.src_pe != sender.pe and comm.finish > sender.start + EPS
+            ):
+                raise ScheduleValidationError(
+                    f"transaction {src}->{dst} runs PE {comm.src_pe}->PE {comm.dst_pe}, "
+                    f"not between its tasks' PEs"
+                )
+            tile = tiles.get(comm.src_pe)
+            for link in comm.links:
+                tile = link.dst if link.src == tile else None
+            if tile is None or tile != tiles.get(comm.dst_pe):
+                raise ScheduleValidationError(
+                    f"transaction {src}->{dst} links are not a contiguous route "
+                    f"from PE {comm.src_pe} to PE {comm.dst_pe}"
+                )
+            expected = comm.volume * energy_per_bit(len(comm.links) + 1)
+            if not math.isclose(comm.energy, expected, rel_tol=1e-9, abs_tol=0.0):
+                raise ScheduleValidationError(
+                    f"transaction {src}->{dst} energy {comm.energy} != Eq. 2 energy {expected}"
+                )
 
     def _validate_pe_exclusivity(self) -> None:
         per_pe: Dict[int, ScheduleTable] = {}
@@ -256,6 +302,10 @@ class Schedule:
             if abs(placement.duration - cost.time) > EPS:
                 raise ScheduleValidationError(
                     f"task {name!r} duration {placement.duration} != cost table {cost.time}"
+                )
+            if not math.isclose(placement.energy, cost.energy, rel_tol=1e-9, abs_tol=0.0):
+                raise ScheduleValidationError(
+                    f"task {name!r} energy {placement.energy} != cost table {cost.energy}"
                 )
         for (src, dst), comm in self.comm_placements.items():
             route = self.acg.route(comm.src_pe, comm.dst_pe)

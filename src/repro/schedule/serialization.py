@@ -11,6 +11,7 @@ data to reconstruct every invariant check, given the same CTG/ACG pair
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict
 
 from repro.arch.acg import ACG
@@ -120,8 +121,88 @@ def schedule_from_dict(data: Dict[str, Any], ctg: CTG, acg: ACG) -> Schedule:
         return schedule
 
 
+#: How ``json.dumps`` spells the floats ``float.__repr__`` writes as ``inf``/``-inf``/``nan``.
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+_TASK = """    {{
+      "energy": {},
+      "finish": {},
+      "pe": {},
+      "start": {},
+      "task": {}
+    }}"""
+
+_COMM = """    {{
+      "dst_pe": {},
+      "dst_task": {},
+      "energy": {},
+      "finish": {},
+      "links": {},
+      "src_pe": {},
+      "src_task": {},
+      "start": {},
+      "volume": {}
+    }}"""
+
+_LINK = """        [
+          [
+            {},
+            {}
+          ],
+          [
+            {},
+            {}
+          ]
+        ]"""
+
+
+def _number(value: Any) -> str:
+    """``value`` as ``json.dumps`` writes it: ``float.__repr__`` or ``int.__repr__``."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)  # a bool, None or a subclass: as json's own scalar encoder
+
+
+def _array(items: list, indent: str) -> str:
+    """The JSON array of the written ``items``, its ``]`` at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def schedule_to_json(schedule: Schedule) -> str:
-    return json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)
+    """``json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)``, byte for byte.
+
+    The document's shape is fixed, so it is written directly: keys in
+    sorted order, each value as ``json`` formats its type.  Provenance,
+    present only when decisions were recorded, goes through ``json.dumps``
+    as its own subtree.
+    """
+    name = encode_basestring_ascii
+    tasks = [
+        _TASK.format(_number(p.energy), _number(p.finish), _number(p.pe), _number(p.start), name(p.task))
+        for p in sorted(schedule.task_placements.values(), key=lambda p: p.task)
+    ]
+    comms = [
+        _COMM.format(
+            _number(c.dst_pe), name(c.dst_task), _number(c.energy), _number(c.finish),
+            _array([_LINK.format(*map(_number, (*link.src, *link.dst))) for link in c.links], "      "),
+            _number(c.src_pe), name(c.src_task), _number(c.start), _number(c.volume),
+        )
+        for c in sorted(schedule.comm_placements.values(), key=lambda c: (c.src_task, c.dst_task))
+    ]
+    provenance = ""
+    if schedule.provenance:
+        records = json.dumps([d.to_dict() for d in schedule.provenance], indent=2, sort_keys=True)
+        provenance = '  "provenance": ' + records.replace("\n", "\n  ") + ",\n"
+    return (
+        f'{{\n  "algorithm": {name(schedule.algorithm)},\n  "comms": {_array(comms, "  ")},\n'
+        f'  "ctg": {name(schedule.ctg.name)},\n  "format": "repro-schedule",\n'
+        f'  "n_pes": {_number(schedule.acg.n_pes)},\n{provenance}'
+        f'  "runtime_seconds": {_number(schedule.runtime_seconds)},\n'
+        f'  "tasks": {_array(tasks, "  ")},\n  "version": {FORMAT_VERSION}\n}}'
+    )
 
 
 def schedule_from_json(text: str, ctg: CTG, acg: ACG) -> Schedule:

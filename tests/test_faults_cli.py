@@ -185,6 +185,37 @@ class TestValidateCommand:
         assert main(["validate", str(path), *BENCH, "--slack-hops-factor", "0"]) == 1
         assert "validate: FAIL" in capsys.readouterr().out
 
+    def _saved(self, tmp_path, capsys, *flags):
+        path = tmp_path / "sched.json"
+        assert main(["schedule", *BENCH, *flags, "--save", str(path)]) == 0
+        capsys.readouterr()
+        return path, json.loads(path.read_text())
+
+    def _fails_once(self, path, doc, capsys):
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), *BENCH]) == 1
+        out = capsys.readouterr().out
+        assert out.count("validate: FAIL") == 1 and "PASS" not in out
+        return out
+
+    def test_validate_zeroed_energies_fails(self, tmp_path, capsys):
+        path, doc = self._saved(tmp_path, capsys)
+        for entry in doc["tasks"] + doc["comms"]:
+            entry["energy"] = 0.0
+        assert "!= Eq. 2 energy" in self._fails_once(path, doc, capsys)
+
+    def test_validate_remote_transfer_rewritten_as_local_fails(self, tmp_path, capsys):
+        path, doc = self._saved(tmp_path, capsys)
+        comm = next(c for c in doc["comms"] if c["links"])
+        comm.update(dst_pe=comm["src_pe"], links=[], finish=comm["start"], energy=0.0)
+        assert "not between its tasks' PEs" in self._fails_once(path, doc, capsys)
+
+    def test_validate_dvs_schedule_passes(self, tmp_path, capsys):
+        # DVS scales task energies and durations but no transaction.
+        path, _doc = self._saved(tmp_path, capsys, "--dvs")
+        assert main(["validate", str(path), *BENCH]) == 0
+        assert "validate: PASS" in capsys.readouterr().out
+
     def test_validate_wrong_benchmark_fails(self, tmp_path, capsys):
         path = tmp_path / "sched.json"
         assert main(["schedule", *BENCH, "--save", str(path)]) == 0

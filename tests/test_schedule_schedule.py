@@ -1,12 +1,15 @@
 """Tests for the Schedule container: metrics and the structural validator."""
 
+import dataclasses
 
 import pytest
 
 from repro.arch.acg import ACG
+from repro.arch.presets import mesh_2x2
 from repro.arch.topology import Link, Mesh2D
-from repro.core.eas import eas_base_schedule
+from repro.core.eas import eas_base_schedule, eas_schedule
 from repro.ctg.graph import CTG
+from repro.ctg.multimedia import av_encoder_ctg
 from repro.errors import ScheduleValidationError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.schedule import Schedule
@@ -186,17 +189,101 @@ class TestValidation:
         schedule = Schedule(ctg, acg)
         schedule.place_task(TaskPlacement("s1", pe=0, start=0, finish=10, energy=1))
         schedule.place_task(TaskPlacement("s2", pe=0, start=10, finish=20, energy=1))
-        link = acg.route(0, 1).links
+        link, energy = acg.route(0, 1).links, acg.comm_energy(500, 0, 1)
         # Both transactions claim the same link at overlapping times.
         schedule.place_comm(
-            CommPlacement("s1", "r1", 500, 0, 1, 20, 25, link, 1.0)
+            CommPlacement("s1", "r1", 500, 0, 1, 20, 25, link, energy)
         )
         schedule.place_comm(
-            CommPlacement("s2", "r2", 500, 0, 1, 22, 27, link, 1.0)
+            CommPlacement("s2", "r2", 500, 0, 1, 22, 27, link, energy)
         )
         schedule.place_task(TaskPlacement("r1", pe=1, start=25, finish=35, energy=1))
         schedule.place_task(TaskPlacement("r2", pe=1, start=35, finish=45, energy=1))
         with pytest.raises(ScheduleValidationError, match="link"):
+            schedule.validate()
+
+
+def replaced_comm(schedule, **changes):
+    """``schedule`` with its a->b transaction's fields replaced."""
+    schedule.comm_placements[("a", "b")] = dataclasses.replace(schedule.comm("a", "b"), **changes)
+    return schedule
+
+
+class TestTransactionChecks:
+    """A transaction is a CTG edge between its tasks' PEs, on a contiguous
+    path, at the Eq. 2 energy; a task's energy is its cost-table entry."""
+
+    def test_comm_without_edge_rejected(self):
+        schedule = hand_schedule()
+        schedule.place_comm(CommPlacement("b", "a", 500, 1, 0, 30, 30, (), 0.0))
+        with pytest.raises(ScheduleValidationError, match="b->a is not a CTG edge"):
+            schedule.validate_consistency()
+
+    def test_wrong_volume_rejected(self):
+        schedule = replaced_comm(hand_schedule(a_pe=0, b_pe=0), volume=400)
+        with pytest.raises(ScheduleValidationError, match="volume 400 != edge volume 500"):
+            schedule.validate_consistency()
+
+    @pytest.mark.parametrize("side", ["src_pe", "dst_pe"])
+    def test_remote_transfer_rewritten_as_local_rejected(self, side):
+        schedule = hand_schedule(a_pe=0, b_pe=3)
+        comm = schedule.comm("a", "b")
+        # Move the ``side`` endpoint onto the other one's PE.
+        pe = comm.dst_pe if side == "src_pe" else comm.src_pe
+        replaced_comm(schedule, src_pe=pe, dst_pe=pe, links=(), finish=comm.start, energy=0.0)
+        with pytest.raises(ScheduleValidationError, match="not between its tasks' PEs"):
+            schedule.validate_consistency()
+
+    def test_transfer_from_a_sender_that_reran_elsewhere_passes(self):
+        # A recovery schedule keeps a salvaged receiver's input, sent
+        # before the fault from the PE its sender ran on then.
+        schedule = hand_schedule(a_pe=0, b_pe=1)
+        comm = schedule.comm("a", "b")
+        rerun = TaskPlacement("a", pe=2, start=comm.finish, finish=comm.finish + 10, energy=5)
+        schedule.task_placements["a"] = rerun
+        schedule.validate_consistency()
+
+    @pytest.mark.parametrize("links", ["reversed", "detached", "short"])
+    def test_broken_path_rejected(self, links):
+        schedule = hand_schedule(a_pe=0, b_pe=3)
+        route = schedule.comm("a", "b").links
+        broken = {
+            "reversed": tuple(reversed(route)),
+            "detached": (Link((1, 0), (1, 1)),) * 2,
+            "short": route[:1],
+        }[links]
+        replaced_comm(schedule, links=broken)
+        with pytest.raises(ScheduleValidationError, match="not a contiguous route from PE 0 to PE 3"):
+            schedule.validate_consistency()
+
+    @pytest.mark.parametrize("scale", [0.0, 1 - 1e-8, 2.0])
+    def test_invented_comm_energy_rejected(self, scale):
+        schedule = hand_schedule(a_pe=0, b_pe=3)
+        replaced_comm(schedule, energy=schedule.comm("a", "b").energy * scale)
+        with pytest.raises(ScheduleValidationError, match="!= Eq. 2 energy"):
+            schedule.validate_consistency()
+
+    def test_comm_energy_within_relative_tolerance_passes(self):
+        schedule = hand_schedule(a_pe=0, b_pe=3)
+        replaced_comm(schedule, energy=schedule.comm("a", "b").energy * (1 + 1e-12))
+        schedule.validate()
+
+    def test_invented_task_energy_rejected(self):
+        schedule = hand_schedule()
+        schedule.task_placements["a"] = dataclasses.replace(schedule.placement("a"), energy=0.0)
+        schedule.validate_consistency()  # the cost table is an ACG-level check
+        with pytest.raises(ScheduleValidationError, match="energy 0.0 != cost table 5"):
+            schedule.validate_structure()
+
+    def test_zeroed_energies_of_an_eas_schedule_rejected(self):
+        ctg, acg = av_encoder_ctg("akiyo"), mesh_2x2()
+        schedule = eas_schedule(ctg, acg)
+        schedule.validate()
+        for key, comm in schedule.comm_placements.items():
+            schedule.comm_placements[key] = dataclasses.replace(comm, energy=0.0)
+        for name, placement in schedule.task_placements.items():
+            schedule.task_placements[name] = dataclasses.replace(placement, energy=0.0)
+        with pytest.raises(ScheduleValidationError, match="energy 0.0 != Eq. 2 energy"):
             schedule.validate()
 
 

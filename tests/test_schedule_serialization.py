@@ -6,13 +6,18 @@ import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.arch.presets import mesh_2x2, mesh_3x3
+from repro.arch.topology import LINK_COORD_BITS, Link
 from repro.core.eas import eas_schedule
+from repro.ctg.graph import CTG
 from repro.ctg.multimedia import av_encoder_ctg
 from repro.errors import SerializationError
 from repro.obs.decisions import Candidate, TaskDecision
+from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import (
     schedule_from_dict,
     schedule_from_json,
@@ -21,6 +26,7 @@ from repro.schedule.serialization import (
 )
 from repro.sim.replay import simulate_schedule
 from tests.document_fuzz import edited, variants
+from tests.test_golden_schedules import CASES
 
 
 @pytest.fixture
@@ -217,3 +223,70 @@ class TestTypedFields:
         restored = TaskDecision.from_dict(json.loads(json.dumps(decision.to_dict(), allow_nan=False)))
         assert restored.regret == math.inf and restored.bd == -math.inf
         assert math.isnan(restored.chosen.slack)
+
+
+# -- the writer against its oracle ----------------------------------------------
+
+
+def oracle(schedule):
+    """What the writer must produce, byte for byte."""
+    return json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)
+
+
+#: Non-ASCII, quoted, backslashed and control-character names among plain ones.
+names = st.text(alphabet=st.sampled_from('ab\u00e9\u4e2d\U0001f600"\\/\n\t\x00\x1f\x7f'), max_size=6)
+names |= st.text(max_size=6)
+numbers = (
+    st.sampled_from([0, -0.0, 0.0, 5e-324, 1e16, -1e16, 1.5, math.inf, -math.inf, math.nan])
+    | st.floats()
+    | st.integers(-(2**70), 2**70)
+)
+indices = st.integers(0, 2**40)
+coords = st.tuples(st.integers(0, (1 << LINK_COORD_BITS) - 1), st.integers(0, (1 << LINK_COORD_BITS) - 1))
+links = st.lists(st.builds(Link, coords, coords), max_size=3).map(tuple)
+tasks = st.builds(TaskPlacement, names, indices, numbers, numbers, numbers)
+comms = st.builds(CommPlacement, names, names, numbers, indices, indices, numbers, numbers, links, numbers)
+optional = st.none() | st.just(math.inf) | st.just(-math.inf) | st.just(math.nan) | st.floats()
+candidates = st.builds(
+    Candidate, indices, finish=optional, energy=optional, start=optional, drt=optional,
+    compute_energy=optional, comm_energy=optional, hops=st.none() | indices, slack=optional,
+)
+decisions = st.builds(
+    TaskDecision, names, indices, names, rescue=st.booleans(), regret=optional,
+    start=st.floats(), finish=st.floats(), energy=st.floats(),
+    candidates=st.lists(candidates, max_size=3), bd=optional, chosen=st.none() | candidates,
+)
+
+
+@st.composite
+def schedules(draw):
+    schedule = Schedule(CTG(name=draw(names)), mesh_2x2(), algorithm=draw(st.just("") | names))
+    schedule.runtime_seconds = draw(numbers)
+    for placement in draw(st.lists(tasks, max_size=4)):
+        schedule.task_placements[placement.task] = placement
+    for comm in draw(st.lists(comms, max_size=4)):
+        schedule.comm_placements[(comm.src_task, comm.dst_task)] = comm
+    schedule.provenance = draw(st.lists(decisions, max_size=2))
+    return schedule
+
+
+class TestWriterOracle:
+    """``schedule_to_json`` writes what ``json.dumps(indent=2, sort_keys=True)`` would."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(schedules())
+    def test_generated_schedule_matches_oracle(self, schedule):
+        assert schedule_to_json(schedule) == oracle(schedule)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
+    def test_golden_case_matches_oracle(self, name, recorded):
+        instrumentation = obs.Instrumentation.enabled() if recorded else obs.Instrumentation.disabled()
+        with obs.activate(instrumentation):
+            schedule = CASES[name]()
+        assert schedule_to_json(schedule) == oracle(schedule)
+
+    def test_empty_schedule_matches_oracle(self):
+        schedule = Schedule(CTG(name="empty"), mesh_2x2())
+        assert schedule_to_json(schedule) == oracle(schedule)
+        assert '"comms": [],' in schedule_to_json(schedule)
