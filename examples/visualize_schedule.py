@@ -14,7 +14,9 @@ import pathlib
 import sys
 
 from repro import av_integrated_ctg, eas_schedule, edf_schedule, mesh_3x3, render_gantt
-from repro.evalx.analysis import compare_schedules, utilization_table
+from repro.evalx.analysis import compare_schedules
+from repro.obs.utilization import analyze_schedule, utilization_view
+from repro.render import render
 from repro.schedule.svg import render_platform_svg, render_schedule_svg
 
 
@@ -29,7 +31,7 @@ def main() -> None:
 
     print(compare_schedules(eas, edf).describe())
     print()
-    print(utilization_table(eas))
+    print(render(utilization_view(analyze_schedule(eas), pe_only=True), "text"), end="")
     print()
     print(render_gantt(eas, width=70))
 

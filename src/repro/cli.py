@@ -50,6 +50,7 @@ from repro.obs.heartbeat import Heartbeat, resolve_interval
 from repro.obs.ledger import RunLedger, resolve_ledger_path
 from repro.parallel.pool import resolve_jobs
 from repro.parallel.spec import BenchmarkSpec, RunSpec, paper_benchmark, run_scheduler
+from repro.render import render
 from repro.schedule.gantt import render_gantt
 
 
@@ -606,7 +607,9 @@ def _benchmark_spec(args) -> BenchmarkSpec:
     return paper_benchmark(args.system, args.clip, args.category, args.index, args.n_tasks)
 
 
-def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
+def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True, validate: bool = False):
+    """The schedule the flags select; ``validate`` checks its structure before
+    the DVS post-pass, whose stretched tasks no longer match the cost table."""
     repair_starts = getattr(args, "repair_starts", 1)
     if repair_starts > 1:
         # Multi-start portfolio (``main`` admits K > 1 for eas only) as
@@ -630,6 +633,8 @@ def _run_selected_scheduler(args, ctg, acg, report_dvs: bool = True):
             print(portfolio.describe(), file=sys.stderr)
     else:
         schedule = run_scheduler(args.algorithm, ctg, acg)
+    if validate:
+        schedule.validate_structure()
     if args.dvs:
         from repro.core.dvs import apply_dvs
 
@@ -685,6 +690,7 @@ def _handle_inspect(args) -> int:
     import json as _json
 
     from repro.core.slack import compute_budgets
+    from repro.obs.utilization import utilization_view
 
     ctg, acg = _benchmark_spec(args).build()
     with _recording() as instrumentation:
@@ -706,22 +712,22 @@ def _handle_inspect(args) -> int:
         payload = _json.dumps(report.to_dict(), indent=1) + "\n"
         summary = f"inspect: analytics report ({schedule.summary()})"
     else:
-        payload = schedule.summary() + "\n\n" + report.format_text() + "\n"
+        payload = schedule.summary() + "\n\n" + render(utilization_view(report), "text")
         summary = f"inspect: report ({schedule.summary()})"
     return _write_payload(args, payload, summary)
 
 
 def _handle_comparison(args) -> int:
-    from repro.evalx.analysis import compare_schedules, utilization_table
+    from repro.evalx.analysis import compare_schedules
+    from repro.obs.utilization import utilization_view
 
     ctg, acg = paper_benchmark(args.system, args.clip).build()
     eas = run_scheduler("eas", ctg, acg)
     edf = run_scheduler("edf", ctg, acg)
     print(compare_schedules(eas, edf).describe())
-    print()
-    print(utilization_table(eas))
-    print()
-    print(utilization_table(edf))
+    for schedule in (eas, edf):
+        print()
+        sys.stdout.write(render(utilization_view(obs.analyze_schedule(schedule), pe_only=True), "text"))
     return 0
 
 
@@ -751,7 +757,7 @@ def _handle_optimal(args) -> int:
 
 
 def _handle_report(args) -> int:
-    from repro.obs.report import build_report, format_report
+    from repro.obs.report import build_report, report_view
 
     ledger_path = resolve_ledger_path(getattr(args, "ledger", None))
     if args.prune_ledger is not None:
@@ -776,7 +782,7 @@ def _handle_report(args) -> int:
         limit=args.limit,
         exclude_run_id=active.run_id if active is not None else None,
     )
-    print(format_report(report, args.format))
+    sys.stdout.write(render(report_view(report), args.format))
     return 0
 
 
@@ -820,11 +826,7 @@ def _load_schedule(path: str, ctg, acg):
 
 
 def _handle_explain(args) -> int:
-    from repro.obs.explain import (
-        explain_schedule,
-        format_explain,
-        verify_decision_components,
-    )
+    from repro.obs.explain import explain_schedule, explain_view, verify_decision_components
 
     ctg, acg = _benchmark_spec(args).build()
     if args.load:
@@ -850,10 +852,7 @@ def _handle_explain(args) -> int:
             file=sys.stderr,
         )
 
-    report = explain_schedule(schedule, focus=args.task)
-    payload = format_explain(report, args.format)
-    if not payload.endswith("\n"):
-        payload += "\n"
+    payload = render(explain_view(explain_schedule(schedule, focus=args.task)), args.format)
     return _write_payload(args, payload, f"explain: {schedule.summary()}")
 
 
@@ -948,7 +947,7 @@ def _parse_endpoint_spec(token: str, args, params: Optional[Dict[str, Any]] = No
 
 def _handle_diff(args) -> int:
     from repro.evalx.experiments import schedules_for_specs
-    from repro.obs.diff import diff_schedules, format_diff, run_delta
+    from repro.obs.diff import diff_schedules, diff_view, run_delta
     from repro.obs.ledger import read_ledger
 
     resolved = [_resolve_diff_endpoint(tok, args) for tok in (args.a, args.b)]
@@ -1002,12 +1001,9 @@ def _handle_diff(args) -> int:
             run_ids[0], per_run[run_ids[0]], run_ids[1], per_run[run_ids[1]]
         )
 
-    payload = format_diff(diff, args.format, runs=runs)
-    if not payload.endswith("\n"):
-        payload += "\n"
     return _write_payload(
         args,
-        payload,
+        render(diff_view(diff, runs), args.format),
         f"diff: {len(diff.moves)} moves, {len(diff.root_causes())} root-cause",
     )
 
@@ -1048,8 +1044,7 @@ def _handle_faults_inject(args) -> int:
     from repro.sim.wormhole import validate_transaction_abstraction
 
     ctg, acg = _benchmark_spec(args).build()
-    committed = _run_selected_scheduler(args, ctg, acg, report_dvs=False)
-    committed.validate_structure()
+    committed = _run_selected_scheduler(args, ctg, acg, report_dvs=False, validate=True)
     if args.plan:
         plan = FaultPlan.from_json(_read_file(args.plan))
     else:
@@ -1092,7 +1087,7 @@ def _handle_faults_inject(args) -> int:
 def _handle_faults_sweep(args) -> int:
     import json as _json
 
-    from repro.faults.sweep import run_fault_sweep
+    from repro.faults.sweep import run_fault_sweep, sweep_view
 
     kinds = tuple(kind.strip() for kind in args.kinds.split(",") if kind.strip())
     report = run_fault_sweep(
@@ -1106,7 +1101,7 @@ def _handle_faults_sweep(args) -> int:
     if args.format == "json":
         payload = _json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n"
     else:
-        payload = report.format_text() + "\n"
+        payload = render(sweep_view(report), "text")
     return _write_payload(
         args,
         payload,

@@ -3,7 +3,6 @@
 from repro.evalx.analysis import (
     ScheduleComparison,
     compare_schedules,
-    utilization_table,
 )
 from repro.evalx.experiments import (
     ExperimentRow,
@@ -22,7 +21,6 @@ __all__ = [
     "FigureSeries",
     "ScheduleComparison",
     "compare_schedules",
-    "utilization_table",
     "format_figure",
     "format_table",
     "run_fig5",

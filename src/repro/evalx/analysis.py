@@ -3,9 +3,9 @@
 The paper's discussion (Sec. 6.2) explains *where* EAS's savings come
 from: cheaper PE choices (computation term) and shorter routes
 (communication term, fewer average hops).  :func:`compare_schedules`
-produces that decomposition for any two schedules of the same CTG, and
-:func:`utilization_table` shows how each scheduler loads the platform —
-the two views every evaluation in this repository is narrated with.
+produces that decomposition for any two schedules of the same CTG;
+:func:`repro.obs.utilization.pe_section` shows how each scheduler loads
+the platform.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.obs.utilization import analyze_schedule
 from repro.schedule.schedule import Schedule
 
 
@@ -104,18 +103,3 @@ def compare_schedules(a: Schedule, b: Schedule) -> ScheduleComparison:
         n_tasks=a.ctg.n_tasks,
     )
 
-
-def utilization_table(schedule: Schedule) -> str:
-    """Per-PE busy time / utilisation / task count, one line per tile."""
-    span = schedule.makespan()
-    lines = [
-        f"PE utilisation of {schedule.ctg.name} [{schedule.algorithm}] "
-        f"(makespan {span:g}):"
-    ]
-    for pe in analyze_schedule(schedule).pes:
-        lines.append(
-            f"  PE{pe.index:>2} {pe.type_name:>5} @ {pe.position}: "
-            f"{pe.n_tasks:3d} tasks, busy {pe.busy:10.1f} "
-            f"({100 * pe.utilization:5.1f}%), comp energy {pe.compute_energy:10.1f} nJ"
-        )
-    return "\n".join(lines)

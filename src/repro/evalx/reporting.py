@@ -11,6 +11,7 @@ import math
 from typing import List, Sequence
 
 from repro.evalx.experiments import ExperimentRow, FigureSeries
+from repro.render import align
 
 
 def format_table(
@@ -64,7 +65,7 @@ def format_table(
         footer = f"mean savings of {better} vs {worse}: {mean_savings:.1f}%"
     else:
         footer = ""
-    return title + "\n" + _align(table) + ("\n" + footer if footer else "")
+    return title + "\n" + align(table) + ("\n" + footer if footer else "")
 
 
 def format_figure(figure: FigureSeries, title: str) -> str:
@@ -80,17 +81,5 @@ def format_figure(figure: FigureSeries, title: str) -> str:
             y = figure.series[name][i]
             cells.append("miss" if math.isnan(y) else f"{y:.4g}")
         table.append(cells)
-    return title + "\n" + _align(table)
+    return title + "\n" + align(table)
 
-
-def _align(table: List[List[str]]) -> str:
-    widths = [
-        max(len(row[col]) for row in table) for col in range(len(table[0]))
-    ]
-    lines = []
-    for idx, row in enumerate(table):
-        line = "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        lines.append("  " + line)
-        if idx == 0:
-            lines.append("  " + "  ".join("-" * width for width in widths))
-    return "\n".join(lines)

@@ -29,6 +29,7 @@ from repro.faults.plan import FAULT_KINDS, FaultPlan, generate_fault_plans
 from repro.faults.recovery import RecoveryResult, UnsurvivableFaultError, inject_and_recover
 from repro.parallel.pool import pool_map
 from repro.parallel.spec import BenchmarkSpec, run_scheduler
+from repro.render import Section, View
 from repro.schedule.schedule import Schedule
 from repro.schedule.serialization import schedule_from_dict, schedule_to_dict
 
@@ -214,39 +215,41 @@ class FaultSweepReport:
             ],
         }
 
-    def format_text(self) -> str:
-        lines = [
-            f"fault sweep: {self.benchmark} / {self.scheduler} "
-            f"(seed {self.seed}, {self.n_plans} plans)",
-            f"committed: misses={self.committed_misses} "
-            f"energy={self.committed_energy:.3f} makespan={self.committed_makespan:.3f}",
-            f"recovered {self.recovered}/{self.n_plans}, "
-            f"survived {self.survived}/{self.n_plans} "
-            f"({self.survived_fraction:.0%}); "
-            f"mean energy delta {self.mean_energy_delta():+.3f} nJ",
-        ]
-        for kind, (plans, survived) in sorted(self.by_kind().items()):
-            lines.append(f"  {kind:9s}: survived {survived}/{plans}")
-        header = (
-            f"  {'plan':<18s} {'kind':<9s} {'t':>8s} {'salv':>5s} {'rerun':>5s} "
-            f"{'remap':>5s} {'miss':>9s} {'dE':>10s} {'verdict':<10s}"
-        )
-        lines.append(header)
-        for row in self.rows:
-            if row.recovered:
-                verdict = "SURVIVED" if row.survived else "DEGRADED"
-                miss = f"{row.misses_before}->{row.misses_after}"
-                lines.append(
-                    f"  {row.plan_name:<18s} {row.kind:<9s} {row.fault_time:>8.2f} "
-                    f"{row.salvaged:>5d} {row.rerun:>5d} {row.remapped:>5d} "
-                    f"{miss:>9s} {row.energy_delta:>+10.3f} {verdict:<10s}"
-                )
-            else:
-                lines.append(
-                    f"  {row.plan_name:<18s} {row.kind:<9s} {row.fault_time:>8.2f} "
-                    f"{'-':>5s} {'-':>5s} {'-':>5s} {'-':>9s} {'-':>10s} UNSURVIVABLE"
-                )
-        return "\n".join(lines)
+
+def sweep_view(report: FaultSweepReport) -> View:
+    """The sections of ``report`` (``faults sweep --format text``)."""
+    headline = [
+        f"fault sweep: {report.benchmark} / {report.scheduler} "
+        f"(seed {report.seed}, {report.n_plans} plans)",
+        f"committed: misses={report.committed_misses} "
+        f"energy={report.committed_energy:.3f} makespan={report.committed_makespan:.3f}",
+        f"recovered {report.recovered}/{report.n_plans}, "
+        f"survived {report.survived}/{report.n_plans} ({report.survived_fraction:.0%}); "
+        f"mean energy delta {report.mean_energy_delta():+.3f} nJ",
+    ]
+    kinds = [
+        [kind, str(plans), str(survived)]
+        for kind, (plans, survived) in sorted(report.by_kind().items())
+    ]
+    plans = [["plan", "kind", "t", "salv", "rerun", "remap", "miss", "dE", "verdict"]]
+    for row in report.rows:
+        outcome = ["-"] * 5 + ["UNSURVIVABLE"]
+        if row.recovered:
+            outcome = [
+                str(row.salvaged),
+                str(row.rerun),
+                str(row.remapped),
+                f"{row.misses_before}->{row.misses_after}",
+                f"{row.energy_delta:+.3f}",
+                "SURVIVED" if row.survived else "DEGRADED",
+            ]
+        plans.append([row.plan_name, row.kind, f"{row.fault_time:.2f}", *outcome])
+    sections = [
+        Section(lines=headline),
+        Section("survival by kind", table=[["kind", "plans", "survived"], *kinds]),
+        Section("plans", table=plans),
+    ]
+    return View(f"Fault sweep: {report.benchmark} / {report.scheduler}", sections)
 
 
 def run_fault_sweep(

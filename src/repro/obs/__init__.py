@@ -42,12 +42,12 @@ from repro.obs.context import (
     timed_phase,
 )
 from repro.obs.decisions import Candidate, DecisionLog, TaskDecision
-from repro.obs.diff import ScheduleDiff, diff_schedules, format_diff
-from repro.obs.explain import ExplainReport, critical_path, explain_schedule, format_explain
+from repro.obs.diff import ScheduleDiff, diff_schedules
+from repro.obs.explain import ExplainReport, critical_path, explain_schedule
 from repro.obs.heartbeat import Heartbeat
 from repro.obs.ledger import RUN_LEDGER_SCHEMA_VERSION, RunLedger, prune_ledger, read_ledger
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.report import build_report, format_report
+from repro.obs.report import build_report
 from repro.obs.timeline import chrome_trace
 from repro.obs.tracer import NULL_TRACER, Event, NullTracer, Span, Tracer
 from repro.obs.utilization import UtilizationReport, analyze_schedule
@@ -82,9 +82,6 @@ __all__ = [
     "explain",
     "explain_schedule",
     "export",
-    "format_diff",
-    "format_explain",
-    "format_report",
     "get",
     "heartbeat",
     "ledger",

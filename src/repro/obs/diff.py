@@ -27,7 +27,6 @@ pins.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
@@ -35,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 from repro.errors import InvalidArgumentError
 from repro.obs.decisions import TaskDecision
 from repro.obs.utilization import task_energy_attribution
+from repro.render import Section, View, cell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.schedule import Schedule
@@ -87,18 +87,6 @@ class TaskMove:
             "cause": self.cause,
             "reason": self.reason,
         }
-
-    def describe(self) -> str:
-        what = (
-            f"PE{self.pe_a} -> PE{self.pe_b}"
-            if self.moved_pe
-            else f"stays PE{self.pe_a}"
-        )
-        return (
-            f"{self.task:<20} {what:<18} start {self.start_a:g} -> {self.start_b:g} "
-            f"({self.start_delta:+g})  dE {self.energy_delta:+.2f} nJ  "
-            f"[{self.cause}]" + (f" {self.reason}" if self.reason else "")
-        )
 
 
 @dataclass
@@ -343,112 +331,81 @@ def run_delta(
     return delta
 
 
-# -- rendering -------------------------------------------------------------------
+# -- the view -------------------------------------------------------------------
 
 
-def _fmt_pair(pair: Sequence[Optional[float]], unit: str = "") -> str:
-    def one(v: Optional[float]) -> str:
-        return "-" if v is None else f"{v:g}"
-
-    delta = ""
-    if pair[0] is not None and pair[1] is not None:
-        delta = f" ({pair[1] - pair[0]:+g}{unit})"
-    return f"{one(pair[0])} -> {one(pair[1])}{unit}{delta}"
+def _pair_cells(pair: Sequence[Optional[float]], unit: str = "") -> List[str]:
+    """``a``, ``b`` and ``b - a`` of one before/after pair."""
+    a, b = pair
+    change = "-" if a is None or b is None else f"{b - a:+g}{unit}"
+    return [cell(a, "{:g}" + unit), cell(b, "{:g}" + unit), change]
 
 
-def format_diff(
-    diff: ScheduleDiff,
-    fmt: str = "text",
-    runs: Optional[RunDelta] = None,
-) -> str:
-    """Render a :class:`ScheduleDiff` (+ optional ledger delta)."""
-    if fmt == "json":
-        document = diff.to_dict()
-        if runs is not None:
-            document["runs"] = runs.to_dict()
-        return json.dumps(document, indent=1, allow_nan=False, default=str)
-    if fmt not in ("text", "markdown"):
-        raise ValueError(f"unknown diff format {fmt!r}")
-    md = fmt == "markdown"
+def delta_section(
+    heading: str,
+    phase_walls: Mapping[str, Sequence[Optional[float]]],
+    counters: Mapping[str, Sequence[Optional[float]]],
+) -> Section:
+    """The wall and counter deltas of two ledgered runs (``report`` shares it)."""
+    rows = [["wall", name, *_pair_cells(pair, "s")] for name, pair in phase_walls.items()]
+    rows += [["count", name, *_pair_cells(pair)] for name, pair in counters.items()]
+    header = ["kind", "name", "run a", "run b", "change"]
+    return Section(heading, table=[header, *rows], empty="(no comparable telemetry)")
 
-    lines: List[str] = []
-    title = f"Diff: {diff.benchmark}  {diff.label_a} vs {diff.label_b}"
-    lines.append(f"# {title}" if md else title)
-    lines.append("")
-    headline = [
-        ("makespan", diff.makespan, ""),
-        ("energy", diff.total_energy, " nJ"),
-        ("tardiness", diff.tardiness, ""),
+
+def _move_row(move: TaskMove) -> List[str]:
+    return [
+        move.task,
+        f"PE{move.pe_a} -> PE{move.pe_b}" if move.moved_pe else f"stays PE{move.pe_a}",
+        f"{move.start_a:g} -> {move.start_b:g} ({move.start_delta:+g})",
+        f"{move.energy_delta:+.2f}",
+        move.cause + (f": {move.reason}" if move.reason else ""),
     ]
-    for name, pair, unit in headline:
-        lines.append(f"{'- ' if md else '  '}{name:<10} {_fmt_pair(pair, unit)}")
-    lines.append(
-        f"{'- ' if md else '  '}misses     "
-        f"{len(diff.misses[0])} -> {len(diff.misses[1])}"
-    )
+
+
+def diff_view(diff: ScheduleDiff, runs: Optional[RunDelta] = None) -> View:
+    """The sections of ``diff``; the JSON document is its dict plus ``runs``."""
+    document = diff.to_dict()
+    if runs is not None:
+        document["runs"] = runs.to_dict()
     gained = sorted(set(diff.misses[1]) - set(diff.misses[0]))
     fixed = sorted(set(diff.misses[0]) - set(diff.misses[1]))
-    if gained:
-        lines.append(f"{'- ' if md else '  '}new misses: {', '.join(gained)}")
-    if fixed:
-        lines.append(f"{'- ' if md else '  '}fixed misses: {', '.join(fixed)}")
-    lines.append("")
-
-    n_root = len(diff.root_causes())
-    header = (
-        f"moved tasks: {len(diff.moves)} "
-        f"({n_root} root-cause, {len(diff.moves) - n_root} cascade)"
+    headline = [f"{diff.benchmark}: {diff.label_a} vs {diff.label_b}"]
+    headline += [f"new misses: {', '.join(gained)}"] if gained else []
+    headline += [f"fixed misses: {', '.join(fixed)}"] if fixed else []
+    totals = [
+        ["", diff.label_a, diff.label_b, "change"],
+        ["makespan", *_pair_cells(diff.makespan)],
+        ["energy (nJ)", *_pair_cells(diff.total_energy)],
+        ["tardiness", *_pair_cells(diff.tardiness)],
+        ["misses", *_pair_cells([len(misses) for misses in diff.misses])],
+    ]
+    n_root, unlisted = len(diff.root_causes()), len(diff.moves) - MAX_LISTED_MOVES
+    moves = Section(
+        f"moved tasks: {len(diff.moves)} ({n_root} root-cause, {len(diff.moves) - n_root} cascade)",
+        [f"first {MAX_LISTED_MOVES} listed, {unlisted} more"] if unlisted > 0 else [],
+        [["task", "placement", "start", "dE (nJ)", "cause"]]
+        + [_move_row(move) for move in diff.moves[:MAX_LISTED_MOVES]],
+        empty="schedules are identical at the placement level",
     )
-    lines.append(f"## {header}" if md else f"== {header} ==")
-    if md and diff.moves:
-        lines.append("")
-        lines.append("| task | placement | start | dE (nJ) | cause |")
-        lines.append("|---|---|---|---|---|")
-        for move in diff.moves[:MAX_LISTED_MOVES]:
-            what = (
-                f"PE{move.pe_a} -> PE{move.pe_b}"
-                if move.moved_pe
-                else f"PE{move.pe_a}"
-            )
-            cause = move.cause + (f": {move.reason}" if move.reason else "")
-            lines.append(
-                f"| {move.task} | {what} | {move.start_a:g} -> {move.start_b:g} "
-                f"| {move.energy_delta:+.2f} | {cause} |"
-            )
-    else:
-        for move in diff.moves[:MAX_LISTED_MOVES]:
-            lines.append("  " + move.describe())
-    if len(diff.moves) > MAX_LISTED_MOVES:
-        lines.append(f"  ... {len(diff.moves) - MAX_LISTED_MOVES} more")
-    lines.append("")
-
-    if diff.energy_by_task:
-        top = sorted(
-            diff.energy_by_task.items(), key=lambda kv: (-abs(kv[1]), kv[0])
-        )[:10]
-        header = "energy delta by task (top contributors)"
-        lines.append(f"## {header}" if md else f"== {header} ==")
-        for name, value in top:
-            lines.append(f"  {name:<20} {value:+10.2f} nJ")
-        lines.append(f"  {'(sums to)':<20} {diff.energy_delta:+10.2f} nJ")
-        lines.append("")
-    if diff.tardiness_by_task:
-        header = "tardiness delta by task"
-        lines.append(f"## {header}" if md else f"== {header} ==")
-        for name, value in sorted(diff.tardiness_by_task.items()):
-            lines.append(f"  {name:<20} {value:+10.2f}")
-        lines.append(f"  {'(sums to)':<20} {diff.tardiness_delta:+10.2f}")
-        lines.append("")
-
+    top = sorted(diff.energy_by_task.items(), key=lambda kv: (-abs(kv[1]), kv[0]))[:10]
+    tardy = sorted(diff.tardiness_by_task.items())
+    sections = [
+        Section(lines=headline, table=totals),
+        moves,
+        _attribution("energy delta by task (top contributors)", "dE (nJ)", top, diff.energy_delta),
+        _attribution("tardiness delta by task", "dT", tardy, diff.tardiness_delta),
+    ]
     if runs is not None:
-        header = f"run telemetry {runs.run_a} vs {runs.run_b}"
-        lines.append(f"## {header}" if md else f"== {header} ==")
-        for name, pair in sorted(runs.phase_walls.items()):
-            lines.append(f"  phase {name:<24} {_fmt_pair(pair, 's')}")
-        for name, pair in sorted(runs.counters.items()):
-            lines.append(f"  count {name:<24} {_fmt_pair(pair)}")
-        lines.append("")
+        heading = f"run telemetry {runs.run_a} vs {runs.run_b}"
+        walls, counters = document["runs"]["phase_walls"], document["runs"]["counters"]
+        sections.append(delta_section(heading, walls, counters))
+    return View(f"Diff: {diff.benchmark}  {diff.label_a} vs {diff.label_b}", sections, document)
 
-    if not diff.moves:
-        lines.append("  schedules are identical at the placement level")
-    return "\n".join(lines).rstrip() + "\n"
+
+def _attribution(heading: str, unit: str, rows: List[tuple], total: float) -> Section:
+    """Per-task deltas and the total they sum to; left out when no task moved it."""
+    if not rows:
+        return Section(heading)
+    table = [["task", unit]] + [[name, f"{value:+.2f}"] for name, value in rows]
+    return Section(heading, table=table + [["(sums to)", f"{total:+.2f}"]])

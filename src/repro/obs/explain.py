@@ -31,7 +31,6 @@ back as a mismatch string.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -39,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.errors import UnknownTaskError
 from repro.obs.decisions import TaskDecision
 from repro.obs.utilization import analyze_schedule, task_energy_attribution
+from repro.render import Section, View, cell
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.table import EPS
 
@@ -91,14 +91,6 @@ class CriticalSegment:
             "resource": self.resource,
             "detail": self.detail,
         }
-
-    def describe(self) -> str:
-        label = f"{self.kind:<9}"
-        return (
-            f"[{self.start:10.2f} .. {self.end:10.2f}] {label} "
-            f"{self.task:<20} {self.resource}"
-            + (f"  ({self.detail})" if self.detail else "")
-        )
 
 
 def pick_target(schedule: "Schedule") -> Optional[str]:
@@ -255,44 +247,6 @@ class TaskExplanation:
             "decision": self.decision.to_dict() if self.decision is not None else None,
         }
 
-    def describe(self) -> List[str]:
-        lines = [
-            f"{self.task}: PE{self.pe}, runs [{self.start:g} .. {self.finish:g}]"
-            + (
-                f", deadline {self.deadline:g} (slack {self.slack:+g})"
-                if math.isfinite(self.deadline)
-                else ""
-            )
-            + f", energy share {self.energy_share:.1f} nJ"
-        ]
-        decision = self.decision
-        if decision is None:
-            lines.append("  (no decision provenance recorded for this task)")
-            return lines
-        lines.append("  " + decision.describe())
-        rows = []
-        if decision.chosen is not None:
-            rows.append(("-> chosen", decision.chosen))
-        rows.extend((" beaten", c) for c in decision.candidates)
-        for tag, cand in rows:
-            parts = [f"  {tag:>9} PE{cand.pe}"]
-            if cand.finish is not None:
-                parts.append(f"F={cand.finish:.4g}")
-            if cand.start is not None and cand.drt is not None:
-                parts.append(f"start={cand.start:.4g} (drt={cand.drt:.4g})")
-            if cand.energy is not None:
-                parts.append(f"E={cand.energy:.4g}")
-            if cand.compute_energy is not None and cand.comm_energy is not None:
-                parts.append(
-                    f"(comp {cand.compute_energy:.4g} + comm {cand.comm_energy:.4g})"
-                )
-            if cand.hops is not None:
-                parts.append(f"hops={cand.hops}")
-            if cand.slack is not None and math.isfinite(cand.slack):
-                parts.append(f"bd-slack={cand.slack:+.4g}")
-            lines.append("  ".join(parts))
-        return lines
-
 
 # -- the report ------------------------------------------------------------------
 
@@ -327,74 +281,81 @@ class ExplainReport:
             "energy": dict(self.energy),
         }
 
-    def format_text(self) -> str:
-        lines = [
-            f"Explain: {self.benchmark} [{self.algorithm}] "
-            f"makespan {self.makespan:g}, energy {self.total_energy:.1f} nJ, "
-            f"misses {len(self.misses)}"
-            + (f" (tardiness {self.tardiness:g})" if self.misses else ""),
-            "",
-            f"== critical path (drives {'tardiness of ' if self.misses else 'makespan via '}"
-            f"{self.target}) ==",
+
+#: the candidate table's columns after ``PE``: header, the
+#: :class:`~repro.obs.decisions.Candidate` field, and its format.
+_CANDIDATE_COLUMNS = [
+    ("F", "finish", "{:.4g}"),
+    ("start", "start", "{:.4g}"),
+    ("drt", "drt", "{:.4g}"),
+    ("E", "energy", "{:.4g}"),
+    ("comp", "compute_energy", "{:.4g}"),
+    ("comm", "comm_energy", "{:.4g}"),
+    ("hops", "hops", "{}"),
+    ("bd-slack", "slack", "{:+.4g}"),
+]
+
+
+def explain_view(report: ExplainReport) -> View:
+    """The sections of ``report``; the JSON document is its dict."""
+    headline = (
+        f"{report.benchmark} [{report.algorithm}]: makespan {report.makespan:g}, "
+        f"energy {report.total_energy:.1f} nJ, misses {len(report.misses)}"
+        + (f" (tardiness {report.tardiness:g})" if report.misses else "")
+    )
+    drives = "tardiness of " if report.misses else "makespan via "
+    split = []
+    if report.path:
+        exec_t = sum(s.duration for s in report.path if s.kind == "exec")
+        comm_t = sum(s.duration for s in report.path if s.kind == "comm")
+        waits = sum(s.duration for s in report.path if s.kind.endswith("wait"))
+        split = [f"chain split: exec {exec_t:.1f}, comm {comm_t:.1f}, waits {waits:.1f}"]
+    path = [
+        [f"{s.start:.8g}", f"{s.end:.8g}", s.kind, s.task, s.resource, s.detail or "-"]
+        for s in report.path
+    ]
+    tasks = [
+        [
+            e.task,
+            f"PE{e.pe}",
+            f"{e.start:g}",
+            f"{e.finish:g}",
+            f"{e.deadline:g}" if math.isfinite(e.deadline) else "-",
+            f"{e.slack:+g}" if math.isfinite(e.deadline) else "-",
+            f"{e.energy_share:.1f}",
         ]
-        if self.path:
-            exec_t = sum(s.duration for s in self.path if s.kind == "exec")
-            comm_t = sum(s.duration for s in self.path if s.kind == "comm")
-            waits = sum(s.duration for s in self.path if s.kind.endswith("wait"))
-            for segment in self.path:
-                lines.append("  " + segment.describe())
-            lines.append(
-                f"  chain split: exec {exec_t:.1f}, comm {comm_t:.1f}, waits {waits:.1f}"
-            )
-        else:
-            lines.append("  (empty schedule)")
-        lines.append("")
-        lines.append("== task decisions ==")
-        if self.explanations:
-            for explanation in self.explanations:
-                lines.extend("  " + ln for ln in explanation.describe())
-        else:
-            lines.append("  (no tasks selected)")
-        return "\n".join(lines)
-
-    def format_markdown(self) -> str:
-        lines = [
-            f"# Explain — {self.benchmark} [{self.algorithm}]",
-            "",
-            f"makespan **{self.makespan:g}**, energy **{self.total_energy:.1f} nJ**, "
-            f"misses **{len(self.misses)}**"
-            + (f", tardiness **{self.tardiness:g}**" if self.misses else ""),
-            "",
-            f"## Critical path → `{self.target}`",
-            "",
-        ]
-        if self.path:
-            lines.append("| window | kind | what | resource | detail |")
-            lines.append("|---|---|---|---|---|")
-            for s in self.path:
-                lines.append(
-                    f"| {s.start:g} .. {s.end:g} | {s.kind} | {s.task} "
-                    f"| {s.resource} | {s.detail} |"
-                )
-        else:
-            lines.append("_empty schedule_")
-        lines += ["", "## Task decisions", ""]
-        for explanation in self.explanations:
-            lines.append("```")
-            lines.extend(explanation.describe())
-            lines.append("```")
-        return "\n".join(lines)
+        for e in report.explanations
+    ]
+    bare = [e.task for e in report.explanations if e.decision is None]
+    sections = [
+        Section(lines=[headline]),
+        Section(
+            f"critical path (drives {drives}{report.target})",
+            split,
+            [["start", "end", "kind", "what", "resource", "detail"], *path],
+            empty="(empty schedule)",
+        ),
+        Section(
+            "task decisions",
+            [f"no decision provenance recorded for {', '.join(bare)}"] if bare else [],
+            [["task", "PE", "start", "finish", "deadline", "slack", "energy share (nJ)"], *tasks],
+            empty="(no tasks selected)",
+        ),
+    ]
+    sections += [_candidates_section(e.decision) for e in report.explanations if e.decision]
+    return View(f"Explain: {report.benchmark} [{report.algorithm}]", sections, report.to_dict())
 
 
-def format_explain(report: ExplainReport, fmt: str = "text") -> str:
-    """Render an :class:`ExplainReport` as text, markdown or JSON."""
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=1, allow_nan=False, default=str)
-    if fmt == "markdown":
-        return report.format_markdown()
-    if fmt == "text":
-        return report.format_text()
-    raise ValueError(f"unknown explain format {fmt!r}")
+def _candidates_section(decision: TaskDecision) -> Section:
+    """Why ``decision`` chose its PE: the rule, then every scored candidate."""
+    rows = [("chosen", decision.chosen)] if decision.chosen is not None else []
+    rows += [("beaten", candidate) for candidate in decision.candidates]
+    table = [["", "PE", *(header for header, _, _ in _CANDIDATE_COLUMNS)]]
+    table += [
+        [tag, f"PE{c.pe}", *(cell(getattr(c, name), spec) for _, name, spec in _CANDIDATE_COLUMNS)]
+        for tag, c in rows
+    ]
+    return Section(f"{decision.task} candidates", [decision.describe()], table)
 
 
 def explain_schedule(

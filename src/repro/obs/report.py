@@ -1,7 +1,8 @@
 """The postmortem reporter behind ``repro-noc report``.
 
-Synthesizes the ``RUN_LEDGER.jsonl`` flight recorder into one report
-(text, markdown or JSON):
+Synthesizes the ``RUN_LEDGER.jsonl`` flight recorder into one report;
+:func:`report_view` lays it out for :func:`repro.render.render` as
+text, markdown or JSON:
 
 * **recent failures** — ``run_failed`` ledger records joined with their
   run's command/argv, traceback included (most recent first).
@@ -12,13 +13,13 @@ Synthesizes the ``RUN_LEDGER.jsonl`` flight recorder into one report
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.diff import run_delta
+from repro.obs.diff import delta_section, run_delta
 from repro.obs.ledger import group_runs, iter_failures, ledger_size_bytes, read_ledger, typed_field
+from repro.render import Section, View, cell
 
 #: how many failures / phases / cells a bounded section keeps.
 DEFAULT_LIMIT = 10
@@ -241,176 +242,72 @@ def _run_stats(records: List[Dict[str, Any]], exclude_run_id: Optional[str]) -> 
     return stats
 
 
-# -- rendering ------------------------------------------------------------------
+# -- the view -------------------------------------------------------------------
 
 
-def format_report(report: Dict[str, Any], fmt: str = "text") -> str:
-    """Render ``report`` as ``text``, ``markdown`` or ``json``."""
-    if fmt == "json":
-        return json.dumps(report, indent=1, allow_nan=False, default=str)
-    if fmt == "markdown":
-        return _format_markdown(report)
-    if fmt == "text":
-        return _format_text(report)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _format_text(report: Dict[str, Any]) -> str:
+def report_view(report: Dict[str, Any]) -> View:
+    """The sections of ``report``; its JSON document is ``report`` itself."""
     stats = report["runs"]
-    lines = ["== runs =="]
-    lines.append(
-        f"  {stats['total']} ledgered ({stats['finished']} finished, "
+    runs = (
+        f"{stats['total']} ledgered ({stats['finished']} finished, "
         f"{stats['failed']} failed, {stats['open']} open)"
     )
-
-    if report.get("caches"):
-        lines.append("== cache hit rates ==")
-        for row in report["caches"]:
-            rate = "-" if row["hit_rate_pct"] is None else f"{row['hit_rate_pct']:.1f}%"
-            misses = "-" if row["misses"] is None else str(row["misses"])
-            lines.append(
-                f"  {row['cache']:<18} hits {row['hits']:<10d} "
-                f"misses {misses:<10} rate {rate}"
-            )
-
-    surv = report.get("survivability")
-    if surv:
-        lines.append("== fault survivability ==")
-        mean = surv["mean_energy_delta"]
-        mean_txt = "-" if mean is None else f"{mean:+.3f} nJ"
-        lines.append(
-            f"  {surv['plans']} plans injected: {surv['recovered']} recovered, "
-            f"{surv['survived']} survived ({surv['survived_fraction']:.0%}); "
-            f"mean recovery energy delta {mean_txt}"
-        )
-        for kind, bucket in surv["by_kind"].items():
-            lines.append(
-                f"  {kind:<9s} survived {bucket['survived']}/{bucket['plans']}"
-            )
-
-    lines.append("== recent failures ==")
-    if report["failures"]:
-        for failure in report["failures"]:
-            lines.append(
-                f"  {_stamp(failure.get('t'))}  {failure['command']}  {failure['error']}"
-            )
-            tail = [ln for ln in failure.get("traceback", "").splitlines() if ln.strip()]
-            if tail:
-                lines.append(f"      {tail[-1].strip()}")
-    else:
-        lines.append("  (none)")
-
-    lines.append("== slowest phases (self time) ==")
-    if report["slow_phases"]:
-        width = max(len(p["name"]) for p in report["slow_phases"])
-        for phase in report["slow_phases"]:
-            lines.append(
-                f"  {phase['name'].ljust(width)}  x{phase['count']:<5d} "
-                f"{phase['self_seconds'] * 1e3:10.2f} ms"
-            )
-    else:
-        lines.append("  (no span telemetry ledgered)")
-
-    if report["slow_cells"]:
-        lines.append("== slowest grid cells ==")
-        for cell in report["slow_cells"]:
-            label = cell["tag"] or f"{cell['benchmark']}:{cell['scheduler']}"
-            lines.append(f"  {label}  {cell['runtime_seconds'] * 1e3:.1f} ms")
-
+    caches = [
+        [r["cache"], str(r["hits"]), cell(r["misses"]), cell(r["hit_rate_pct"], "{:.1f}%")]
+        for r in report.get("caches") or []
+    ]
+    surv = report.get("survivability") or {}
+    survival = [
+        f"{surv['plans']} plans injected: {surv['recovered']} recovered, "
+        f"{surv['survived']} survived ({surv['survived_fraction']:.0%}); "
+        f"mean recovery energy delta {cell(surv['mean_energy_delta'], '{:+.3f} nJ')}"
+    ] if surv else []
+    kinds = [
+        [kind, str(b["plans"]), str(b["survived"])] for kind, b in surv.get("by_kind", {}).items()
+    ]
+    failures = [
+        [_stamp(f.get("t")), f["command"], f["error"], _last_line(f.get("traceback", ""))]
+        for f in report["failures"]
+    ]
+    phases = [
+        [p["name"], str(p["count"]), f"{p['self_seconds'] * 1e3:.2f}"] for p in report["slow_phases"]
+    ]
+    cells = [
+        [str(c["tag"] or f"{c['benchmark']}:{c['scheduler']}"), f"{c['runtime_seconds'] * 1e3:.1f}"]
+        for c in report["slow_cells"]
+    ]
+    sections = [
+        Section("runs", [runs]),
+        Section("cache hit rates", table=[["cache", "hits", "misses", "hit rate"], *caches]),
+        Section("fault survivability", survival, [["kind", "plans", "survived"], *kinds]),
+        Section(
+            "recent failures",
+            table=[["when", "command", "error", "traceback"], *failures],
+            empty="(none)",
+        ),
+        Section(
+            "slowest phases (self time)",
+            table=[["phase", "count", "self ms"], *phases],
+            empty="(no span telemetry ledgered)",
+        ),
+        Section("slowest grid cells", table=[["cell", "ms"], *cells]),
+    ]
     delta = report.get("run_delta")
     if delta:
-        lines.append(
-            f"== last `{delta.get('command', '?')}` vs previous "
-            f"({delta['run_a']} -> {delta['run_b']}) =="
+        heading = (
+            f"last `{delta.get('command', '?')}` vs previous "
+            f"({delta['run_a']} -> {delta['run_b']})"
         )
-        lines.extend(_delta_lines(delta))
-    warning = report.get("ledger_warning")
-    if warning:
-        lines.append(f"WARNING: {warning}")
-    return "\n".join(lines)
+        walls, counters = delta.get("phase_walls", {}), delta.get("counters", {})
+        sections.append(delta_section(heading, walls, counters))
+    if report.get("ledger_warning"):
+        sections.append(Section("ledger warning", [report["ledger_warning"]]))
+    return View("repro-noc run report", sections, report)
 
 
-def _delta_lines(delta: Dict[str, Any]) -> List[str]:
-    def fmt(pair: List[Any], unit: str) -> str:
-        def one(v: Any) -> str:
-            return "-" if v is None else f"{v:g}{unit}"
-
-        text = f"{one(pair[0])} -> {one(pair[1])}"
-        if pair[0] is not None and pair[1] is not None:
-            text += f" ({pair[1] - pair[0]:+g}{unit})"
-        return text
-
-    lines = []
-    for name, pair in delta.get("phase_walls", {}).items():
-        lines.append(f"  wall  {name:<24} {fmt(pair, 's')}")
-    for name, pair in delta.get("counters", {}).items():
-        lines.append(f"  count {name:<24} {fmt(pair, '')}")
-    if not lines:
-        lines.append("  (no comparable telemetry)")
-    return lines
-
-
-def _format_markdown(report: Dict[str, Any]) -> str:
-    lines = ["# repro-noc run report", "", "## Runs", ""]
-    stats = report["runs"]
-    lines.append(
-        f"{stats['total']} ledgered — {stats['finished']} finished, "
-        f"{stats['failed']} failed, {stats['open']} open."
-    )
-    if report.get("caches"):
-        lines += ["", "## Cache hit rates", ""]
-        lines.append("| cache | hits | misses | hit rate |")
-        lines.append("|---|---|---|---|")
-        for row in report["caches"]:
-            rate = "-" if row["hit_rate_pct"] is None else f"{row['hit_rate_pct']:.1f}%"
-            misses = "-" if row["misses"] is None else str(row["misses"])
-            lines.append(f"| {row['cache']} | {row['hits']} | {misses} | {rate} |")
-    surv = report.get("survivability")
-    if surv:
-        lines += ["", "## Fault survivability", ""]
-        mean = surv["mean_energy_delta"]
-        mean_txt = "-" if mean is None else f"{mean:+.3f} nJ"
-        lines.append(
-            f"{surv['plans']} plans injected — {surv['recovered']} recovered, "
-            f"{surv['survived']} survived ({surv['survived_fraction']:.0%}), "
-            f"mean recovery energy delta {mean_txt}."
-        )
-        lines += ["", "| kind | plans | survived |", "|---|---|---|"]
-        for kind, bucket in surv["by_kind"].items():
-            lines.append(f"| {kind} | {bucket['plans']} | {bucket['survived']} |")
-    lines += ["", "## Recent failures", ""]
-    if report["failures"]:
-        for failure in report["failures"]:
-            lines.append(
-                f"- `{_stamp(failure.get('t'))}` **{failure['command']}** — {failure['error']}"
-            )
-    else:
-        lines.append("_none_")
-    lines += ["", "## Slowest phases (self time)", ""]
-    if report["slow_phases"]:
-        lines.append("| phase | count | self ms |")
-        lines.append("|---|---|---|")
-        for phase in report["slow_phases"]:
-            lines.append(
-                f"| {phase['name']} | {phase['count']} "
-                f"| {phase['self_seconds'] * 1e3:.2f} |"
-            )
-    else:
-        lines.append("_no span telemetry ledgered_")
-    delta = report.get("run_delta")
-    if delta:
-        lines += [
-            "",
-            f"## Last `{delta.get('command', '?')}` vs previous",
-            "",
-            "```",
-            *_delta_lines(delta),
-            "```",
-        ]
-    warning = report.get("ledger_warning")
-    if warning:
-        lines += ["", f"**WARNING:** {warning}"]
-    return "\n".join(lines)
+def _last_line(text: str) -> str:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    return lines[-1] if lines else "-"
 
 
 def _stamp(t: Optional[float]) -> str:

@@ -19,9 +19,9 @@ computes exactly that decomposition from a finished schedule:
   queueing and execution — i.e. who consumed the slack.
 
 The report registers headline gauges into a :class:`MetricsRegistry`
-(``util.*``) and renders as the ``repro-noc inspect --format text``
-report.  Energy attribution is exact: PE + local + link shares sum to
-``schedule.total_energy()``.
+(``util.*``); :func:`utilization_view` lays it out as the
+``repro-noc inspect --format text`` report.  Energy attribution is
+exact: PE + local + link shares sum to ``schedule.total_energy()``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.render import Section, View
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.topology import Link
@@ -183,72 +184,86 @@ class UtilizationReport:
             ],
         }
 
-    def format_text(self) -> str:
-        """The human-readable report (``inspect --format text``)."""
-        lines = [
-            f"Resource report: {self.benchmark} [{self.algorithm}] "
-            f"makespan {self.makespan:g}",
-            "",
-            "== PE utilisation ==",
+
+def pe_section(report: UtilizationReport) -> Section:
+    """Busy time, task count and energy of every tile (``compare`` prints it alone)."""
+    rows = [
+        [
+            f"PE{pe.index}",
+            pe.type_name,
+            str(pe.position),
+            f"{pe.busy:.1f}",
+            f"{100 * pe.utilization:.1f}",
+            str(pe.n_tasks),
+            f"{pe.compute_energy:.1f}",
+            f"{pe.local_comm_energy:.1f}" if pe.local_comm_energy else "-",
         ]
-        for pe in self.pes:
-            bar = _bar(pe.utilization)
-            lines.append(
-                f"  PE{pe.index:>2} {pe.type_name:>6} @ {pe.position}: "
-                f"{bar} {100 * pe.utilization:5.1f}% busy  "
-                f"{pe.n_tasks:3d} tasks  comp {pe.compute_energy:10.1f} nJ"
-                + (
-                    f"  local-comm {pe.local_comm_energy:.1f} nJ"
-                    if pe.local_comm_energy
-                    else ""
-                )
-            )
-        lines.append("")
-        lines.append("== link occupancy ==")
-        if self.links:
-            for usage in self.links:
-                bar = _bar(usage.utilization)
-                lines.append(
-                    f"  {str(usage.link.src):>6}->{str(usage.link.dst):<6} "
-                    f"{bar} {100 * usage.utilization:5.1f}% busy  "
-                    f"{usage.n_transactions:3d} xfers  "
-                    f"{usage.energy_share:9.1f} nJ  wait {usage.contention_wait:8.2f}"
-                )
-            lines.append(
-                f"  total contention wait: {self.total_contention_wait:.2f} time units"
-            )
-        else:
-            lines.append("  (no link traffic: all communication is same-tile)")
-        lines.append("")
-        lines.append("== energy breakdown ==")
-        total = self.energy.get("total", 0.0)
-        for key in ("computation", "communication", "total"):
-            value = self.energy.get(key, 0.0)
-            pct = 100.0 * value / total if total else 0.0
-            lines.append(f"  {key:<14} {value:12.1f} nJ  ({pct:5.1f}%)")
-        lines.append("")
-        lines.append("== slack audit (deadline tasks) ==")
-        if self.slack:
-            shown = sorted(self.slack, key=lambda row: row.slack_remaining)[:MAX_SLACK_ROWS]
-            for row in shown:
-                bd = (
-                    f" BD {row.budgeted_deadline:g}"
-                    if row.budgeted_deadline is not None
-                    and math.isfinite(row.budgeted_deadline)
-                    else ""
-                )
-                status = "MISS" if row.missed else "ok"
-                lines.append(
-                    f"  {row.task:<18} deadline {row.deadline:>9g}{bd} "
-                    f"finish {row.finish:>9.1f}  slack {row.slack_remaining:>9.1f} [{status}]  "
-                    f"(inputs-ready {row.input_ready:.1f}, queue {row.queue_wait:.1f}, "
-                    f"exec {row.execution:.1f})"
-                )
-            if len(self.slack) > len(shown):
-                lines.append(f"  ... {len(self.slack) - len(shown)} more (tightest shown first)")
-        else:
-            lines.append("  (no deadline tasks)")
-        return "\n".join(lines)
+        for pe in report.pes
+    ]
+    header = ["PE", "type", "tile", "busy", "busy %", "tasks", "comp (nJ)", "local comm (nJ)"]
+    return Section("PE utilisation", table=[header, *rows])
+
+
+def utilization_view(report: UtilizationReport, pe_only: bool = False) -> View:
+    """The sections of ``report`` (``inspect --format text``); ``pe_only`` keeps the PE one."""
+    headline = (
+        f"Resource report: {report.benchmark} [{report.algorithm}] makespan {report.makespan:g}"
+    )
+    sections = [Section(lines=[headline]), pe_section(report)]
+    if pe_only:
+        return View("Resource report", sections)
+
+    links = [
+        [
+            f"{usage.link.src}->{usage.link.dst}",
+            f"{100 * usage.utilization:.1f}",
+            str(usage.n_transactions),
+            f"{usage.energy_share:.1f}",
+            f"{usage.contention_wait:.2f}",
+        ]
+        for usage in report.links
+    ]
+    wait = f"total contention wait: {report.total_contention_wait:.2f} time units"
+    total = report.energy.get("total", 0.0)
+    energy = []
+    for key in ("computation", "communication", "total"):
+        value = report.energy.get(key, 0.0)
+        energy.append([key, f"{value:.1f}", f"{100.0 * value / total if total else 0.0:.1f}"])
+    shown = sorted(report.slack, key=lambda row: row.slack_remaining)[:MAX_SLACK_ROWS]
+    hidden = len(report.slack) - len(shown)
+    slack = [["task", "deadline", "BD", "finish", "slack", "status", "inputs ready", "queue", "exec"]]
+    slack += [
+        [
+            row.task,
+            f"{row.deadline:g}",
+            f"{row.budgeted_deadline:g}"
+            if row.budgeted_deadline is not None and math.isfinite(row.budgeted_deadline)
+            else "-",
+            f"{row.finish:.1f}",
+            f"{row.slack_remaining:.1f}",
+            "MISS" if row.missed else "ok",
+            f"{row.input_ready:.1f}",
+            f"{row.queue_wait:.1f}",
+            f"{row.execution:.1f}",
+        ]
+        for row in shown
+    ]
+    sections += [
+        Section(
+            "link occupancy",
+            [wait] if links else [],
+            [["link", "busy %", "xfers", "energy (nJ)", "wait"], *links],
+            empty="(no link traffic: all communication is same-tile)",
+        ),
+        Section("energy breakdown", table=[["part", "nJ", "share %"], *energy]),
+        Section(
+            "slack audit (deadline tasks)",
+            [f"tightest {len(shown)} shown, {hidden} more"] if hidden else [],
+            slack,
+            empty="(no deadline tasks)",
+        ),
+    ]
+    return View("Resource report", sections)
 
 
 def analyze_schedule(
@@ -360,7 +375,3 @@ def _input_ready_times(schedule: "Schedule") -> Dict[str, float]:
         ready[dst] = max(ready.get(dst, 0.0), comm.finish)
     return ready
 
-
-def _bar(fraction: float, width: int = 10) -> str:
-    filled = int(round(max(0.0, min(1.0, fraction)) * width))
-    return "[" + "#" * filled + "." * (width - filled) + "]"

@@ -11,7 +11,7 @@ dependency/deadline constraints.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.decisions import TaskDecision
@@ -20,7 +20,7 @@ from repro.arch.acg import ACG
 from repro.ctg.graph import CTG
 from repro.errors import CTGError, ScheduleValidationError
 from repro.schedule.entries import CommPlacement, TaskPlacement
-from repro.schedule.table import EPS, ScheduleTable
+from repro.schedule.table import EPS
 
 
 class Schedule:
@@ -256,26 +256,19 @@ class Schedule:
                 )
 
     def _validate_pe_exclusivity(self) -> None:
-        per_pe: Dict[int, ScheduleTable] = {}
-        for placement in sorted(self.task_placements.values(), key=lambda p: p.start):
-            table = per_pe.setdefault(placement.pe, ScheduleTable())
-            if not table.is_free(placement.start, placement.finish):
-                raise ScheduleValidationError(
-                    f"task {placement.task!r} overlaps another task on PE {placement.pe}"
-                )
-            table.reserve(placement.start, placement.finish)
+        clash = _first_overlap(self.task_placements.values(), lambda p: (p.pe,))
+        if clash is not None:
+            placement, pe = clash
+            raise ScheduleValidationError(f"task {placement.task!r} overlaps another task on PE {pe}")
 
     def _validate_link_exclusivity(self) -> None:
-        per_link: Dict = {}
-        for placement in sorted(self.comm_placements.values(), key=lambda p: p.start):
-            for link in placement.links:
-                table = per_link.setdefault(link, ScheduleTable())
-                if not table.is_free(placement.start, placement.finish):
-                    raise ScheduleValidationError(
-                        f"transaction {placement.src_task}->{placement.dst_task} "
-                        f"overlaps traffic on link {link}"
-                    )
-                table.reserve(placement.start, placement.finish)
+        clash = _first_overlap(self.comm_placements.values(), lambda p: p.links)
+        if clash is not None:
+            placement, link = clash
+            raise ScheduleValidationError(
+                f"transaction {placement.src_task}->{placement.dst_task} "
+                f"overlaps traffic on link {link}"
+            )
 
     def _validate_dependencies(self) -> None:
         for (src, dst), comm in self.comm_placements.items():
@@ -349,3 +342,29 @@ class Schedule:
             f"Schedule(algorithm={self.algorithm!r}, tasks={len(self.task_placements)}/"
             f"{self.ctg.n_tasks}, energy={self.total_energy():.2f})"
         )
+
+
+def _first_overlap(
+    placements: Iterable[Any], resources: Callable[[Any], Iterable[Any]]
+) -> Optional[Tuple[Any, Any]]:
+    """The first ``(placement, resource)``, in start order, that overlaps an
+    earlier placement on one of its ``resources``; ``None`` if none does.
+
+    A placement of length at most ``EPS`` occupies nothing.  Per resource
+    the sweep keeps the greatest ``(start, finish)`` kept so far; a later
+    placement overlaps when that finish exceeds its start by more than
+    ``EPS``.  That is the test :meth:`ScheduleTable.is_free` makes when
+    the reservations arrive in start order.
+    """
+    last: Dict[Any, Tuple[float, float]] = {}
+    for placement in sorted(placements, key=lambda p: p.start):
+        interval = (placement.start, placement.finish)
+        if interval[1] - interval[0] <= EPS:
+            continue
+        for resource in resources(placement):
+            kept = last.get(resource)
+            if kept is not None and kept[1] > interval[0] + EPS:
+                return placement, resource
+            if kept is None or interval > kept:
+                last[resource] = interval
+    return None

@@ -7,10 +7,8 @@ from repro.baselines.edf import edf_schedule
 from repro.core.eas import eas_schedule
 from repro.ctg.multimedia import av_decoder_ctg, av_encoder_ctg
 from repro.errors import ReproError
-from repro.evalx.analysis import (
-    compare_schedules,
-    utilization_table,
-)
+from repro.evalx.analysis import compare_schedules
+from repro.obs.utilization import analyze_schedule, pe_section
 
 
 @pytest.fixture
@@ -58,28 +56,25 @@ class TestCompareSchedules:
 
 
 class TestUtilizationTable:
+    """The PE section of the ``inspect`` view, which ``compare`` prints."""
+
     def test_one_row_per_pe(self, schedules):
         eas, _edf = schedules
-        text = utilization_table(eas)
-        assert text.count("PE ") >= 4 or text.count("PE") >= 4
-        lines = text.splitlines()
-        assert len(lines) == 1 + eas.acg.n_pes
+        header, *rows = pe_section(analyze_schedule(eas)).table
+        assert header[0] == "PE"
+        assert [row[0] for row in rows] == [f"PE{pe.index}" for pe in eas.acg.pes]
 
     def test_task_counts_sum(self, schedules):
         eas, _edf = schedules
-        text = utilization_table(eas)
-        counts = [
-            int(line.split(":")[1].split("tasks")[0].strip())
-            for line in text.splitlines()[1:]
-        ]
-        assert sum(counts) == 24
+        header, *rows = pe_section(analyze_schedule(eas)).table
+        column = header.index("tasks")
+        assert sum(int(row[column]) for row in rows) == 24
 
     def test_utilisation_bounded(self, schedules):
-        import re
-
         eas, _edf = schedules
-        text = utilization_table(eas)
-        percents = [float(m) for m in re.findall(r"\(\s*([\d.]+)%\)", text)]
+        header, *rows = pe_section(analyze_schedule(eas)).table
+        column = header.index("busy %")
+        percents = [float(row[column]) for row in rows]
         assert len(percents) == eas.acg.n_pes
         for pct in percents:
             assert 0.0 <= pct <= 100.0 + 1e-6

@@ -24,6 +24,14 @@ class TestFaultsCommand:
         assert "verdict" in out
         assert "utilization:" in out
 
+    def test_inject_dvs_schedule(self, capsys):
+        """DVS stretches tasks past their cost-table durations, so the
+        committed schedule is checked before that post-pass."""
+        assert main(["faults", "inject", *BENCH, "--kind", "pe", "--dvs"]) == 0
+        captured = capsys.readouterr()
+        assert "verdict" in captured.out
+        assert captured.err == ""
+
     def test_inject_save_and_validate_roundtrip(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         rec_path = tmp_path / "recovery.json"

@@ -10,9 +10,11 @@ from repro.faults.sweep import (
     FaultSweepReport,
     execute_fault_spec,
     run_fault_sweep,
+    sweep_view,
 )
 from repro.obs.ledger import RunLedger, read_ledger
 from repro.parallel.spec import BenchmarkSpec
+from repro.render import render
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +55,7 @@ class TestSweep:
 
     def test_format_text_has_verdicts(self, small_benchmark):
         report = run_fault_sweep(small_benchmark, n_plans=3, seed=1, jobs=1)
-        text = report.format_text()
+        text = render(sweep_view(report), "text")
         assert "fault sweep" in text
         assert "plan-000" in text
 

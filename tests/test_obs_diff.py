@@ -25,10 +25,11 @@ from repro.ctg.generator import generate_category
 from repro.obs.diff import (
     DIFF_SCHEMA_VERSION,
     diff_schedules,
-    format_diff,
+    diff_view,
     run_delta,
 )
 from repro.obs.ledger import RunLedger, read_ledger
+from repro.render import render
 
 
 def _pair(n_tasks=35, index=1):
@@ -118,11 +119,11 @@ class TestCauseClassification:
 class TestDeterminism:
     def test_repeated_renders_byte_identical(self):
         _, _, a, b = _pair()
-        first = format_diff(diff_schedules(a, b, "x", "y"), "text")
-        second = format_diff(diff_schedules(a, b, "x", "y"), "text")
+        first = render(diff_view(diff_schedules(a, b, "x", "y")), "text")
+        second = render(diff_view(diff_schedules(a, b, "x", "y")), "text")
         assert first == second
-        assert format_diff(diff_schedules(a, b, "x", "y"), "json") == format_diff(
-            diff_schedules(a, b, "x", "y"), "json"
+        assert render(diff_view(diff_schedules(a, b, "x", "y")), "json") == render(
+            diff_view(diff_schedules(a, b, "x", "y")), "json"
         )
 
     def test_jobs_1_and_2_byte_identical(self):
@@ -149,8 +150,8 @@ class TestDeterminism:
         ]
         serial = schedules_for_specs(specs, jobs=1)
         pooled = schedules_for_specs(specs, jobs=2)
-        text_serial = format_diff(diff_schedules(serial[0], serial[1]), "text")
-        text_pooled = format_diff(diff_schedules(pooled[0], pooled[1]), "text")
+        text_serial = render(diff_view(diff_schedules(serial[0], serial[1])), "text")
+        text_pooled = render(diff_view(diff_schedules(pooled[0], pooled[1])), "text")
         assert text_serial == text_pooled
         # The rebuilt schedules carry provenance for cause analysis.
         assert serial[0].provenance and pooled[0].provenance
@@ -160,19 +161,19 @@ class TestRenderers:
     def test_all_formats(self):
         _, _, a, b = _pair()
         diff = diff_schedules(a, b, "A", "B")
-        text = format_diff(diff, "text")
+        text = render(diff_view(diff), "text")
         assert "root-cause" in text
         assert "(sums to)" in text
-        markdown = format_diff(diff, "markdown")
+        markdown = render(diff_view(diff), "markdown")
         assert markdown.startswith("# Diff")
         assert "| task |" in markdown
-        document = json.loads(format_diff(diff, "json"))
+        document = json.loads(render(diff_view(diff), "json"))
         assert document["schema_version"] == DIFF_SCHEMA_VERSION
         assert document["energy_delta"] == pytest.approx(
             sum(document["energy_by_task"].values()), abs=1e-9
         )
         with pytest.raises(ValueError):
-            format_diff(diff, "html")
+            render(diff_view(diff), "html")
 
     def test_run_delta_section(self):
         _, _, a, b = _pair()
@@ -191,7 +192,7 @@ class TestRenderers:
         assert delta.phase_walls["x"] == [1.0, 1.5]
         assert delta.phase_walls["(total wall)"] == [2.0, 3.0]
         assert delta.counters["eas.evaluations"] == [10.0, 14.0]
-        text = format_diff(diff_schedules(a, b), "text", runs=delta)
+        text = render(diff_view(diff_schedules(a, b), delta), "text")
         assert "run telemetry r1 vs r2" in text
         assert "eas.evaluations" in text
 

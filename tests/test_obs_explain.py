@@ -23,10 +23,11 @@ from repro.obs.explain import (
     EXPLAIN_SCHEMA_VERSION,
     critical_path,
     explain_schedule,
-    format_explain,
+    explain_view,
     pick_target,
     verify_decision_components,
 )
+from repro.render import render
 from repro.schedule.table import EPS
 
 #: (category, index, n_tasks, mesh rows/cols, type cycle) of the fixed corpus.
@@ -212,18 +213,18 @@ class TestExplainReport:
         acg = mesh_3x3(shuffle_seed=2)
         schedule = _schedule(ctg, acg)
         report = explain_schedule(schedule)
-        text = format_explain(report, "text")
+        text = render(explain_view(report), "text")
         assert "critical path" in text
         assert "chosen" in text
-        markdown = format_explain(report, "markdown")
+        markdown = render(explain_view(report), "markdown")
         assert markdown.startswith("# Explain")
-        document = json.loads(format_explain(report, "json"))
+        document = json.loads(render(explain_view(report), "json"))
         assert document["schema_version"] == EXPLAIN_SCHEMA_VERSION
         assert document["critical_path"]
         assert document["tasks"]
         assert document["energy"]["total"] == pytest.approx(schedule.total_energy())
         with pytest.raises(ValueError):
-            format_explain(report, "html")
+            render(explain_view(report), "html")
 
     def test_explanations_carry_decision_provenance(self):
         ctg = generate_category(1, 4, n_tasks=30)
@@ -231,17 +232,18 @@ class TestExplainReport:
         schedule = _schedule(ctg, acg)
         report = explain_schedule(schedule)
         assert report.explanations
+        sections = {section.heading: section for section in explain_view(report).sections}
         for explanation in report.explanations:
             assert explanation.decision is not None
             assert explanation.decision.task == explanation.task
-            lines = explanation.describe()
-            assert any("chosen" in line for line in lines)
+            table = sections[f"{explanation.task} candidates"].table
+            assert [row[0] for row in table[1:2]] == ["chosen"]
 
     def test_infinite_deadlines_serialize_as_null(self):
         ctg = generate_category(1, 5, n_tasks=25)
         acg = mesh_3x3(shuffle_seed=5)
         schedule = _schedule(ctg, acg)
-        document = json.loads(format_explain(explain_schedule(schedule), "json"))
+        document = json.loads(render(explain_view(explain_schedule(schedule)), "json"))
         for entry in document["tasks"]:
             deadline = entry["deadline"]
             assert deadline is None or math.isfinite(deadline)

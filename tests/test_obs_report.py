@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.cli import main
 from repro.obs.ledger import RunLedger
-from repro.obs.report import build_report, format_report
+from repro.obs.report import build_report, report_view
+from repro.render import render
 from tests.document_fuzz import variants
 
 
@@ -78,7 +79,8 @@ class TestLedgerSections:
         assert report["caches"] == [
             {"cache": "rebuild probe", "hits": 40, "misses": 20, "hit_rate_pct": 66.7}
         ]
-        assert "rebuild probe      hits 40" in format_report(report, "text")
+        rows = [line.split() for line in render(report_view(report), "text").splitlines()]
+        assert ["rebuild", "probe", "40", "20", "66.7%"] in rows
 
     @pytest.mark.parametrize(
         "field, value",
@@ -99,7 +101,7 @@ class TestLedgerSections:
         assert report["slow_phases"][0]["self_seconds"] == 0.5
         assert report["runs"]["finished"] == 2
         for fmt in ("text", "markdown", "json"):
-            format_report(report, fmt)
+            render(report_view(report), fmt)
 
     def test_no_ledger_sections_without_path(self):
         report = build_report(ledger_path=None)
@@ -143,15 +145,15 @@ class TestGeneratedLedgers:
         path = tmp_path / "ledger.jsonl"
         path.write_text("".join(lines))
         report = build_report(ledger_path=path)
-        json.loads(format_report(report, "json"))
-        format_report(report, "text")
-        format_report(report, "markdown")
+        json.loads(render(report_view(report), "json"))
+        render(report_view(report), "text")
+        render(report_view(report), "markdown")
 
 
 class TestRendering:
     def test_text_sections(self, ledger_path):
         report = build_report(ledger_path=ledger_path)
-        text = format_report(report, "text")
+        text = render(report_view(report), "text")
         assert text.startswith("== runs ==")
         assert "== recent failures ==" in text
         assert "no feasible PE" in text
@@ -159,19 +161,19 @@ class TestRendering:
 
     def test_markdown_tables(self, ledger_path):
         report = build_report(ledger_path=ledger_path)
-        md = format_report(report, "markdown")
+        md = render(report_view(report), "markdown")
         assert md.startswith("# repro-noc run report\n\n## Runs\n")
         assert "| phase | count | self ms |" in md
-        assert "**schedule** — RuntimeError: no feasible PE" in md
+        assert "| schedule | RuntimeError: no feasible PE |" in md
 
     def test_json_round_trips(self, ledger_path):
         report = build_report(ledger_path=ledger_path)
-        parsed = json.loads(format_report(report, "json"))
+        parsed = json.loads(render(report_view(report), "json"))
         assert parsed["runs"]["failed"] == 1
 
     def test_unknown_format_raises(self):
         with pytest.raises(ValueError, match="unknown report format"):
-            format_report(build_report(), "yaml")
+            render(report_view(build_report()), "yaml")
 
 
 class TestCli:

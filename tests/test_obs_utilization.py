@@ -11,7 +11,8 @@ from repro.core.eas import eas_schedule
 from repro.core.slack import compute_budgets
 from repro.ctg.generator import generate_category
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.utilization import analyze_schedule
+from repro.obs.utilization import analyze_schedule, utilization_view
+from repro.render import render
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +126,7 @@ class TestOutputs:
 
     def test_format_text_mentions_all_sections(self, cat1):
         _, report = cat1
-        text = report.format_text()
+        text = render(utilization_view(report), "text")
         for heading in (
             "== PE utilisation ==",
             "== link occupancy ==",
@@ -160,7 +161,7 @@ class TestEdgeCases:
         assert report.total_contention_wait == 0.0
         assert report.min_slack == math.inf
         # And it still renders.
-        assert "no link traffic" in report.format_text()
+        assert "no link traffic" in render(utilization_view(report), "text")
 
     def test_local_transfers_attributed_to_pe_not_links(self):
         from tests.conftest import uniform_task
