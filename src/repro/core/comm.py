@@ -24,10 +24,13 @@ soundness").  Telemetry: ``comm.path_cache_hits`` /
 All reservations go through a :class:`TentativeOverlay` and never touch
 the committed tables.  The only caller,
 :func:`repro.core.placement.probe`, drops the overlay and keeps the
-transaction placements in its evaluation; the scheduler then either
-forgets the evaluation (a what-if) or commits it, reserving the same
-links at the same times (the real placement) — the paper's "schedule
-tables ... will be restored every time a F(i,k) is calculated".
+pass's :class:`Transfer` records in its evaluation; the scheduler then
+either forgets the evaluation (a what-if) or commits it, reserving the
+same links at the same times (the real placement) — the paper's
+"schedule tables ... will be restored every time a F(i,k) is
+calculated".  Most evaluations are forgotten, so a pass records plain
+tuples and only a committed one becomes
+:class:`~repro.schedule.entries.CommPlacement` objects.
 ``comm.link_probes`` and ``comm.local_transfers`` go to counters the
 overlay's :class:`~repro.schedule.overlay.ResourceTables` fetched once,
 not looked up per call.
@@ -35,7 +38,7 @@ not looked up per call.
 Link tables are addressed by resource id: a transaction probes and
 reserves its route's ``link_keys`` (each link's
 :attr:`~repro.arch.topology.Link.key`), never the ``Link`` objects,
-which stay in the :class:`CommPlacement` for display and serialization.
+which stay in the route for display and serialization.
 The overlay additionally records every link table this pass probed
 (``overlay.probed_resources()``), the evaluation's *resource
 footprint*: the F(i,k) result is a pure function of the busy
@@ -48,14 +51,59 @@ link tables entirely, so its footprint is the destination PE alone.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
-from repro.arch.acg import ACG
+from repro.arch.acg import ACG, Route
 from repro.ctg.graph import CTG
 from repro.ctg.task import CommEdge
 from repro.errors import SchedulingError
 from repro.schedule.entries import CommPlacement, TaskPlacement
 from repro.schedule.overlay import TentativeOverlay
+
+
+class Transfer(NamedTuple):
+    """One incoming transaction as a Fig. 3 pass placed it.
+
+    A plain tuple, so recording one costs a fraction of a frozen
+    :class:`CommPlacement`; :meth:`placement` builds that for a
+    committed evaluation.
+    """
+
+    edge: CommEdge
+    src_pe: int
+    dst_pe: int
+    start: float
+    finish: float
+    route: Route
+    #: ``volume * e(r)``, the float ``ACG.comm_energy`` returns.
+    energy: float
+
+    @property
+    def src_task(self) -> str:
+        return self.edge.src
+
+    @property
+    def volume(self) -> float:
+        return self.edge.volume
+
+    @property
+    def is_local(self) -> bool:
+        return not self.route.links
+
+    def placement(self) -> CommPlacement:
+        """The schedule entry of this transfer."""
+        edge = self.edge
+        return CommPlacement(
+            src_task=edge.src,
+            dst_task=edge.dst,
+            volume=edge.volume,
+            src_pe=self.src_pe,
+            dst_pe=self.dst_pe,
+            start=self.start,
+            finish=self.finish,
+            links=self.route.links,
+            energy=self.energy,
+        )
 
 
 def in_sender_order(
@@ -65,15 +113,16 @@ def in_sender_order(
     return sorted(lct, key=lambda e: (placements[e.src].finish, e.src))
 
 
-def task_energy(compute_energy: float, comm_energies: Iterable[float]) -> float:
+def task_energy(compute_energy: float, comm_energy: float) -> float:
     """The Step-2 metric ``E(i,k) = E_comp + E_comm``.
 
-    ``comm_energies`` are the task's incoming transaction energies in
-    :func:`in_sender_order`.  The probe's ``Evaluation.energy`` and
-    the level-based scheduler's walk key both come from here, so the
-    two are the same float, not two sums that happen to agree.
+    ``comm_energy`` is the task's incoming transaction energies added
+    left to right from 0 in :func:`in_sender_order`, as ``sum`` adds
+    them.  The probe's ``Evaluation.energy`` and the level-based
+    scheduler's walk key both come from here, so the two are the same
+    float, not two sums that happen to agree.
     """
-    return compute_energy + sum(comm_energies)
+    return compute_energy + comm_energy
 
 
 def schedule_incoming_transactions(
@@ -85,7 +134,7 @@ def schedule_incoming_transactions(
     overlay: TentativeOverlay,
     contention_aware: bool = True,
     floor: float = 0.0,
-) -> Tuple[float, List[CommPlacement]]:
+) -> Tuple[float, List[Transfer]]:
     """Schedule the LCT of ``task`` assuming it runs on ``dst_pe``.
 
     Args:
@@ -109,33 +158,36 @@ def schedule_incoming_transactions(
             because all times are non-negative.
 
     Returns:
-        ``(drt, comm_placements)`` — the data ready time (0.0 for source
-        tasks) and one :class:`CommPlacement` per incoming edge, in the
-        order they were scheduled.
+        ``(drt, transfers)`` — the data ready time (0.0 for source
+        tasks) and one :class:`Transfer` per incoming edge, in the order
+        they were scheduled.  Each transfer's energy and duration come
+        from the route fetched for it: ``volume * e(r)`` and
+        ``volume / b(r)``, the floats ``acg.comm_energy`` and
+        ``acg.comm_duration`` return.
     """
     lct = ctg.in_edges(task)
     if not lct:
         return 0.0, []
 
-    for edge in lct:
-        if edge.src not in placements:
-            raise SchedulingError(
-                f"cannot schedule transactions of {task!r}: sender {edge.src!r} unplaced"
-            )
-
-    lct = in_sender_order(lct, placements)
+    try:
+        lct = in_sender_order(lct, placements)
+    except KeyError as missing:
+        raise SchedulingError(
+            f"cannot schedule transactions of {task!r}: sender {missing.args[0]!r} unplaced"
+        ) from None
 
     link_probes = overlay.base.link_probes
     local_transfers = overlay.base.local_transfers
 
     drt = 0.0
-    comm_placements: List[CommPlacement] = []
+    transfers: List[Transfer] = []
     for edge in lct:
         sender = placements[edge.src]
         route = acg.route(sender.pe, dst_pe)
-        duration = acg.comm_duration(edge.volume, sender.pe, dst_pe)
+        volume = edge.volume
+        duration = volume / route.bandwidth if route.links else 0.0
         ready = max(sender.finish, floor)
-        if route.is_local or duration == 0.0:
+        if duration == 0.0:
             # Same tile or zero volume: no links held, data available at
             # the moment the sender finishes (or the floor, if later).
             start = finish = ready
@@ -149,23 +201,13 @@ def schedule_incoming_transactions(
             finish = start + duration
             overlay.reserve_on_path(route.link_keys, start, finish)
             link_probes.inc()
-        comm_placements.append(
-            CommPlacement(
-                src_task=edge.src,
-                dst_task=task,
-                volume=edge.volume,
-                src_pe=sender.pe,
-                dst_pe=dst_pe,
-                start=start,
-                finish=finish,
-                links=route.links,
-                energy=acg.comm_energy(edge.volume, sender.pe, dst_pe),
-            )
+        transfers.append(
+            Transfer(edge, sender.pe, dst_pe, start, finish, route, volume * route.energy_per_bit)
         )
         if finish > drt:
             drt = finish
 
-    return drt, comm_placements
+    return drt, transfers
 
 
 def incoming_comm_energy(

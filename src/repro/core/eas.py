@@ -27,8 +27,8 @@ forced placement risks losing it, so it is treated as maximal regret
 
 Incremental evaluation
 ----------------------
-Naively, Step 2 recomputes every ``F(i,k)`` on every iteration.  Two
-things make that unnecessary, and neither changes a single decision.
+Naively, Step 2 recomputes every ``F(i,k)`` on every iteration.  Three
+things make that unnecessary, and none changes a single decision.
 
 *The energy-ordered walk.*  The selection reads three things of a ready
 task: whether any PE meets ``BD_i`` (Rule 3), its minimum-energy
@@ -59,6 +59,15 @@ committed transactions — and whose granted windows overlap the
 committed ones in time.  Any other evaluation would recompute to the
 identical result.  Step 3's rebuild loop, ``rebuild.commit_steps``,
 uses the same cache.
+
+*Summary reuse.*  A walk reads only its task's keys, budget and the
+cached evaluations of the key prefix it walked.  So a ready task keeps
+its last walk's summary for as long as the cache still holds every
+entry of that prefix, and is walked again only when it is newly ready
+or a commit dropped one of them.  The scheduler asks the cache what it
+holds, so a cache that drops more simply reuses less.
+``eas.reused_summaries`` counts the kept summaries; ``eas.cache_hits``
+and ``eas.walk_skips`` count only the walks that ran.
 
 DESIGN.md gives both arguments.  The paper-literal
 :class:`repro.core.reference.NaiveLevelScheduler` probes every F(i,k)
@@ -132,7 +141,11 @@ class _SelectionOutcome:
 
 
 class _Summary(NamedTuple):
-    """What the selection rules read of one ready task's F(i,k) row."""
+    """What the selection rules read of one ready task's F(i,k) row.
+
+    ``read`` is how many walk keys the walk read: the summary stays
+    valid while the cache holds those keys' entries.
+    """
 
     #: the BD-feasible PE of least ``(energy, finish, pe)``; None when
     #: no PE meets the budgeted deadline.
@@ -143,6 +156,8 @@ class _Summary(NamedTuple):
     #: the PE of least ``(finish, energy, pe)``, read only by Rule 3
     #: (so set only when ``e1`` is None).
     fastest: Optional[Evaluation]
+    #: the length of the walk-key prefix the walk read.
+    read: int
 
 
 #: one walk step: a candidate PE's energy ``E(i,k)`` and its index.
@@ -178,6 +193,8 @@ class LevelBasedScheduler:
         self._cache = ProbeCache()
         #: each ready task's candidate PEs in increasing ``(E, pe)`` order.
         self._walk_keys: Dict[str, List[WalkKey]] = {}
+        #: each ready task's summary from its last walk.
+        self._summaries: Dict[str, _Summary] = {}
         #: per sender PE, the energy per bit toward every PE and the
         #: PEs it cannot reach.
         self._epb_rows: Dict[int, Tuple[List[float], FrozenSet[int]]] = {}
@@ -186,13 +203,15 @@ class LevelBasedScheduler:
         for pe in acg.pes:
             if acg.pe_available(pe.index):
                 self._pes_by_type.setdefault(pe.type_name, []).append(pe.index)
-        #: this RTL iteration's cache hits, fresh probes and unread keys.
-        self._hits = self._fresh = self._skips = 0
+        #: this RTL iteration's cache hits, fresh probes, unread keys and
+        #: reused summaries.
+        self._hits = self._fresh = self._skips = self._reused = 0
         ins = obs.get()
         self._ins = ins
         self._eval_counter = ins.metrics.counter("eas.evaluations")
         self._hit_counter = ins.metrics.counter("eas.cache_hits")
         self._skip_counter = ins.metrics.counter("eas.walk_skips")
+        self._reuse_counter = ins.metrics.counter("eas.reused_summaries")
         self._invalidation_counter = ins.metrics.counter("eas.cache_invalidations")
 
     # -- F(i,k) evaluation --------------------------------------------------
@@ -254,24 +273,28 @@ class LevelBasedScheduler:
         that cannot run the task and PEs some sender cannot reach (on a
         fault-degraded platform) are exactly the ones :func:`probe`
         rejects; they get no key.  Each transaction's energy is
-        ``volume * e(r)``, the product ``ACG.comm_energy`` forms.
+        ``volume * e(r)``, the product a Fig. 3 pass records; one column
+        pass per input edge adds it into every PE's sum, from 0 in
+        sender order, as the probe's ``sum`` does.
         """
         task = self.ctg.task(task_name)
-        rows = []
+        comm: List[float] = [0] * len(self.acg.pes)
         blocked: FrozenSet[int] = frozenset()
         for edge in in_sender_order(self.ctg.in_edges(task_name), self._placements):
             row, unreachable = self._epb_row(self._placements[edge.src].pe)
-            rows.append((edge.volume, row))
+            volume = edge.volume
+            comm = [total + volume * epb for total, epb in zip(comm, row)]
             blocked |= unreachable
         keys: List[WalkKey] = []
+        costs = task.costs
         for type_name, pes in self._pes_by_type.items():
-            cost = task.cost_on(type_name)
-            if not cost.feasible:
+            cost = costs.get(type_name)
+            if cost is None or not cost.feasible:
                 continue
-            for index in pes:
-                if index not in blocked:
-                    comm = [volume * row[index] for volume, row in rows]
-                    keys.append((task_energy(cost.energy, comm), index))
+            compute = cost.energy
+            keys += [
+                (task_energy(compute, comm[index]), index) for index in pes if index not in blocked
+            ]
         keys.sort()
         self._walk_keys[task_name] = keys
 
@@ -318,7 +341,29 @@ class LevelBasedScheduler:
                 regret = energy - e1_energy
                 break
         self._skips += len(keys) - read
-        return _Summary(e1, regret, None if e1 is not None else fastest)
+        return _Summary(e1, regret, None if e1 is not None else fastest, read)
+
+    def _summary(self, task_name: str) -> _Summary:
+        """``task_name``'s last summary if still valid, else a fresh walk.
+
+        A walk reads only the cached evaluations of its key prefix, the
+        task's keys and its budget.  While the cache holds every entry
+        of that prefix — the same objects, since an entry is replaced
+        only after a commit drops it — a new walk would read the same
+        values and return the same summary.  Asking the cache rather
+        than the commit keeps this exact for any eviction rule.
+        """
+        summary = self._summaries.get(task_name)
+        if summary is not None:
+            cache = self._cache
+            for _energy, pe_index in self._walk_keys[task_name][: summary.read]:
+                if (task_name, pe_index) not in cache:
+                    break
+            else:
+                self._reused += 1
+                return summary
+        summary = self._summaries[task_name] = self._walk(task_name)
+        return summary
 
     # -- selection ------------------------------------------------------------
 
@@ -360,10 +405,12 @@ class LevelBasedScheduler:
         task by PE, for its decision record: the walk completes that
         task's row, so the record lists the candidates the exhaustive
         rules would see.  ``eas.walk_skips`` counts only what the
-        selection walk left unread, with or without ``record``.
+        selection walks left unread, with or without ``record``;
+        ``eas.cache_hits`` and ``eas.walk_skips`` count only the walks
+        that ran, ``eas.reused_summaries`` the summaries kept instead.
         """
-        self._hits = self._fresh = self._skips = 0
-        summaries = {task_name: self._walk(task_name) for task_name in ready}
+        self._hits = self._fresh = self._skips = self._reused = 0
+        summaries = {task_name: self._summary(task_name) for task_name in ready}
         chosen, outcome = self._select(summaries)
         row: Dict[int, Evaluation] = {}
         if record:
@@ -372,9 +419,11 @@ class LevelBasedScheduler:
         self._hit_counter.inc(self._hits)
         self._eval_counter.inc(self._fresh)
         self._skip_counter.inc(self._skips)
+        self._reuse_counter.inc(self._reused)
         rtl_span.set_attribute("cache_hits", self._hits)
         rtl_span.set_attribute("evaluations", self._fresh)
         rtl_span.set_attribute("walk_skips", self._skips)
+        rtl_span.set_attribute("reused_summaries", self._reused)
         return chosen, outcome, row
 
     # -- main loop ----------------------------------------------------------------
@@ -453,6 +502,7 @@ class LevelBasedScheduler:
                 # newly ready successors in order (no per-iteration sort).
                 del ready[bisect_left(ready, chosen_task)]
                 self._walk_keys.pop(chosen_task, None)
+                self._summaries.pop(chosen_task, None)
                 for succ in self.ctg.successors(chosen_task):
                     if succ not in remaining_preds:
                         continue  # prefix successor (recovery resurrect)

@@ -10,8 +10,9 @@ F(i,k) is calculated").
 
 :func:`probe` is the what-if half.  It runs on a
 :class:`~repro.schedule.overlay.TentativeOverlay` and then discards it
-(the restore); its :class:`Evaluation` keeps the transaction placements
-and the probe footprint.  :func:`commit` is the other half: it reserves the
+(the restore); its :class:`Evaluation` keeps the pass's transfer records
+and the probe footprint, and builds the transaction placements only when
+read.  :func:`commit` is the other half: it reserves the
 evaluation's :attr:`~Evaluation.windows`, exactly the slots the probe
 found, so committing an evaluation equals recomputing it on the same
 tables (DESIGN.md, "Placement primitive").
@@ -25,11 +26,10 @@ drops only the entries whose probe it may have changed (DESIGN.md,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from repro.arch.acg import ACG
-from repro.core.comm import schedule_incoming_transactions, task_energy
+from repro.core.comm import Transfer, schedule_incoming_transactions, task_energy
 from repro.ctg.graph import CTG
 from repro.ctg.task import TaskCosts
 from repro.errors import UnroutableError
@@ -40,13 +40,36 @@ from repro.schedule.schedule import Schedule
 from repro.schedule.table import Interval
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock.
+
+    Python 3.11's ``cached_property`` takes a lock on every first read,
+    about 1 µs; a pass reads an evaluation's windows or entries first
+    thousands of times.  The value lands in the instance dict, which
+    later reads find before this (non-data) descriptor.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(eq=False)
 class Evaluation:
     """One ``F(i,k)`` evaluation: task ``task`` tentatively placed on ``pe``.
 
     ``energy`` is the paper's ``E = E_comp + E_comm``: the task's
     computation energy plus the network energy of its incoming
-    transactions.  ``footprint`` is every resource the probe read, by
+    transactions.  ``transfers`` are those transactions as the Fig. 3
+    pass recorded them; :attr:`comms` turns them into schedule entries.
+    ``footprint`` is every resource the probe read, by
     :data:`~repro.schedule.overlay.ResourceId` (PE index or ``Link.key``);
     ``contention_aware`` is False only in the fixed-delay ablation, whose
     transfers hold no links.
@@ -63,11 +86,21 @@ class Evaluation:
     drt: float
     energy: float
     cost: TaskCosts
-    comms: List[CommPlacement]
+    transfers: List[Transfer]
     footprint: AbstractSet[ResourceId]
     contention_aware: bool
 
-    @cached_property
+    @_lazy
+    def comms(self) -> List[CommPlacement]:
+        """The incoming transactions as schedule entries, in pass order.
+
+        Built on first read: a pass evaluates many more candidates than
+        it commits, and only :func:`commit` and the repair rebuild's
+        ``CommitStep`` need the entries.
+        """
+        return [transfer.placement() for transfer in self.transfers]
+
+    @_lazy
     def windows(self) -> Dict[ResourceId, Tuple[Interval, ...]]:
         """The busy windows committing this evaluation reserves, by resource id.
 
@@ -80,11 +113,11 @@ class Evaluation:
         """
         windows = {self.pe: ((self.start, self.finish),)}
         if self.contention_aware:
-            for comm in self.comms:
-                if comm.finish > comm.start:
-                    for link in comm.links:
-                        key = link.key
-                        windows[key] = windows.get(key, ()) + ((comm.start, comm.finish),)
+            for transfer in self.transfers:
+                if transfer.finish > transfer.start:
+                    window = (transfer.start, transfer.finish)
+                    for key in transfer.route.link_keys:
+                        windows[key] = windows.get(key, ()) + (window,)
         return windows
 
     def candidate(self, bd: Optional[float] = None) -> Candidate:
@@ -93,7 +126,7 @@ class Evaluation:
         ``slack`` is the margin left against the budgeted deadline
         ``bd``; schedulers without budgets pass none.
         """
-        comm_energy = sum((c.energy for c in self.comms), 0.0)
+        comm_energy = sum((t.energy for t in self.transfers), 0.0)
         return Candidate(
             pe=self.pe,
             finish=self.finish,
@@ -102,7 +135,7 @@ class Evaluation:
             drt=self.drt,
             compute_energy=self.energy - comm_energy,
             comm_energy=comm_energy,
-            hops=sum(len(c.links) for c in self.comms),
+            hops=sum(len(t.route.links) for t in self.transfers),
             slack=None if bd is None else bd - self.finish,
         )
 
@@ -130,7 +163,7 @@ def probe(
         return None
     overlay = tables.overlay()
     try:
-        drt, comms = schedule_incoming_transactions(
+        drt, transfers = schedule_incoming_transactions(
             ctg,
             acg,
             task,
@@ -143,17 +176,19 @@ def probe(
     except UnroutableError:
         return None
     start = overlay.find_earliest(pe, max(drt, floor), cost.time)
+    # Positional, in field order: keyword arguments cost the generated
+    # __init__ about 0.8 µs more, on every probe.
     return Evaluation(
-        task=task,
-        pe=pe,
-        start=start,
-        finish=start + cost.time,
-        drt=drt,
-        energy=task_energy(cost.energy, [c.energy for c in comms]),
-        cost=cost,
-        comms=comms,
-        footprint=overlay.probed_resources(),
-        contention_aware=contention_aware,
+        task,
+        pe,
+        start,
+        start + cost.time,  # finish
+        drt,
+        task_energy(cost.energy, sum([t.energy for t in transfers])),
+        cost,
+        transfers,
+        overlay.probed_resources(),  # footprint
+        contention_aware,
     )
 
 
@@ -242,10 +277,11 @@ class ProbeCache(Dict[Tuple[str, int], Evaluation]):
         commit dirtied.
         """
         dirty = committed.windows
+        task = committed.task
         evicted = 0
         stale: List[Tuple[str, int]] = []
         for key, evaluation in self.items():
-            if key[0] == committed.task:
+            if key[0] == task:
                 stale.append(key)
             elif not evaluation.footprint.isdisjoint(dirty) and _windows_conflict(
                 dirty, evaluation.windows

@@ -106,24 +106,29 @@ class Task:
 
         ``pe_types`` is one entry per PE *instance* (types repeat), which
         matches the paper's per-PE arrays ``R_i`` / ``E_i``.  Infeasible
-        instances are excluded; an empty feasible set is an error.
+        instances are excluded; an empty feasible set is an error.  The
+        per-instance lists keep PE order, so the sums add the same floats
+        in the same order for any mix of types.
         """
         times = []
         energies = []
-        for pe_type in pe_types:
-            cost = self.cost_on(pe_type)
-            if cost.feasible:
+        for cost in map(self.costs.get, pe_types):
+            # A missing type is infeasible; a TaskCosts time is never NaN,
+            # so `< INFEASIBLE` is `cost.feasible` without the call.
+            if cost is not None and cost.time < INFEASIBLE:
                 times.append(cost.time)
                 energies.append(cost.energy)
         if not times:
             raise InfeasibleTaskError(
                 f"task {self.name!r} cannot run on any PE of the platform"
             )
+        mean_time = _mean(times)
+        mean_energy = _mean(energies)
         return TaskStats(
-            mean_time=_mean(times),
-            var_time=_variance(times),
-            mean_energy=_mean(energies),
-            var_energy=_variance(energies),
+            mean_time=mean_time,
+            var_time=_variance(times, mean_time),
+            mean_energy=mean_energy,
+            var_energy=_variance(energies, mean_energy),
             n_feasible=len(times),
         )
 
@@ -170,7 +175,7 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _variance(values) -> float:
-    """Population variance (the paper does not distinguish; n divisor)."""
-    mu = _mean(values)
-    return sum((v - mu) ** 2 for v in values) / len(values)
+def _variance(values, mu: float) -> float:
+    """Population variance about the mean ``mu`` (the paper does not
+    distinguish; n divisor)."""
+    return sum([(v - mu) ** 2 for v in values]) / len(values)

@@ -66,8 +66,8 @@ class CriticalSegment:
 
     ``kind`` is ``exec`` (a task runs), ``comm`` (a transaction holds
     its route), ``link-wait`` (a transaction queued behind other
-    traffic after its sender finished) or ``pe-wait`` (inputs ready,
-    PE busy with an earlier task).
+    traffic after its sender finished) or ``pe-wait`` (the task held
+    back on its PE, from the finish of the task before it there).
     """
 
     kind: str
@@ -125,8 +125,11 @@ def critical_path(schedule: "Schedule", target: Optional[str] = None) -> List[Cr
     task's start is bound either by its last-arriving input transaction
     (follow the transaction, charging link contention separately from
     transfer time, then continue from the sender) or by the previous
-    task occupying its PE (charge a ``pe-wait`` and continue from the
-    blocker).  The walk ends at a task that starts the moment it could.
+    task occupying its PE (charge a ``pe-wait`` from the blocker's
+    finish and continue from the blocker).  The walk ends at a task
+    that starts the moment it could.  The segments tile: each starts
+    where the one before it ends, so their durations sum to at most the
+    target's finish.
     """
     target = target if target is not None else pick_target(schedule)
     if target is None:
@@ -173,7 +176,7 @@ def critical_path(schedule: "Schedule", target: Optional[str] = None) -> List[Cr
             segments.append(
                 CriticalSegment(
                     kind="pe-wait",
-                    start=max(ready, 0.0),
+                    start=blocker[0],
                     end=placement.start,
                     task=current,
                     resource=f"PE{placement.pe}",

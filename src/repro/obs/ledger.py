@@ -373,12 +373,34 @@ def prune_ledger(
     }
 
 
-def ledger_size_bytes(path: Union[str, Path]) -> int:
-    """On-disk ledger size (0 when absent) — feeds the report warning."""
+def ledger_size_bytes(path: Union[str, Path], exclude_run_id: Optional[str] = None) -> int:
+    """On-disk ledger size (0 when absent) — feeds the report warning.
+
+    The lines of run ``exclude_run_id`` do not count, so a report that
+    excludes its own open run reports a size that depends only on the
+    ledger it read.
+    """
     try:
-        return os.stat(path).st_size
+        if exclude_run_id is None:
+            return os.stat(path).st_size
+        marker = exclude_run_id.encode("utf-8")
+        with open(path, "rb") as handle:
+            return sum(
+                len(line)
+                for line in handle
+                if marker not in line or _line_run_id(line) != exclude_run_id
+            )
     except OSError:
         return 0
+
+
+def _line_run_id(line: bytes) -> Optional[str]:
+    """The ``run_id`` of one ledger line, or None when it has none."""
+    try:
+        record = json.loads(line.decode("utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError):
+        return None
+    return record.get("run_id") if isinstance(record, dict) else None
 
 
 def _reject_constant(token: str) -> None:

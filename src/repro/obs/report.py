@@ -63,7 +63,7 @@ def build_report(
         report["caches"] = _cache_rates(records)
         report["survivability"] = _survivability(records)
         report["run_delta"] = _last_run_delta(records, exclude_run_id)
-        report["ledger_bytes"] = ledger_size_bytes(ledger_path)
+        report["ledger_bytes"] = ledger_size_bytes(ledger_path, exclude_run_id)
         if report["ledger_bytes"] > LEDGER_WARN_BYTES:
             report["ledger_warning"] = (
                 f"ledger is {report['ledger_bytes'] / 1e6:.1f} MB; "

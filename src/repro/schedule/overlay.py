@@ -123,11 +123,6 @@ class ResourceTables:
         tbl = self._tables.get(resource)
         return tbl.version if tbl is not None else 0
 
-    def horizon(self, resource: ResourceId) -> float:
-        """End of the resource's last committed reservation (0.0 if none)."""
-        tbl = self._tables.get(resource)
-        return tbl.horizon() if tbl is not None else 0.0
-
     def path_busy(self, resources: Sequence[ResourceId]) -> Sequence[Interval]:
         """The merged committed busy list of a route, cached by version.
 
@@ -137,7 +132,8 @@ class ResourceTables:
         byte-identical merge (DESIGN.md, "Path-table cache soundness").
         """
         key = tuple(resources)
-        versions = tuple(self.version(r) for r in key)
+        tables = self._tables
+        versions = tuple([tables[r].version if r in tables else 0 for r in key])
         entry = self._path_cache.get(key)
         if entry is not None and entry[0] == versions:
             self._path_hits.inc()
@@ -272,15 +268,30 @@ class TentativeOverlay:
         self.base._merge_work.inc(len(base) + len(extra))
         return merge_busy([base, extra])
 
-    def _horizon(self, resource: ResourceId) -> float:
-        """Latest busy end visible through the overlay on ``resource``."""
-        horizon = self.base.horizon(resource)
-        extra = self._extra_horizon.get(resource, 0.0)
-        return extra if extra > horizon else horizon
+    def _horizon(self, resources: Iterable[ResourceId]) -> float:
+        """Latest busy end visible through the overlay on any of ``resources``.
+
+        Each table's and tentative list's last end is read inline, with
+        no method call per resource: this runs for every transaction of
+        every probe.
+        """
+        tables = self.base._tables
+        extra_horizon = self._extra_horizon
+        horizon = 0.0
+        for resource in resources:
+            table = tables.get(resource)
+            if table is not None:
+                busy = table._busy
+                if busy and busy[-1][1] > horizon:
+                    horizon = busy[-1][1]
+            extra = extra_horizon.get(resource, 0.0)
+            if extra > horizon:
+                horizon = extra
+        return horizon
 
     def find_earliest(self, resource: ResourceId, ready: float, duration: float) -> float:
         self._probed.add(resource)
-        if ready >= self._horizon(resource):
+        if ready >= self._horizon((resource,)):
             # Nothing visible ends after `ready`: find_gap would scan
             # past every interval and return `ready` unchanged.
             self.base._horizon_hits.inc()
@@ -302,12 +313,7 @@ class TentativeOverlay:
             return ready
         self._probed.update(resources)
         base = self.base
-        horizon = 0.0
-        for resource in resources:
-            h = self._horizon(resource)
-            if h > horizon:
-                horizon = h
-        if ready >= horizon:
+        if ready >= self._horizon(resources):
             base._horizon_hits.inc()
             return ready
         merged = base.path_busy(resources)
@@ -318,15 +324,19 @@ class TentativeOverlay:
         return find_gap(merged, ready, duration)
 
     def reserve(self, resource: ResourceId, start: float, end: float) -> None:
-        if end - start <= 0:
-            return
-        insort(self._extra.setdefault(resource, []), (start, end))
-        if end > self._extra_horizon.get(resource, 0.0):
-            self._extra_horizon[resource] = end
+        self.reserve_on_path((resource,), start, end)
 
     def reserve_on_path(self, resources: Iterable[ResourceId], start: float, end: float) -> None:
+        """Tentatively hold every resource of a route over ``[start, end)``."""
+        if end - start <= 0:
+            return
+        window = (start, end)
+        extra = self._extra
+        extra_horizon = self._extra_horizon
         for resource in resources:
-            self.reserve(resource, start, end)
+            insort(extra.setdefault(resource, []), window)
+            if end > extra_horizon.get(resource, 0.0):
+                extra_horizon[resource] = end
 
     def probed_resources(self) -> AbstractSet[ResourceId]:
         """Every resource whose busy state a query on this overlay read.

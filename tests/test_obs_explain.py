@@ -13,9 +13,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.arch.presets import hetero_mesh, mesh_3x3, mesh_4x4
+from repro.arch.presets import hetero_mesh, mesh_2x2, mesh_3x3, mesh_4x4
+from repro.baselines.edf import edf_schedule
 from repro.core.eas import eas_schedule
 from repro.core.reference import reference_eas_schedule
 from repro.ctg.generator import generate_category
@@ -146,6 +149,32 @@ class TestCriticalPath:
             if (e.src, first.task) in schedule.comm_placements
         ]
         assert placement.start <= max(incoming, default=0.0) + EPS
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        category=st.sampled_from([1, 2]),
+        index=st.integers(min_value=0, max_value=40),
+        n_tasks=st.integers(min_value=4, max_value=40),
+        platform=st.sampled_from([mesh_2x2, mesh_3x3]),
+        shuffle_seed=st.integers(min_value=0, max_value=5),
+        scheduler=st.sampled_from([eas_schedule, edf_schedule]),
+    )
+    def test_segments_do_not_overlap(
+        self, category, index, n_tasks, platform, shuffle_seed, scheduler
+    ):
+        """No two segments overlap, so the chain split fits in the target's finish."""
+        ctg = generate_category(category, index, n_tasks=n_tasks)
+        schedule = scheduler(ctg, platform(shuffle_seed=shuffle_seed))
+        path = critical_path(schedule)
+        for before, after in zip(path, path[1:]):
+            assert after.start >= before.end - EPS, (before, after)
+        finish = schedule.task_placements[pick_target(schedule)].finish
+        assert sum(segment.duration for segment in path) <= finish + EPS
 
     def test_target_is_most_tardy_task_when_missing(self):
         # Force misses by shrinking every deadline after generation.

@@ -198,6 +198,29 @@ class TestCli:
                 main(["report", *flag])
             assert exit_info.value.code == 2
 
+    def test_report_is_a_function_of_the_ledger(self, ledger_path, tmp_path, monkeypatch, capsys):
+        """Two reports over copies of one ledger agree bar ``generated_at``.
+
+        ``ledger_bytes`` is the copy's size before the report ran: the
+        reporting run's own records do not count.
+        """
+        documents = []
+        for name in ("a", "b"):
+            directory = tmp_path / name
+            directory.mkdir()
+            copy = directory / "runs.jsonl"
+            copy.write_bytes(ledger_path.read_bytes())
+            size = copy.stat().st_size
+            monkeypatch.chdir(directory)
+            monkeypatch.setenv("REPRO_LEDGER", "runs.jsonl")
+            assert main(["report", "--format", "json"]) == 0
+            document = json.loads(capsys.readouterr().out)
+            assert copy.stat().st_size > size  # the report recorded itself
+            assert document["ledger_bytes"] == size
+            del document["generated_at"]
+            documents.append(document)
+        assert documents[0] == documents[1]
+
     def test_reporting_run_not_counted_as_open(self, tmp_path, monkeypatch, capsys):
         """The report run flight-records itself but excludes itself."""
         ledger = tmp_path / "self.jsonl"

@@ -8,16 +8,17 @@ reference.
 
 import pytest
 
+from repro.arch.acg import Route
 from repro.arch.presets import mesh_3x3
-from repro.core.comm import schedule_incoming_transactions
+from repro.core.comm import Transfer, schedule_incoming_transactions
 from repro.core.eas import eas_schedule
 from repro.arch.topology import Link
 from repro.core.placement import Evaluation, ProbeCache, commit, probe
 from repro.ctg.generator import generate_category
 from repro.faults.degraded import DegradedACG
 from repro.faults.plan import FaultPlan, PEFault
-from repro.ctg.task import TaskCosts
-from repro.schedule.entries import CommPlacement, TaskPlacement
+from repro.ctg.task import CommEdge, TaskCosts
+from repro.schedule.entries import TaskPlacement
 from repro.schedule.overlay import ResourceTables
 from repro.schedule.table import EPS
 
@@ -26,7 +27,7 @@ def _literal_place(ctg, acg, task, pe, tables, placements, floor, contention_awa
     """Recompute the placement on the tables and apply the overlay."""
     cost = ctg.task(task).cost_on(acg.pe(pe).type_name)
     overlay = tables.overlay()
-    drt, comms = schedule_incoming_transactions(
+    drt, transfers = schedule_incoming_transactions(
         ctg, acg, task, pe, placements, overlay, contention_aware=contention_aware, floor=floor
     )
     start = overlay.find_earliest(pe, max(drt, floor), cost.time)
@@ -35,7 +36,7 @@ def _literal_place(ctg, acg, task, pe, tables, placements, floor, contention_awa
     placements[task] = TaskPlacement(
         task=task, pe=pe, start=start, finish=start + cost.time, energy=cost.energy
     )
-    return comms
+    return transfers
 
 
 def _state(tables):
@@ -55,10 +56,11 @@ def test_commit_equals_recompute(contention_aware, floor):
         ]
         best = min(evaluations, key=lambda ev: (ev.finish, ev.pe))
         commit(best, tables, placements, None)
-        comms = _literal_place(
+        transfers = _literal_place(
             ctg, acg, task, best.pe, ref_tables, ref_placements, floor, contention_aware
         )
-        assert best.comms == comms
+        assert best.transfers == transfers
+        assert best.comms == [transfer.placement() for transfer in transfers]
         assert placements[task] == ref_placements[task]
     assert _state(tables) == _state(ref_tables)
 
@@ -120,18 +122,16 @@ class TestProbeCacheInvalidate:
     LINK = Link((0, 0), (0, 1))
 
     def _evaluation(self, task, pe, start, finish, link_window=None):
-        comms = []
+        transfers = []
         if link_window is not None:
-            comms.append(
-                CommPlacement(
-                    src_task="src", dst_task=task, volume=1.0, src_pe=9, dst_pe=pe,
-                    start=link_window[0], finish=link_window[1], links=(self.LINK,), energy=0.0,
-                )
+            route = Route(9, pe, (self.LINK,), n_hops=1, energy_per_bit=0.0, bandwidth=1.0)
+            transfers.append(
+                Transfer(CommEdge("src", task, 1.0), 9, pe, link_window[0], link_window[1], route, 0.0)
             )
         return Evaluation(
             task=task, pe=pe, start=start, finish=finish, drt=start, energy=0.0,
-            cost=TaskCosts(time=finish - start, energy=0.0), comms=comms,
-            footprint=frozenset({pe, *((self.LINK.key,) if comms else ())}),
+            cost=TaskCosts(time=finish - start, energy=0.0), transfers=transfers,
+            footprint=frozenset({pe, *((self.LINK.key,) if transfers else ())}),
             contention_aware=True,
         )
 
